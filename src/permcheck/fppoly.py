@@ -7,10 +7,12 @@ immutable after construction, so they can be shared freely between threads.
 
 The module also implements arithmetic in the truncated quotient
 F_p[x_1..x_v] / (x_1^q, ..., x_v^q) with q = p^e: any monomial with some
-exponent >= q is annihilated.  Truncated multiplication has two interchangeable
-backends: a plain dict loop, and a dense numpy array of shape (q,)*v used
-when q^v is small enough.  The dense backend is what makes the larger
-Frobenius-power computations (q^v in the tens of millions) feasible.
+exponent >= q is annihilated.  Truncated products run on one numpy kernel
+over packed exponent vectors: each exponent gets a w-bit field with
+q < 2^(w-1), so the top bit of a field is a guard that flags a product
+reaching q (Monagan & Pearce, CASC 2007).  When v fields do not fit a 63-bit
+key, products fall back to a plain dict loop, which is also the tests'
+reference.
 """
 
 from __future__ import annotations
@@ -24,12 +26,6 @@ import numpy as np
 Monomial = tuple  # exponent tuple, one entry per variable
 
 DEFAULT_DEGREE_CAP = 4096
-
-# Largest q**v for which truncated products may use the dense array backend.
-DENSE_LIMIT = 1 << 26
-
-# Above this many term pairs, truncated_mul prefers the dense backend.
-_DICT_PAIR_LIMIT = 1 << 16
 
 
 class StructureError(ValueError):
@@ -360,14 +356,6 @@ class Polynomial:
         return f"Polynomial({render_poly(self)}, p={self.char})"
 
 
-def add(a: Polynomial, b: Polynomial) -> Polynomial:
-    return a + b
-
-
-def mul(a: Polynomial, b: Polynomial) -> Polynomial:
-    return a * b
-
-
 def coefficient_of(a: Polynomial, mono: Monomial) -> int:
     return a.coeff(mono)
 
@@ -504,155 +492,147 @@ def truncate(a: Polynomial, ctx: TruncationContext) -> Polynomial:
     return Polynomial._make(a.space, a.char, kept)
 
 
-def _dense_capacity(ctx: TruncationContext) -> int:
-    cap = 1
-    for _ in range(ctx.space.count):
-        cap *= ctx.bound
-        if cap > DENSE_LIMIT:
-            return cap
-    return cap
+def _key_width(ctx: TruncationContext) -> Optional[int]:
+    """Bits per exponent field of a packed key, or None if v fields exceed 63 bits.
+
+    w = bitlen(q) + 1 gives q < 2^(w-1): a field holds the sum of two
+    exponents below q without carrying, and its top bit serves as the guard.
+    """
+    w = ctx.bound.bit_length() + 1
+    return w if w * ctx.space.count <= 63 else None
 
 
-def _dense_dtype(char: int, n_terms: int):
-    # accumulated values stay below n_terms * (char-1)^2 before reduction
-    if n_terms * (char - 1) * (char - 1) < 2**31:
-        return np.int32
-    return np.int64
+def _shifts(ctx: TruncationContext, w: int) -> np.ndarray:
+    # the first variable takes the most significant field
+    return np.arange(ctx.space.count - 1, -1, -1, dtype=np.int64) * w
 
 
-def _to_dense(a: Polynomial, ctx: TruncationContext, dtype) -> np.ndarray:
-    v = ctx.space.count
-    b = ctx.bound
-    arr = np.zeros((b,) * v, dtype=dtype)
-    for mono, c in a.items():
-        if all(e < b for e in mono):
-            arr[mono] = c
-    return arr
+def _pack(a: Polynomial, ctx: TruncationContext, w: int):
+    """Sorted packed keys and coefficients of a truncated polynomial."""
+    monos = np.array(list(a._terms), dtype=np.int64).reshape(len(a), ctx.space.count)
+    keys = (monos << _shifts(ctx, w)).sum(axis=1)
+    coeffs = np.fromiter(a._terms.values(), dtype=np.int64, count=len(a))
+    order = np.argsort(keys)
+    return keys[order], coeffs[order]
 
 
-def _from_dense(arr: np.ndarray, ctx: TruncationContext) -> Polynomial:
+def _unpack(keys: np.ndarray, coeffs: np.ndarray, ctx: TruncationContext, w: int) -> Polynomial:
+    fields = (keys[:, None] >> _shifts(ctx, w)) & ((1 << w) - 1)
+    terms = dict(zip(map(tuple, fields.tolist()), coeffs.tolist()))
+    return Polynomial._make(ctx.space, ctx.modulus.p, terms)
+
+
+def _merge(key_parts: list, coeff_parts: list, p: int):
+    """Sum the coefficients of equal keys mod p, dropping zero sums."""
+    keys = np.concatenate(key_parts)
+    coeffs = np.concatenate(coeff_parts)
+    if not keys.size:
+        return keys, coeffs
+    # the parts are sorted runs, on which the stable sort (timsort) is near linear
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    sums = np.add.reduceat(coeffs[order], starts) % p
+    nonzero = sums != 0
+    return keys[starts[nonzero]], sums[nonzero]
+
+
+def _mul_packed(a_keys, a_coeffs, b_keys, b_coeffs, ctx: TruncationContext, w: int):
+    """Truncated product of two packed polynomials, as sorted keys and coefficients.
+
+    The longer operand is shifted by each term of the shorter one.  Adding the
+    term's key plus a bias of 2^(w-1) - q in every field sets a field's guard
+    bit exactly when that exponent sum reaches q, so one add and one AND find
+    the products that truncation annihilates.  Each coefficient product is
+    reduced mod p at once, so sums over at most len(b) + 1 runs fit int64.
+    Pending slices are merged into the result as soon as they outgrow it and
+    the input together, so they never hold more than one slice beyond that.
+    """
+    if len(a_keys) < len(b_keys):
+        a_keys, a_coeffs, b_keys, b_coeffs = b_keys, b_coeffs, a_keys, a_coeffs
     p = ctx.modulus.p
-    flat = arr.reshape(-1)
-    nz = np.flatnonzero(flat)
-    v = ctx.space.count
-    b = ctx.bound
-    terms = {}
-    if nz.size:
-        coeffs = flat[nz] % p
-        digits = []
-        rest = nz
-        for _ in range(v):
-            digits.append(rest % b)
-            rest = rest // b
-        digits.reverse()  # C-order: last axis varies fastest
-        for idx in range(nz.size):
-            c = int(coeffs[idx])
-            if c:
-                terms[tuple(int(d[idx]) for d in digits)] = c
-    return Polynomial._make(ctx.space, p, terms)
-
-
-def _dense_mul_terms(arr: np.ndarray, terms, ctx: TruncationContext) -> np.ndarray:
-    """arr * (sparse polynomial given by `terms`), truncated, as a dense array."""
-    p = ctx.modulus.p
-    b = ctx.bound
-    out = np.zeros_like(arr)
-    for mono, c in terms:
-        src = tuple(slice(0, b - e) for e in mono)
-        dst = tuple(slice(e, b) for e in mono)
-        if c == 1:
-            out[dst] += arr[src]
-        else:
-            out[dst] += arr[src] * c
-    out %= p
-    return out
+    unit = sum(1 << (w * i) for i in range(ctx.space.count))
+    guard = unit << (w - 1)
+    bias = unit * ((1 << (w - 1)) - ctx.bound)
+    keys, coeffs = a_keys[:0], a_coeffs[:0]
+    pending_keys, pending_coeffs, pending = [], [], 0
+    for term, c in zip((b_keys + bias).tolist(), b_coeffs.tolist()):
+        shifted = a_keys + term
+        kept = (shifted & guard) == 0
+        pending_keys.append(shifted[kept] - bias)
+        pending_coeffs.append(a_coeffs[kept] * c % p)
+        pending += len(pending_keys[-1])
+        if pending > len(a_keys) + len(keys):
+            keys, coeffs = _merge([keys, *pending_keys], [coeffs, *pending_coeffs], p)
+            pending_keys, pending_coeffs, pending = [], [], 0
+    return _merge([keys, *pending_keys], [coeffs, *pending_coeffs], p)
 
 
 class TruncatedAccumulator:
-    """A truncated-quotient value held densely when q^v is small enough.
+    """A truncated-quotient value held as sorted packed keys and coefficients.
 
     Chains of products against small polynomials (Frobenius powers of a
-    permanent, say) can hold millions of terms; the dense backend keeps them
-    as a numpy array and never materializes the sparse form.  Falls back to
-    sparse dict arithmetic when the dense array would not fit.
+    permanent, say) can hold millions of terms; the accumulator keeps them
+    packed and never materializes the sparse dict form.  When v exponent
+    fields do not fit a 63-bit key it holds a Polynomial and multiplies with
+    the dict loop instead.
     """
 
-    __slots__ = ("ctx", "_arr", "_poly")
+    __slots__ = ("ctx", "_width", "_keys", "_coeffs", "_poly")
 
     def __init__(self, poly: Polynomial, ctx: TruncationContext):
         ctx.check(poly)
         self.ctx = ctx
+        self._width = _key_width(ctx)
         poly = truncate(poly, ctx)
-        if _dense_capacity(ctx) <= DENSE_LIMIT:
-            self._arr = _to_dense(poly, ctx, _dense_dtype(ctx.modulus.p, 1 << 10))
-            self._poly = None
-        else:
-            self._arr = None
+        if self._width is None:
+            self._keys = self._coeffs = None
             self._poly = poly
+        else:
+            self._keys, self._coeffs = _pack(poly, ctx, self._width)
+            self._poly = None
 
-    @classmethod
-    def _wrap(cls, ctx, arr=None, poly=None):
-        self = object.__new__(cls)
-        self.ctx = ctx
-        self._arr = arr
-        self._poly = poly
-        return self
+    def _with(self, keys=None, coeffs=None, poly=None) -> "TruncatedAccumulator":
+        out = object.__new__(TruncatedAccumulator)
+        out.ctx, out._width = self.ctx, self._width
+        out._keys, out._coeffs, out._poly = keys, coeffs, poly
+        return out
 
     def mul_poly(self, poly: Polynomial) -> "TruncatedAccumulator":
         """Truncated product with a (typically small) sparse polynomial."""
-        ctx = self.ctx
+        ctx, w = self.ctx, self._width
         poly = truncate(poly, ctx)
-        if self._arr is not None:
-            # accumulated values stay below n_terms * (p-1)^2; reduce per
-            # term when the dtype could overflow
-            limit = np.iinfo(self._arr.dtype).max
-            if len(poly) * (ctx.modulus.p - 1) ** 2 >= limit:
-                out = None
-                b = ctx.bound
-                for mono, c in poly.items():
-                    src = tuple(slice(0, b - e) for e in mono)
-                    dst = tuple(slice(e, b) for e in mono)
-                    part = np.zeros_like(self._arr)
-                    part[dst] = self._arr[src] * c % ctx.modulus.p
-                    out = part if out is None else (out + part) % ctx.modulus.p
-                if out is None:
-                    out = np.zeros_like(self._arr)
-                return TruncatedAccumulator._wrap(ctx, arr=out)
-            return TruncatedAccumulator._wrap(ctx, arr=_dense_mul_terms(self._arr, poly.items(), ctx))
-        return TruncatedAccumulator._wrap(ctx, poly=truncated_mul(self._poly, poly, ctx))
+        if w is None:
+            return self._with(poly=_truncated_mul_dict(self._poly, poly, ctx))
+        return self._with(*_mul_packed(self._keys, self._coeffs, *_pack(poly, ctx, w), ctx, w))
 
     @property
     def is_zero(self) -> bool:
-        if self._arr is not None:
-            return not self._arr.any()
-        return self._poly.is_zero
+        return self.nnz() == 0
 
     def nnz(self) -> int:
-        if self._arr is not None:
-            return int(np.count_nonzero(self._arr))
-        return len(self._poly)
+        return len(self._poly) if self._width is None else len(self._keys)
 
     def coeff(self, mono) -> int:
-        if self._arr is not None:
-            mono = tuple(mono)
-            if any(e >= self.ctx.bound for e in mono):
-                return 0
-            return int(self._arr[mono])
-        return self._poly.coeff(mono)
+        mono = tuple(mono)
+        if self._width is None:
+            return self._poly.coeff(mono)
+        if any(e >= self.ctx.bound for e in mono):
+            return 0
+        key = int((np.array(mono, dtype=np.int64) << _shifts(self.ctx, self._width)).sum())
+        i = int(np.searchsorted(self._keys, key))
+        if i < len(self._keys) and self._keys[i] == key:
+            return int(self._coeffs[i])
+        return 0
 
     def equals_monomial(self, mono, coefficient: int) -> bool:
-        """True iff the value is exactly coefficient * mono."""
-        coefficient %= self.ctx.modulus.p
-        if self._arr is not None:
-            return self.nnz() == 1 and self.coeff(mono) == coefficient
-        return self._poly == Polynomial.monomial(
-            self.ctx.space, self.ctx.modulus.p, mono, coefficient
-        )
+        """True iff the value is exactly coefficient * mono, with coefficient nonzero mod p."""
+        return self.nnz() == 1 and self.coeff(mono) == coefficient % self.ctx.modulus.p
 
     def to_polynomial(self) -> Polynomial:
-        if self._arr is not None:
-            return _from_dense(self._arr, self.ctx)
-        return self._poly
+        if self._width is None:
+            return self._poly
+        return _unpack(self._keys, self._coeffs, self.ctx, self._width)
 
 
 def _truncated_mul_dict(a: Polynomial, b: Polynomial, ctx: TruncationContext) -> Polynomial:
@@ -681,36 +661,19 @@ def truncated_mul(a: Polynomial, b: Polynomial, ctx: TruncationContext) -> Polyn
     ctx.check(b)
     a = truncate(a, ctx)
     b = truncate(b, ctx)
-    if a.is_zero or b.is_zero:
-        return Polynomial.zero(ctx.space, ctx.modulus.p)
-    if len(a) * len(b) <= _DICT_PAIR_LIMIT:
+    w = _key_width(ctx)
+    if w is None:
         return _truncated_mul_dict(a, b, ctx)
-    if _dense_capacity(ctx) <= DENSE_LIMIT:
-        big, small = (a, b) if len(a) >= len(b) else (b, a)
-        dtype = _dense_dtype(ctx.modulus.p, len(small))
-        arr = _to_dense(big, ctx, dtype)
-        arr = _dense_mul_terms(arr, small.items(), ctx)
-        return _from_dense(arr, ctx)
-    return _truncated_mul_dict(a, b, ctx)
+    return _unpack(*_mul_packed(*_pack(a, ctx, w), *_pack(b, ctx, w), ctx, w), ctx, w)
 
 
 def _truncated_pow_repeated(a: Polynomial, k: int, ctx: TruncationContext) -> Polynomial:
-    base = truncate(a, ctx)
     if k == 0:
         return Polynomial.one(ctx.space, ctx.modulus.p)
-    if base.is_zero or k == 1:
-        return base
-    if _dense_capacity(ctx) <= DENSE_LIMIT:
-        dtype = _dense_dtype(ctx.modulus.p, len(base))
-        arr = _to_dense(base, ctx, dtype)
-        terms = list(base.items())
-        for _ in range(k - 1):
-            arr = _dense_mul_terms(arr, terms, ctx)
-        return _from_dense(arr, ctx)
-    result = base
+    power = TruncatedAccumulator(a, ctx)
     for _ in range(k - 1):
-        result = truncated_mul(result, base, ctx)
-    return result
+        power = power.mul_poly(a)
+    return power.to_polynomial()
 
 
 def _truncated_pow_binary(a: Polynomial, k: int, ctx: TruncationContext) -> Polynomial:

@@ -57,11 +57,12 @@ class FedderVerdict:
     ms: float
 
 
-def _product_of_generators(gens: IdealPresentation, ctx: TruncationContext) -> Polynomial:
+def _omega_power(gens: IdealPresentation, ctx: TruncationContext, k: int) -> Polynomial:
+    """omega^k mod m^[q], where omega is the product of the generators."""
     omega = Polynomial.one(ctx.space, ctx.modulus.p)
     for g in gens.generators:
         omega = truncated_mul(omega, g, ctx)
-    return omega
+    return truncated_pow(omega, k, ctx)
 
 
 def _require_ci(gens: IdealPresentation, what: str):
@@ -79,8 +80,7 @@ def fedder_ci_check(gens: IdealPresentation, modulus: PrimeModulus) -> FedderVer
         raise ValueError("the Fedder criterion uses q = p (e must be 1)")
     t0 = time.perf_counter()
     ctx = TruncationContext(modulus, gens.space)
-    omega = _product_of_generators(gens, ctx)
-    survivor = truncated_pow(omega, modulus.p - 1, ctx)
+    survivor = _omega_power(gens, ctx, modulus.p - 1)
     ms = (time.perf_counter() - t0) * 1000.0
     if survivor.is_zero:
         return FedderVerdict(False, None, "truncated", ms)
@@ -127,9 +127,7 @@ def glassbrenner_witness_check(
         )
     t0 = time.perf_counter()
     ctx = TruncationContext(modulus, gens.space)
-    omega = _product_of_generators(gens, ctx)
-    power = truncated_pow(omega, modulus.q - 1, ctx)
-    survivor = truncated_mul(c, power, ctx)
+    survivor = truncated_mul(c, _omega_power(gens, ctx, modulus.q - 1), ctx)
     ms = (time.perf_counter() - t0) * 1000.0
     if survivor.is_zero:
         return FedderVerdict(False, None, "truncated", ms)
@@ -367,9 +365,7 @@ def fedder_coefficient_fullsupport(
     sign = 1 if v % 2 == 0 else -1
     if method == "truncated":
         ctx = TruncationContext(modulus, gens.space)
-        omega = _product_of_generators(gens, ctx)
-        survivor = truncated_pow(omega, p - 1, ctx)
-        return survivor.coeff((p - 1,) * v)
+        return _omega_power(gens, ctx, p - 1).coeff((p - 1,) * v)
     if method == "pointcount":
         count = count_nonvanishing(gens, p, threads=threads)
         return (sign * count) % p

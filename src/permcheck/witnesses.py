@@ -286,9 +286,9 @@ def _report(check: str, params: dict, ok: bool, evidence: dict, t0: float, faile
 def _hankel_data(n: int, p: int):
     """Shared Hankel objects: matrix, f_n, f_{n-1}, and f_n^{p-1} mod m^[p].
 
-    The Frobenius power is held in a TruncatedAccumulator: for the larger
-    grids it has millions of terms and only ever needs nonzero tests,
-    coefficient lookups, and further products with small polynomials.
+    The Frobenius power is held in a TruncatedAccumulator as packed keys:
+    it reaches ~10^6 terms at (n, p) = (6, 7) and only ever needs nonzero
+    tests, coefficient lookups, and further products with small polynomials.
     """
     from .fppoly import TruncatedAccumulator
 

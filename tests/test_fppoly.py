@@ -4,7 +4,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from permcheck import fppoly
 from permcheck.fppoly import (
     GRLEX,
     LEX,
@@ -337,7 +340,7 @@ class TestTruncatedAccumulator:
             a = random_poly(rng, space, 5, max_exp=4, allow_zero=False)
             b = random_poly(rng, space, 5, max_exp=4)
             acc = TruncatedAccumulator(a, ctx).mul_poly(b).mul_poly(a)
-            direct = truncated_mul(truncated_mul(a, b, ctx), a, ctx)
+            direct = truncate(a * b * a, ctx)
             assert acc.to_polynomial() == direct
             assert acc.is_zero == direct.is_zero
             assert acc.nnz() == len(direct)
@@ -352,6 +355,99 @@ class TestTruncatedAccumulator:
         assert acc.equals_monomial((1, 1), -1)
         assert not acc.equals_monomial((1, 1), 1)
         assert not acc.equals_monomial((1, 0), 2)
+        assert acc.coeff((1, 0)) == 0
+        assert acc.coeff((3, 1)) == 0
+
+
+# (p, e, v) with v * (bitlen(q) + 1) <= 63, so keys pack into one int64
+PACKED_CONFIGS = [(3, 1, 3), (3, 2, 4), (5, 1, 4), (7, 1, 15), (13, 1, 12), (3, 1, 21), (2**31 - 1, 1, 1)]
+
+
+@st.composite
+def packed_operands(draw):
+    p, e, v = draw(st.sampled_from(PACKED_CONFIGS))
+    ctx = TruncationContext(PrimeModulus(p, e), small_space(v))
+    # exponents up to q exercise truncation of the inputs as well
+    mono = st.tuples(*[st.integers(0, min(ctx.bound, 5))] * v)
+    terms = st.dictionaries(mono, st.integers(0, p - 1), max_size=8)
+    return ctx, Polynomial(ctx.space, p, draw(terms)), Polynomial(ctx.space, p, draw(terms))
+
+
+class TestPackedKernel:
+    """The packed-exponent kernel against the dict loop and untruncated products."""
+
+    def ctx(self, p, v, e=1):
+        return TruncationContext(PrimeModulus(p, e), small_space(v))
+
+    def test_large_prime_reduces_each_product(self):
+        # (p-1)^2 is close to 2^62: summing three unreduced products of one
+        # monomial overflows int64, and every z1^k with k >= 4 has six
+        p = 2**31 - 1
+        ctx = self.ctx(p, 1)
+        a = Polynomial(ctx.space, p, {(i,): p - 1 - i for i in range(10)})
+        b = Polynomial(ctx.space, p, {(j,): p - 1 - 3 * j for j in range(6)})
+        assert truncated_mul(a, b, ctx) == truncate(a * b, ctx)
+        assert TruncatedAccumulator(a, ctx).mul_poly(b).to_polynomial() == truncate(a * b, ctx)
+
+    def test_empty_operand(self):
+        ctx = self.ctx(5, 3)
+        a = parse_poly("z1 + 2*z2*z3^4", ctx.space, 5)
+        zero = Polynomial.zero(ctx.space, 5)
+        assert truncated_mul(a, zero, ctx).is_zero
+        assert truncated_mul(zero, a, ctx).is_zero
+        assert TruncatedAccumulator(zero, ctx).mul_poly(a).is_zero
+        assert TruncatedAccumulator(a, ctx).mul_poly(zero).nnz() == 0
+
+    def test_every_pair_truncated(self):
+        ctx = self.ctx(3, 2)
+        a = parse_poly("z1^2 + 2*z1^2*z2", ctx.space, 3)
+        b = parse_poly("z1 + z1*z2^2", ctx.space, 3)
+        assert not (a * b).is_zero
+        assert truncated_mul(a, b, ctx).is_zero
+        assert TruncatedAccumulator(a, ctx).mul_poly(b).is_zero
+
+    def test_coefficients_cancel_mod_p(self):
+        # z1^2*z2^2 arises twice with coefficients 1 and 2; the rest is truncated
+        ctx = self.ctx(3, 2)
+        a = parse_poly("z1 + z2", ctx.space, 3)
+        b = parse_poly("z1^2*z2 + 2*z1*z2^2", ctx.space, 3)
+        assert truncated_mul(a, b, ctx).is_zero
+        acc = TruncatedAccumulator(a, ctx).mul_poly(b)
+        assert acc.is_zero and acc.nnz() == 0
+        # and a partial cancellation keeps only the survivors
+        c = parse_poly("z1 + 2*z2", ctx.space, 3)
+        assert truncated_mul(a, c, ctx) == parse_poly("z1^2 + 2*z2^2", ctx.space, 3)
+
+    @pytest.mark.parametrize("p, v, packed", [(3, 21, True), (7, 16, False)])
+    def test_key_width_boundary(self, monkeypatch, p, v, packed):
+        # w = bitlen(q) + 1: 21 * 3 = 63 bits packs, 16 * 4 = 64 bits does not
+        unused = "_truncated_mul_dict" if packed else "_mul_packed"
+
+        def fail(*args):
+            raise AssertionError(f"{unused} called")
+
+        monkeypatch.setattr(fppoly, unused, fail)
+        rng = random.Random(108)
+        ctx = self.ctx(p, v)
+        for _ in range(20):
+            a = random_poly(rng, ctx.space, p, max_terms=6, max_exp=p - 1)
+            b = random_poly(rng, ctx.space, p, max_terms=6, max_exp=p - 1)
+            expected = truncate(a * b, ctx)
+            assert truncated_mul(a, b, ctx) == expected
+            acc = TruncatedAccumulator(a, ctx).mul_poly(b)
+            assert acc.to_polynomial() == expected
+            assert acc.nnz() == len(expected)
+            for mono, c in expected.items():
+                assert acc.coeff(mono) == c
+
+    @settings(max_examples=300, deadline=None)
+    @given(packed_operands())
+    def test_packed_matches_dict(self, operands):
+        ctx, a, b = operands
+        assert fppoly._key_width(ctx) is not None
+        expected = fppoly._truncated_mul_dict(truncate(a, ctx), truncate(b, ctx), ctx)
+        assert truncated_mul(a, b, ctx) == expected
+        assert TruncatedAccumulator(a, ctx).mul_poly(b).to_polynomial() == expected
 
 
 class TestPrimeModulus:
