@@ -44,8 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 MAX_FROBENIUS_EXPONENT = 3  # q = p^e blows up truncated arithmetic beyond this
 
-FIBER_CHECKPOINT_EVERY = 10**7  # blocks between checkpoint rewrites
-
 
 @dataclass(frozen=True)
 class FedderVerdict:
@@ -347,9 +345,11 @@ def fedder_coefficient_fullsupport(
 
     since nonzero values of omega contribute 1 by Fermat.  Methods:
     "truncated" computes omega^{p-1} symbolically, "pointcount" enumerates
-    F_p^v, and "fiber" (generic 3x4, t = 3 only) enumerates the p^9 blocks of
-    the first three columns and counts admissible fourth columns per block by
-    inclusion-exclusion on the ranks of three linear forms.
+    F_p^v, and "fiber" (generic 3x4, t = 3 only) counts admissible fourth
+    columns per block of the first three columns by inclusion-exclusion on
+    the ranks of three linear forms, enumerating only the column blocks of
+    three representative first columns (row scaling and row permutations fix
+    the count of every other one).
     """
     _require_ci(gens, "the Fedder coefficient")
     if modulus.e != 1:
@@ -440,59 +440,15 @@ def count_nonvanishing(
 # where C[ij][k] is the 2x2 permanent of B on columns {i, j} with row k
 # removed (permanent expansion along the fourth column).  The number of such
 # u is sum over the 8 subsets S of forms of (-1)^{|S|} p^{3 - rank(C_S)}.
-# Blocks are enumerated in column-major lexicographic order, index digits
-# (B00, B10, B20, B01, ..., B22) from most to least significant.
-
-
-def rank_mod_p(rows, p: int) -> int:
-    """Rank of a small matrix over F_p by Gaussian elimination."""
-    m = [[x % p for x in row] for row in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][col], p - 2, p)
-        m[rank] = [(x * inv) % p for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
-
-
-def _fiber_block_count_scalar(p: int, index: int) -> int:
-    digs = []
-    rest = index
-    for _ in range(9):
-        digs.append(rest % p)
-        rest //= p
-    digs.reverse()  # digs[0] = B00 (most significant), column-major
-    B = [[digs[3 * j + i] for j in range(3)] for i in range(3)]
-
-    def perm2(rows, cols):
-        (r1, r2), (c1, c2) = rows, cols
-        return (B[r1][c1] * B[r2][c2] + B[r1][c2] * B[r2][c1]) % p
-
-    col_pairs = [(0, 1), (0, 2), (1, 2)]
-    C = [[perm2([r for r in range(3) if r != k], pair) for k in range(3)] for pair in col_pairs]
-    perm = sum(B[k][0] * C[2][k] for k in range(3)) % p
-    if perm == 0:
-        return 0
-    total = 0
-    for subset in range(8):
-        rows = [C[t] for t in range(3) if subset >> t & 1]
-        r = rank_mod_p(rows, p) if rows else 0
-        sign = -1 if bin(subset).count("1") % 2 else 1
-        total += sign * p ** (3 - r)
-    return total
-
-
-def _fiber_range_scalar(p: int, start: int, stop: int) -> int:
-    return sum(_fiber_block_count_scalar(p, i) for i in range(start, stop))
+# Blocks are indexed in column-major lexicographic order, index digits
+# (B00, B10, B20, B01, ..., B22) from most to least significant; a "column
+# block" is the p^6 blocks sharing the first column (B00, B10, B20).
+#
+# Scaling a row by a unit multiplies every 3x3 permanent by that unit, and
+# permuting the rows leaves them unchanged.  A column block's count therefore
+# depends only on how many zeros its first column has, and only the three
+# representatives (1,1,1), (1,1,0) and (1,0,0) are counted.  An all-zero
+# first column gives perm(B) = 0 and contributes nothing.
 
 
 class _FiberKernel:
@@ -596,52 +552,47 @@ def read_checkpoint(path: str):
     return int(parts[0]), int(parts[1]), int(parts[2])
 
 
-def fiber_count_3x4(
-    p: int,
-    threads: int = 1,
-    checkpoint: Optional[str] = None,
-    progress_every: int = FIBER_CHECKPOINT_EVERY,
-) -> int:
+def _colblock_zeros(hi: int, p: int) -> int:
+    """Number of zeros in the first column (B00, B10, B20) of column block hi."""
+    return sum(hi // p**k % p == 0 for k in range(3))
+
+
+def fiber_count_3x4(p: int, threads: int = 1, checkpoint: Optional[str] = None) -> int:
     """#{A in F_p^{3x4} : all four 3x3 permanents nonzero}, exactly.
 
-    Column blocks are processed in index order; partial counts combine by
-    plain addition, so the result is independent of the thread count.  With a
-    checkpoint path, completed-prefix state is rewritten atomically at least
-    every `progress_every` blocks and the scan resumes from it.
+    Counts the three representative column blocks (first column with 0, 1 or
+    2 zeros), on up to `threads` threads, and adds up all p^3 column blocks by
+    class, so the result is independent of the thread count.  With a
+    checkpoint path the finished count is written atomically as
+    `block_index count p`, where count is the sum over column blocks
+    [0, block_index / p^6).  A checkpoint for the same p is resumed only if
+    its count equals that prefix recomputed from the classes, and is refused
+    with ValueError otherwise; a checkpoint for another prime is ignored.
     """
     block = p**6
-    n_blocks = p**3
-    start_hi = 0
-    count = 0
-    if checkpoint:
-        saved = read_checkpoint(checkpoint)
-        if saved is not None:
-            block_index, saved_count, saved_p = saved
-            if saved_p == p and block_index % block == 0 and 0 <= block_index <= p**9:
-                start_hi = block_index // block
-                count = saved_count
-    if start_hi >= n_blocks:
-        return count
+    start_hi, count = 0, 0
+    saved = read_checkpoint(checkpoint) if checkpoint else None
+    if saved is not None and saved[2] == p:
+        block_index, count, _ = saved
+        if block_index % block or not 0 <= block_index <= p**9:
+            raise ValueError(
+                f"checkpoint {checkpoint!r}: block index {block_index} is not a "
+                f"column-block boundary in [0, {p}^9]"
+            )
+        start_hi = block_index // block
+    reps = (p * p + p + 1, p * p + p, p * p)  # first columns (1,1,1), (1,1,0), (1,0,0)
     kernel = _FiberKernel(p)
-    next_ckpt = (start_hi * block // progress_every + 1) * progress_every
-
-    def note(hi: int):
-        nonlocal next_ckpt
-        done = (hi + 1) * block
-        if checkpoint and done >= next_ckpt:
-            _write_checkpoint(checkpoint, done, count, p)
-            next_ckpt = (done // progress_every + 1) * progress_every
-
-    his = range(start_hi, n_blocks)
-    if threads <= 1:
-        for hi in his:
-            count += kernel.count_colblock(hi)
-            note(hi)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            for hi, partial in zip(his, ex.map(kernel.count_colblock, his)):
-                count += partial
-                note(hi)
+    with ThreadPoolExecutor(max_workers=max(1, min(threads, len(reps)))) as ex:
+        table = list(ex.map(kernel.count_colblock, reps))
+    table.append(0)  # all-zero first column
+    per_block = [table[_colblock_zeros(hi, p)] for hi in range(p**3)]
+    prefix = sum(per_block[:start_hi])
+    if count != prefix:
+        raise ValueError(
+            f"checkpoint {checkpoint!r}: count {count} over the first {start_hi} "
+            f"column blocks disagrees with the recomputed {prefix}"
+        )
+    count += sum(per_block[start_hi:])
     if checkpoint:
         _write_checkpoint(checkpoint, p**9, count, p)
     return count

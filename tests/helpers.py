@@ -33,3 +33,59 @@ def random_point(rng, space, p):
 
 def small_space(v, prefix="z"):
     return VariableSpace(tuple(f"{prefix}{i + 1}" for i in range(v)))
+
+
+def rank_mod_p(rows, p):
+    """Rank of a small matrix over F_p by Gaussian elimination."""
+    m = [[x % p for x in row] for row in rows]
+    rank = 0
+    ncols = len(m[0]) if m else 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][col], p - 2, p)
+        m[rank] = [(x * inv) % p for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                f = m[r][col]
+                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def _fiber_block_count_scalar(p, index):
+    """Admissible fourth columns for one 3x3 block, by scalar rank arithmetic.
+
+    The oracle for frobcheck's fiber engine: index is the block's position in
+    column-major lexicographic order, digit B00 most significant.
+    """
+    digs = []
+    rest = index
+    for _ in range(9):
+        digs.append(rest % p)
+        rest //= p
+    digs.reverse()  # digs[0] = B00 (most significant), column-major
+    B = [[digs[3 * j + i] for j in range(3)] for i in range(3)]
+
+    def perm2(rows, cols):
+        (r1, r2), (c1, c2) = rows, cols
+        return (B[r1][c1] * B[r2][c2] + B[r1][c2] * B[r2][c1]) % p
+
+    col_pairs = [(0, 1), (0, 2), (1, 2)]
+    C = [[perm2([r for r in range(3) if r != k], pair) for k in range(3)] for pair in col_pairs]
+    perm = sum(B[k][0] * C[2][k] for k in range(3)) % p
+    if perm == 0:
+        return 0
+    total = 0
+    for subset in range(8):
+        rows = [C[t] for t in range(3) if subset >> t & 1]
+        r = rank_mod_p(rows, p) if rows else 0
+        sign = -1 if bin(subset).count("1") % 2 else 1
+        total += sign * p ** (3 - r)
+    return total
+
+
+def _fiber_range_scalar(p, start, stop):
+    return sum(_fiber_block_count_scalar(p, i) for i in range(start, stop))

@@ -54,6 +54,17 @@ class TestExitCodes:
         assert code == 1
         assert "complete-intersection" in err
 
+    def test_wrong_checkpoint_count_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "p3.ck"
+        path.write_text(f"{3**9} 1 3\n")
+        code, out, err = invoke(
+            capsys, "scan", "conjecture45", "--p", "3", "--method", "fiber",
+            "--checkpoint", str(path),
+        )
+        assert code == 1
+        assert out == ""
+        assert "checkpoint" in err
+
     def test_large_e_refused(self, capsys):
         code, _, _ = invoke(capsys, "verify", "lemma34", "--n", "2", "--p", "3", "--e", "2")
         assert code == 1

@@ -16,7 +16,6 @@ from permcheck.fppoly import (
 from permcheck.frobcheck import (
     FedderVerdict,
     _FiberKernel,
-    _fiber_range_scalar,
     colon_membership,
     count_nonvanishing,
     fedder_ci_check,
@@ -25,7 +24,6 @@ from permcheck.frobcheck import (
     glassbrenner_witness_check,
     in_frobenius_power,
     prime_contains,
-    rank_mod_p,
     read_checkpoint,
 )
 from permcheck.shapes import (
@@ -41,7 +39,7 @@ from permcheck.witnesses import (
     witness_generic,
     witness_symmetric,
 )
-from helpers import random_poly
+from helpers import _fiber_range_scalar, random_poly, rank_mod_p
 
 
 def ci(generators, shape=None, t=None):
@@ -350,6 +348,16 @@ class TestFedderCoefficient:
             fedder_coefficient_fullsupport(gens, PrimeModulus(3), "fiber")
 
 
+@pytest.fixture(scope="module")
+def unreduced_blocks():
+    """count_colblock(hi) for every one of the p^3 column blocks, p in {3, 5, 7}."""
+    blocks = {}
+    for p in (3, 5, 7):
+        kernel = _FiberKernel(p)
+        blocks[p] = [kernel.count_colblock(hi) for hi in range(p**3)]
+    return blocks
+
+
 class TestFiberEngine:
     def test_rank_mod_p(self):
         assert rank_mod_p([], 3) == 0
@@ -376,6 +384,24 @@ class TestFiberEngine:
             gens = permanental_generators(mat, 3, char=p)
             assert fiber_count_3x4(p) == count_nonvanishing(gens, p, threads=2)
 
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_every_block_equals_its_class_value(self, unreduced_blocks, p):
+        blocks = unreduced_blocks[p]
+        # representatives of 0, 1, 2 and 3 zeros in the first column
+        value = [blocks[p * p + p + 1], blocks[p * p + p], blocks[p * p], 0]
+        for hi in range(p**3):
+            zeros = sum(d == 0 for d in (hi // (p * p), hi // p % p, hi % p))
+            assert blocks[hi] == value[zeros], (p, hi)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_unreduced_sum_matches(self, unreduced_blocks, p, threads):
+        blocks = unreduced_blocks[p]
+        c0, c1, c2 = blocks[p * p + p + 1], blocks[p * p + p], blocks[p * p]
+        total = sum(blocks)
+        assert total == (p - 1) ** 3 * c0 + 3 * (p - 1) ** 2 * c1 + 3 * (p - 1) * c2
+        assert fiber_count_3x4(p, threads=threads) == total
+
     def test_thread_determinism(self):
         assert fiber_count_3x4(3, threads=1) == fiber_count_3x4(3, threads=2)
 
@@ -395,6 +421,34 @@ class TestFiberEngine:
         resumed = fiber_count_3x4(3, checkpoint=path)
         assert resumed == fiber_count_3x4(3)
 
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_checkpoint_resume_unreduced_prefix(self, unreduced_blocks, tmp_path, p):
+        blocks = unreduced_blocks[p]
+        path = str(tmp_path / "prefix.txt")
+        for hi in (0, 1, p * p + 3, p**3):
+            with open(path, "w") as fh:
+                fh.write(f"{hi * p**6} {sum(blocks[:hi])} {p}\n")
+            assert fiber_count_3x4(p, checkpoint=path) == sum(blocks)
+            assert read_checkpoint(path) == (p**9, sum(blocks), p)
+
+    def test_checkpoint_wrong_count_refused(self, tmp_path):
+        path = str(tmp_path / "stale.txt")
+        prefix_blocks = 7 * 3**6
+        partial = _fiber_range_scalar(3, 0, prefix_blocks)
+        with open(path, "w") as fh:
+            fh.write(f"{prefix_blocks} {partial + 1} 3\n")
+        with pytest.raises(ValueError, match="disagrees"):
+            fiber_count_3x4(3, checkpoint=path)
+        assert read_checkpoint(path) == (prefix_blocks, partial + 1, 3)
+
+    def test_checkpoint_off_block_boundary_refused(self, tmp_path):
+        path = str(tmp_path / "torn.txt")
+        for index in (5, -3**6, 3**9 + 3**6):
+            with open(path, "w") as fh:
+                fh.write(f"{index} 0 3\n")
+            with pytest.raises(ValueError, match="boundary"):
+                fiber_count_3x4(3, checkpoint=path)
+
     def test_checkpoint_ignored_for_other_prime(self, tmp_path):
         path = str(tmp_path / "other.txt")
         with open(path, "w") as fh:
@@ -403,7 +457,7 @@ class TestFiberEngine:
 
     def test_checkpoint_written_during_scan(self, tmp_path):
         path = str(tmp_path / "often.txt")
-        fiber_count_3x4(3, checkpoint=path, progress_every=5000)
+        fiber_count_3x4(3, checkpoint=path)
         index, count, p = read_checkpoint(path)
         assert index == 3**9 and count == fiber_count_3x4(3) and p == 3
 
