@@ -1,8 +1,12 @@
 """Command-line front end: one subcommand per verification job.
 
   permcheck verify <check> [options]     run a single named check
-  permcheck scan conjecture45 [options]  Fedder-coefficient scan over primes
-  permcheck bench <id>                   timing harness (CSV rows)
+  permcheck scan conjecture45 --p P,...  Fedder-coefficient scan over primes
+  permcheck generators --shape S [--t T] [--p P]   dump ideal generators
+
+Each verify check takes exactly the flags its CHECKS entry names; any other
+of --shape/--m/--n/--t/--p is refused.  --method, --threads, --format and
+--out are accepted everywhere.
 
 Exit codes: 0 all checks passed, 2 some check failed, 3 inconclusive only,
 1 usage or configuration error.
@@ -15,30 +19,65 @@ import json
 import os
 import sys
 import time
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .fppoly import PrimeModulus
 from .shapes import MatrixShape, parse_shape
 from . import witnesses
 
-VERIFY_CHECKS = (
-    "lemma31",
-    "lemma32",
-    "lemma34",
-    "thm35",
-    "thm36",
-    "witness-generic",
-    "witness-symmetric",
-    "monomials28",
-    "monomials29",
-    "fpure",
-)
-
-BENCHES = ("permanent-eval", "truncated-pow", "pointcount")
-
 
 class UsageError(Exception):
     pass
+
+
+def _shape_and_t(args):
+    """--shape, and --t defaulting to the smaller side (fpure, generators)."""
+    shape = parse_shape(args.shape)
+    return shape, args.t if args.t is not None else min(shape.nrows, shape.ncols)
+
+
+class Check(NamedTuple):
+    """A verify check: the flags it requires, the ones it may also take, and
+    its runner, called as runner(args, p) once per prime when it requires
+    --p and as runner(args) otherwise.  Runners name `witnesses.<fn>` at
+    call time, so a patched module attribute is the one that runs."""
+
+    required: tuple
+    runner: Callable
+    optional: tuple = ()
+
+
+CHECKS = {
+    "lemma31": Check(("n",), lambda a: witnesses.verify_hankel_monomial_absence(a.n)),
+    "lemma32": Check(("n",), lambda a: witnesses.verify_hankel_eisenstein(a.n)),
+    "lemma34": Check(
+        ("n", "p"), lambda a, p: witnesses.verify_hankel_product_identity(a.n, p)
+    ),
+    "thm35": Check(("n", "p"), lambda a, p: witnesses.verify_hankel_hypersurface(a.n, p)),
+    "thm36": Check(("n",), lambda a: witnesses.verify_hankel_specialization_check(a.n)),
+    "witness-generic": Check(
+        ("m", "n", "p"),
+        lambda a, p: witnesses.verify_witness_membership(MatrixShape.generic(a.m, a.n), p),
+    ),
+    "witness-symmetric": Check(
+        ("n", "p"),
+        lambda a, p: witnesses.verify_witness_membership(MatrixShape.symmetric(a.n), p),
+    ),
+    "monomials28": Check(
+        ("m", "n", "p"), lambda a, p: witnesses.verify_entry_triples(a.m, a.n, p)
+    ),
+    "monomials29": Check(
+        ("m", "n", "p"), lambda a, p: witnesses.verify_squared_entry_triples(a.m, a.n, p)
+    ),
+    "fpure": Check(
+        ("shape", "p"),
+        lambda a, p: witnesses.verify_fpure(
+            *_shape_and_t(a), p, method=a.method, threads=a.threads
+        ),
+        optional=("t",),
+    ),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,7 +96,6 @@ def build_parser() -> _Parser:
         p.add_argument("--n", type=int, help="column count / size")
         p.add_argument("--t", type=int, help="submatrix size")
         p.add_argument("--p", help="odd prime, or comma-separated list")
-        p.add_argument("--e", type=int, default=1, help="Frobenius exponent (default 1)")
         p.add_argument(
             "--method",
             choices=("truncated", "pointcount", "fiber"),
@@ -66,19 +104,14 @@ def build_parser() -> _Parser:
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", help="write the report to a file instead of stdout")
-        p.add_argument("--checkpoint", help="checkpoint file for the fiber scan")
 
     verify = sub.add_parser("verify", help="run one verification")
-    verify.add_argument("check", choices=VERIFY_CHECKS)
+    verify.add_argument("check", choices=tuple(CHECKS))
     add_common(verify)
 
     scan = sub.add_parser("scan", help="scan a check across primes")
     scan.add_argument("check", choices=("conjecture45",))
     add_common(scan)
-
-    bench = sub.add_parser("bench", help="timing harness")
-    bench.add_argument("bench_id", choices=BENCHES)
-    bench.add_argument("--out", help="write CSV to a file instead of stdout")
 
     dump = sub.add_parser("generators", help="dump permanental ideal generators, one per line")
     dump.add_argument("--shape", required=True)
@@ -89,11 +122,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _parse_primes(text, required=True):
-    if text is None:
-        if required:
-            raise UsageError("--p is required for this check")
-        return []
+def _parse_primes(text):
     primes = []
     for part in str(text).split(","):
         part = part.strip()
@@ -105,74 +134,33 @@ def _parse_primes(text, required=True):
         except ValueError as exc:
             raise UsageError(f"invalid prime {part!r}: {exc}") from exc
         primes.append(p)
-    if required and not primes:
+    if not primes:
         raise UsageError("--p is required for this check")
     return primes
 
 
-def _need(args, name):
-    value = getattr(args, name)
-    if value is None:
-        raise UsageError(f"--{name} is required for this check")
-    return value
+def _take_flags(args, required, optional=()):
+    """Refuse a missing required flag, or a given one the check does not take."""
+    for flag in ("shape", "m", "n", "t", "p"):
+        given = getattr(args, flag) is not None
+        if flag in required and not given:
+            raise UsageError(f"--{flag} is required for this check")
+        if given and flag not in required and flag not in optional:
+            raise UsageError(f"{args.check} does not take --{flag}")
 
 
 def _run_verify(args) -> list:
-    check = args.check
-    if args.e != 1:
-        raise UsageError("only e = 1 is supported by the named checks")
-    if check == "lemma31":
-        return [witnesses.verify_hankel_monomial_absence(_need(args, "n"))]
-    if check == "lemma32":
-        return [witnesses.verify_hankel_eisenstein(_need(args, "n"))]
-    if check == "lemma34":
-        n = _need(args, "n")
-        return [witnesses.verify_hankel_product_identity(n, p) for p in _parse_primes(args.p)]
-    if check == "thm35":
-        n = _need(args, "n")
-        return [witnesses.verify_hankel_hypersurface(n, p) for p in _parse_primes(args.p)]
-    if check == "thm36":
-        return [witnesses.verify_hankel_specialization_check(_need(args, "n"))]
-    if check == "witness-generic":
-        m, n = _need(args, "m"), _need(args, "n")
-        shape = MatrixShape.generic(m, n)
-        return [witnesses.verify_witness_membership(shape, p) for p in _parse_primes(args.p)]
-    if check == "witness-symmetric":
-        shape = MatrixShape.symmetric(_need(args, "n"))
-        return [witnesses.verify_witness_membership(shape, p) for p in _parse_primes(args.p)]
-    if check == "monomials28":
-        m, n = _need(args, "m"), _need(args, "n")
-        return [witnesses.verify_entry_triples(m, n, p) for p in _parse_primes(args.p)]
-    if check == "monomials29":
-        m, n = _need(args, "m"), _need(args, "n")
-        return [witnesses.verify_squared_entry_triples(m, n, p) for p in _parse_primes(args.p)]
-    if check == "fpure":
-        if args.shape is None:
-            raise UsageError("--shape is required for fpure")
-        try:
-            shape = parse_shape(args.shape)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        t = args.t if args.t is not None else min(shape.nrows, shape.ncols)
-        reports = []
-        for p in _parse_primes(args.p):
-            try:
-                reports.append(
-                    witnesses.verify_fpure(shape, t, p, method=args.method, threads=args.threads)
-                )
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
-        return reports
-    raise UsageError(f"unknown check {check!r}")
+    check = CHECKS[args.check]
+    _take_flags(args, check.required, check.optional)
+    if "p" not in check.required:
+        return [check.runner(args)]
+    return [check.runner(args, p) for p in _parse_primes(args.p)]
 
 
 def _run_scan(args) -> list:
+    _take_flags(args, ("p",))
     primes = _parse_primes(args.p)
-    return [
-        witnesses.scan_three_by_four_fpurity(
-            primes, method=args.method, threads=args.threads, checkpoint=args.checkpoint
-        )
-    ]
+    return [witnesses.scan_three_by_four_fpurity(primes, method=args.method, threads=args.threads)]
 
 
 def _aggregate(reports) -> str:
@@ -185,9 +173,10 @@ def _aggregate(reports) -> str:
 
 
 def _config_echo(args) -> dict:
+    # the schema keeps "e" (always 1) and a last key that is always null
     keys = ("command", "check", "shape", "m", "n", "t", "p", "e", "method",
             "threads", "format", "out", "checkpoint")
-    return {k: getattr(args, k, None) for k in keys}
+    return {k: 1 if k == "e" else getattr(args, k, None) for k in keys}
 
 
 def _render_text(reports, aggregate, total_ms) -> str:
@@ -225,67 +214,14 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def _run_bench(args) -> int:
-    import random
-
-    from .fppoly import TruncationContext, truncated_pow
-    from .frobcheck import _count_range_nonvanishing
-    from .shapes import (build_matrix, permanent, permanental_generators,
-                         permanent_eval, permanent_eval_dp, permanent_eval_naive)
-
-    rows = ["bench,method,size,p,ns_per_op,ops"]
-    rng = random.Random(20240901)
-    if args.bench_id == "permanent-eval":
-        p = 7
-        for size in range(3, 9):
-            mat = [[rng.randrange(p) for _ in range(size)] for _ in range(size)]
-            for name, fn in (("ryser", permanent_eval), ("dp", permanent_eval_dp),
-                             ("naive", permanent_eval_naive)):
-                reps = max(1, 20000 // (2**size)) if name != "naive" else max(1, 2000 // (2**size))
-                t0 = time.perf_counter()
-                for _ in range(reps):
-                    fn(mat, p)
-                dt = time.perf_counter() - t0
-                rows.append(f"permanent-eval,{name},{size},{p},{dt / reps * 1e9:.0f},{reps}")
-    elif args.bench_id == "truncated-pow":
-        for p in (3, 5, 7):
-            mat = build_matrix(MatrixShape.hankel(3))
-            f3 = permanent(mat, char=p)
-            ctx = TruncationContext(PrimeModulus(p), mat.space)
-            for strategy in ("binary", "repeated"):
-                reps = 3
-                t0 = time.perf_counter()
-                for _ in range(reps):
-                    truncated_pow(f3, p - 1, ctx, strategy=strategy)
-                dt = time.perf_counter() - t0
-                rows.append(f"truncated-pow,{strategy},3,{p},{dt / reps * 1e9:.0f},{reps}")
-    elif args.bench_id == "pointcount":
-        p = 5
-        mat = build_matrix(MatrixShape.generic(3, 4))
-        gens = permanental_generators(mat, 3, char=p)
-        gen_terms = [list(g.items()) for g in gens.generators]
-        points = 10**6
-        t0 = time.perf_counter()
-        _count_range_nonvanishing(gen_terms, mat.space.count, p, 0, points)
-        dt = time.perf_counter() - t0
-        rows.append(f"pointcount,numpy,12,{p},{dt / points * 1e9:.0f},{points}")
-    text = "\n".join(rows) + "\n"
-    _emit(text, args.out)
-    return 0
-
-
 def _run_generators(args) -> int:
     from .shapes import build_matrix, generator_lines, permanental_generators
 
     primes = _parse_primes(args.p)
     if len(primes) != 1:
         raise UsageError("the generators dump takes a single prime")
-    try:
-        shape = parse_shape(args.shape)
-        t = args.t if args.t is not None else min(shape.nrows, shape.ncols)
-        pres = permanental_generators(build_matrix(shape), t, char=primes[0])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    shape, t = _shape_and_t(args)
+    pres = permanental_generators(build_matrix(shape), t, char=primes[0])
     _emit("\n".join(generator_lines(pres)) + "\n", args.out)
     return 0
 
@@ -294,21 +230,13 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "bench":
-            return _run_bench(args)
-        if args.command == "generators":
-            return _run_generators(args)
+        t0 = time.perf_counter()
         try:
-            if args.command == "scan":
-                if args.e != 1:
-                    raise UsageError("the scan uses e = 1")
-                t0 = time.perf_counter()
-                reports = _run_scan(args)
-            else:
-                t0 = time.perf_counter()
-                reports = _run_verify(args)
+            if args.command == "generators":
+                return _run_generators(args)
+            reports = _run_scan(args) if args.command == "scan" else _run_verify(args)
         except ValueError as exc:
-            # refused methods, out-of-range sizes, p = 2 style rejections
+            # bad shapes, refused methods, out-of-range sizes, p = 2 style rejections
             raise UsageError(str(exc)) from exc
         total_ms = (time.perf_counter() - t0) * 1000.0
         aggregate = _aggregate(reports)

@@ -18,7 +18,6 @@ generic 3x4 / t=3 complete intersection.
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -90,7 +89,6 @@ def fedder_fullsupport_check(
     modulus: PrimeModulus,
     method: str = "pointcount",
     threads: int = 1,
-    checkpoint: Optional[str] = None,
 ) -> FedderVerdict:
     """Fedder check through the full-support coefficient engines.
 
@@ -99,9 +97,7 @@ def fedder_fullsupport_check(
     that coefficient being nonzero.
     """
     t0 = time.perf_counter()
-    coeff = fedder_coefficient_fullsupport(
-        gens, modulus, method=method, threads=threads, checkpoint=checkpoint
-    )
+    coeff = fedder_coefficient_fullsupport(gens, modulus, method=method, threads=threads)
     ms = (time.perf_counter() - t0) * 1000.0
     if coeff == 0:
         return FedderVerdict(False, None, method, ms)
@@ -110,7 +106,7 @@ def fedder_fullsupport_check(
 
 
 def glassbrenner_witness_check(
-    c: Polynomial, gens: IdealPresentation, modulus: PrimeModulus, allow_large_e: bool = False
+    c: Polynomial, gens: IdealPresentation, modulus: PrimeModulus
 ) -> FedderVerdict:
     """Check c * omega^{q-1} != 0 mod m^[q] for one witness c and one q = p^e.
 
@@ -118,11 +114,8 @@ def glassbrenner_witness_check(
     only inconclusive, since the criterion quantifies over all q.
     """
     _require_ci(gens, "the Glassbrenner witness check")
-    if modulus.e > MAX_FROBENIUS_EXPONENT and not allow_large_e:
-        raise ValueError(
-            f"e = {modulus.e} exceeds the default cap {MAX_FROBENIUS_EXPONENT}; "
-            "pass allow_large_e=True to override"
-        )
+    if modulus.e > MAX_FROBENIUS_EXPONENT:
+        raise ValueError(f"e = {modulus.e} exceeds the cap e <= {MAX_FROBENIUS_EXPONENT}")
     t0 = time.perf_counter()
     ctx = TruncationContext(modulus, gens.space)
     survivor = truncated_mul(c, _omega_power(gens, ctx, modulus.q - 1), ctx)
@@ -287,42 +280,6 @@ def colon_membership(
     return ColonMembershipCertificate(prime.label, p, tuple(entries))
 
 
-def in_frobenius_power(h: Polynomial, prime: "MinimalPrime", p: Optional[int] = None) -> bool:
-    """Decide h in P^[p] structurally (same tensor split as colon_membership)."""
-    if p is None:
-        p = h.char
-    var_gens = set(prime.variable_gens)
-    remaining = [(m, c) for m, c in h.items() if not any(m[i] >= p for i in var_gens)]
-    if prime.kind in ("row_variables", "column_variables"):
-        return not remaining
-    inner_set = set(prime.inner_vars)
-    b_p = prime.binomial(p) ** p
-    groups: dict = {}
-    for mono, coeff in remaining:
-        inner, outer = _split_term(mono, inner_set)
-        groups.setdefault(outer, []).append((inner, coeff))
-    for outer, terms in groups.items():
-        cofactor = Polynomial(h.space, p, terms)
-        if cofactor.is_zero:
-            continue
-        if exact_divide(cofactor, b_p) is None:
-            return False
-    return True
-
-
-def prime_contains(prime: "MinimalPrime", g: Polynomial) -> bool:
-    """Decide g in P structurally: drop terms with an outside variable, the
-    rest must be a polynomial multiple of the binomial (or zero)."""
-    var_gens = set(prime.variable_gens)
-    remaining = [(m, c) for m, c in g.items() if not any(m[i] >= 1 for i in var_gens)]
-    if not remaining:
-        return True
-    if prime.kind in ("row_variables", "column_variables"):
-        return False
-    rest = Polynomial(g.space, g.char, remaining)
-    return exact_divide(rest, prime.binomial(g.char)) is not None
-
-
 # ---------------------------------------------------------------------------
 # the Fedder coefficient of a full-support complete intersection
 # ---------------------------------------------------------------------------
@@ -333,7 +290,6 @@ def fedder_coefficient_fullsupport(
     modulus: PrimeModulus,
     method: str = "truncated",
     threads: int = 1,
-    checkpoint: Optional[str] = None,
 ) -> int:
     """Coefficient of prod x_i^{p-1} in omega^{p-1} mod p, for deg(omega) = v.
 
@@ -378,7 +334,7 @@ def fedder_coefficient_fullsupport(
             or gens.t != 3
         ):
             raise ValueError("the fiber method only applies to the generic 3x4 ideal with t = 3")
-        count = fiber_count_3x4(p, threads=threads, checkpoint=checkpoint)
+        count = fiber_count_3x4(p, threads=threads)
         return (sign * count) % p
     raise ValueError(f"unknown method {method!r}")
 
@@ -535,64 +491,21 @@ class _FiberKernel:
         return int(count.sum())
 
 
-def _write_checkpoint(path: str, block_index: int, count: int, p: int):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(f"{block_index} {count} {p}\n")
-    os.replace(tmp, path)
-
-
-def read_checkpoint(path: str):
-    """Parse a checkpoint file; returns (block_index, count_so_far, p) or None."""
-    if not os.path.exists(path):
-        return None
-    parts = open(path).read().split()
-    if len(parts) != 3:
-        raise ValueError(f"malformed checkpoint file {path!r}")
-    return int(parts[0]), int(parts[1]), int(parts[2])
-
-
 def _colblock_zeros(hi: int, p: int) -> int:
     """Number of zeros in the first column (B00, B10, B20) of column block hi."""
     return sum(hi // p**k % p == 0 for k in range(3))
 
 
-def fiber_count_3x4(p: int, threads: int = 1, checkpoint: Optional[str] = None) -> int:
+def fiber_count_3x4(p: int, threads: int = 1) -> int:
     """#{A in F_p^{3x4} : all four 3x3 permanents nonzero}, exactly.
 
     Counts the three representative column blocks (first column with 0, 1 or
     2 zeros), on up to `threads` threads, and adds up all p^3 column blocks by
-    class, so the result is independent of the thread count.  With a
-    checkpoint path the finished count is written atomically as
-    `block_index count p`, where count is the sum over column blocks
-    [0, block_index / p^6).  A checkpoint for the same p is resumed only if
-    its count equals that prefix recomputed from the classes, and is refused
-    with ValueError otherwise; a checkpoint for another prime is ignored.
+    class, so the result is independent of the thread count.
     """
-    block = p**6
-    start_hi, count = 0, 0
-    saved = read_checkpoint(checkpoint) if checkpoint else None
-    if saved is not None and saved[2] == p:
-        block_index, count, _ = saved
-        if block_index % block or not 0 <= block_index <= p**9:
-            raise ValueError(
-                f"checkpoint {checkpoint!r}: block index {block_index} is not a "
-                f"column-block boundary in [0, {p}^9]"
-            )
-        start_hi = block_index // block
     reps = (p * p + p + 1, p * p + p, p * p)  # first columns (1,1,1), (1,1,0), (1,0,0)
     kernel = _FiberKernel(p)
     with ThreadPoolExecutor(max_workers=max(1, min(threads, len(reps)))) as ex:
         table = list(ex.map(kernel.count_colblock, reps))
     table.append(0)  # all-zero first column
-    per_block = [table[_colblock_zeros(hi, p)] for hi in range(p**3)]
-    prefix = sum(per_block[:start_hi])
-    if count != prefix:
-        raise ValueError(
-            f"checkpoint {checkpoint!r}: count {count} over the first {start_hi} "
-            f"column blocks disagrees with the recomputed {prefix}"
-        )
-    count += sum(per_block[start_hi:])
-    if checkpoint:
-        _write_checkpoint(checkpoint, p**9, count, p)
-    return count
+    return sum(table[_colblock_zeros(hi, p)] for hi in range(p**3))

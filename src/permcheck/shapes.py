@@ -224,37 +224,6 @@ def permanent_eval(values: Sequence[Sequence[int]], p: int) -> int:
     return (sign * total) % p
 
 
-def permanent_eval_naive(values: Sequence[Sequence[int]], p: int) -> int:
-    """Permutation-sum permanent; the independent oracle for small sizes."""
-    a = [list(row) for row in values]
-    s = len(a)
-    total = 0
-    for perm in itertools.permutations(range(s)):
-        prod = 1
-        for i, j in enumerate(perm):
-            prod = (prod * a[i][j]) % p
-        total = (total + prod) % p
-    return total % p if s else 1
-
-
-def permanent_eval_dp(values: Sequence[Sequence[int]], p: int) -> int:
-    """Column-subset DP permanent on numbers (same recurrence as `permanent`)."""
-    a = [list(row) for row in values]
-    s = len(a)
-    if s == 0:
-        return 1
-    dp = [0] * (1 << s)
-    dp[0] = 1
-    for mask in range(1, 1 << s):
-        k = bin(mask).count("1") - 1
-        acc = 0
-        for j in range(s):
-            if mask & (1 << j):
-                acc += a[k][j] * dp[mask ^ (1 << j)]
-        dp[mask] = acc % p
-    return dp[(1 << s) - 1]
-
-
 @dataclass(frozen=True)
 class IdealPresentation:
     """Generators of an ideal plus an asserted structure tag.

@@ -578,85 +578,71 @@ def verify_fpure(
     return _report("fpure", params, verdict.passed, evidence, t0)
 
 
-def _entry_triple_targets(mat: SymbolicMatrix, p: int) -> list:
-    """Products of three entries from three distinct columns and two distinct
-    rows (n >= 3), or the transpose configuration (m >= 3), deduplicated."""
-    m, n = mat.nrows, mat.ncols
-    space = mat.space
-    exps_seen = set()
-    if n >= 3:
-        for cols in itertools.combinations(range(n), 3):
-            for rows in itertools.product(range(m), repeat=3):
-                if len(set(rows)) == 2:
-                    exps = [0] * space.count
-                    for r, c in zip(rows, cols):
-                        exps[mat.entry(r, c)] += 1
-                    exps_seen.add(tuple(exps))
-    if m >= 3:
-        for rows in itertools.combinations(range(m), 3):
-            for cols in itertools.product(range(n), repeat=3):
-                if len(set(cols)) == 2:
-                    exps = [0] * space.count
-                    for r, c in zip(rows, cols):
-                        exps[mat.entry(r, c)] += 1
-                    exps_seen.add(tuple(exps))
-    return [Polynomial.monomial(space, p, e) for e in sorted(exps_seen)]
-
-
-def verify_entry_triples(m: int, n: int, p: int) -> LemmaReport:
-    """CLI check `monomials28`: every qualifying product of three entries lies
-    in P_2, decided by degree-bounded linear algebra at d = 3."""
+def _entry_products_in_p2(
+    check: str, mat: SymbolicMatrix, p: int, exponents, degree: int
+) -> LemmaReport:
+    """Shared body of `monomials28` / `monomials29`: every target monomial lies
+    in P_2 of the generic matrix, decided by linear algebra at the degree."""
     from .linmember import MembershipInstance, member_bounded
 
     t0 = time.perf_counter()
-    params = {"shape": f"generic:{m}x{n}", "m": m, "n": n, "p": p}
-    mat = build_matrix(MatrixShape.generic(m, n))
+    params = {"shape": mat.shape.spec_string(), "m": mat.nrows, "n": mat.ncols, "p": p}
     gens = permanental_generators(mat, 2, char=p)
-    targets = _entry_triple_targets(mat, p)
+    targets = [Polynomial.monomial(mat.space, p, e) for e in sorted(exponents)]
     failures = []
     for target in targets:
-        comb = member_bounded(MembershipInstance(target, gens.generators, 3))
+        comb = member_bounded(MembershipInstance(target, gens.generators, degree))
         if comb is None:
             failures.append(render_poly(target))
     evidence = {"targets": len(targets), "members": len(targets) - len(failures),
                 "failures": failures}
-    return _report("monomials28", params, not failures and bool(targets), evidence, t0)
+    return _report(check, params, not failures and bool(targets), evidence, t0)
+
+
+def verify_entry_triples(m: int, n: int, p: int) -> LemmaReport:
+    """CLI check `monomials28`: every product of three entries from three
+    distinct columns and two distinct rows (n >= 3), or the transpose
+    configuration (m >= 3), lies in P_2, decided at d = 3."""
+    mat = build_matrix(MatrixShape.generic(m, n))
+    exponents = set()
+
+    def add(rows, cols):
+        exps = [0] * mat.space.count
+        for r, c in zip(rows, cols):
+            exps[mat.entry(r, c)] += 1
+        exponents.add(tuple(exps))
+
+    if n >= 3:
+        for cols in itertools.combinations(range(n), 3):
+            for rows in itertools.product(range(m), repeat=3):
+                if len(set(rows)) == 2:
+                    add(rows, cols)
+    if m >= 3:
+        for rows in itertools.combinations(range(m), 3):
+            for cols in itertools.product(range(n), repeat=3):
+                if len(set(cols)) == 2:
+                    add(rows, cols)
+    return _entry_products_in_p2("monomials28", mat, p, exponents, 3)
 
 
 def verify_squared_entry_triples(m: int, n: int, p: int) -> LemmaReport:
     """CLI check `monomials29`: every product x_{i1 j1}^2 x_{i2 j2} x_{i3 j3}
     with distinct rows and distinct columns lies in P_2, at d = 4."""
-    from .linmember import MembershipInstance, member_bounded
-
     if m < 3 or n < 3:
         raise ValueError("the squared-entry products need m, n >= 3")
-    t0 = time.perf_counter()
-    params = {"shape": f"generic:{m}x{n}", "m": m, "n": n, "p": p}
     mat = build_matrix(MatrixShape.generic(m, n))
-    space = mat.space
-    gens = permanental_generators(mat, 2, char=p)
-    exps_seen = set()
+    exponents = set()
     for rows in itertools.permutations(range(m), 3):
         for cols in itertools.permutations(range(n), 3):
-            exps = [0] * space.count
+            exps = [0] * mat.space.count
             exps[mat.entry(rows[0], cols[0])] += 2
             exps[mat.entry(rows[1], cols[1])] += 1
             exps[mat.entry(rows[2], cols[2])] += 1
-            exps_seen.add(tuple(exps))
-    targets = [Polynomial.monomial(space, p, e) for e in sorted(exps_seen)]
-    failures = []
-    for target in targets:
-        comb = member_bounded(MembershipInstance(target, gens.generators, 4))
-        if comb is None:
-            failures.append(render_poly(target))
-    evidence = {"targets": len(targets), "members": len(targets) - len(failures),
-                "failures": failures}
-    return _report("monomials29", params, not failures and bool(targets), evidence, t0)
+            exponents.add(tuple(exps))
+    return _entry_products_in_p2("monomials29", mat, p, exponents, 4)
 
 
-def scan_three_by_four_fpurity(
-    p_list, method: str = "truncated", threads: int = 1, checkpoint: Optional[str] = None
-) -> LemmaReport:
+def scan_three_by_four_fpurity(p_list, method: str = "truncated", threads: int = 1) -> LemmaReport:
     """CLI check `conjecture45`: Fedder coefficient of the generic 3x4 / t=3
     complete intersection across primes, compared with the p = 1 mod 6 rule."""
     t0 = time.perf_counter()
@@ -668,12 +654,7 @@ def scan_three_by_four_fpurity(
     for p in p_list:
         mat = build_matrix(MatrixShape.generic(3, 4))
         gens = permanental_generators(mat, 3, char=p)
-        ckpt = None
-        if checkpoint:
-            ckpt = checkpoint if len(p_list) == 1 else f"{checkpoint}.p{p}"
-        coeff = fedder_coefficient_fullsupport(
-            gens, PrimeModulus(p), method=method, threads=threads, checkpoint=ckpt
-        )
+        coeff = fedder_coefficient_fullsupport(gens, PrimeModulus(p), method=method, threads=threads)
         fpure = coeff != 0
         predicted = p % 6 == 1
         ok = fpure == predicted

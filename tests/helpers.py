@@ -1,8 +1,10 @@
 """Shared independent oracles and random generators for the test suite."""
 
 import itertools
+from typing import Optional, Sequence
 
-from permcheck.fppoly import Polynomial, VariableSpace
+from permcheck.fppoly import Polynomial, VariableSpace, exact_divide
+from permcheck.frobcheck import _split_term
 
 
 def brute_permanent(mat, rows, cols, char):
@@ -89,3 +91,70 @@ def _fiber_block_count_scalar(p, index):
 
 def _fiber_range_scalar(p, start, stop):
     return sum(_fiber_block_count_scalar(p, i) for i in range(start, stop))
+
+
+def permanent_eval_naive(values: Sequence[Sequence[int]], p: int) -> int:
+    """Permutation-sum permanent; the independent oracle for small sizes."""
+    a = [list(row) for row in values]
+    s = len(a)
+    total = 0
+    for perm in itertools.permutations(range(s)):
+        prod = 1
+        for i, j in enumerate(perm):
+            prod = (prod * a[i][j]) % p
+        total = (total + prod) % p
+    return total % p if s else 1
+
+
+def permanent_eval_dp(values: Sequence[Sequence[int]], p: int) -> int:
+    """Column-subset DP permanent on numbers (same recurrence as `permanent`)."""
+    a = [list(row) for row in values]
+    s = len(a)
+    if s == 0:
+        return 1
+    dp = [0] * (1 << s)
+    dp[0] = 1
+    for mask in range(1, 1 << s):
+        k = bin(mask).count("1") - 1
+        acc = 0
+        for j in range(s):
+            if mask & (1 << j):
+                acc += a[k][j] * dp[mask ^ (1 << j)]
+        dp[mask] = acc % p
+    return dp[(1 << s) - 1]
+
+
+def in_frobenius_power(h: Polynomial, prime: "MinimalPrime", p: Optional[int] = None) -> bool:
+    """Decide h in P^[p] structurally (same tensor split as colon_membership)."""
+    if p is None:
+        p = h.char
+    var_gens = set(prime.variable_gens)
+    remaining = [(m, c) for m, c in h.items() if not any(m[i] >= p for i in var_gens)]
+    if prime.kind in ("row_variables", "column_variables"):
+        return not remaining
+    inner_set = set(prime.inner_vars)
+    b_p = prime.binomial(p) ** p
+    groups: dict = {}
+    for mono, coeff in remaining:
+        inner, outer = _split_term(mono, inner_set)
+        groups.setdefault(outer, []).append((inner, coeff))
+    for outer, terms in groups.items():
+        cofactor = Polynomial(h.space, p, terms)
+        if cofactor.is_zero:
+            continue
+        if exact_divide(cofactor, b_p) is None:
+            return False
+    return True
+
+
+def prime_contains(prime: "MinimalPrime", g: Polynomial) -> bool:
+    """Decide g in P structurally: drop terms with an outside variable, the
+    rest must be a polynomial multiple of the binomial (or zero)."""
+    var_gens = set(prime.variable_gens)
+    remaining = [(m, c) for m, c in g.items() if not any(m[i] >= 1 for i in var_gens)]
+    if not remaining:
+        return True
+    if prime.kind in ("row_variables", "column_variables"):
+        return False
+    rest = Polynomial(g.space, g.char, remaining)
+    return exact_divide(rest, prime.binomial(g.char)) is not None

@@ -169,9 +169,9 @@ class TestCriterion6:
             assert count % 11 == 0
             assert elapsed < 1800.0
 
-    def test_fiber_p13(self, tmp_path):
+    def test_fiber_p13(self):
         with criterion(6, "fiber scan p=13: F-pure"):
-            count = fiber_count_3x4(13, threads=2, checkpoint=str(tmp_path / "p13.ck"))
+            count = fiber_count_3x4(13, threads=2)
             assert count == 16_950_033_727_488
             assert count % 13 != 0
 

@@ -5,7 +5,8 @@ import re
 
 import pytest
 
-from permcheck.cli import run
+from permcheck import witnesses
+from permcheck.cli import CHECKS, run
 
 
 def invoke(capsys, *argv):
@@ -53,17 +54,6 @@ class TestExitCodes:
         )
         assert code == 1
         assert "complete-intersection" in err
-
-    def test_wrong_checkpoint_count_is_usage_error(self, capsys, tmp_path):
-        path = tmp_path / "p3.ck"
-        path.write_text(f"{3**9} 1 3\n")
-        code, out, err = invoke(
-            capsys, "scan", "conjecture45", "--p", "3", "--method", "fiber",
-            "--checkpoint", str(path),
-        )
-        assert code == 1
-        assert out == ""
-        assert "checkpoint" in err
 
     def test_large_e_refused(self, capsys):
         code, _, _ = invoke(capsys, "verify", "lemma34", "--n", "2", "--p", "3", "--e", "2")
@@ -127,20 +117,6 @@ class TestReports:
         assert code == 1
 
 
-class TestBench:
-    def test_truncated_pow_rows(self, capsys):
-        code, out, _ = invoke(capsys, "bench", "truncated-pow")
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "bench,method,size,p,ns_per_op,ops"
-        assert any(line.startswith("truncated-pow,binary,3,3,") for line in lines)
-        assert any(line.startswith("truncated-pow,repeated,3,7,") for line in lines)
-
-    def test_unknown_bench(self, capsys):
-        code, _, _ = invoke(capsys, "bench", "quicksort")
-        assert code == 1
-
-
 class TestGeneratorsDump:
     def test_round_trips_through_the_grammar(self, capsys):
         code, out, _ = invoke(capsys, "generators", "--shape", "generic:2x3", "--t", "2")
@@ -184,3 +160,96 @@ class TestChecks:
             capsys, "verify", "witness-symmetric", "--n", "3", "--p", "3,5"
         )
         assert code == 0
+
+
+class TestCheckTable:
+    CASES = [
+        (("verify", "lemma31", "--n", "2"), "verify_hankel_monomial_absence"),
+        (("verify", "lemma32", "--n", "3"), "verify_hankel_eisenstein"),
+        (("verify", "lemma34", "--n", "2", "--p", "3,5"), "verify_hankel_product_identity"),
+        (("verify", "thm35", "--n", "2", "--p", "3,5"), "verify_hankel_hypersurface"),
+        (("verify", "thm36", "--n", "3"), "verify_hankel_specialization_check"),
+        (("verify", "witness-generic", "--m", "2", "--n", "3", "--p", "3,5"),
+         "verify_witness_membership"),
+        (("verify", "witness-symmetric", "--n", "3", "--p", "3,5"), "verify_witness_membership"),
+        (("verify", "monomials28", "--m", "2", "--n", "3", "--p", "3,5"), "verify_entry_triples"),
+        (("verify", "monomials29", "--m", "3", "--n", "3", "--p", "3,5"),
+         "verify_squared_entry_triples"),
+        (("verify", "fpure", "--shape", "hankel:3", "--p", "3,5"), "verify_fpure"),
+        (("scan", "conjecture45", "--p", "3,5"), "scan_three_by_four_fpurity"),
+    ]
+
+    def test_cases_cover_every_check(self):
+        assert {argv[1] for argv, _ in self.CASES if argv[0] == "verify"} == set(CHECKS)
+
+    @pytest.mark.parametrize("argv, fn", CASES, ids=[argv[1] for argv, _ in CASES])
+    def test_runner_calls_the_patched_module_function(self, capsys, monkeypatch, argv, fn):
+        calls = []
+
+        def stub(*args, **kwargs):
+            calls.append(args)
+            return witnesses.LemmaReport(argv[1], {}, "pass", {}, 0.0)
+
+        monkeypatch.setattr(witnesses, fn, stub)
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0
+        once_per_prime = "--p" in argv and argv[0] == "verify"
+        assert len(calls) == (2 if once_per_prime else 1)
+        assert f"aggregate: pass ({len(calls)} check(s)" in out
+
+    REFUSED = [
+        (("verify", "witness-symmetric", "--m", "3", "--n", "4", "--p", "3"), "--m"),
+        (("verify", "lemma31", "--n", "3", "--p", "5"), "--p"),
+        (("verify", "lemma32", "--n", "3", "--t", "2"), "--t"),
+        (("verify", "thm35", "--shape", "hankel:3", "--n", "3", "--p", "3"), "--shape"),
+        (("verify", "monomials28", "--m", "2", "--n", "3", "--t", "2", "--p", "3"), "--t"),
+        (("verify", "fpure", "--shape", "hankel:3", "--n", "3", "--p", "3"), "--n"),
+        (("scan", "conjecture45", "--p", "3", "--m", "3"), "--m"),
+        (("scan", "conjecture45", "--p", "3", "--shape", "generic:3x4"), "--shape"),
+        (("scan", "conjecture45", "--p", "3", "--t", "3"), "--t"),
+    ]
+
+    @pytest.mark.parametrize("argv, flag", REFUSED, ids=[f"{a[1]}{f}" for a, f in REFUSED])
+    def test_flag_the_check_ignores_is_refused(self, capsys, argv, flag):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert f"does not take {flag}" in err
+
+    def test_common_flags_accepted_everywhere(self, capsys, tmp_path):
+        out_path = tmp_path / "r.json"
+        code, _, _ = invoke(
+            capsys, "verify", "lemma31", "--n", "2", "--method", "fiber",
+            "--threads", "1", "--format", "json", "--out", str(out_path),
+        )
+        assert code == 0
+        assert json.loads(out_path.read_text())["aggregate"] == "pass"
+
+    @pytest.mark.parametrize("argv", [
+        ("scan", "conjecture45", "--p", "3", "--method", "fiber", "--checkpoint", "p3.ck"),
+        ("verify", "lemma34", "--n", "2", "--p", "3", "--e", "1"),
+        ("bench", "truncated-pow"),
+    ], ids=["checkpoint", "e", "bench"])
+    def test_removed_surface_is_usage_error(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "lemma31", "--n", "2"),
+        ("scan", "conjecture45", "--p", "3"),
+    ])
+    def test_json_config_echo_keeps_its_keys(self, capsys, argv):
+        code, out, _ = invoke(capsys, *argv, "--threads", "1", "--format", "json")
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert list(config) == [
+            "command", "check", "shape", "m", "n", "t", "p", "e", "method",
+            "threads", "format", "out", "checkpoint",
+        ]
+        assert config["e"] == 1
+        assert config["checkpoint"] is None
+        assert '"e": 1,' in out
+        assert '"checkpoint": null' in out

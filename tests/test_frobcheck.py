@@ -22,9 +22,6 @@ from permcheck.frobcheck import (
     fedder_coefficient_fullsupport,
     fiber_count_3x4,
     glassbrenner_witness_check,
-    in_frobenius_power,
-    prime_contains,
-    read_checkpoint,
 )
 from permcheck.shapes import (
     COMPLETE_INTERSECTION,
@@ -39,7 +36,13 @@ from permcheck.witnesses import (
     witness_generic,
     witness_symmetric,
 )
-from helpers import _fiber_range_scalar, random_poly, rank_mod_p
+from helpers import (
+    _fiber_range_scalar,
+    in_frobenius_power,
+    prime_contains,
+    random_poly,
+    rank_mod_p,
+)
 
 
 def ci(generators, shape=None, t=None):
@@ -404,62 +407,6 @@ class TestFiberEngine:
 
     def test_thread_determinism(self):
         assert fiber_count_3x4(3, threads=1) == fiber_count_3x4(3, threads=2)
-
-    def test_checkpoint_roundtrip(self, tmp_path):
-        path = str(tmp_path / "ck.txt")
-        full = fiber_count_3x4(3, checkpoint=path)
-        index, count, p = read_checkpoint(path)
-        assert (index, count, p) == (3**9, full, 3)
-
-    def test_checkpoint_resume(self, tmp_path):
-        path = str(tmp_path / "resume.txt")
-        # seed the checkpoint with a genuine partial prefix, then resume
-        prefix_blocks = 7 * 3**6
-        partial = _fiber_range_scalar(3, 0, prefix_blocks)
-        with open(path, "w") as fh:
-            fh.write(f"{prefix_blocks} {partial} 3\n")
-        resumed = fiber_count_3x4(3, checkpoint=path)
-        assert resumed == fiber_count_3x4(3)
-
-    @pytest.mark.parametrize("p", [5, 7])
-    def test_checkpoint_resume_unreduced_prefix(self, unreduced_blocks, tmp_path, p):
-        blocks = unreduced_blocks[p]
-        path = str(tmp_path / "prefix.txt")
-        for hi in (0, 1, p * p + 3, p**3):
-            with open(path, "w") as fh:
-                fh.write(f"{hi * p**6} {sum(blocks[:hi])} {p}\n")
-            assert fiber_count_3x4(p, checkpoint=path) == sum(blocks)
-            assert read_checkpoint(path) == (p**9, sum(blocks), p)
-
-    def test_checkpoint_wrong_count_refused(self, tmp_path):
-        path = str(tmp_path / "stale.txt")
-        prefix_blocks = 7 * 3**6
-        partial = _fiber_range_scalar(3, 0, prefix_blocks)
-        with open(path, "w") as fh:
-            fh.write(f"{prefix_blocks} {partial + 1} 3\n")
-        with pytest.raises(ValueError, match="disagrees"):
-            fiber_count_3x4(3, checkpoint=path)
-        assert read_checkpoint(path) == (prefix_blocks, partial + 1, 3)
-
-    def test_checkpoint_off_block_boundary_refused(self, tmp_path):
-        path = str(tmp_path / "torn.txt")
-        for index in (5, -3**6, 3**9 + 3**6):
-            with open(path, "w") as fh:
-                fh.write(f"{index} 0 3\n")
-            with pytest.raises(ValueError, match="boundary"):
-                fiber_count_3x4(3, checkpoint=path)
-
-    def test_checkpoint_ignored_for_other_prime(self, tmp_path):
-        path = str(tmp_path / "other.txt")
-        with open(path, "w") as fh:
-            fh.write(f"{5**6} 123456 5\n")
-        assert fiber_count_3x4(3, checkpoint=path) == fiber_count_3x4(3)
-
-    def test_checkpoint_written_during_scan(self, tmp_path):
-        path = str(tmp_path / "often.txt")
-        fiber_count_3x4(3, checkpoint=path)
-        index, count, p = read_checkpoint(path)
-        assert index == 3**9 and count == fiber_count_3x4(3) and p == 3
 
 
 class TestPointCount:

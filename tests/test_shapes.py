@@ -17,11 +17,9 @@ from permcheck.shapes import (
     parse_shape,
     permanent,
     permanent_eval,
-    permanent_eval_dp,
-    permanent_eval_naive,
     permanental_generators,
 )
-from helpers import brute_permanent, random_point
+from helpers import brute_permanent, permanent_eval_dp, permanent_eval_naive, random_point
 
 ALL_SMALL_SHAPES = [
     MatrixShape.generic(2, 2),
