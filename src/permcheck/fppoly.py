@@ -10,9 +10,9 @@ F_p[x_1..x_v] / (x_1^q, ..., x_v^q) with q = p^e: any monomial with some
 exponent >= q is annihilated.  Truncated products run on one numpy kernel
 over packed exponent vectors: each exponent gets a w-bit field with
 q < 2^(w-1), so the top bit of a field is a guard that flags a product
-reaching q (Monagan & Pearce, CASC 2007).  When v fields do not fit a 63-bit
-key, products fall back to a plain dict loop, which is also the tests'
-reference.
+reaching q (Monagan & Pearce, CASC 2007).  Keys are int64 while v fields fit
+63 bits and Python ints (numpy object arrays) beyond that; the kernel is the
+same for both.  Powers are repeated products with the base.
 """
 
 from __future__ import annotations
@@ -137,34 +137,25 @@ def mono_div(b: Monomial, a: Monomial) -> Monomial:
     return tuple(y - x for x, y in zip(a, b))
 
 
-def mono_degree(a: Monomial) -> int:
-    return sum(a)
-
-
 class MonomialOrder:
-    """A lex or graded-lex order with an optional variable priority.
-
-    `priority` lists variable indices from most to least significant; the
-    natural order (index 0 most significant) is used when omitted.  Both
+    """A lex or graded-lex order, variable index 0 most significant.  Both
     kinds are multiplicative total orders.
     """
 
-    __slots__ = ("kind", "priority")
+    __slots__ = ("kind",)
 
-    def __init__(self, kind: str = "grlex", priority: Optional[tuple] = None):
+    def __init__(self, kind: str = "grlex"):
         if kind not in ("lex", "grlex"):
             raise ValueError(f"unknown order kind {kind!r}")
         self.kind = kind
-        self.priority = tuple(priority) if priority is not None else None
 
     def key(self, mono: Monomial):
-        proj = mono if self.priority is None else tuple(mono[i] for i in self.priority)
         if self.kind == "lex":
-            return proj
-        return (sum(mono), proj)
+            return mono
+        return (sum(mono), mono)
 
     def __repr__(self) -> str:
-        return f"MonomialOrder({self.kind!r}{'' if self.priority is None else f', priority={self.priority}'})"
+        return f"MonomialOrder({self.kind!r})"
 
 
 GRLEX = MonomialOrder("grlex")
@@ -492,25 +483,29 @@ def truncate(a: Polynomial, ctx: TruncationContext) -> Polynomial:
     return Polynomial._make(a.space, a.char, kept)
 
 
-def _key_width(ctx: TruncationContext) -> Optional[int]:
-    """Bits per exponent field of a packed key, or None if v fields exceed 63 bits.
+def _key_width(ctx: TruncationContext) -> int:
+    """Bits per exponent field of a packed key.
 
     w = bitlen(q) + 1 gives q < 2^(w-1): a field holds the sum of two
     exponents below q without carrying, and its top bit serves as the guard.
     """
-    w = ctx.bound.bit_length() + 1
-    return w if w * ctx.space.count <= 63 else None
+    return ctx.bound.bit_length() + 1
 
 
 def _shifts(ctx: TruncationContext, w: int) -> np.ndarray:
-    # the first variable takes the most significant field
-    return np.arange(ctx.space.count - 1, -1, -1, dtype=np.int64) * w
+    """Bit offset of each exponent field; the first variable takes the most
+    significant one.  The dtype of these offsets is the dtype of the keys:
+    int64 when v fields fit 63 bits, Python ints (dtype=object) beyond that.
+    """
+    v = ctx.space.count
+    return np.arange(v - 1, -1, -1, dtype=np.int64 if v * w <= 63 else object) * w
 
 
 def _pack(a: Polynomial, ctx: TruncationContext, w: int):
     """Sorted packed keys and coefficients of a truncated polynomial."""
-    monos = np.array(list(a._terms), dtype=np.int64).reshape(len(a), ctx.space.count)
-    keys = (monos << _shifts(ctx, w)).sum(axis=1)
+    shifts = _shifts(ctx, w)
+    monos = np.array(list(a._terms), dtype=shifts.dtype).reshape(len(a), ctx.space.count)
+    keys = (monos << shifts).sum(axis=1)
     coeffs = np.fromiter(a._terms.values(), dtype=np.int64, count=len(a))
     order = np.argsort(keys)
     return keys[order], coeffs[order]
@@ -573,53 +568,57 @@ class TruncatedAccumulator:
 
     Chains of products against small polynomials (Frobenius powers of a
     permanent, say) can hold millions of terms; the accumulator keeps them
-    packed and never materializes the sparse dict form.  When v exponent
-    fields do not fit a 63-bit key it holds a Polynomial and multiplies with
-    the dict loop instead.
+    packed and never materializes the sparse dict form.  Keys are int64 when
+    v exponent fields fit 63 bits and Python ints otherwise; both run the
+    same kernel.
     """
 
-    __slots__ = ("ctx", "_width", "_keys", "_coeffs", "_poly")
+    __slots__ = ("ctx", "_width", "_keys", "_coeffs")
 
     def __init__(self, poly: Polynomial, ctx: TruncationContext):
         ctx.check(poly)
         self.ctx = ctx
         self._width = _key_width(ctx)
-        poly = truncate(poly, ctx)
-        if self._width is None:
-            self._keys = self._coeffs = None
-            self._poly = poly
-        else:
-            self._keys, self._coeffs = _pack(poly, ctx, self._width)
-            self._poly = None
+        self._keys, self._coeffs = _pack(truncate(poly, ctx), ctx, self._width)
 
-    def _with(self, keys=None, coeffs=None, poly=None) -> "TruncatedAccumulator":
-        out = object.__new__(TruncatedAccumulator)
-        out.ctx, out._width = self.ctx, self._width
-        out._keys, out._coeffs, out._poly = keys, coeffs, poly
-        return out
+    @classmethod
+    def power(cls, poly: Polynomial, k: int, ctx: TruncationContext) -> "TruncatedAccumulator":
+        """poly^k by repeated multiplication with the (typically small) base.
+
+        In a saturated quotient the intermediates hold vastly more terms than
+        the base, so this is cheaper than squaring them against each other.
+        """
+        if k < 0:
+            raise ValueError("negative power")
+        if k == 0:
+            return cls(Polynomial.one(ctx.space, ctx.modulus.p), ctx)
+        acc = cls(poly, ctx)
+        for _ in range(k - 1):
+            acc = acc.mul_poly(poly)
+        return acc
 
     def mul_poly(self, poly: Polynomial) -> "TruncatedAccumulator":
         """Truncated product with a (typically small) sparse polynomial."""
         ctx, w = self.ctx, self._width
-        poly = truncate(poly, ctx)
-        if w is None:
-            return self._with(poly=_truncated_mul_dict(self._poly, poly, ctx))
-        return self._with(*_mul_packed(self._keys, self._coeffs, *_pack(poly, ctx, w), ctx, w))
+        out = object.__new__(TruncatedAccumulator)
+        out.ctx, out._width = ctx, w
+        out._keys, out._coeffs = _mul_packed(
+            self._keys, self._coeffs, *_pack(truncate(poly, ctx), ctx, w), ctx, w
+        )
+        return out
 
     @property
     def is_zero(self) -> bool:
         return self.nnz() == 0
 
     def nnz(self) -> int:
-        return len(self._poly) if self._width is None else len(self._keys)
+        return len(self._keys)
 
     def coeff(self, mono) -> int:
         mono = tuple(mono)
-        if self._width is None:
-            return self._poly.coeff(mono)
         if any(e >= self.ctx.bound for e in mono):
             return 0
-        key = int((np.array(mono, dtype=np.int64) << _shifts(self.ctx, self._width)).sum())
+        key = sum(int(e) << int(s) for e, s in zip(mono, _shifts(self.ctx, self._width)))
         i = int(np.searchsorted(self._keys, key))
         if i < len(self._keys) and self._keys[i] == key:
             return int(self._coeffs[i])
@@ -630,83 +629,24 @@ class TruncatedAccumulator:
         return self.nnz() == 1 and self.coeff(mono) == coefficient % self.ctx.modulus.p
 
     def to_polynomial(self) -> Polynomial:
-        if self._width is None:
-            return self._poly
         return _unpack(self._keys, self._coeffs, self.ctx, self._width)
-
-
-def _truncated_mul_dict(a: Polynomial, b: Polynomial, ctx: TruncationContext) -> Polynomial:
-    p = ctx.modulus.p
-    bound = ctx.bound
-    out: dict = {}
-    ta, tb = a._terms, b._terms
-    if len(ta) < len(tb):
-        ta, tb = tb, ta
-    for m2, c2 in tb.items():
-        for m1, c1 in ta.items():
-            m = tuple(x + y for x, y in zip(m1, m2))
-            if any(e >= bound for e in m):
-                continue
-            s = (out.get(m, 0) + c1 * c2) % p
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
-    return Polynomial._make(a.space, p, out)
 
 
 def truncated_mul(a: Polynomial, b: Polynomial, ctx: TruncationContext) -> Polynomial:
     """Product in the truncated quotient; equals truncate(a * b, ctx)."""
     ctx.check(a)
     ctx.check(b)
-    a = truncate(a, ctx)
-    b = truncate(b, ctx)
     w = _key_width(ctx)
-    if w is None:
-        return _truncated_mul_dict(a, b, ctx)
-    return _unpack(*_mul_packed(*_pack(a, ctx, w), *_pack(b, ctx, w), ctx, w), ctx, w)
+    product = _mul_packed(*_pack(truncate(a, ctx), ctx, w), *_pack(truncate(b, ctx), ctx, w), ctx, w)
+    return _unpack(*product, ctx, w)
 
 
-def _truncated_pow_repeated(a: Polynomial, k: int, ctx: TruncationContext) -> Polynomial:
-    if k == 0:
-        return Polynomial.one(ctx.space, ctx.modulus.p)
-    power = TruncatedAccumulator(a, ctx)
-    for _ in range(k - 1):
-        power = power.mul_poly(a)
-    return power.to_polynomial()
+def truncated_pow(a: Polynomial, k: int, ctx: TruncationContext) -> Polynomial:
+    """a^k in the truncated quotient, by TruncatedAccumulator.power.
 
-
-def _truncated_pow_binary(a: Polynomial, k: int, ctx: TruncationContext) -> Polynomial:
-    result = Polynomial.one(ctx.space, ctx.modulus.p)
-    base = truncate(a, ctx)
-    while k:
-        if k & 1:
-            result = truncated_mul(result, base, ctx)
-        k >>= 1
-        if k:
-            base = truncated_mul(base, base, ctx)
-    return result
-
-
-def truncated_pow(a: Polynomial, k: int, ctx: TruncationContext, strategy: str = "auto") -> Polynomial:
-    """a^k in the truncated quotient (truncation applied after every product).
-
-    Truncation is a ring quotient, so intermediate truncation is sound for any
-    powering strategy.  "binary" squares large intermediates against each
-    other; "repeated" multiplies by the (typically small) base.  In a
-    saturated quotient the intermediates hold vastly more terms than the base,
-    which makes repeated multiplication the cheaper route, so "auto" picks it
-    whenever the base is small.
+    Truncation is a ring quotient, so truncating after every product is sound.
     """
-    if k < 0:
-        raise ValueError("negative power")
-    if strategy == "auto":
-        strategy = "repeated" if (k >= 3 and len(a) <= 256) else "binary"
-    if strategy == "repeated":
-        return _truncated_pow_repeated(a, k, ctx)
-    if strategy == "binary":
-        return _truncated_pow_binary(a, k, ctx)
-    raise ValueError(f"unknown powering strategy {strategy!r}")
+    return TruncatedAccumulator.power(a, k, ctx).to_polynomial()
 
 
 # ---------------------------------------------------------------------------

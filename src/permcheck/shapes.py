@@ -24,8 +24,6 @@ HANKEL = "hankel"
 
 # IdealPresentation.structure values
 COMPLETE_INTERSECTION = "complete_intersection"
-MONOMIAL_ONLY = "monomial_only"
-BINOMIAL_PLUS_VARIABLES = "binomial_plus_variables"
 UNSTRUCTURED = "unstructured"
 
 
@@ -54,14 +52,6 @@ class MatrixShape:
     @classmethod
     def hankel(cls, n: int) -> "MatrixShape":
         return cls(HANKEL, n, n)
-
-    @property
-    def var_count(self) -> int:
-        if self.kind == GENERIC:
-            return self.nrows * self.ncols
-        if self.kind == SYMMETRIC:
-            return self.nrows * (self.nrows + 1) // 2
-        return 2 * self.nrows - 1
 
     def var_names(self) -> tuple:
         if self.kind == GENERIC:

@@ -20,6 +20,7 @@ from .fppoly import (
     LEX,
     Polynomial,
     PrimeModulus,
+    TruncatedAccumulator,
     TruncationContext,
     VariableSpace,
     leading_term,
@@ -125,19 +126,6 @@ class MinimalPrime:
         for g in self.generators(char):
             out = out * g
         return out
-
-    def presentation(self, char: int):
-        """Flatten to an IdealPresentation (for export and generic consumers)."""
-        from .shapes import BINOMIAL_PLUS_VARIABLES, MONOMIAL_ONLY, IdealPresentation
-
-        structure = (
-            MONOMIAL_ONLY
-            if self.kind in ("row_variables", "column_variables")
-            else BINOMIAL_PLUS_VARIABLES
-        )
-        return IdealPresentation(
-            generators=tuple(self.generators(char)), structure=structure, shape=self.shape
-        )
 
 
 def minimal_primes_generic(m: int, n: int) -> list:
@@ -290,16 +278,11 @@ def _hankel_data(n: int, p: int):
     it reaches ~10^6 terms at (n, p) = (6, 7) and only ever needs nonzero
     tests, coefficient lookups, and further products with small polynomials.
     """
-    from .fppoly import TruncatedAccumulator
-
     mat = build_matrix(MatrixShape.hankel(n))
     f_n = permanent(mat, char=p)
     f_prev = permanent(mat, rows=range(n - 1), cols=range(n - 1), char=p)
     ctx = TruncationContext(PrimeModulus(p), mat.space)
-    power = TruncatedAccumulator(f_n, ctx)
-    for _ in range(p - 2):
-        power = power.mul_poly(f_n)
-    return mat, f_n, f_prev, ctx, power
+    return mat, f_n, f_prev, ctx, TruncatedAccumulator.power(f_n, p - 1, ctx)
 
 
 def verify_hankel_monomial_absence(n: int) -> LemmaReport:

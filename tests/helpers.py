@@ -3,7 +3,7 @@
 import itertools
 from typing import Optional, Sequence
 
-from permcheck.fppoly import Polynomial, VariableSpace, exact_divide
+from permcheck.fppoly import Polynomial, TruncationContext, VariableSpace, exact_divide
 from permcheck.frobcheck import _split_term
 
 
@@ -18,6 +18,27 @@ def brute_permanent(mat, rows, cols, char):
             term = term * Polynomial.variable(space, char, mat.entry(rows[i], cols[j]))
         total = total + term
     return total
+
+
+def _truncated_mul_dict(a: Polynomial, b: Polynomial, ctx: TruncationContext) -> Polynomial:
+    """Pairwise dict-loop truncated product; the oracle for the packed kernel."""
+    p = ctx.modulus.p
+    bound = ctx.bound
+    out: dict = {}
+    ta, tb = a._terms, b._terms
+    if len(ta) < len(tb):
+        ta, tb = tb, ta
+    for m2, c2 in tb.items():
+        for m1, c1 in ta.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            if any(e >= bound for e in m):
+                continue
+            s = (out.get(m, 0) + c1 * c2) % p
+            if s:
+                out[m] = s
+            elif m in out:
+                del out[m]
+    return Polynomial._make(a.space, p, out)
 
 
 def random_poly(rng, space, p, max_terms=5, max_exp=3, allow_zero=True):

@@ -149,6 +149,21 @@ class TestChecks:
         assert code == 0
         assert "survivor" in out
 
+    def test_fpure_generic_4x4_past_63_bit_keys(self, capsys):
+        # 16 variables need 64-bit keys at p = 7; the survivor is the
+        # diagonal power, as for every n x n permanent in odd characteristic
+        code, out, _ = invoke(
+            capsys, "verify", "fpure", "--shape", "generic:4x4", "--p", "5,7",
+            "--threads", "1", "--format", "json",
+        )
+        assert code == 0
+        reports = json.loads(out)["reports"]
+        assert [r["verdict"] for r in reports] == ["pass", "pass"]
+        assert [r["evidence"]["survivor"] for r in reports] == [
+            "x1_1^4*x2_2^4*x3_3^4*x4_4^4",
+            "x1_1^6*x2_2^6*x3_3^6*x4_4^6",
+        ]
+
     def test_monomials28(self, capsys):
         code, out, _ = invoke(
             capsys, "verify", "monomials28", "--m", "2", "--n", "3", "--p", "3"

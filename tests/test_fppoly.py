@@ -3,16 +3,15 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permcheck import fppoly
 from permcheck.fppoly import (
     GRLEX,
     LEX,
     DegreeOverflowError,
-    MonomialOrder,
     ParseError,
     Polynomial,
     PrimeModulus,
@@ -31,7 +30,7 @@ from permcheck.fppoly import (
     truncated_mul,
     truncated_pow,
 )
-from helpers import random_poly, random_point, small_space
+from helpers import _truncated_mul_dict, random_point, random_poly, small_space
 
 Z3 = small_space(3)
 
@@ -111,6 +110,8 @@ class TestTruncated:
         a = zpoly("z1^2 + 2*z3")
         assert truncated_pow(a, 0, ctx3) == Polynomial.one(Z3, 3)
         assert truncated_pow(a, 1, ctx3) == truncate(a, ctx3)
+        with pytest.raises(ValueError):
+            truncated_pow(a, -1, ctx3)
 
 
 class TestLeadingTerm:
@@ -133,11 +134,6 @@ class TestLeadingTerm:
     def test_zero_polynomial_refused(self):
         with pytest.raises(ValueError):
             leading_term(Polynomial.zero(Z3, 3))
-
-    def test_priority_permutation(self):
-        rev = MonomialOrder("lex", priority=(2, 1, 0))
-        assert leading_term(zpoly("z2^2 + z1*z3"), rev) == ((1, 0, 1), 1)
-        assert leading_term(zpoly("z1^2 + z2*z3"), rev) == ((0, 1, 1), 1)
 
 
 class TestExactDivide:
@@ -281,12 +277,8 @@ class TestRandomizedLaws:
         ctx = TruncationContext(PrimeModulus(5), space)
         for _ in range(60):
             a = random_poly(rng, space, 5, max_exp=4)
-            folded = Polynomial.one(space, 5)
             for k in range(9):
-                assert truncated_pow(a, k, ctx, strategy="binary") == folded
-                assert truncated_pow(a, k, ctx, strategy="repeated") == folded
-                assert truncated_pow(a, k, ctx, strategy="auto") == folded
-                folded = truncated_mul(folded, a, ctx)
+                assert truncated_pow(a, k, ctx) == truncate(a**k, ctx)
 
     def test_exact_divide_round_trip(self):
         rng = random.Random(104)
@@ -300,7 +292,7 @@ class TestRandomizedLaws:
     def test_leading_term_multiplicative(self):
         rng = random.Random(105)
         space = small_space(4)
-        for order in (GRLEX, LEX, MonomialOrder("grlex", priority=(3, 0, 2, 1))):
+        for order in (GRLEX, LEX):
             for _ in range(300):
                 a = random_poly(rng, space, 7, allow_zero=False)
                 b = random_poly(rng, space, 7, allow_zero=False)
@@ -359,8 +351,12 @@ class TestTruncatedAccumulator:
         assert acc.coeff((3, 1)) == 0
 
 
-# (p, e, v) with v * (bitlen(q) + 1) <= 63, so keys pack into one int64
-PACKED_CONFIGS = [(3, 1, 3), (3, 2, 4), (5, 1, 4), (7, 1, 15), (13, 1, 12), (3, 1, 21), (2**31 - 1, 1, 1)]
+# (p, e, v): the first seven have v * (bitlen(q) + 1) <= 63 and int64 keys,
+# the last three need wider keys, held as Python ints
+PACKED_CONFIGS = [
+    (3, 1, 3), (3, 2, 4), (5, 1, 4), (7, 1, 15), (13, 1, 12), (3, 1, 21), (2**31 - 1, 1, 1),
+    (7, 1, 16), (13, 1, 13), (3, 3, 12),
+]
 
 
 @st.composite
@@ -374,7 +370,7 @@ def packed_operands(draw):
 
 
 class TestPackedKernel:
-    """The packed-exponent kernel against the dict loop and untruncated products."""
+    """The packed-exponent kernel against the dict-loop oracle and untruncated products."""
 
     def ctx(self, p, v, e=1):
         return TruncationContext(PrimeModulus(p, e), small_space(v))
@@ -418,15 +414,9 @@ class TestPackedKernel:
         c = parse_poly("z1 + 2*z2", ctx.space, 3)
         assert truncated_mul(a, c, ctx) == parse_poly("z1^2 + 2*z2^2", ctx.space, 3)
 
-    @pytest.mark.parametrize("p, v, packed", [(3, 21, True), (7, 16, False)])
-    def test_key_width_boundary(self, monkeypatch, p, v, packed):
-        # w = bitlen(q) + 1: 21 * 3 = 63 bits packs, 16 * 4 = 64 bits does not
-        unused = "_truncated_mul_dict" if packed else "_mul_packed"
-
-        def fail(*args):
-            raise AssertionError(f"{unused} called")
-
-        monkeypatch.setattr(fppoly, unused, fail)
+    @pytest.mark.parametrize("p, v, dtype", [(3, 21, np.int64), (7, 16, object)])
+    def test_key_width_boundary(self, p, v, dtype):
+        # w = bitlen(q) + 1: 21 * 3 = 63 bits fits int64, 16 * 4 = 64 bits does not
         rng = random.Random(108)
         ctx = self.ctx(p, v)
         for _ in range(20):
@@ -435,6 +425,7 @@ class TestPackedKernel:
             expected = truncate(a * b, ctx)
             assert truncated_mul(a, b, ctx) == expected
             acc = TruncatedAccumulator(a, ctx).mul_poly(b)
+            assert acc._keys.dtype == dtype
             assert acc.to_polynomial() == expected
             assert acc.nnz() == len(expected)
             for mono, c in expected.items():
@@ -444,8 +435,7 @@ class TestPackedKernel:
     @given(packed_operands())
     def test_packed_matches_dict(self, operands):
         ctx, a, b = operands
-        assert fppoly._key_width(ctx) is not None
-        expected = fppoly._truncated_mul_dict(truncate(a, ctx), truncate(b, ctx), ctx)
+        expected = _truncated_mul_dict(truncate(a, ctx), truncate(b, ctx), ctx)
         assert truncated_mul(a, b, ctx) == expected
         assert TruncatedAccumulator(a, ctx).mul_poly(b).to_polynomial() == expected
 

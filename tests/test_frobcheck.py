@@ -125,6 +125,14 @@ class TestGlassbrennerWitness:
         glass = glassbrenner_witness_check(one, self.gens, PrimeModulus(3))
         assert (glass.passed, glass.surviving_term) == (fedder.passed, fedder.surviving_term)
 
+    def test_survivor_is_the_grlex_leading_term(self):
+        # (a + b^2) (x1 y1)^2 keeps both terms; lex would report a x1^2 y1^2
+        space = VariableSpace(("a", "b", "x1", "y1"))
+        gens = ci([parse_poly("x1*y1", space, 3)])
+        c = parse_poly("a + b^2", space, 3)
+        verdict = glassbrenner_witness_check(c, gens, PrimeModulus(3))
+        assert verdict.surviving_term == ((0, 2, 2, 2), 1)
+
     def test_generator_variable_fails(self):
         xy = VariableSpace(("x1", "y1"))
         gens = ci([parse_poly("x1*y1", xy, 3)])

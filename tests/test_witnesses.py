@@ -70,17 +70,6 @@ class TestMinimalPrimes:
         with pytest.raises(ValueError):
             minimal_primes_symmetric(1)
 
-    def test_flattened_presentations(self):
-        from permcheck.shapes import BINOMIAL_PLUS_VARIABLES, MONOMIAL_ONLY
-
-        for prime in minimal_primes_generic(3, 3):
-            pres = prime.presentation(3)
-            assert len(pres.generators) == len(prime.generators(3))
-            if prime.kind == "submatrix_binomial":
-                assert pres.structure == BINOMIAL_PLUS_VARIABLES
-            else:
-                assert pres.structure == MONOMIAL_ONLY
-
 
 class TestWitnessGeneric:
     def test_residue_is_full_product(self):
