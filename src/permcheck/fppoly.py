@@ -6,11 +6,11 @@ never stored; the zero polynomial has an empty term dict.  All values are
 immutable after construction, so they can be shared freely between threads.
 
 The module also implements arithmetic in the truncated quotient
-F_p[x_1..x_v] / (x_1^q, ..., x_v^q) with q = p^e: any monomial with some
-exponent >= q is annihilated.  Truncated products run on one numpy kernel
+F_p[x_1..x_v] / (x_1^p, ..., x_v^p) = F_p[x] / m^[p]: any monomial with some
+exponent >= p is annihilated.  Truncated products run on one numpy kernel
 over packed exponent vectors: each exponent gets a w-bit field with
-q < 2^(w-1), so the top bit of a field is a guard that flags a product
-reaching q (Monagan & Pearce, CASC 2007).  Keys are int64 while v fields fit
+p < 2^(w-1), so the top bit of a field is a guard that flags a product
+reaching p (Monagan & Pearce, CASC 2007).  Keys are int64 while v fields fit
 63 bits and Python ints (numpy object arrays) beyond that; the kernel is the
 same for both.  Powers are repeated products with the base.
 """
@@ -58,22 +58,13 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeModulus:
-    """An odd prime p together with an exponent e; q = p^e is the Frobenius power."""
+    """A validated odd prime p in [3, 2^31), the characteristic and truncation bound."""
 
     p: int
-    e: int = 1
 
     def __post_init__(self):
         if not (3 <= self.p < 2**31 and self.p % 2 == 1 and _is_prime(self.p)):
             raise ValueError(f"p must be an odd prime in [3, 2^31), got {self.p}")
-        if self.e < 1:
-            raise ValueError(f"e must be positive, got {self.e}")
-        if self.p**self.e >= 2**63:
-            raise ValueError(f"q = p^e does not fit a machine word: {self.p}^{self.e}")
-
-    @property
-    def q(self) -> int:
-        return self.p**self.e
 
 
 class VariableSpace:
@@ -460,14 +451,14 @@ def evaluate(a: Polynomial, point) -> int:
 
 @dataclass(frozen=True)
 class TruncationContext:
-    """The quotient by (x_1^q, ..., x_v^q): exponents >= bound are annihilated."""
+    """The quotient by m^[p] = (x_1^p, ..., x_v^p): exponents >= bound = p are annihilated."""
 
     modulus: PrimeModulus
     space: VariableSpace
 
     @property
     def bound(self) -> int:
-        return self.modulus.q
+        return self.modulus.p
 
     def check(self, a: Polynomial):
         if a.space != self.space or a.char != self.modulus.p:
@@ -486,8 +477,8 @@ def truncate(a: Polynomial, ctx: TruncationContext) -> Polynomial:
 def _key_width(ctx: TruncationContext) -> int:
     """Bits per exponent field of a packed key.
 
-    w = bitlen(q) + 1 gives q < 2^(w-1): a field holds the sum of two
-    exponents below q without carrying, and its top bit serves as the guard.
+    w = bitlen(p) + 1 gives p < 2^(w-1): a field holds the sum of two
+    exponents below p without carrying, and its top bit serves as the guard.
     """
     return ctx.bound.bit_length() + 1
 
@@ -536,8 +527,8 @@ def _mul_packed(a_keys, a_coeffs, b_keys, b_coeffs, ctx: TruncationContext, w: i
     """Truncated product of two packed polynomials, as sorted keys and coefficients.
 
     The longer operand is shifted by each term of the shorter one.  Adding the
-    term's key plus a bias of 2^(w-1) - q in every field sets a field's guard
-    bit exactly when that exponent sum reaches q, so one add and one AND find
+    term's key plus a bias of 2^(w-1) - p in every field sets a field's guard
+    bit exactly when that exponent sum reaches p, so one add and one AND find
     the products that truncation annihilates.  Each coefficient product is
     reduced mod p at once, so sums over at most len(b) + 1 runs fit int64.
     Pending slices are merged into the result as soon as they outgrow it and
@@ -628,6 +619,26 @@ class TruncatedAccumulator:
         """True iff the value is exactly coefficient * mono, with coefficient nonzero mod p."""
         return self.nnz() == 1 and self.coeff(mono) == coefficient % self.ctx.modulus.p
 
+    def leading_term(self) -> tuple:
+        """The GRLEX leading (monomial, coefficient) pair of a nonzero value.
+
+        Variable 0 holds the most significant field, so key order is lex
+        order and the leading term is the largest key of top total degree.
+        Degrees are summed one field at a time, and only that key is
+        unpacked, so a survivor of millions of terms is never materialized.
+        """
+        if self.is_zero:
+            raise ValueError("the zero value has no leading term")
+        mask = (1 << self._width) - 1
+        shifts = _shifts(self.ctx, self._width).tolist()
+        degree = np.zeros(len(self._keys), dtype=np.int64)
+        for s in shifts:
+            degree += ((self._keys >> s) & mask).astype(np.int64)
+        # keys ascend, so the last one of top degree is the largest
+        i = int(np.flatnonzero(degree == degree.max())[-1])
+        key = int(self._keys[i])
+        return tuple((key >> s) & mask for s in shifts), int(self._coeffs[i])
+
     def to_polynomial(self) -> Polynomial:
         return _unpack(self._keys, self._coeffs, self.ctx, self._width)
 
@@ -645,6 +656,9 @@ def truncated_pow(a: Polynomial, k: int, ctx: TruncationContext) -> Polynomial:
     """a^k in the truncated quotient, by TruncatedAccumulator.power.
 
     Truncation is a ring quotient, so truncating after every product is sound.
+    No check calls this; it stays public on purpose: it is exported, the tests
+    use it, and perfbench/tracer.py binds it by name, so deleting it would
+    break the benchmark's CI step.
     """
     return TruncatedAccumulator.power(a, k, ctx).to_polynomial()
 

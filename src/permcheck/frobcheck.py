@@ -1,19 +1,19 @@
 """Frobenius-power criteria over F_p.
 
 For an ideal I generated by a regular sequence with product omega, the colon
-ideal (I^[q] : I) equals (omega^{q-1}) + I^[q], so
+ideal (I^[p] : I) equals (omega^{p-1}) + I^[p], so
 
   * F-purity (Fedder):        omega^{p-1} not in m^[p]
-  * F-regularity certificate: c * omega^{q-1} not in m^[q] for a test element c
+  * F-regularity certificate: c * omega^{p-1} not in m^[p] for a test element c
 
-which reduces every check here to truncated polynomial arithmetic.  The
-module also decides membership in (omega_P^{p-1}) + P^[p] structurally for
-the classified minimal primes P (a binomial on an inner 2x2 block plus
-outside variables, or pure variable ideals), and computes the "Fedder
-coefficient" of a full-support ideal -- the coefficient of prod x_i^{p-1} in
-omega^{p-1} -- by three independent routes: symbolic truncated powering,
-brute-force point counting, and a fibered enumeration special to the
-generic 3x4 / t=3 complete intersection.
+which reduces every check here to truncated polynomial arithmetic at the
+Frobenius power q = p.  The module also decides membership in
+(omega_P^{p-1}) + P^[p] structurally for the classified minimal primes P (a
+binomial on an inner 2x2 block plus outside variables, or pure variable
+ideals), and computes the "Fedder coefficient" of a full-support ideal --
+the coefficient of prod x_i^{p-1} in omega^{p-1} -- by three independent
+routes: symbolic truncated powering, brute-force point counting, and a
+fibered enumeration special to the generic 3x4 / t=3 complete intersection.
 """
 
 from __future__ import annotations
@@ -25,22 +25,18 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .fppoly import (
-    GRLEX,
     Polynomial,
     PrimeModulus,
     StructureError,
     TruncatedAccumulator,
     TruncationContext,
     exact_divide,
-    leading_term,
     truncated_mul,
 )
 from .shapes import COMPLETE_INTERSECTION, GENERIC, IdealPresentation
 
 if TYPE_CHECKING:  # pragma: no cover
     from .witnesses import MinimalPrime
-
-MAX_FROBENIUS_EXPONENT = 3  # q = p^e blows up truncated arithmetic beyond this
 
 
 @dataclass(frozen=True)
@@ -51,19 +47,20 @@ class FedderVerdict:
     surviving_term: Optional[tuple]  # (monomial, coefficient) or None
 
 
-def _omega_power(gens: IdealPresentation, ctx: TruncationContext, k: int) -> TruncatedAccumulator:
-    """omega^k mod m^[q], where omega is the product of the generators."""
-    omega = Polynomial.one(ctx.space, ctx.modulus.p)
+def _omega_power(gens: IdealPresentation, modulus: PrimeModulus) -> TruncatedAccumulator:
+    """omega^{p-1} mod m^[p], where omega is the product of the generators."""
+    ctx = TruncationContext(modulus, gens.space)
+    omega = Polynomial.one(ctx.space, modulus.p)
     for g in gens.generators:
         omega = truncated_mul(omega, g, ctx)
-    return TruncatedAccumulator.power(omega, k, ctx)
+    return TruncatedAccumulator.power(omega, modulus.p - 1, ctx)
 
 
 def _survivor_verdict(survivor: TruncatedAccumulator) -> FedderVerdict:
     """Pass with the GRLEX leading term of a nonzero survivor, else fail."""
     if survivor.is_zero:
         return FedderVerdict(False, None)
-    return FedderVerdict(True, leading_term(survivor.to_polynomial(), GRLEX))
+    return FedderVerdict(True, survivor.leading_term())
 
 
 def _require_ci(gens: IdealPresentation, what: str):
@@ -77,44 +74,19 @@ def _require_ci(gens: IdealPresentation, what: str):
 def fedder_ci_check(gens: IdealPresentation, modulus: PrimeModulus) -> FedderVerdict:
     """Decide F-purity of a complete intersection: omega^{p-1} != 0 mod m^[p]."""
     _require_ci(gens, "the Fedder check")
-    if modulus.e != 1:
-        raise ValueError("the Fedder criterion uses q = p (e must be 1)")
-    ctx = TruncationContext(modulus, gens.space)
-    return _survivor_verdict(_omega_power(gens, ctx, modulus.p - 1))
-
-
-def fedder_fullsupport_check(
-    gens: IdealPresentation,
-    modulus: PrimeModulus,
-    method: str = "pointcount",
-    threads: int = 1,
-) -> FedderVerdict:
-    """Fedder check through the full-support coefficient engines.
-
-    Valid when deg(omega) equals the variable count: omega^{p-1} mod m^[p] is
-    then a single multiple of prod x_i^{p-1}, so F-purity is equivalent to
-    that coefficient being nonzero.
-    """
-    coeff = fedder_coefficient_fullsupport(gens, modulus, method=method, threads=threads)
-    if coeff == 0:
-        return FedderVerdict(False, None)
-    full = (modulus.p - 1,) * gens.space.count
-    return FedderVerdict(True, (full, coeff))
+    return _survivor_verdict(_omega_power(gens, modulus))
 
 
 def glassbrenner_witness_check(
     c: Polynomial, gens: IdealPresentation, modulus: PrimeModulus
 ) -> FedderVerdict:
-    """Check c * omega^{q-1} != 0 mod m^[q] for one witness c and one q = p^e.
+    """Check c * omega^{p-1} != 0 mod m^[p] for one witness c.
 
-    A pass certifies the F-regularity condition at this (c, q); a failure is
-    only inconclusive, since the criterion quantifies over all q.
+    A pass certifies the F-regularity condition for c at q = p; a failure is
+    only inconclusive, since the criterion asks for some Frobenius power q.
     """
     _require_ci(gens, "the Glassbrenner witness check")
-    if modulus.e > MAX_FROBENIUS_EXPONENT:
-        raise ValueError(f"e = {modulus.e} exceeds the cap e <= {MAX_FROBENIUS_EXPONENT}")
-    ctx = TruncationContext(modulus, gens.space)
-    return _survivor_verdict(_omega_power(gens, ctx, modulus.q - 1).mul_poly(c))
+    return _survivor_verdict(_omega_power(gens, modulus).mul_poly(c))
 
 
 # ---------------------------------------------------------------------------
@@ -123,31 +95,20 @@ def glassbrenner_witness_check(
 
 
 @dataclass(frozen=True)
-class ColonTraceEntry:
-    """One justified summand: multiplier * ideal_element lies in the colon ideal."""
-
-    route: str  # "outside_pth_power" | "omega_multiple" | "binomial_pth_power" | "variable_block"
-    outer: Optional[tuple]  # outer monomial for grouped entries
-    multiplier: Polynomial
-    ideal_element: Polynomial
-
-
-@dataclass(frozen=True)
 class ColonMembershipCertificate:
     """A decomposition of f as a combination of colon-ideal generators.
 
-    Replaying the trace (summing multiplier * ideal_element over all entries)
+    Each entry is a (multiplier, ideal_element) pair whose ideal_element lies
+    in the colon ideal; replaying them (summing multiplier * ideal_element)
     reconstructs f exactly.
     """
 
-    prime_label: str
-    p: int
     entries: tuple
 
     def replay(self, space, char) -> Polynomial:
         total = Polynomial.zero(space, char)
-        for entry in self.entries:
-            total = total + entry.multiplier * entry.ideal_element
+        for multiplier, ideal_element in self.entries:
+            total = total + multiplier * ideal_element
         return total
 
 
@@ -191,12 +152,7 @@ def colon_membership(
         rest = list(mono)
         rest[i] -= p
         entries.append(
-            ColonTraceEntry(
-                route="outside_pth_power",
-                outer=None,
-                multiplier=Polynomial.monomial(space, p, rest, coeff),
-                ideal_element=Polynomial.monomial(space, p, xi_p),
-            )
+            (Polynomial.monomial(space, p, rest, coeff), Polynomial.monomial(space, p, xi_p))
         )
 
     remaining = []
@@ -216,14 +172,9 @@ def colon_membership(
             quot_terms.append((tuple(e - b for e, b in zip(mono, base_exps)), coeff))
         if quot_terms:
             entries.append(
-                ColonTraceEntry(
-                    route="variable_block",
-                    outer=None,
-                    multiplier=Polynomial(space, p, quot_terms),
-                    ideal_element=Polynomial.monomial(space, p, base_exps),
-                )
+                (Polynomial(space, p, quot_terms), Polynomial.monomial(space, p, base_exps))
             )
-        return ColonMembershipCertificate(prime.label, p, tuple(entries))
+        return ColonMembershipCertificate(tuple(entries))
 
     # binomial-plus-variables primes
     inner_set = set(prime.inner_vars)
@@ -249,27 +200,13 @@ def colon_membership(
             quotient = exact_divide(cofactor, b_pm1)
             if quotient is None:
                 return None
-            entries.append(
-                ColonTraceEntry(
-                    route="omega_multiple",
-                    outer=outer,
-                    multiplier=quotient,
-                    ideal_element=omega_power,
-                )
-            )
+            entries.append((quotient, omega_power))
         else:
             quotient = exact_divide(cofactor, b_p)
             if quotient is None:
                 return None
-            entries.append(
-                ColonTraceEntry(
-                    route="binomial_pth_power",
-                    outer=outer,
-                    multiplier=Polynomial.monomial(space, p, outer) * quotient,
-                    ideal_element=b_p,
-                )
-            )
-    return ColonMembershipCertificate(prime.label, p, tuple(entries))
+            entries.append((Polynomial.monomial(space, p, outer) * quotient, b_p))
+    return ColonMembershipCertificate(tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +237,6 @@ def fedder_coefficient_fullsupport(
     the count of every other one).
     """
     _require_ci(gens, "the Fedder coefficient")
-    if modulus.e != 1:
-        raise ValueError("the Fedder coefficient uses q = p (e must be 1)")
     p = modulus.p
     v = gens.space.count
     total_deg = sum(g.total_degree() for g in gens.generators)
@@ -312,8 +247,7 @@ def fedder_coefficient_fullsupport(
         )
     sign = 1 if v % 2 == 0 else -1
     if method == "truncated":
-        ctx = TruncationContext(modulus, gens.space)
-        return _omega_power(gens, ctx, p - 1).coeff((p - 1,) * v)
+        return _omega_power(gens, modulus).coeff((p - 1,) * v)
     if method == "pointcount":
         count = count_nonvanishing(gens, p, threads=threads)
         return (sign * count) % p

@@ -534,31 +534,32 @@ def verify_fpure(
     intersection P_t of the given shape.
 
     The default route is symbolic truncated powering; "pointcount" and
-    "fiber" go through the full-support coefficient (valid when the product
-    of the generators has degree equal to the variable count).
+    "fiber" go through the full-support coefficient.  They need the product
+    omega of the generators to have degree equal to the variable count: then
+    omega^{p-1} mod m^[p] is a multiple of prod x_i^{p-1}, so F-purity is
+    that coefficient being nonzero.
     """
     t0 = time.perf_counter()
     params = {"shape": shape.spec_string(), "m": shape.nrows, "n": shape.ncols,
               "t": t, "p": p, "e": 1, "method": method}
     mat = build_matrix(shape)
     gens = permanental_generators(mat, t, char=p)
+    modulus = PrimeModulus(p)
     if method == "truncated":
-        verdict = frobcheck.fedder_ci_check(gens, PrimeModulus(p))
+        survivor = frobcheck.fedder_ci_check(gens, modulus).surviving_term
     else:
-        verdict = frobcheck.fedder_fullsupport_check(
-            gens, PrimeModulus(p), method=method, threads=threads
-        )
+        coeff = fedder_coefficient_fullsupport(gens, modulus, method=method, threads=threads)
+        survivor = ((p - 1,) * mat.space.count, coeff) if coeff else None
+    passed = survivor is not None
     evidence = {
         "generators": len(gens.generators),
         "duplicates": len(gens.duplicates),
-        "passed": verdict.passed,
+        "passed": passed,
         "survivor": None
-        if verdict.surviving_term is None
-        else render_poly(
-            Polynomial.monomial(mat.space, p, verdict.surviving_term[0], verdict.surviving_term[1])
-        ),
+        if survivor is None
+        else render_poly(Polynomial.monomial(mat.space, p, *survivor)),
     }
-    return _report("fpure", params, verdict.passed, evidence, t0)
+    return _report("fpure", params, passed, evidence, t0)
 
 
 def _entry_products_in_p2(

@@ -229,8 +229,8 @@ class TestCriterion9:
         with criterion(9, "truncation commutes with multiplication, 600 cases"):
             rng = random.Random(202)
             space = small_space(3)
-            for p, e in ((3, 1), (3, 2), (5, 1)):
-                ctx = TruncationContext(PrimeModulus(p, e), space)
+            for p in (3, 7, 5):
+                ctx = TruncationContext(PrimeModulus(p), space)
                 for _ in range(200):
                     a = random_poly(rng, space, p, max_exp=p)
                     b = random_poly(rng, space, p, max_exp=p)

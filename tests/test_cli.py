@@ -2,6 +2,8 @@
 
 import json
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -143,7 +145,21 @@ class TestGeneratorsDump:
         assert code == 1
 
 
+def readme_examples():
+    """The argv of each `permcheck ...` line in the README's Examples block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Examples:\n\n```\n", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("permcheck ")]
+    assert examples, "the README has no Examples block"
+    return examples
+
+
 class TestChecks:
+    @pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
+    def test_readme_example_runs(self, capsys, argv):
+        code, _, err = invoke(capsys, *argv, "--threads", "1")
+        assert code == 0, err
+
     def test_fpure_hankel(self, capsys):
         code, out, _ = invoke(capsys, "verify", "fpure", "--shape", "hankel:3", "--p", "3")
         assert code == 0

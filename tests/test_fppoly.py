@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permcheck.fppoly import (
@@ -262,8 +262,8 @@ class TestRandomizedLaws:
     def test_truncation_is_a_quotient(self):
         rng = random.Random(102)
         space = small_space(3)
-        for p, e in ((3, 1), (3, 2), (5, 1)):
-            ctx = TruncationContext(PrimeModulus(p, e), space)
+        for p in (3, 7, 5):
+            ctx = TruncationContext(PrimeModulus(p), space)
             for _ in range(300):
                 a = random_poly(rng, space, p, max_exp=p)
                 b = random_poly(rng, space, p, max_exp=p)
@@ -351,19 +351,23 @@ class TestTruncatedAccumulator:
         assert acc.coeff((3, 1)) == 0
 
 
-# (p, e, v): the first seven have v * (bitlen(q) + 1) <= 63 and int64 keys,
+# (p, v): the first seven have v * (bitlen(p) + 1) <= 63 and int64 keys,
 # the last three need wider keys, held as Python ints
 PACKED_CONFIGS = [
-    (3, 1, 3), (3, 2, 4), (5, 1, 4), (7, 1, 15), (13, 1, 12), (3, 1, 21), (2**31 - 1, 1, 1),
-    (7, 1, 16), (13, 1, 13), (3, 3, 12),
+    (3, 3), (11, 4), (5, 4), (7, 15), (13, 12), (3, 21), (2**31 - 1, 1),
+    (7, 16), (13, 13), (3, 22),
 ]
+
+
+def _ctx(p, v):
+    return TruncationContext(PrimeModulus(p), small_space(v))
 
 
 @st.composite
 def packed_operands(draw):
-    p, e, v = draw(st.sampled_from(PACKED_CONFIGS))
-    ctx = TruncationContext(PrimeModulus(p, e), small_space(v))
-    # exponents up to q exercise truncation of the inputs as well
+    p, v = draw(st.sampled_from(PACKED_CONFIGS))
+    ctx = _ctx(p, v)
+    # exponents up to p exercise truncation of the inputs as well
     mono = st.tuples(*[st.integers(0, min(ctx.bound, 5))] * v)
     terms = st.dictionaries(mono, st.integers(0, p - 1), max_size=8)
     return ctx, Polynomial(ctx.space, p, draw(terms)), Polynomial(ctx.space, p, draw(terms))
@@ -372,21 +376,18 @@ def packed_operands(draw):
 class TestPackedKernel:
     """The packed-exponent kernel against the dict-loop oracle and untruncated products."""
 
-    def ctx(self, p, v, e=1):
-        return TruncationContext(PrimeModulus(p, e), small_space(v))
-
     def test_large_prime_reduces_each_product(self):
         # (p-1)^2 is close to 2^62: summing three unreduced products of one
         # monomial overflows int64, and every z1^k with k >= 4 has six
         p = 2**31 - 1
-        ctx = self.ctx(p, 1)
+        ctx = _ctx(p, 1)
         a = Polynomial(ctx.space, p, {(i,): p - 1 - i for i in range(10)})
         b = Polynomial(ctx.space, p, {(j,): p - 1 - 3 * j for j in range(6)})
         assert truncated_mul(a, b, ctx) == truncate(a * b, ctx)
         assert TruncatedAccumulator(a, ctx).mul_poly(b).to_polynomial() == truncate(a * b, ctx)
 
     def test_empty_operand(self):
-        ctx = self.ctx(5, 3)
+        ctx = _ctx(5, 3)
         a = parse_poly("z1 + 2*z2*z3^4", ctx.space, 5)
         zero = Polynomial.zero(ctx.space, 5)
         assert truncated_mul(a, zero, ctx).is_zero
@@ -395,7 +396,7 @@ class TestPackedKernel:
         assert TruncatedAccumulator(a, ctx).mul_poly(zero).nnz() == 0
 
     def test_every_pair_truncated(self):
-        ctx = self.ctx(3, 2)
+        ctx = _ctx(3, 2)
         a = parse_poly("z1^2 + 2*z1^2*z2", ctx.space, 3)
         b = parse_poly("z1 + z1*z2^2", ctx.space, 3)
         assert not (a * b).is_zero
@@ -404,7 +405,7 @@ class TestPackedKernel:
 
     def test_coefficients_cancel_mod_p(self):
         # z1^2*z2^2 arises twice with coefficients 1 and 2; the rest is truncated
-        ctx = self.ctx(3, 2)
+        ctx = _ctx(3, 2)
         a = parse_poly("z1 + z2", ctx.space, 3)
         b = parse_poly("z1^2*z2 + 2*z1*z2^2", ctx.space, 3)
         assert truncated_mul(a, b, ctx).is_zero
@@ -416,10 +417,10 @@ class TestPackedKernel:
 
     @pytest.mark.parametrize("p, v, packed", [(3, 21, True), (7, 16, False)])
     def test_key_width_boundary(self, p, v, packed):
-        # w = bitlen(q) + 1: 21 * 3 = 63 bits fits int64, 16 * 4 = 64 bits does not
+        # w = bitlen(p) + 1: 21 * 3 = 63 bits fits int64, 16 * 4 = 64 bits does not
         dtype = np.int64 if packed else object
         rng = random.Random(108)
-        ctx = self.ctx(p, v)
+        ctx = _ctx(p, v)
         for _ in range(20):
             a = random_poly(rng, ctx.space, p, max_terms=6, max_exp=p - 1)
             b = random_poly(rng, ctx.space, p, max_terms=6, max_exp=p - 1)
@@ -440,18 +441,32 @@ class TestPackedKernel:
         assert truncated_mul(a, b, ctx) == expected
         assert TruncatedAccumulator(a, ctx).mul_poly(b).to_polynomial() == expected
 
+    # non-homogeneous values whose GRLEX and LEX leading terms differ, on
+    # int64 keys (v = 3) and on Python-int keys (v = 16 at p = 7)
+    @settings(max_examples=300, deadline=None)
+    @given(packed_operands())
+    @example((_ctx(3, 3), *(parse_poly(t, small_space(3), 3) for t in ("z1 + z2^2", "1 + z3"))))
+    @example((_ctx(7, 16), *(parse_poly(t, small_space(16), 7) for t in ("z1 + z16^2", "z2 + 1"))))
+    def test_leading_term_matches_unpacked(self, operands):
+        ctx, a, b = operands
+        for acc in (TruncatedAccumulator(a, ctx), TruncatedAccumulator(a, ctx).mul_poly(b)):
+            if acc.is_zero:
+                with pytest.raises(ValueError):
+                    acc.leading_term()
+            else:
+                assert acc.leading_term() == leading_term(acc.to_polynomial(), GRLEX)
+
 
 class TestPrimeModulus:
     def test_accepts_odd_primes(self):
-        assert PrimeModulus(3).q == 3
-        assert PrimeModulus(3, 2).q == 9
-        assert PrimeModulus(31, 3).q == 29791
+        assert PrimeModulus(3).p == 3
+        assert PrimeModulus(2**31 - 1).p == 2**31 - 1
 
     @pytest.mark.parametrize("p", [2, 4, 9, 1, -3, 2**31 + 11])
     def test_rejects_bad_primes(self, p):
         with pytest.raises(ValueError):
             PrimeModulus(p)
 
-    def test_rejects_bad_exponent(self):
-        with pytest.raises(ValueError):
-            PrimeModulus(3, 0)
+    def test_takes_no_exponent(self):
+        with pytest.raises(TypeError):
+            PrimeModulus(3, 2)
