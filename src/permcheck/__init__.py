@@ -32,7 +32,7 @@ from .frobcheck import (
     fiber_count_3x4,
     glassbrenner_witness_check,
 )
-from .linmember import MembershipInstance, member_bounded
+from .linmember import MembershipInstance, member_bounded, members_bounded
 from .shapes import (
     IdealPresentation,
     MatrixShape,

@@ -566,18 +566,16 @@ def _entry_products_in_p2(
     check: str, mat: SymbolicMatrix, p: int, exponents, degree: int
 ) -> LemmaReport:
     """Shared body of `monomials28` / `monomials29`: every target monomial lies
-    in P_2 of the generic matrix, decided by linear algebra at the degree."""
-    from .linmember import MembershipInstance, member_bounded
+    in P_2 of the generic matrix, decided by linear algebra at the degree, with
+    one shared system for all targets."""
+    from .linmember import members_bounded
 
     t0 = time.perf_counter()
     params = {"shape": mat.shape.spec_string(), "m": mat.nrows, "n": mat.ncols, "p": p}
     gens = permanental_generators(mat, 2, char=p)
     targets = [Polynomial.monomial(mat.space, p, e) for e in sorted(exponents)]
-    failures = []
-    for target in targets:
-        comb = member_bounded(MembershipInstance(target, gens.generators, degree))
-        if comb is None:
-            failures.append(render_poly(target))
+    combinations = members_bounded(targets, gens.generators, degree)
+    failures = [render_poly(t) for t, comb in zip(targets, combinations) if comb is None]
     evidence = {"targets": len(targets), "members": len(targets) - len(failures),
                 "failures": failures}
     return _report(check, params, not failures and bool(targets), evidence, t0)

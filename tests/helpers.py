@@ -1,10 +1,18 @@
 """Shared independent oracles and random generators for the test suite."""
 
 import itertools
+from collections import namedtuple
 from typing import Optional, Sequence
 
-from permcheck.fppoly import Polynomial, TruncationContext, VariableSpace, exact_divide
+from permcheck.fppoly import GRLEX, Polynomial, TruncationContext, VariableSpace, exact_divide
 from permcheck.frobcheck import _split_term
+from permcheck.linmember import (
+    MAX_MATRIX_ENTRIES,
+    SizeGuardError,
+    _is_homogeneous,
+    monomials_of_degree,
+    monomials_up_to,
+)
 
 
 def brute_permanent(mat, rows, cols, char):
@@ -179,3 +187,145 @@ def prime_contains(prime: "MinimalPrime", g: Polynomial) -> bool:
         return False
     rest = Polynomial(g.space, g.char, remaining)
     return exact_divide(rest, prime.binomial(g.char)) is not None
+
+
+# -- one-target degree-bounded membership: the oracle for members_bounded -----
+
+_SingleSystem = namedtuple("_SingleSystem", "row_labels col_labels matrix rhs p")
+
+
+def _build_system_single(inst, max_entries: int = MAX_MATRIX_ENTRIES):
+    """Assemble the membership system; rows are restricted to monomials that
+    occur in the target or in some column (absent rows are trivially zero)."""
+    space = inst.target.space
+    p = inst.target.char
+    v = space.count
+    d = inst.degree_bound
+    graded = _is_homogeneous(inst.target) and all(
+        _is_homogeneous(g) for g in inst.generators
+    )
+    target_deg = inst.target.total_degree()
+
+    col_labels = []
+    col_polys = []
+    for gi, g in enumerate(inst.generators):
+        dg = g.total_degree()
+        if dg > d:
+            continue
+        if graded:
+            if target_deg < dg:
+                continue
+            multipliers = monomials_of_degree(v, target_deg - dg)
+        else:
+            multipliers = monomials_up_to(v, d - dg)
+        for mult in multipliers:
+            col_labels.append((gi, mult))
+            col_polys.append({tuple(a + b for a, b in zip(mult, m)): c for m, c in g.items()})
+
+    row_index: dict = {}
+    row_labels: list = []
+
+    def row_of(mono):
+        ri = row_index.get(mono)
+        if ri is None:
+            ri = len(row_labels)
+            row_index[mono] = ri
+            row_labels.append(mono)
+        return ri
+
+    for mono, _ in sorted(inst.target.items(), key=lambda kv: GRLEX.key(kv[0]), reverse=True):
+        row_of(mono)
+    cells = []
+    for ci, poly in enumerate(col_polys):
+        for mono, c in poly.items():
+            cells.append((row_of(mono), ci, c))
+    if len(row_labels) * max(len(col_labels), 1) > max_entries:
+        raise SizeGuardError(len(row_labels), len(col_labels), max_entries)
+    matrix = [dict() for _ in row_labels]
+    for ri, ci, c in cells:
+        matrix[ri][ci] = c
+    rhs = [0] * len(row_labels)
+    for mono, c in inst.target.items():
+        rhs[row_index[mono]] = c
+    return _SingleSystem(row_labels, col_labels, matrix, rhs, p)
+
+
+def _gaussian_solve_single(system) -> Optional[list]:
+    """Any solution of the sparse system, or None if inconsistent.
+
+    Deterministic pivoting: the next pivot is the first nonzero entry in
+    row-major order among unpivoted rows; elimination clears the pivot column
+    from every other row, and free variables are set to 0.
+    """
+    p = system.p
+    rows = [dict(r) for r in system.matrix]
+    rhs = list(system.rhs)
+    ncols = len(system.col_labels)
+    col_members = [set() for _ in range(ncols)]
+    for ri, row in enumerate(rows):
+        for c in row:
+            col_members[c].add(ri)
+    pivot_rows = set()
+    pivots = []
+    while True:
+        pr = next((ri for ri in range(len(rows)) if ri not in pivot_rows and rows[ri]), None)
+        if pr is None:
+            break
+        pc = min(rows[pr])
+        inv = pow(rows[pr][pc], p - 2, p)
+        if inv != 1:
+            rows[pr] = {c: (val * inv) % p for c, val in rows[pr].items()}
+            rhs[pr] = (rhs[pr] * inv) % p
+        pivot_rows.add(pr)
+        pivots.append((pr, pc))
+        for ri in list(col_members[pc]):
+            if ri == pr:
+                continue
+            factor = (-rows[ri][pc]) % p
+            target = rows[ri]
+            for c, val in rows[pr].items():
+                nv = (target.get(c, 0) + factor * val) % p
+                if nv:
+                    if c not in target:
+                        col_members[c].add(ri)
+                    target[c] = nv
+                else:
+                    if c in target:
+                        del target[c]
+                        col_members[c].discard(ri)
+            rhs[ri] = (rhs[ri] + factor * rhs[pr]) % p
+    for ri, row in enumerate(rows):
+        if not row and rhs[ri]:
+            return None
+    solution = [0] * ncols
+    for pr, pc in pivots:
+        solution[pc] = rhs[pr]
+    return solution
+
+
+def member_bounded_single(inst, max_entries: int = MAX_MATRIX_ENTRIES) -> Optional[dict]:
+    """Multipliers {generator index: h} with sum h_g * g = target, or None.
+
+    A returned combination always re-multiplies exactly to the target (checked
+    here, unconditionally).  None certifies non-membership only up to the
+    instance's degree bound.
+    """
+    system = _build_system_single(inst, max_entries=max_entries)
+    solution = _gaussian_solve_single(system)
+    if solution is None:
+        return None
+    space = inst.target.space
+    p = inst.target.char
+    multiplier_terms: dict = {}
+    for (gi, mult), value in zip(system.col_labels, solution):
+        if value:
+            multiplier_terms.setdefault(gi, []).append((mult, value))
+    combination = {
+        gi: Polynomial(space, p, terms) for gi, terms in multiplier_terms.items()
+    }
+    total = Polynomial.zero(space, p)
+    for gi, h in combination.items():
+        total = total + h * inst.generators[gi]
+    if total != inst.target:
+        raise RuntimeError("solver returned a combination that does not re-multiply to the target")
+    return combination

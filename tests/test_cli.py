@@ -57,10 +57,6 @@ class TestExitCodes:
         assert code == 1
         assert "complete-intersection" in err
 
-    def test_large_e_refused(self, capsys):
-        code, _, _ = invoke(capsys, "verify", "lemma34", "--n", "2", "--p", "3", "--e", "2")
-        assert code == 1
-
 
 class TestReports:
     def test_prime_list_runs_each(self, capsys):

@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from permcheck import linmember
 from permcheck.fppoly import Polynomial, parse_poly
 from permcheck.frobcheck import colon_membership
 from permcheck.linmember import (
@@ -13,12 +16,13 @@ from permcheck.linmember import (
     build_system,
     gaussian_solve,
     member_bounded,
+    members_bounded,
     monomials_of_degree,
     monomials_up_to,
 )
 from permcheck.shapes import MatrixShape, build_matrix, permanental_generators
 from permcheck.witnesses import minimal_primes_generic, witness_generic
-from helpers import random_poly
+from helpers import _gaussian_solve_single, _SingleSystem, member_bounded_single, random_poly
 
 
 class TestMonomialEnumeration:
@@ -36,14 +40,15 @@ class TestGaussianSolve:
             row_labels=[0, 1],
             col_labels=[0, 1],
             matrix=[{0: 1}, {1: 1}],
-            rhs=[2, 1],
+            rhs=[{0: 2}, {0: 1}],
             p=3,
+            targets=1,
         )
-        assert gaussian_solve(system) == [2, 1]
+        assert gaussian_solve(system) == [[2, 1]]
 
     def test_inconsistent_1x1(self):
-        system = LinearSystem([0], [0], [{}], [1], 3)
-        assert gaussian_solve(system) is None
+        system = LinearSystem([0], [0], [{}], [{0: 1}], 3, 1)
+        assert gaussian_solve(system) == [None]
 
     def test_random_consistent_systems(self):
         rng = random.Random(21)
@@ -56,15 +61,41 @@ class TestGaussianSolve:
                 matrix.append({c: rng.randrange(1, p) for c in support})
             x0 = [rng.randrange(p) for _ in range(ncols)]
             rhs = [sum(v * x0[c] for c, v in row.items()) % p for row in matrix]
-            solution = gaussian_solve(LinearSystem([None] * nrows, list(range(ncols)), matrix, rhs, p))
+            system = LinearSystem([None] * nrows, list(range(ncols)), matrix,
+                                  [{0: b} if b else {} for b in rhs], p, 1)
+            [solution] = gaussian_solve(system)
             assert solution is not None
             for row, b in zip(matrix, rhs):
                 assert sum(v * solution[c] for c, v in row.items()) % p == b
 
     def test_detects_random_inconsistency(self):
         # a clearly inconsistent pair of identical rows with different rhs
-        system = LinearSystem([0, 1], [0, 1], [{0: 1, 1: 2}, {0: 1, 1: 2}], [1, 2], 3)
-        assert gaussian_solve(system) is None
+        system = LinearSystem([0, 1], [0, 1], [{0: 1, 1: 2}, {0: 1, 1: 2}], [{0: 1}, {0: 2}], 3, 1)
+        assert gaussian_solve(system) == [None]
+
+    def test_random_right_hand_sides_match_one_at_a_time(self):
+        # every rhs column is solved as if it were alone: the same verdict as
+        # the one-target oracle, and a consistent column's solution solves it
+        rng = random.Random(22)
+        for _ in range(200):
+            p = rng.choice([3, 5, 7])
+            nrows, ncols, ntargets = rng.randrange(1, 7), rng.randrange(1, 7), rng.randrange(1, 5)
+            matrix = []
+            for _ in range(nrows):
+                support = rng.sample(range(ncols), rng.randrange(0, ncols + 1))
+                matrix.append({c: rng.randrange(1, p) for c in support})
+            columns = [[rng.randrange(p) for _ in range(nrows)] for _ in range(ntargets)]
+            rhs = [{t: col[r] for t, col in enumerate(columns) if col[r]} for r in range(nrows)]
+            solutions = gaussian_solve(
+                LinearSystem([None] * nrows, list(range(ncols)), matrix, rhs, p, ntargets))
+            assert len(solutions) == ntargets
+            for col, solution in zip(columns, solutions):
+                alone = _gaussian_solve_single(
+                    _SingleSystem([None] * nrows, list(range(ncols)), matrix, col, p))
+                assert (solution is None) == (alone is None)
+                if solution is not None:
+                    for row, b in zip(matrix, col):
+                        assert sum(v * solution[c] for c, v in row.items()) % p == b
 
 
 class TestMemberBounded:
@@ -155,3 +186,94 @@ class TestMemberBounded:
             one = Polynomial.one(f.space, p)
             assert colon_membership(one, prime, p) is None
             assert member_bounded(MembershipInstance(one, tuple(gens), 0)) is None
+
+
+MAT23 = build_matrix(MatrixShape.generic(2, 3))
+GENS23 = permanental_generators(MAT23, 2, char=3).generators
+
+
+def _poly(text):
+    return parse_poly(text, MAT23.space, 3)
+
+
+@st.composite
+def membership_batches(draw):
+    """Generators of P_2 for the generic 2x3 matrix (one of them made
+    non-homogeneous half the time), a degree bound, and a target list."""
+    space, p, v = MAT23.space, 3, MAT23.space.count
+    gens = list(GENS23)
+    if draw(st.booleans()):
+        gens[0] = gens[0] + _poly("x1_1")
+    bound = draw(st.sampled_from([3, 4]))
+
+    def member(degree):
+        total = Polynomial.zero(space, p)
+        for _ in range(draw(st.integers(1, 3))):
+            gi = draw(st.integers(0, len(gens) - 1))
+            mult = draw(st.sampled_from(list(monomials_of_degree(v, degree - 2))))
+            total = total + Polynomial.monomial(space, p, mult, draw(st.integers(1, 2))) * gens[gi]
+        return total
+
+    def monomial(degree):
+        return Polynomial.monomial(space, p, draw(st.sampled_from(list(monomials_of_degree(v, degree)))))
+
+    targets = [
+        member(2),
+        member(3),
+        member(2) + member(3),  # non-homogeneous
+        _poly("x1_1*x1_2"),  # not in P_2 at degree 2
+        _poly("x1_1^3"),  # outside every column
+        monomial(2),
+        monomial(3),
+    ]
+    targets.append(draw(st.sampled_from(targets)))  # a duplicate
+    return tuple(gens), bound, draw(st.permutations(targets))
+
+
+class TestMembersBounded:
+    @settings(max_examples=60, deadline=None)
+    @given(membership_batches())
+    def test_matches_one_target_oracle(self, batch):
+        gens, bound, targets = batch
+        combinations = members_bounded(targets, gens, bound)
+        assert len(combinations) == len(targets)
+        for target, comb in zip(targets, combinations):
+            oracle = member_bounded_single(MembershipInstance(target, gens, bound))
+            assert (comb is None) == (oracle is None)
+            if comb is not None:
+                total = Polynomial.zero(MAT23.space, 3)
+                for gi, h in comb.items():
+                    total = total + h * gens[gi]
+                assert total == target
+
+    def test_one_system_per_degree(self, monkeypatch):
+        systems = []
+
+        def counting_build_system(targets, *args, **kwargs):
+            systems.append(len(targets))
+            return build_system(targets, *args, **kwargs)
+
+        monkeypatch.setattr(linmember, "build_system", counting_build_system)
+        targets = [_poly("x1_1*x1_2*x2_3"), _poly("x1_1*x1_2"), _poly("x1_1*x1_3*x2_2"),
+                   _poly("x1_1*x1_2*x2_3 + x1_1*x1_2")]
+        combinations = members_bounded(targets, GENS23, 3)
+        assert sorted(systems) == [1, 1, 2]  # degree 2, non-homogeneous, degree 3
+        assert [c is not None for c in combinations] == [True, False, True, False]
+
+    def test_empty_target_list(self):
+        assert members_bounded([], GENS23, 3) == []
+
+    def test_size_guard_counts_the_shared_system(self):
+        # each degree-3 monomial fits alone; all 56 together do not
+        targets = [Polynomial.monomial(MAT23.space, 3, m) for m in monomials_of_degree(6, 3)]
+        alone = max(len(build_system([t], GENS23, 3, True).row_labels) for t in targets)
+        guard = alone * 18  # 3 generators x 6 linear multipliers
+        for t in targets:
+            member_bounded(MembershipInstance(t, GENS23, 3), max_entries=guard)
+        with pytest.raises(SizeGuardError) as err:
+            members_bounded(targets, GENS23, 3, max_entries=guard)
+        assert (err.value.rows, err.value.cols) == (56, 18)
+
+    def test_target_degree_above_bound_rejected(self):
+        with pytest.raises(ValueError):
+            members_bounded([_poly("x1_1"), _poly("x1_1*x1_2*x2_3")], GENS23, 2)

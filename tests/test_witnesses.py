@@ -11,11 +11,13 @@ from permcheck.fppoly import (
     Polynomial,
     PrimeModulus,
     TruncationContext,
+    parse_poly,
     truncate,
 )
 from permcheck.shapes import MatrixShape, build_matrix, permanental_generators
 from permcheck.witnesses import (
     LemmaReport,
+    _entry_products_in_p2,
     minimal_primes_generic,
     minimal_primes_symmetric,
     scan_three_by_four_fpurity,
@@ -248,6 +250,11 @@ class TestLemmaReports:
         json.dumps(doc)  # must be serializable
 
 
+def _exponents(monomial):
+    (mono, _), = monomial.items()
+    return mono
+
+
 class TestEntryProducts:
     def test_triples_2x3(self):
         report = verify_entry_triples(2, 3, 3)
@@ -267,6 +274,19 @@ class TestEntryProducts:
     def test_squared_triples_need_3x3(self):
         with pytest.raises(ValueError):
             verify_squared_entry_triples(2, 3, 3)
+
+    def test_non_member_reported_under_failures(self):
+        # the six monomials28 targets of 2x3 plus x1_1*x1_2*x2_2, which shares
+        # its row with a column (x1_2 * perm) but is not in P_2 at degree 3
+        mat = build_matrix(MatrixShape.generic(2, 3))
+        members = ["x1_1*x1_2*x2_3", "x1_1*x1_3*x2_2", "x1_1*x2_2*x2_3",
+                   "x1_2*x1_3*x2_1", "x1_2*x2_1*x2_3", "x1_3*x2_1*x2_2"]
+        exponents = {_exponents(parse_poly(t, mat.space, 3)) for t in members}
+        exponents.add(_exponents(parse_poly("x1_1*x1_2*x2_2", mat.space, 3)))
+        report = _entry_products_in_p2("monomials28", mat, 3, exponents, 3)
+        assert report.verdict == "fail"
+        assert report.evidence == {"targets": 7, "members": 6, "failures": ["x1_1*x1_2*x2_2"]}
+        assert verify_entry_triples(2, 3, 3).evidence["failures"] == []
 
 
 class TestConjectureScan:
