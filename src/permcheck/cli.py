@@ -80,6 +80,17 @@ CHECKS = {
 }
 
 
+def _thread_count(text: str) -> int:
+    """--threads: a whole number of at least 1."""
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"must be a whole number of at least 1, got {text!r}")
+    return threads
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -101,7 +112,7 @@ def build_parser() -> _Parser:
             choices=("truncated", "pointcount", "fiber"),
             default="truncated",
         )
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1)
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", help="write the report to a file instead of stdout")
 

@@ -13,15 +13,19 @@ p < 2^(w-1), so the top bit of a field is a guard that flags a product
 reaching p (Monagan & Pearce, CASC 2007).  Keys are int64 while v fields fit
 63 bits and Python ints (numpy object arrays) beyond that; the kernel is the
 same for both.  Powers are repeated products with the base.
+
+numpy is imported inside the kernel functions, so it loads on the first
+truncated product and never for code that only uses the sparse dict form.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 Monomial = tuple  # exponent tuple, one entry per variable
 
@@ -488,12 +492,16 @@ def _shifts(ctx: TruncationContext, w: int) -> np.ndarray:
     significant one.  The dtype of these offsets is the dtype of the keys:
     int64 when v fields fit 63 bits, Python ints (dtype=object) beyond that.
     """
+    import numpy as np
+
     v = ctx.space.count
     return np.arange(v - 1, -1, -1, dtype=np.int64 if v * w <= 63 else object) * w
 
 
 def _pack(a: Polynomial, ctx: TruncationContext, w: int):
     """Sorted packed keys and coefficients of a truncated polynomial."""
+    import numpy as np
+
     shifts = _shifts(ctx, w)
     monos = np.array(list(a._terms), dtype=shifts.dtype).reshape(len(a), ctx.space.count)
     keys = (monos << shifts).sum(axis=1)
@@ -510,6 +518,8 @@ def _unpack(keys: np.ndarray, coeffs: np.ndarray, ctx: TruncationContext, w: int
 
 def _merge(key_parts: list, coeff_parts: list, p: int):
     """Sum the coefficients of equal keys mod p, dropping zero sums."""
+    import numpy as np
+
     keys = np.concatenate(key_parts)
     coeffs = np.concatenate(coeff_parts)
     if not keys.size:
@@ -606,6 +616,8 @@ class TruncatedAccumulator:
         return len(self._keys)
 
     def coeff(self, mono) -> int:
+        import numpy as np
+
         mono = tuple(mono)
         if any(e >= self.ctx.bound for e in mono):
             return 0
@@ -629,6 +641,8 @@ class TruncatedAccumulator:
         """
         if self.is_zero:
             raise ValueError("the zero value has no leading term")
+        import numpy as np
+
         mask = (1 << self._width) - 1
         shifts = _shifts(self.ctx, self._width).tolist()
         degree = np.zeros(len(self._keys), dtype=np.int64)

@@ -14,6 +14,9 @@ ideals), and computes the "Fedder coefficient" of a full-support ideal --
 the coefficient of prod x_i^{p-1} in omega^{p-1} -- by three independent
 routes: symbolic truncated powering, brute-force point counting, and a
 fibered enumeration special to the generic 3x4 / t=3 complete intersection.
+
+The point-count and fiber engines import numpy inside their functions, so it
+loads on their first call; colon membership never loads it.
 """
 
 from __future__ import annotations
@@ -21,8 +24,6 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
-
-import numpy as np
 
 from .fppoly import (
     Polynomial,
@@ -269,6 +270,8 @@ def fedder_coefficient_fullsupport(
 
 
 def _eval_terms_on_digits(terms, digits, p):
+    import numpy as np
+
     acc = None
     for mono, coeff in terms:
         t = None
@@ -285,6 +288,8 @@ def _eval_terms_on_digits(terms, digits, p):
 
 
 def _count_range_nonvanishing(gen_terms, v, p, start, stop):
+    import numpy as np
+
     idx = np.arange(start, stop, dtype=np.int64)
     digits = []
     rest = idx
@@ -343,6 +348,8 @@ class _FiberKernel:
     """
 
     def __init__(self, p: int):
+        import numpy as np
+
         self.p = p
         dtype = np.int32 if 3 * (p - 1) ** 2 < 2**31 else np.int64
         self.dtype = dtype
@@ -358,6 +365,8 @@ class _FiberKernel:
         ]
 
     def count_colblock(self, hi: int) -> int:
+        import numpy as np
+
         p = self.p
         a, b, c = hi // (p * p) % p, hi // p % p, hi % p  # B00, B10, B20
         c12 = self.c12

@@ -1,8 +1,11 @@
 """CLI surface: argument handling, exit codes, report formats, determinism."""
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,6 +52,17 @@ class TestExitCodes:
     def test_unknown_check_is_usage_error(self, capsys):
         code, _, _ = invoke(capsys, "verify", "lemma99", "--n", "2")
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "lemma31", "--n", "2", "--threads", "0"),
+        ("verify", "lemma34", "--n", "2", "--p", "3", "--threads", "-4"),
+        ("scan", "conjecture45", "--method", "fiber", "--p", "3", "--threads", "-1"),
+    ], ids=["verify0", "verify-4", "scan-1"])
+    def test_threads_below_one_is_usage_error(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "--threads" in err
 
     def test_non_ci_shape_refused(self, capsys):
         code, _, err = invoke(
@@ -280,3 +294,57 @@ class TestCheckTable:
         assert config["checkpoint"] is None
         assert '"e": 1,' in out
         assert '"checkpoint": null' in out
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Runs in a fresh interpreter: prints whether numpy is loaded after
+# `import permcheck.cli`, then runs argv (if any) and prints the exit code
+# and whether numpy is loaded now.
+PROBE = """
+import contextlib, io, json, sys
+import permcheck, permcheck.cli
+imported = "numpy" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    code = permcheck.cli.run(sys.argv[1:]) if sys.argv[1:] else 0
+print(json.dumps([imported, code, "numpy" in sys.modules]))
+"""
+
+
+def cold_start(*argv):
+    """(numpy loaded by the import, exit code, numpy loaded after the run)."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return tuple(json.loads(proc.stdout))
+
+
+class TestColdStart:
+    """numpy is imported by the array kernels only, never by `import permcheck`."""
+
+    def test_import_loads_no_numpy(self):
+        assert cold_start() == (False, 0, False)
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "lemma31", "--n", "3"),
+        ("verify", "lemma32", "--n", "3"),
+        ("verify", "thm36", "--n", "3"),
+        ("verify", "witness-generic", "--m", "2", "--n", "3", "--p", "3"),
+        ("verify", "witness-symmetric", "--n", "3", "--p", "3"),
+        ("verify", "monomials28", "--m", "2", "--n", "3", "--p", "3"),
+        ("verify", "monomials29", "--m", "3", "--n", "3", "--p", "3"),
+        ("generators", "--shape", "generic:2x3"),
+    ], ids=lambda argv: argv[1] if argv[0] == "verify" else argv[0])
+    def test_check_runs_without_numpy(self, argv):
+        assert cold_start(*argv) == (False, 0, False)
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "lemma34", "--n", "2", "--p", "3"),
+        ("verify", "fpure", "--shape", "hankel:3", "--p", "3"),
+        ("scan", "conjecture45", "--method", "fiber", "--p", "3"),
+    ], ids=["lemma34", "fpure", "conjecture45-fiber"])
+    def test_array_kernel_loads_numpy(self, argv):
+        assert cold_start(*argv, "--threads", "1") == (False, 0, True)

@@ -277,3 +277,51 @@ class TestMembersBounded:
     def test_target_degree_above_bound_rejected(self):
         with pytest.raises(ValueError):
             members_bounded([_poly("x1_1"), _poly("x1_1*x1_2*x2_3")], GENS23, 2)
+
+
+PRIMES23 = minimal_primes_generic(2, 3)
+
+
+@st.composite
+def colon_batches(draw):
+    """A minimal prime P of the generic 2x3 P_2 at p = 3, the generators of its
+    colon ideal (omega_P^{p-1}) + P^[p], and homogeneous targets of degree 8
+    or 9, each a sum of monomial multiples of those generators plus up to two
+    random monomials, so that members and non-members both occur."""
+    p = 3
+    prime = draw(st.sampled_from(PRIMES23))
+    space, v = prime.space, prime.space.count
+    gens = [prime.omega(p) ** (p - 1)] + [g**p for g in prime.generators(p)]
+
+    def target(degree):
+        f = Polynomial.zero(space, p)
+        for _ in range(draw(st.integers(1, 3))):
+            g = draw(st.sampled_from([g for g in gens if g.total_degree() <= degree]))
+            mult = draw(st.sampled_from(list(monomials_of_degree(v, degree - g.total_degree()))))
+            f = f + Polynomial.monomial(space, p, mult, draw(st.integers(1, p - 1))) * g
+        for _ in range(draw(st.integers(0, 2))):
+            mono = draw(st.sampled_from(list(monomials_of_degree(v, degree))))
+            f = f + Polynomial.monomial(space, p, mono, draw(st.integers(1, p - 1)))
+        return f
+
+    targets = [target(draw(st.sampled_from([8, 9]))) for _ in range(draw(st.integers(1, 4)))]
+    return prime, tuple(gens), [f for f in targets if not f.is_zero]
+
+
+class TestColonMembershipAgreement:
+    @settings(max_examples=60, deadline=None)
+    @given(colon_batches())
+    def test_structural_matches_linear(self, batch):
+        # the generators are homogeneous, so the degree bound 9 decides exactly
+        prime, gens, targets = batch
+        p = 3
+        for f, comb in zip(targets, members_bounded(targets, gens, 9)):
+            cert = colon_membership(f, prime, p)
+            assert (cert is None) == (comb is None)
+            if cert is not None:
+                assert cert.replay(f.space, p) == f
+            if comb is not None:
+                total = Polynomial.zero(f.space, p)
+                for gi, h in comb.items():
+                    total = total + h * gens[gi]
+                assert total == f
