@@ -12,8 +12,10 @@ Frobenius power q = p.  The module also decides membership in
 binomial on an inner 2x2 block plus outside variables, or pure variable
 ideals), and computes the "Fedder coefficient" of a full-support ideal --
 the coefficient of prod x_i^{p-1} in omega^{p-1} -- by three independent
-routes: symbolic truncated powering, brute-force point counting, and a
-fibered enumeration special to the generic 3x4 / t=3 complete intersection.
+routes: symbolic truncated powering, brute-force point counting (chunked,
+optionally on a thread pool), and a serial fibered enumeration special to the
+generic 3x4 / t=3 complete intersection, which visits only three first
+columns and projective classes of the other two, in passes of bounded size.
 
 The point-count and fiber engines import numpy inside their functions, so it
 loads on their first call; colon membership never loads it.
@@ -120,14 +122,15 @@ def _split_term(mono, inner_set):
 
 
 def colon_membership(
-    f: Polynomial, prime: "MinimalPrime", p: Optional[int] = None
+    f: Polynomial, prime: "MinimalPrime"
 ) -> Optional[ColonMembershipCertificate]:
     """Decide whether f lies in (omega_P^{p-1}) + P^[p] for a structured prime P.
 
-    The generators of P are a binomial b on an inner variable block plus all
-    outside variables (or pure variables).  Modulo the p-th powers of the
-    outside variables, the ring splits as a tensor product of the inner and
-    outer variables, so membership is decided exactly:
+    p is the characteristic of f.  The generators of P are a binomial b on an
+    inner variable block plus all outside variables (or pure variables).
+    Modulo the p-th powers of the outside variables, the ring splits as a
+    tensor product of the inner and outer variables, so membership is decided
+    exactly:
 
       1. terms with an outside-variable exponent >= p lie in P^[p];
       2. pure-variable primes: every remaining term must be divisible by
@@ -136,10 +139,7 @@ def colon_membership(
          the cofactor of the unique admissible mu = prod x^{p-1} must be
          divisible by b^{p-1}, every other cofactor by b^p.
     """
-    if p is None:
-        p = f.char
-    if p != f.char:
-        raise StructureError(f"f has characteristic {f.char}, expected {p}")
+    p = f.char
     if f.space != prime.space:
         raise StructureError("f does not live in the prime's variable space")
     space = f.space
@@ -231,11 +231,12 @@ def fedder_coefficient_fullsupport(
 
     since nonzero values of omega contribute 1 by Fermat.  Methods:
     "truncated" computes omega^{p-1} symbolically, "pointcount" enumerates
-    F_p^v, and "fiber" (generic 3x4, t = 3 only) counts admissible fourth
-    columns per block of the first three columns by inclusion-exclusion on
-    the ranks of three linear forms, enumerating only the column blocks of
+    F_p^v on `threads` threads, and "fiber" (generic 3x4, t = 3 only, serial)
+    counts admissible fourth columns per block of the first three columns by
+    inclusion-exclusion on the ranks of three linear forms, enumerating only
     three representative first columns (row scaling and row permutations fix
-    the count of every other one).
+    the count of every other one) and projective classes of columns 2 and 3
+    (column scaling fixes it too).
     """
     _require_ci(gens, "the Fedder coefficient")
     p = modulus.p
@@ -261,7 +262,7 @@ def fedder_coefficient_fullsupport(
             or gens.t != 3
         ):
             raise ValueError("the fiber method only applies to the generic 3x4 ideal with t = 3")
-        count = fiber_count_3x4(p, threads=threads)
+        count = fiber_count_3x4(p)
         return (sign * count) % p
     raise ValueError(f"unknown method {method!r}")
 
@@ -304,13 +305,15 @@ def _count_range_nonvanishing(gen_terms, v, p, start, stop):
     return int(np.count_nonzero(mask))
 
 
-def count_nonvanishing(
-    gens: IdealPresentation, p: int, threads: int = 1, chunk: int = 1 << 20
-) -> int:
+POINTCOUNT_CHUNK = 1 << 20  # points per array chunk, and per task on a thread
+
+
+def count_nonvanishing(gens: IdealPresentation, p: int, threads: int = 1) -> int:
     """#{a in F_p^v : no generator vanishes at a}, by chunked enumeration."""
     v = gens.space.count
     total = p**v
     gen_terms = [list(g.items()) for g in gens.generators]
+    chunk = POINTCOUNT_CHUNK
     ranges = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
     if threads <= 1 or len(ranges) == 1:
         return sum(_count_range_nonvanishing(gen_terms, v, p, a, b) for a, b in ranges)
@@ -327,60 +330,63 @@ def count_nonvanishing(
 # where C[ij][k] is the 2x2 permanent of B on columns {i, j} with row k
 # removed (permanent expansion along the fourth column).  The number of such
 # u is sum over the 8 subsets S of forms of (-1)^{|S|} p^{3 - rank(C_S)}.
-# Blocks are indexed in column-major lexicographic order, index digits
-# (B00, B10, B20, B01, ..., B22) from most to least significant; a "column
-# block" is the p^6 blocks sharing the first column (B00, B10, B20).
 #
 # Scaling a row by a unit multiplies every 3x3 permanent by that unit, and
-# permuting the rows leaves them unchanged.  A column block's count therefore
-# depends only on how many zeros its first column has, and only the three
-# representatives (1,1,1), (1,1,0) and (1,0,0) are counted.  An all-zero
-# first column gives perm(B) = 0 and contributes nothing.
+# permuting the rows leaves them unchanged, so B's count depends on its first
+# column only through how many zeros it has.  Only the representatives
+# (1,1,1), (1,1,0) and (1,0,0) are counted, standing for (p-1)^3, 3(p-1)^2
+# and 3(p-1) first columns; an all-zero first column gives perm(B) = 0.
+#
+# Scaling column 2 or 3 of B by a unit scales perm(B) and the forms that
+# involve that column, which changes neither perm(B) != 0 nor any rank; a zero
+# column gives perm(B) = 0.  So columns 2 and 3 each run over the p^2 + p + 1
+# normalized points of the projective plane (first nonzero coordinate 1), and
+# each pair of points stands for (p-1)^2 blocks.
+
+FIBER_PASS = 1 << 20  # column pairs per array pass; bounds the engine's memory
 
 
-class _FiberKernel:
-    """Vectorized per-column-block counting.
+def _projective_class_count(p: int, column) -> int:
+    """Admissible fourth columns summed over projective classes of columns 2, 3.
 
-    One "column block" is the set of p^6 indices sharing the first three
-    digits (the first column of B).  The parts depending only on the last two
-    columns -- the digit arrays and the forms for column pair (1, 2) -- are
-    precomputed once and shared (read-only) by all threads.
+    `column` is the first column (B00, B10, B20) of B; columns 2 and 3 run
+    over normalized points of P^2(F_p), so the count over all of F_p^3 x F_p^3
+    is (p-1)^2 times the returned sum.
     """
+    import numpy as np
 
-    def __init__(self, p: int):
-        import numpy as np
+    a, b, c = column
+    dtype = np.int32 if 3 * (p - 1) ** 2 < 2**31 else np.int64
+    points = np.array(
+        [(1, x, y) for x in range(p) for y in range(p)]
+        + [(0, 1, y) for y in range(p)]
+        + [(0, 0, 1)],
+        dtype=dtype,
+    ).T
+    n = points.shape[1]
+    p3, p2 = p**3, p * p
 
-        self.p = p
-        dtype = np.int32 if 3 * (p - 1) ** 2 < 2**31 else np.int64
-        self.dtype = dtype
-        j = np.arange(p**6, dtype=np.int64)
-        d = [(j // p ** (5 - k) % p).astype(dtype) for k in range(6)]
-        # digit order: B01, B11, B21, B02, B12, B22
-        self.d01, self.d11, self.d21, self.d02, self.d12, self.d22 = d
-        # forms for column pair (1, 2): row k removed
-        self.c12 = [
-            (self.d11 * self.d22 + self.d12 * self.d21) % p,
-            (self.d01 * self.d22 + self.d02 * self.d21) % p,
-            (self.d01 * self.d12 + self.d02 * self.d11) % p,
+    def pair_minors(fa, fb):
+        return [
+            (fa[0] * fb[1] - fa[1] * fb[0]) % p,
+            (fa[0] * fb[2] - fa[2] * fb[0]) % p,
+            (fa[1] * fb[2] - fa[2] * fb[1]) % p,
         ]
 
-    def count_colblock(self, hi: int) -> int:
-        import numpy as np
-
-        p = self.p
-        a, b, c = hi // (p * p) % p, hi // p % p, hi % p  # B00, B10, B20
-        c12 = self.c12
-        perm = (a * c12[0] + b * c12[1] + c * c12[2]) % p
-        alive = perm != 0
-        if not alive.any():
-            return 0
-        d01 = self.d01[alive]
-        d11 = self.d11[alive]
-        d21 = self.d21[alive]
-        d02 = self.d02[alive]
-        d12 = self.d12[alive]
-        d22 = self.d22[alive]
-        f12 = [c12[0][alive], c12[1][alive], c12[2][alive]]
+    total = 0
+    for start in range(0, n * n, FIBER_PASS):
+        idx = np.arange(start, min(start + FIBER_PASS, n * n))
+        d01, d11, d21 = points[:, idx // n]
+        d02, d12, d22 = points[:, idx % n]
+        # forms for column pair (1, 2): row k removed
+        f12 = [
+            (d11 * d22 + d12 * d21) % p,
+            (d01 * d22 + d02 * d21) % p,
+            (d01 * d12 + d02 * d11) % p,
+        ]
+        alive = (a * f12[0] + b * f12[1] + c * f12[2]) % p != 0
+        d01, d11, d21, d02, d12, d22 = (d[alive] for d in (d01, d11, d21, d02, d12, d22))
+        f12 = [f[alive] for f in f12]
         f01 = [
             (b * d21 + d11 * c) % p,
             (a * d21 + d01 * c) % p,
@@ -392,25 +398,13 @@ class _FiberKernel:
             (a * d12 + d02 * b) % p,
         ]
         forms = [f01, f02, f12]
-
-        def row_nonzero(f):
-            return (f[0] + f[1] + f[2]) > 0
-
-        def pair_minors(fa, fb):
-            return [
-                (fa[0] * fb[1] - fa[1] * fb[0]) % p,
-                (fa[0] * fb[2] - fa[2] * fb[0]) % p,
-                (fa[1] * fb[2] - fa[2] * fb[1]) % p,
-            ]
-
-        nz = [row_nonzero(f) for f in forms]
+        nz = [(f[0] + f[1] + f[2]) > 0 for f in forms]
         pairs = [(0, 1), (0, 2), (1, 2)]
         minors = {pr: pair_minors(forms[pr[0]], forms[pr[1]]) for pr in pairs}
         m12 = minors[(1, 2)]
         det3 = (f01[0] * m12[2] - f01[1] * m12[1] + f01[2] * m12[0]) % p
 
-        p3, p2 = p**3, p * p
-        count = np.full(perm.shape, p3, dtype=np.int64)[alive]
+        count = np.full(d01.shape, p3, dtype=np.int64)
         for t in range(3):
             count -= np.where(nz[t], p2, p3)
         any_minor = None
@@ -421,24 +415,20 @@ class _FiberKernel:
             any_minor = mnz if any_minor is None else (any_minor | mnz)
         any_entry = nz[0] | nz[1] | nz[2]
         count -= np.where(det3 != 0, 1, np.where(any_minor, p, np.where(any_entry, p2, p3)))
-        return int(count.sum())
+        total += int(count.sum())
+    return total
 
 
-def _colblock_zeros(hi: int, p: int) -> int:
-    """Number of zeros in the first column (B00, B10, B20) of column block hi."""
-    return sum(hi // p**k % p == 0 for k in range(3))
-
-
-def fiber_count_3x4(p: int, threads: int = 1) -> int:
+def fiber_count_3x4(p: int) -> int:
     """#{A in F_p^{3x4} : all four 3x3 permanents nonzero}, exactly.
 
-    Counts the three representative column blocks (first column with 0, 1 or
-    2 zeros), on up to `threads` threads, and adds up all p^3 column blocks by
-    class, so the result is independent of the thread count.
+    Sums the three representative first columns (with 0, 1 or 2 zeros) over
+    projective classes of columns 2 and 3, in passes of FIBER_PASS pairs, and
+    weights each by the number of blocks it stands for.
     """
-    reps = (p * p + p + 1, p * p + p, p * p)  # first columns (1,1,1), (1,1,0), (1,0,0)
-    kernel = _FiberKernel(p)
-    with ThreadPoolExecutor(max_workers=max(1, min(threads, len(reps)))) as ex:
-        table = list(ex.map(kernel.count_colblock, reps))
-    table.append(0)  # all-zero first column
-    return sum(table[_colblock_zeros(hi, p)] for hi in range(p**3))
+    classes = (
+        ((1, 1, 1), (p - 1) ** 3),
+        ((1, 1, 0), 3 * (p - 1) ** 2),
+        ((1, 0, 0), 3 * (p - 1)),
+    )
+    return (p - 1) ** 2 * sum(w * _projective_class_count(p, col) for col, w in classes)

@@ -502,7 +502,7 @@ def verify_witness_membership(shape: MatrixShape, p: int) -> LemmaReport:
     memberships = []
     all_member = True
     for prime in primes:
-        cert = colon_membership(f, prime, p)
+        cert = colon_membership(f, prime)
         ok = cert is not None and cert.replay(f.space, p) == f
         all_member = all_member and ok
         memberships.append({"prime": prime.label, "member": ok})

@@ -122,6 +122,96 @@ def _fiber_range_scalar(p, start, stop):
     return sum(_fiber_block_count_scalar(p, i) for i in range(start, stop))
 
 
+# The unreduced oracle for frobcheck's fiber engine: the p^6 blocks of one
+# first column, every column 2 and 3 enumerated, no projective reduction.
+# Column blocks are indexed as in _fiber_block_count_scalar, hi = the first
+# column's three digits (B00 most significant).
+class _FiberKernel:
+    """Vectorized per-column-block counting.
+
+    One "column block" is the set of p^6 indices sharing the first three
+    digits (the first column of B).  The parts depending only on the last two
+    columns -- the digit arrays and the forms for column pair (1, 2) -- are
+    precomputed once and shared (read-only) by every count_colblock call.
+    """
+
+    def __init__(self, p: int):
+        import numpy as np
+
+        self.p = p
+        dtype = np.int32 if 3 * (p - 1) ** 2 < 2**31 else np.int64
+        self.dtype = dtype
+        j = np.arange(p**6, dtype=np.int64)
+        d = [(j // p ** (5 - k) % p).astype(dtype) for k in range(6)]
+        # digit order: B01, B11, B21, B02, B12, B22
+        self.d01, self.d11, self.d21, self.d02, self.d12, self.d22 = d
+        # forms for column pair (1, 2): row k removed
+        self.c12 = [
+            (self.d11 * self.d22 + self.d12 * self.d21) % p,
+            (self.d01 * self.d22 + self.d02 * self.d21) % p,
+            (self.d01 * self.d12 + self.d02 * self.d11) % p,
+        ]
+
+    def count_colblock(self, hi: int) -> int:
+        import numpy as np
+
+        p = self.p
+        a, b, c = hi // (p * p) % p, hi // p % p, hi % p  # B00, B10, B20
+        c12 = self.c12
+        perm = (a * c12[0] + b * c12[1] + c * c12[2]) % p
+        alive = perm != 0
+        if not alive.any():
+            return 0
+        d01 = self.d01[alive]
+        d11 = self.d11[alive]
+        d21 = self.d21[alive]
+        d02 = self.d02[alive]
+        d12 = self.d12[alive]
+        d22 = self.d22[alive]
+        f12 = [c12[0][alive], c12[1][alive], c12[2][alive]]
+        f01 = [
+            (b * d21 + d11 * c) % p,
+            (a * d21 + d01 * c) % p,
+            (a * d11 + d01 * b) % p,
+        ]
+        f02 = [
+            (b * d22 + d12 * c) % p,
+            (a * d22 + d02 * c) % p,
+            (a * d12 + d02 * b) % p,
+        ]
+        forms = [f01, f02, f12]
+
+        def row_nonzero(f):
+            return (f[0] + f[1] + f[2]) > 0
+
+        def pair_minors(fa, fb):
+            return [
+                (fa[0] * fb[1] - fa[1] * fb[0]) % p,
+                (fa[0] * fb[2] - fa[2] * fb[0]) % p,
+                (fa[1] * fb[2] - fa[2] * fb[1]) % p,
+            ]
+
+        nz = [row_nonzero(f) for f in forms]
+        pairs = [(0, 1), (0, 2), (1, 2)]
+        minors = {pr: pair_minors(forms[pr[0]], forms[pr[1]]) for pr in pairs}
+        m12 = minors[(1, 2)]
+        det3 = (f01[0] * m12[2] - f01[1] * m12[1] + f01[2] * m12[0]) % p
+
+        p3, p2 = p**3, p * p
+        count = np.full(perm.shape, p3, dtype=np.int64)[alive]
+        for t in range(3):
+            count -= np.where(nz[t], p2, p3)
+        any_minor = None
+        for pr in pairs:
+            mnz = (minors[pr][0] != 0) | (minors[pr][1] != 0) | (minors[pr][2] != 0)
+            either = nz[pr[0]] | nz[pr[1]]
+            count += np.where(mnz, p, np.where(either, p2, p3))
+            any_minor = mnz if any_minor is None else (any_minor | mnz)
+        any_entry = nz[0] | nz[1] | nz[2]
+        count -= np.where(det3 != 0, 1, np.where(any_minor, p, np.where(any_entry, p2, p3)))
+        return int(count.sum())
+
+
 def permanent_eval_naive(values: Sequence[Sequence[int]], p: int) -> int:
     """Permutation-sum permanent; the independent oracle for small sizes."""
     a = [list(row) for row in values]

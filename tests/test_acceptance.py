@@ -41,6 +41,7 @@ from permcheck.shapes import (
     permanental_generators,
 )
 from permcheck.witnesses import (
+    scan_three_by_four_fpurity,
     verify_entry_triples,
     verify_hankel_eisenstein,
     verify_hankel_monomial_absence,
@@ -133,7 +134,7 @@ def small_fiber_counts():
     counts = {}
     t0 = time.perf_counter()
     for p in (3, 5, 7):
-        counts[p] = fiber_count_3x4(p, threads=2)
+        counts[p] = fiber_count_3x4(p)
     counts["elapsed"] = time.perf_counter() - t0
     return counts
 
@@ -161,9 +162,9 @@ class TestCriterion6:
                 assert count_nonvanishing(gens, p, threads=2) == small_fiber_counts[p]
 
     def test_fiber_p11(self):
-        with criterion(6, "fiber scan p=11: not F-pure, < 30 min multi-threaded"):
+        with criterion(6, "fiber scan p=11: not F-pure, < 30 min"):
             t0 = time.perf_counter()
-            count = fiber_count_3x4(11, threads=2)
+            count = fiber_count_3x4(11)
             elapsed = time.perf_counter() - t0
             assert count == 2_150_566_000_000
             assert count % 11 == 0
@@ -171,9 +172,16 @@ class TestCriterion6:
 
     def test_fiber_p13(self):
         with criterion(6, "fiber scan p=13: F-pure"):
-            count = fiber_count_3x4(13, threads=2)
+            count = fiber_count_3x4(13)
             assert count == 16_950_033_727_488
             assert count % 13 != 0
+
+    def test_fiber_p17_to_p37(self):
+        with criterion(6, "fiber scan p=17..37: F-pure exactly when p = 1 mod 6"):
+            report = scan_three_by_four_fpurity([17, 19, 23, 29, 31, 37], method="fiber")
+            assert report.verdict == "pass"
+            coefficients = [row["coefficient"] for row in report.evidence["per_p"]]
+            assert coefficients == [0, 7, 0, 0, 16, 26]
 
 
 def test_criterion_7_entry_products():

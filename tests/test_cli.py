@@ -348,3 +348,27 @@ class TestColdStart:
     ], ids=["lemma34", "fpure", "conjecture45-fiber"])
     def test_array_kernel_loads_numpy(self, argv):
         assert cold_start(*argv, "--threads", "1") == (False, 0, True)
+
+
+def _cap_address_space():
+    """Runs in the child only: 512 MiB of address space."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+class TestMemoryCap:
+    def test_fiber_p13_fits_in_512_mib(self):
+        # enumerating all p^6 choices of columns 2 and 3 at p = 13 takes more
+        # than 768 MiB of address space; the projective-class passes, under 256
+        # one BLAS thread, so numpy's import reserves the same address space
+        # whatever the machine's core count
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "permcheck.cli", "scan", "conjecture45", "--method", "fiber",
+             "--p", "13", "--threads", "1", "--format", "json"],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=_cap_address_space,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert json.loads(proc.stdout)["aggregate"] == "pass"

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from permcheck import frobcheck
 from permcheck.fppoly import (
     Polynomial,
     PrimeModulus,
@@ -15,7 +16,7 @@ from permcheck.fppoly import (
 )
 from permcheck.frobcheck import (
     FedderVerdict,
-    _FiberKernel,
+    _projective_class_count,
     colon_membership,
     count_nonvanishing,
     fedder_ci_check,
@@ -37,6 +38,7 @@ from permcheck.witnesses import (
     witness_symmetric,
 )
 from helpers import (
+    _FiberKernel,
     _fiber_range_scalar,
     in_frobenius_power,
     prime_contains,
@@ -156,26 +158,26 @@ class TestColonMembership:
     def test_generic_23_all_primes(self):
         f = witness_generic(2, 3, 3)
         for prime in minimal_primes_generic(2, 3):
-            cert = colon_membership(f, prime, 3)
+            cert = colon_membership(f, prime)
             assert cert is not None, prime.label
             assert cert.replay(f.space, 3) == f
 
     def test_symmetric_3_all_primes(self):
         f = witness_symmetric(3, 3)
         for prime in minimal_primes_symmetric(3):
-            cert = colon_membership(f, prime, 3)
+            cert = colon_membership(f, prime)
             assert cert is not None
             assert cert.replay(f.space, 3) == f
 
     def test_constant_one_is_not_member(self):
         for prime in minimal_primes_generic(2, 3):
             one = Polynomial.one(prime.space, 3)
-            assert colon_membership(one, prime, 3) is None
+            assert colon_membership(one, prime) is None
 
     def test_omega_power_is_member(self):
         for prime in minimal_primes_generic(3, 3)[:5]:
             omega = prime.omega(3)
-            assert colon_membership(omega**2, prime, 3) is not None
+            assert colon_membership(omega**2, prime) is not None
 
     def test_random_multiples_are_members(self):
         rng = random.Random(77)
@@ -188,7 +190,7 @@ class TestColonMembership:
                 f = omega_pm1 * random_poly(rng, prime.space, p, max_terms=2, max_exp=1)
                 g = rng.choice(gens)
                 f = f + g**p * random_poly(rng, prime.space, p, max_terms=2, max_exp=1)
-                cert = colon_membership(f, prime, p)
+                cert = colon_membership(f, prime)
                 assert cert is not None
                 assert cert.replay(prime.space, p) == f
 
@@ -196,7 +198,7 @@ class TestColonMembership:
         # omega^{p-2} multiples are not in the colon ideal
         prime = minimal_primes_generic(2, 2)[0]
         omega = prime.omega(3)
-        assert colon_membership(omega, prime, 3) is None
+        assert colon_membership(omega, prime) is None
 
     def test_pure_variable_prime_agrees_with_monomial_ideal(self):
         rng = random.Random(78)
@@ -206,7 +208,7 @@ class TestColonMembership:
             V = set(prime.variable_gens)
             for _ in range(40):
                 f = random_poly(rng, prime.space, p, max_terms=4, max_exp=4)
-                member = colon_membership(f, prime, p) is not None
+                member = colon_membership(f, prime) is not None
                 # direct monomial-ideal membership, term by term
                 direct = all(
                     any(mono[i] >= p for i in V) or all(mono[i] >= p - 1 for i in V)
@@ -239,7 +241,7 @@ class TestColonMembership:
                     )
                 if f.is_zero:
                     continue
-                structural = colon_membership(f, prime, p) is not None
+                structural = colon_membership(f, prime) is not None
                 linear = (
                     member_bounded(
                         MembershipInstance(f, gens, f.total_degree()), max_entries=10**8
@@ -388,17 +390,26 @@ class TestFiberEngine:
             zeros = sum(d == 0 for d in (hi // (p * p), hi // p % p, hi % p))
             assert blocks[hi] == value[zeros], (p, hi)
 
-    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("p", [3, 5, 7])
-    def test_unreduced_sum_matches(self, unreduced_blocks, p, threads):
+    def test_unreduced_sum_matches(self, unreduced_blocks, p):
         blocks = unreduced_blocks[p]
         c0, c1, c2 = blocks[p * p + p + 1], blocks[p * p + p], blocks[p * p]
         total = sum(blocks)
         assert total == (p - 1) ** 3 * c0 + 3 * (p - 1) ** 2 * c1 + 3 * (p - 1) * c2
-        assert fiber_count_3x4(p, threads=threads) == total
+        assert fiber_count_3x4(p) == total
 
-    def test_thread_determinism(self):
-        assert fiber_count_3x4(3, threads=1) == fiber_count_3x4(3, threads=2)
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_projective_classes_match_unreduced_blocks(self, unreduced_blocks, p):
+        # each pair of projective classes of columns 2 and 3 stands for its
+        # (p-1)^2 unit scalings in the oracle's p^6 blocks
+        for column, hi in [((1, 1, 1), p * p + p + 1), ((1, 1, 0), p * p + p), ((1, 0, 0), p * p)]:
+            assert unreduced_blocks[p][hi] == (p - 1) ** 2 * _projective_class_count(p, column)
+
+    def test_passes_do_not_change_the_count(self, monkeypatch):
+        # 7 pairs per pass splits p = 5's 31^2 pairs into 138 passes
+        expected = fiber_count_3x4(5)
+        monkeypatch.setattr(frobcheck, "FIBER_PASS", 7)
+        assert fiber_count_3x4(5) == expected
 
 
 class TestPointCount:
@@ -412,10 +423,11 @@ class TestPointCount:
         gens = ci([Polynomial.variable(space, 3, 0)])
         assert count_nonvanishing(gens, 3) == 6  # x != 0: 2 choices x 3 for y
 
-    def test_matches_direct_enumeration(self):
+    def test_matches_direct_enumeration(self, monkeypatch):
         rng = random.Random(60)
         from permcheck.fppoly import evaluate
 
+        cases = []
         for _ in range(20):
             p = rng.choice([3, 5])
             v = rng.randrange(1, 4)
@@ -431,4 +443,8 @@ class TestPointCount:
                 if all(evaluate(g, point) != 0 for g in polys)
             )
             assert count_nonvanishing(gens, p) == direct
-            assert count_nonvanishing(gens, p, threads=2, chunk=7) == direct
+            cases.append((gens, p, direct))
+        # many chunks of 7 points, spread over two threads
+        monkeypatch.setattr(frobcheck, "POINTCOUNT_CHUNK", 7)
+        for gens, p, direct in cases:
+            assert count_nonvanishing(gens, p, threads=2) == direct

@@ -176,7 +176,7 @@ class TestMemberBounded:
         f = witness_generic(2, 3, p)
         for prime in minimal_primes_generic(2, 3):
             gens = [prime.omega(p) ** (p - 1)] + [g**p for g in prime.generators(p)]
-            structural = colon_membership(f, prime, p) is not None
+            structural = colon_membership(f, prime) is not None
             linear = member_bounded(
                 MembershipInstance(f, tuple(gens), f.total_degree()),
                 max_entries=2 * 10**8,
@@ -184,7 +184,7 @@ class TestMemberBounded:
             assert (linear is not None) == structural
             # and the constant 1 is correctly refused on both routes
             one = Polynomial.one(f.space, p)
-            assert colon_membership(one, prime, p) is None
+            assert colon_membership(one, prime) is None
             assert member_bounded(MembershipInstance(one, tuple(gens), 0)) is None
 
 
@@ -316,7 +316,7 @@ class TestColonMembershipAgreement:
         prime, gens, targets = batch
         p = 3
         for f, comb in zip(targets, members_bounded(targets, gens, 9)):
-            cert = colon_membership(f, prime, p)
+            cert = colon_membership(f, prime)
             assert (cert is None) == (comb is None)
             if cert is not None:
                 assert cert.replay(f.space, p) == f
