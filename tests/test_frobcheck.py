@@ -390,12 +390,16 @@ class TestFiberEngine:
             zeros = sum(d == 0 for d in (hi // (p * p), hi // p % p, hi % p))
             assert blocks[hi] == value[zeros], (p, hi)
 
+    @pytest.mark.parametrize("passes", [1, 2])
     @pytest.mark.parametrize("p", [3, 5, 7])
-    def test_unreduced_sum_matches(self, unreduced_blocks, p):
+    def test_unreduced_sum_matches(self, unreduced_blocks, p, passes, monkeypatch):
         blocks = unreduced_blocks[p]
         c0, c1, c2 = blocks[p * p + p + 1], blocks[p * p + p], blocks[p * p]
         total = sum(blocks)
         assert total == (p - 1) ** 3 * c0 + 3 * (p - 1) ** 2 * c1 + 3 * (p - 1) * c2
+        # the (p^2+p+1)^2 column pairs in one pass, or split over two
+        pairs = (p * p + p + 1) ** 2
+        monkeypatch.setattr(frobcheck, "FIBER_PASS", -(-pairs // passes))
         assert fiber_count_3x4(p) == total
 
     @pytest.mark.parametrize("p", [3, 5, 7])
