@@ -5,15 +5,11 @@ __version__ = "0.1.0"
 from .fppoly import (
     GRLEX,
     LEX,
-    DegreeOverflowError,
     MonomialOrder,
     ParseError,
     Polynomial,
-    PrimeModulus,
     StructureError,
-    TruncationContext,
     VariableSpace,
-    coefficient_of,
     evaluate,
     exact_divide,
     leading_term,
@@ -32,7 +28,7 @@ from .frobcheck import (
     fiber_count_3x4,
     glassbrenner_witness_check,
 )
-from .linmember import MembershipInstance, member_bounded, members_bounded
+from .linmember import member_bounded, members_bounded
 from .shapes import (
     IdealPresentation,
     MatrixShape,

@@ -22,7 +22,7 @@ import time
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .fppoly import PrimeModulus
+from .fppoly import check_prime
 from .shapes import MatrixShape, parse_shape
 from . import witnesses
 
@@ -141,7 +141,7 @@ def _parse_primes(text):
             continue
         try:
             p = int(part)
-            PrimeModulus(p)  # validates odd prime in range
+            check_prime(p)
         except ValueError as exc:
             raise UsageError(f"invalid prime {part!r}: {exc}") from exc
         primes.append(p)

@@ -7,12 +7,15 @@ immutable after construction, so they can be shared freely between threads.
 
 The module also implements arithmetic in the truncated quotient
 F_p[x_1..x_v] / (x_1^p, ..., x_v^p) = F_p[x] / m^[p]: any monomial with some
-exponent >= p is annihilated.  Truncated products run on one numpy kernel
-over packed exponent vectors: each exponent gets a w-bit field with
-p < 2^(w-1), so the top bit of a field is a guard that flags a product
-reaching p (Monagan & Pearce, CASC 2007).  Keys are int64 while v fields fit
-63 bits and Python ints (numpy object arrays) beyond that; the kernel is the
-same for both.  Powers are repeated products with the base.
+exponent >= p is annihilated.  p and the variables are read from the
+operands, and operands from different spaces or characteristics are refused
+with StructureError.  Every characteristic is an odd prime below 2^31
+(`check_prime`), which the int64 kernels rely on.  Truncated products run
+on one numpy kernel over packed exponent vectors: each exponent gets a w-bit
+field with p < 2^(w-1), so the top bit of a field is a guard that flags a
+product reaching p (Monagan & Pearce, CASC 2007).  Keys are int64 while v
+fields fit 63 bits and Python ints (numpy object arrays) beyond that; the
+kernel is the same for both.  Powers are repeated products with the base.
 
 numpy is imported inside the kernel functions, so it loads on the first
 truncated product and never for code that only uses the sparse dict form.
@@ -21,7 +24,6 @@ truncated product and never for code that only uses the sparse dict form.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -29,15 +31,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 Monomial = tuple  # exponent tuple, one entry per variable
 
-DEFAULT_DEGREE_CAP = 4096
-
 
 class StructureError(ValueError):
     """Operands live in different variable spaces / characteristics."""
-
-
-class DegreeOverflowError(ValueError):
-    """A product would exceed the configured total-degree cap."""
 
 
 class ParseError(ValueError):
@@ -60,15 +56,11 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeModulus:
-    """A validated odd prime p in [3, 2^31), the characteristic and truncation bound."""
-
-    p: int
-
-    def __post_init__(self):
-        if not (3 <= self.p < 2**31 and self.p % 2 == 1 and _is_prime(self.p)):
-            raise ValueError(f"p must be an odd prime in [3, 2^31), got {self.p}")
+def check_prime(p: int) -> None:
+    """Refuse p unless it is an odd prime in [3, 2^31), the characteristics
+    the int64 kernels support."""
+    if not (3 <= p < 2**31 and p % 2 == 1 and _is_prime(p)):
+        raise ValueError(f"p must be an odd prime in [3, 2^31), got {p}")
 
 
 class VariableSpace:
@@ -78,14 +70,13 @@ class VariableSpace:
     a given construction order.
     """
 
-    __slots__ = ("names", "degree_cap", "_index")
+    __slots__ = ("names", "_index")
 
-    def __init__(self, names: Iterable[str], degree_cap: int = DEFAULT_DEGREE_CAP):
+    def __init__(self, names: Iterable[str]):
         names = tuple(names)
         if len(set(names)) != len(names):
             raise ValueError("variable names must be unique")
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "degree_cap", degree_cap)
         object.__setattr__(self, "_index", {name: i for i, name in enumerate(names)})
 
     def __setattr__(self, name, value):
@@ -105,14 +96,10 @@ class VariableSpace:
         return name in self._index
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, VariableSpace)
-            and self.names == other.names
-            and self.degree_cap == other.degree_cap
-        )
+        return isinstance(other, VariableSpace) and self.names == other.names
 
     def __hash__(self) -> int:
-        return hash((self.names, self.degree_cap))
+        return hash(self.names)
 
     def __repr__(self) -> str:
         return f"VariableSpace({len(self.names)} vars: {', '.join(self.names[:6])}{'...' if len(self.names) > 6 else ''})"
@@ -163,11 +150,9 @@ class Polynomial:
     __slots__ = ("space", "char", "_terms")
 
     def __init__(self, space: VariableSpace, char: int, terms: Mapping[Monomial, int] | Iterable = ()):
-        if not (char >= 3 and char % 2 == 1 and _is_prime(char)):
-            raise ValueError(f"characteristic must be an odd prime >= 3, got {char}")
+        check_prime(char)
         clean = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
-        cap = space.degree_cap
         for mono, coeff in items:
             mono = tuple(mono)
             if len(mono) != space.count:
@@ -176,8 +161,6 @@ class Polynomial:
                 )
             if any(e < 0 for e in mono):
                 raise ValueError(f"negative exponent in {mono}")
-            if sum(mono) > cap:
-                raise DegreeOverflowError(f"monomial degree {sum(mono)} exceeds cap {cap}")
             c = (clean.get(mono, 0) + coeff) % char
             if c:
                 clean[mono] = c
@@ -300,11 +283,6 @@ class Polynomial:
         self._check_compatible(other)
         if self.is_zero or other.is_zero:
             return Polynomial.zero(self.space, self.char)
-        if self.total_degree() + other.total_degree() > self.space.degree_cap:
-            raise DegreeOverflowError(
-                f"product degree {self.total_degree() + other.total_degree()} "
-                f"exceeds cap {self.space.degree_cap}"
-            )
         p = self.char
         out: dict = {}
         a, b = self._terms, other._terms
@@ -340,10 +318,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({render_poly(self)}, p={self.char})"
-
-
-def coefficient_of(a: Polynomial, mono: Monomial) -> int:
-    return a.coeff(mono)
 
 
 def leading_term(a: Polynomial, order: MonomialOrder = GRLEX) -> tuple:
@@ -453,67 +427,50 @@ def evaluate(a: Polynomial, point) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TruncationContext:
-    """The quotient by m^[p] = (x_1^p, ..., x_v^p): exponents >= bound = p are annihilated."""
-
-    modulus: PrimeModulus
-    space: VariableSpace
-
-    @property
-    def bound(self) -> int:
-        return self.modulus.p
-
-    def check(self, a: Polynomial):
-        if a.space != self.space or a.char != self.modulus.p:
-            raise StructureError("polynomial does not match the truncation context")
-
-
-def truncate(a: Polynomial, ctx: TruncationContext) -> Polynomial:
-    ctx.check(a)
-    b = ctx.bound
-    kept = {m: c for m, c in a.items() if all(e < b for e in m)}
+def truncate(a: Polynomial) -> Polynomial:
+    """a mod m^[p], where p is the characteristic of a."""
+    p = a.char
+    kept = {m: c for m, c in a.items() if all(e < p for e in m)}
     if len(kept) == len(a._terms):
         return a
-    return Polynomial._make(a.space, a.char, kept)
+    return Polynomial._make(a.space, p, kept)
 
 
-def _key_width(ctx: TruncationContext) -> int:
+def _key_width(p: int) -> int:
     """Bits per exponent field of a packed key.
 
     w = bitlen(p) + 1 gives p < 2^(w-1): a field holds the sum of two
     exponents below p without carrying, and its top bit serves as the guard.
     """
-    return ctx.bound.bit_length() + 1
+    return p.bit_length() + 1
 
 
-def _shifts(ctx: TruncationContext, w: int) -> np.ndarray:
-    """Bit offset of each exponent field; the first variable takes the most
-    significant one.  The dtype of these offsets is the dtype of the keys:
-    int64 when v fields fit 63 bits, Python ints (dtype=object) beyond that.
+def _shifts(v: int, w: int) -> np.ndarray:
+    """Bit offset of each of the v exponent fields; the first variable takes
+    the most significant one.  The dtype of these offsets is the dtype of the
+    keys: int64 when v fields fit 63 bits, Python ints (dtype=object) beyond.
     """
     import numpy as np
 
-    v = ctx.space.count
     return np.arange(v - 1, -1, -1, dtype=np.int64 if v * w <= 63 else object) * w
 
 
-def _pack(a: Polynomial, ctx: TruncationContext, w: int):
+def _pack(a: Polynomial, w: int):
     """Sorted packed keys and coefficients of a truncated polynomial."""
     import numpy as np
 
-    shifts = _shifts(ctx, w)
-    monos = np.array(list(a._terms), dtype=shifts.dtype).reshape(len(a), ctx.space.count)
+    shifts = _shifts(a.space.count, w)
+    monos = np.array(list(a._terms), dtype=shifts.dtype).reshape(len(a), a.space.count)
     keys = (monos << shifts).sum(axis=1)
     coeffs = np.fromiter(a._terms.values(), dtype=np.int64, count=len(a))
     order = np.argsort(keys)
     return keys[order], coeffs[order]
 
 
-def _unpack(keys: np.ndarray, coeffs: np.ndarray, ctx: TruncationContext, w: int) -> Polynomial:
-    fields = (keys[:, None] >> _shifts(ctx, w)) & ((1 << w) - 1)
+def _unpack(keys: np.ndarray, coeffs: np.ndarray, space: VariableSpace, p: int, w: int) -> Polynomial:
+    fields = (keys[:, None] >> _shifts(space.count, w)) & ((1 << w) - 1)
     terms = dict(zip(map(tuple, fields.tolist()), coeffs.tolist()))
-    return Polynomial._make(ctx.space, ctx.modulus.p, terms)
+    return Polynomial._make(space, p, terms)
 
 
 def _merge(key_parts: list, coeff_parts: list, p: int):
@@ -533,8 +490,9 @@ def _merge(key_parts: list, coeff_parts: list, p: int):
     return keys[starts[nonzero]], sums[nonzero]
 
 
-def _mul_packed(a_keys, a_coeffs, b_keys, b_coeffs, ctx: TruncationContext, w: int):
-    """Truncated product of two packed polynomials, as sorted keys and coefficients.
+def _mul_packed(a_keys, a_coeffs, b_keys, b_coeffs, p: int, v: int, w: int):
+    """Truncated product of two packed polynomials in v variables over F_p, as
+    sorted keys and coefficients.
 
     The longer operand is shifted by each term of the shorter one.  Adding the
     term's key plus a bias of 2^(w-1) - p in every field sets a field's guard
@@ -546,10 +504,9 @@ def _mul_packed(a_keys, a_coeffs, b_keys, b_coeffs, ctx: TruncationContext, w: i
     """
     if len(a_keys) < len(b_keys):
         a_keys, a_coeffs, b_keys, b_coeffs = b_keys, b_coeffs, a_keys, a_coeffs
-    p = ctx.modulus.p
-    unit = sum(1 << (w * i) for i in range(ctx.space.count))
+    unit = sum(1 << (w * i) for i in range(v))
     guard = unit << (w - 1)
-    bias = unit * ((1 << (w - 1)) - ctx.bound)
+    bias = unit * ((1 << (w - 1)) - p)
     keys, coeffs = a_keys[:0], a_coeffs[:0]
     pending_keys, pending_coeffs, pending = [], [], 0
     for term, c in zip((b_keys + bias).tolist(), b_coeffs.tolist()):
@@ -569,21 +526,21 @@ class TruncatedAccumulator:
 
     Chains of products against small polynomials (Frobenius powers of a
     permanent, say) can hold millions of terms; the accumulator keeps them
-    packed and never materializes the sparse dict form.  Keys are int64 when
-    v exponent fields fit 63 bits and Python ints otherwise; both run the
+    packed and never materializes the sparse dict form.  Its space and
+    characteristic are those of the polynomial it starts from.  Keys are int64
+    when v exponent fields fit 63 bits and Python ints otherwise; both run the
     same kernel.
     """
 
-    __slots__ = ("ctx", "_width", "_keys", "_coeffs")
+    __slots__ = ("space", "char", "_width", "_keys", "_coeffs")
 
-    def __init__(self, poly: Polynomial, ctx: TruncationContext):
-        ctx.check(poly)
-        self.ctx = ctx
-        self._width = _key_width(ctx)
-        self._keys, self._coeffs = _pack(truncate(poly, ctx), ctx, self._width)
+    def __init__(self, poly: Polynomial):
+        self.space, self.char = poly.space, poly.char
+        self._width = _key_width(poly.char)
+        self._keys, self._coeffs = _pack(truncate(poly), self._width)
 
     @classmethod
-    def power(cls, poly: Polynomial, k: int, ctx: TruncationContext) -> "TruncatedAccumulator":
+    def power(cls, poly: Polynomial, k: int) -> "TruncatedAccumulator":
         """poly^k by repeated multiplication with the (typically small) base.
 
         In a saturated quotient the intermediates hold vastly more terms than
@@ -592,19 +549,20 @@ class TruncatedAccumulator:
         if k < 0:
             raise ValueError("negative power")
         if k == 0:
-            return cls(Polynomial.one(ctx.space, ctx.modulus.p), ctx)
-        acc = cls(poly, ctx)
+            return cls(Polynomial.one(poly.space, poly.char))
+        acc = cls(poly)
         for _ in range(k - 1):
             acc = acc.mul_poly(poly)
         return acc
 
     def mul_poly(self, poly: Polynomial) -> "TruncatedAccumulator":
         """Truncated product with a (typically small) sparse polynomial."""
-        ctx, w = self.ctx, self._width
+        poly._check_compatible(self)  # reads only .space and .char
+        w = self._width
         out = object.__new__(TruncatedAccumulator)
-        out.ctx, out._width = ctx, w
+        out.space, out.char, out._width = self.space, self.char, w
         out._keys, out._coeffs = _mul_packed(
-            self._keys, self._coeffs, *_pack(truncate(poly, ctx), ctx, w), ctx, w
+            self._keys, self._coeffs, *_pack(truncate(poly), w), self.char, self.space.count, w
         )
         return out
 
@@ -619,9 +577,9 @@ class TruncatedAccumulator:
         import numpy as np
 
         mono = tuple(mono)
-        if any(e >= self.ctx.bound for e in mono):
+        if any(e >= self.char for e in mono):
             return 0
-        key = sum(int(e) << int(s) for e, s in zip(mono, _shifts(self.ctx, self._width)))
+        key = sum(int(e) << int(s) for e, s in zip(mono, _shifts(self.space.count, self._width)))
         i = int(np.searchsorted(self._keys, key))
         if i < len(self._keys) and self._keys[i] == key:
             return int(self._coeffs[i])
@@ -629,7 +587,7 @@ class TruncatedAccumulator:
 
     def equals_monomial(self, mono, coefficient: int) -> bool:
         """True iff the value is exactly coefficient * mono, with coefficient nonzero mod p."""
-        return self.nnz() == 1 and self.coeff(mono) == coefficient % self.ctx.modulus.p
+        return self.nnz() == 1 and self.coeff(mono) == coefficient % self.char
 
     def leading_term(self) -> tuple:
         """The GRLEX leading (monomial, coefficient) pair of a nonzero value.
@@ -644,7 +602,7 @@ class TruncatedAccumulator:
         import numpy as np
 
         mask = (1 << self._width) - 1
-        shifts = _shifts(self.ctx, self._width).tolist()
+        shifts = _shifts(self.space.count, self._width).tolist()
         degree = np.zeros(len(self._keys), dtype=np.int64)
         for s in shifts:
             degree += ((self._keys >> s) & mask).astype(np.int64)
@@ -654,27 +612,26 @@ class TruncatedAccumulator:
         return tuple((key >> s) & mask for s in shifts), int(self._coeffs[i])
 
     def to_polynomial(self) -> Polynomial:
-        return _unpack(self._keys, self._coeffs, self.ctx, self._width)
+        return _unpack(self._keys, self._coeffs, self.space, self.char, self._width)
 
 
-def truncated_mul(a: Polynomial, b: Polynomial, ctx: TruncationContext) -> Polynomial:
-    """Product in the truncated quotient; equals truncate(a * b, ctx)."""
-    ctx.check(a)
-    ctx.check(b)
-    w = _key_width(ctx)
-    product = _mul_packed(*_pack(truncate(a, ctx), ctx, w), *_pack(truncate(b, ctx), ctx, w), ctx, w)
-    return _unpack(*product, ctx, w)
+def truncated_mul(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Product in the truncated quotient; equals truncate(a * b)."""
+    a._check_compatible(b)
+    p, w = a.char, _key_width(a.char)
+    product = _mul_packed(*_pack(truncate(a), w), *_pack(truncate(b), w), p, a.space.count, w)
+    return _unpack(*product, a.space, p, w)
 
 
-def truncated_pow(a: Polynomial, k: int, ctx: TruncationContext) -> Polynomial:
-    """a^k in the truncated quotient, by TruncatedAccumulator.power.
+def truncated_pow(a: Polynomial, k: int) -> Polynomial:
+    """a^k mod m^[p], p the characteristic of a, by TruncatedAccumulator.power.
 
     Truncation is a ring quotient, so truncating after every product is sound.
     No check calls this; it stays public on purpose: it is exported, the tests
     use it, and perfbench/tracer.py binds it by name, so deleting it would
     break the benchmark's CI step.
     """
-    return TruncatedAccumulator.power(a, k, ctx).to_polynomial()
+    return TruncatedAccumulator.power(a, k).to_polynomial()
 
 
 # ---------------------------------------------------------------------------

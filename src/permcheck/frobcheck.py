@@ -7,7 +7,7 @@ ideal (I^[p] : I) equals (omega^{p-1}) + I^[p], so
   * F-regularity certificate: c * omega^{p-1} not in m^[p] for a test element c
 
 which reduces every check here to truncated polynomial arithmetic at the
-Frobenius power q = p.  The module also decides membership in
+Frobenius power q = p, with p the characteristic of the generators.  The module also decides membership in
 (omega_P^{p-1}) + P^[p] structurally for the classified minimal primes P (a
 binomial on an inner 2x2 block plus outside variables, or pure variable
 ideals), and computes the "Fedder coefficient" of a full-support ideal --
@@ -29,10 +29,8 @@ from typing import TYPE_CHECKING, Optional
 
 from .fppoly import (
     Polynomial,
-    PrimeModulus,
     StructureError,
     TruncatedAccumulator,
-    TruncationContext,
     exact_divide,
     truncated_mul,
 )
@@ -50,13 +48,12 @@ class FedderVerdict:
     surviving_term: Optional[tuple]  # (monomial, coefficient) or None
 
 
-def _omega_power(gens: IdealPresentation, modulus: PrimeModulus) -> TruncatedAccumulator:
+def _omega_power(gens: IdealPresentation) -> TruncatedAccumulator:
     """omega^{p-1} mod m^[p], where omega is the product of the generators."""
-    ctx = TruncationContext(modulus, gens.space)
-    omega = Polynomial.one(ctx.space, modulus.p)
+    omega = Polynomial.one(gens.space, gens.char)
     for g in gens.generators:
-        omega = truncated_mul(omega, g, ctx)
-    return TruncatedAccumulator.power(omega, modulus.p - 1, ctx)
+        omega = truncated_mul(omega, g)
+    return TruncatedAccumulator.power(omega, gens.char - 1)
 
 
 def _survivor_verdict(survivor: TruncatedAccumulator) -> FedderVerdict:
@@ -74,22 +71,20 @@ def _require_ci(gens: IdealPresentation, what: str):
         )
 
 
-def fedder_ci_check(gens: IdealPresentation, modulus: PrimeModulus) -> FedderVerdict:
+def fedder_ci_check(gens: IdealPresentation) -> FedderVerdict:
     """Decide F-purity of a complete intersection: omega^{p-1} != 0 mod m^[p]."""
     _require_ci(gens, "the Fedder check")
-    return _survivor_verdict(_omega_power(gens, modulus))
+    return _survivor_verdict(_omega_power(gens))
 
 
-def glassbrenner_witness_check(
-    c: Polynomial, gens: IdealPresentation, modulus: PrimeModulus
-) -> FedderVerdict:
+def glassbrenner_witness_check(c: Polynomial, gens: IdealPresentation) -> FedderVerdict:
     """Check c * omega^{p-1} != 0 mod m^[p] for one witness c.
 
     A pass certifies the F-regularity condition for c at q = p; a failure is
     only inconclusive, since the criterion asks for some Frobenius power q.
     """
     _require_ci(gens, "the Glassbrenner witness check")
-    return _survivor_verdict(_omega_power(gens, modulus).mul_poly(c))
+    return _survivor_verdict(_omega_power(gens).mul_poly(c))
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +211,7 @@ def colon_membership(
 
 
 def fedder_coefficient_fullsupport(
-    gens: IdealPresentation,
-    modulus: PrimeModulus,
-    method: str = "truncated",
-    threads: int = 1,
+    gens: IdealPresentation, method: str = "truncated", threads: int = 1
 ) -> int:
     """Coefficient of prod x_i^{p-1} in omega^{p-1} mod p, for deg(omega) = v.
 
@@ -239,7 +231,7 @@ def fedder_coefficient_fullsupport(
     (column scaling fixes it too).
     """
     _require_ci(gens, "the Fedder coefficient")
-    p = modulus.p
+    p = gens.char
     v = gens.space.count
     total_deg = sum(g.total_degree() for g in gens.generators)
     if total_deg != v:
@@ -249,7 +241,7 @@ def fedder_coefficient_fullsupport(
         )
     sign = 1 if v % 2 == 0 else -1
     if method == "truncated":
-        return _omega_power(gens, modulus).coeff((p - 1,) * v)
+        return _omega_power(gens).coeff((p - 1,) * v)
     if method == "pointcount":
         count = count_nonvanishing(gens, p, threads=threads)
         return (sign * count) % p

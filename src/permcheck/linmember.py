@@ -37,23 +37,6 @@ class SizeGuardError(ValueError):
         self.cols = cols
 
 
-def _validate(targets, generators, degree_bound: int) -> None:
-    if any(t.total_degree() > degree_bound for t in targets):
-        raise ValueError("target degree exceeds the degree bound")
-    if any(g.is_zero for g in generators):
-        raise ValueError("generators must be nonzero")
-
-
-@dataclass(frozen=True)
-class MembershipInstance:
-    target: Polynomial
-    generators: tuple
-    degree_bound: int
-
-    def __post_init__(self):
-        _validate([self.target], self.generators, self.degree_bound)
-
-
 @dataclass
 class LinearSystem:
     """Sparse row-major system A X = rhs over F_p with one column of X per target.
@@ -242,7 +225,10 @@ def members_bounded(
     """
     targets = list(targets)
     generators = tuple(generators)
-    _validate(targets, generators, degree_bound)
+    if any(t.total_degree() > degree_bound for t in targets):
+        raise ValueError("target degree exceeds the degree bound")
+    if any(g.is_zero for g in generators):
+        raise ValueError("generators must be nonzero")
     graded_gens = all(_is_homogeneous(g) for g in generators)
     groups: dict = {}
     for ti, target in enumerate(targets):
@@ -279,8 +265,11 @@ def _combination(target: Polynomial, generators, col_labels, solution) -> dict:
 
 
 def member_bounded(
-    inst: MembershipInstance, max_entries: int = MAX_MATRIX_ENTRIES
+    target: Polynomial,
+    generators: Sequence[Polynomial],
+    degree_bound: int,
+    max_entries: int = MAX_MATRIX_ENTRIES,
 ) -> Optional[dict]:
     """Multipliers {generator index: h} with sum h_g * g = target, or None:
     the one-target case of `members_bounded`."""
-    return members_bounded([inst.target], inst.generators, inst.degree_bound, max_entries)[0]
+    return members_bounded([target], generators, degree_bound, max_entries)[0]

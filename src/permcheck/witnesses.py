@@ -19,9 +19,7 @@ from typing import Optional
 from .fppoly import (
     LEX,
     Polynomial,
-    PrimeModulus,
     TruncatedAccumulator,
-    TruncationContext,
     VariableSpace,
     leading_term,
     render_poly,
@@ -281,8 +279,7 @@ def _hankel_data(n: int, p: int):
     mat = build_matrix(MatrixShape.hankel(n))
     f_n = permanent(mat, char=p)
     f_prev = permanent(mat, rows=range(n - 1), cols=range(n - 1), char=p)
-    ctx = TruncationContext(PrimeModulus(p), mat.space)
-    return mat, f_n, f_prev, ctx, TruncatedAccumulator.power(f_n, p - 1, ctx)
+    return mat, f_n, f_prev, TruncatedAccumulator.power(f_n, p - 1)
 
 
 def verify_hankel_monomial_absence(n: int) -> LemmaReport:
@@ -376,7 +373,7 @@ def verify_hankel_product_identity(n: int, p: int) -> LemmaReport:
         raise ValueError("the identity needs p > 2")
     t0 = time.perf_counter()
     params = {"shape": f"hankel:{n}", "n": n, "p": p, "e": 1, "method": "truncated"}
-    mat, f_n, f_prev, ctx, power = _hankel_data(n, p)
+    mat, f_n, f_prev, power = _hankel_data(n, p)
     space = mat.space
     exps = [0] * space.count
     for i in range(1, n):
@@ -410,7 +407,7 @@ def verify_hankel_hypersurface(n: int, p: int) -> LemmaReport:
         raise ValueError("the check needs p > 2")
     t0 = time.perf_counter()
     params = {"shape": f"hankel:{n}", "n": n, "p": p, "e": 1, "method": "truncated"}
-    mat, f_n, f_prev, ctx, power = _hankel_data(n, p)
+    mat, f_n, f_prev, power = _hankel_data(n, p)
     space = mat.space
     diag = tuple(1 if i % 2 == 0 else 0 for i in range(space.count))
     lt = leading_term(f_n, LEX)
@@ -495,8 +492,7 @@ def verify_witness_membership(shape: MatrixShape, p: int) -> LemmaReport:
         "p": p,
         "e": 1,
     }
-    ctx = TruncationContext(PrimeModulus(p), f.space)
-    residue = truncate(f, ctx)
+    residue = truncate(f)
     expected = _expected_residue(shape, f.space, p)
     residue_ok = residue == expected
     memberships = []
@@ -544,11 +540,10 @@ def verify_fpure(
               "t": t, "p": p, "e": 1, "method": method}
     mat = build_matrix(shape)
     gens = permanental_generators(mat, t, char=p)
-    modulus = PrimeModulus(p)
     if method == "truncated":
-        survivor = frobcheck.fedder_ci_check(gens, modulus).surviving_term
+        survivor = frobcheck.fedder_ci_check(gens).surviving_term
     else:
-        coeff = fedder_coefficient_fullsupport(gens, modulus, method=method, threads=threads)
+        coeff = fedder_coefficient_fullsupport(gens, method=method, threads=threads)
         survivor = ((p - 1,) * mat.space.count, coeff) if coeff else None
     passed = survivor is not None
     evidence = {
@@ -636,7 +631,7 @@ def scan_three_by_four_fpurity(p_list, method: str = "truncated", threads: int =
     for p in p_list:
         mat = build_matrix(MatrixShape.generic(3, 4))
         gens = permanental_generators(mat, 3, char=p)
-        coeff = fedder_coefficient_fullsupport(gens, PrimeModulus(p), method=method, threads=threads)
+        coeff = fedder_coefficient_fullsupport(gens, method=method, threads=threads)
         fpure = coeff != 0
         predicted = p % 6 == 1
         ok = fpure == predicted

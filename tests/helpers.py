@@ -4,7 +4,7 @@ import itertools
 from collections import namedtuple
 from typing import Optional, Sequence
 
-from permcheck.fppoly import GRLEX, Polynomial, TruncationContext, VariableSpace, exact_divide
+from permcheck.fppoly import GRLEX, Polynomial, VariableSpace, exact_divide
 from permcheck.frobcheck import _split_term
 from permcheck.linmember import (
     MAX_MATRIX_ENTRIES,
@@ -28,10 +28,9 @@ def brute_permanent(mat, rows, cols, char):
     return total
 
 
-def _truncated_mul_dict(a: Polynomial, b: Polynomial, ctx: TruncationContext) -> Polynomial:
+def _truncated_mul_dict(a: Polynomial, b: Polynomial) -> Polynomial:
     """Pairwise dict-loop truncated product; the oracle for the packed kernel."""
-    p = ctx.modulus.p
-    bound = ctx.bound
+    p = bound = a.char
     out: dict = {}
     ta, tb = a._terms, b._terms
     if len(ta) < len(tb):
@@ -284,21 +283,21 @@ def prime_contains(prime: "MinimalPrime", g: Polynomial) -> bool:
 _SingleSystem = namedtuple("_SingleSystem", "row_labels col_labels matrix rhs p")
 
 
-def _build_system_single(inst, max_entries: int = MAX_MATRIX_ENTRIES):
+def _build_system_single(target, generators, degree_bound, max_entries: int = MAX_MATRIX_ENTRIES):
     """Assemble the membership system; rows are restricted to monomials that
     occur in the target or in some column (absent rows are trivially zero)."""
-    space = inst.target.space
-    p = inst.target.char
+    space = target.space
+    p = target.char
     v = space.count
-    d = inst.degree_bound
-    graded = _is_homogeneous(inst.target) and all(
-        _is_homogeneous(g) for g in inst.generators
+    d = degree_bound
+    graded = _is_homogeneous(target) and all(
+        _is_homogeneous(g) for g in generators
     )
-    target_deg = inst.target.total_degree()
+    target_deg = target.total_degree()
 
     col_labels = []
     col_polys = []
-    for gi, g in enumerate(inst.generators):
+    for gi, g in enumerate(generators):
         dg = g.total_degree()
         if dg > d:
             continue
@@ -323,7 +322,7 @@ def _build_system_single(inst, max_entries: int = MAX_MATRIX_ENTRIES):
             row_labels.append(mono)
         return ri
 
-    for mono, _ in sorted(inst.target.items(), key=lambda kv: GRLEX.key(kv[0]), reverse=True):
+    for mono, _ in sorted(target.items(), key=lambda kv: GRLEX.key(kv[0]), reverse=True):
         row_of(mono)
     cells = []
     for ci, poly in enumerate(col_polys):
@@ -335,7 +334,7 @@ def _build_system_single(inst, max_entries: int = MAX_MATRIX_ENTRIES):
     for ri, ci, c in cells:
         matrix[ri][ci] = c
     rhs = [0] * len(row_labels)
-    for mono, c in inst.target.items():
+    for mono, c in target.items():
         rhs[row_index[mono]] = c
     return _SingleSystem(row_labels, col_labels, matrix, rhs, p)
 
@@ -393,19 +392,21 @@ def _gaussian_solve_single(system) -> Optional[list]:
     return solution
 
 
-def member_bounded_single(inst, max_entries: int = MAX_MATRIX_ENTRIES) -> Optional[dict]:
+def member_bounded_single(
+    target, generators, degree_bound, max_entries: int = MAX_MATRIX_ENTRIES
+) -> Optional[dict]:
     """Multipliers {generator index: h} with sum h_g * g = target, or None.
 
     A returned combination always re-multiplies exactly to the target (checked
     here, unconditionally).  None certifies non-membership only up to the
-    instance's degree bound.
+    degree bound.
     """
-    system = _build_system_single(inst, max_entries=max_entries)
+    system = _build_system_single(target, generators, degree_bound, max_entries=max_entries)
     solution = _gaussian_solve_single(system)
     if solution is None:
         return None
-    space = inst.target.space
-    p = inst.target.char
+    space = target.space
+    p = target.char
     multiplier_terms: dict = {}
     for (gi, mult), value in zip(system.col_labels, solution):
         if value:
@@ -415,7 +416,7 @@ def member_bounded_single(inst, max_entries: int = MAX_MATRIX_ENTRIES) -> Option
     }
     total = Polynomial.zero(space, p)
     for gi, h in combination.items():
-        total = total + h * inst.generators[gi]
-    if total != inst.target:
+        total = total + h * generators[gi]
+    if total != target:
         raise RuntimeError("solver returned a combination that does not re-multiply to the target")
     return combination

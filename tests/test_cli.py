@@ -39,6 +39,13 @@ class TestExitCodes:
         assert code == 1
         assert "error" in err
 
+    def test_prime_above_2_31_is_usage_error(self, capsys):
+        # 2147483659 is the first prime above 2^31, beyond the int64 kernels
+        code, out, err = invoke(capsys, "verify", "lemma34", "--n", "2", "--p", "2147483659")
+        assert code == 1
+        assert out == ""
+        assert "2147483659" in err
+
     def test_bad_shape_is_usage_error(self, capsys):
         code, _, err = invoke(capsys, "verify", "fpure", "--shape", "cube:3", "--p", "3")
         assert code == 1
@@ -201,6 +208,17 @@ class TestChecks:
             capsys, "verify", "witness-symmetric", "--n", "3", "--p", "3,5"
         )
         assert code == 0
+
+    def test_witness_generic_large_prime(self, capsys):
+        # the 2x2 witness has degree 4(p - 1) = 4120 at p = 1031
+        code, out, err = invoke(
+            capsys, "verify", "witness-generic", "--m", "2", "--n", "2", "--p", "1031",
+            "--format", "json",
+        )
+        assert code == 0, err
+        (report,) = json.loads(out)["reports"]
+        assert report["verdict"] == "pass"
+        assert report["evidence"]["residue_matches_full_product"] is True
 
 
 class TestCheckTable:

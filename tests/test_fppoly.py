@@ -11,15 +11,12 @@ from hypothesis import strategies as st
 from permcheck.fppoly import (
     GRLEX,
     LEX,
-    DegreeOverflowError,
     ParseError,
     Polynomial,
-    PrimeModulus,
     StructureError,
     TruncatedAccumulator,
-    TruncationContext,
     VariableSpace,
-    coefficient_of,
+    check_prime,
     evaluate,
     exact_divide,
     leading_term,
@@ -74,44 +71,35 @@ class TestMul:
         f = zpoly("z2^2 + 2*z1*z3")
         assert (f * Polynomial.zero(Z3, 3)).is_zero
 
-    def test_degree_cap_overflow(self):
-        tight = VariableSpace(("x",), degree_cap=5)
-        x = Polynomial.variable(tight, 3, 0)
-        cube = x * x * x
-        with pytest.raises(DegreeOverflowError):
-            cube * cube
-
 
 class TestTruncated:
     def setup_method(self):
         self.xy = VariableSpace(("x1", "y1"))
-        self.ctx = TruncationContext(PrimeModulus(3), self.xy)
 
     def test_product_below_bound(self):
         s = parse_poly("x1 + y1", self.xy, 3)
-        assert truncated_mul(s, s, self.ctx) == parse_poly(
+        assert truncated_mul(s, s) == parse_poly(
             "x1^2 + 2*x1*y1 + y1^2", self.xy, 3
         )
 
     def test_power_annihilated(self):
         x = Polynomial.variable(self.xy, 3, 0)
-        assert truncated_mul(x * x, x, self.ctx).is_zero
+        assert truncated_mul(x * x, x).is_zero
 
     def test_freshman_dream_cube(self):
         # (x+y)^3 = x^3 + y^3 mod 3, and both cubes truncate away
         s = parse_poly("x1 + y1", self.xy, 3)
-        sq = truncated_mul(s, s, self.ctx)
-        assert truncated_mul(sq, s, self.ctx).is_zero
+        sq = truncated_mul(s, s)
+        assert truncated_mul(sq, s).is_zero
 
     def test_pow_small_cases(self):
-        ctx3 = TruncationContext(PrimeModulus(3), Z3)
         f2 = zpoly("z2^2 + z1*z3")
-        assert truncated_pow(f2, 2, ctx3) == zpoly("2*z1*z2^2*z3 + z1^2*z3^2")
+        assert truncated_pow(f2, 2) == zpoly("2*z1*z2^2*z3 + z1^2*z3^2")
         a = zpoly("z1^2 + 2*z3")
-        assert truncated_pow(a, 0, ctx3) == Polynomial.one(Z3, 3)
-        assert truncated_pow(a, 1, ctx3) == truncate(a, ctx3)
+        assert truncated_pow(a, 0) == Polynomial.one(Z3, 3)
+        assert truncated_pow(a, 1) == truncate(a)
         with pytest.raises(ValueError):
-            truncated_pow(a, -1, ctx3)
+            truncated_pow(a, -1)
 
 
 class TestLeadingTerm:
@@ -263,22 +251,18 @@ class TestRandomizedLaws:
         rng = random.Random(102)
         space = small_space(3)
         for p in (3, 7, 5):
-            ctx = TruncationContext(PrimeModulus(p), space)
             for _ in range(300):
                 a = random_poly(rng, space, p, max_exp=p)
                 b = random_poly(rng, space, p, max_exp=p)
-                assert truncate(a * b, ctx) == truncated_mul(
-                    truncate(a, ctx), truncate(b, ctx), ctx
-                )
+                assert truncate(a * b) == truncated_mul(truncate(a), truncate(b))
 
     def test_powering_strategies_agree(self):
         rng = random.Random(103)
         space = small_space(3)
-        ctx = TruncationContext(PrimeModulus(5), space)
         for _ in range(60):
             a = random_poly(rng, space, 5, max_exp=4)
             for k in range(9):
-                assert truncated_pow(a, k, ctx) == truncate(a**k, ctx)
+                assert truncated_pow(a, k) == truncate(a**k)
 
     def test_exact_divide_round_trip(self):
         rng = random.Random(104)
@@ -319,7 +303,7 @@ class TestRandomizedLaws:
                     total = 0
                     for point in itertools.product(range(p), repeat=v):
                         total = (total + evaluate(g, point)) % p
-                    expected = (-1) ** v * coefficient_of(g, full) % p
+                    expected = (-1) ** v * g.coeff(full) % p
                     assert total == expected
 
 
@@ -327,12 +311,11 @@ class TestTruncatedAccumulator:
     def test_matches_sparse_pipeline(self):
         rng = random.Random(107)
         space = small_space(3)
-        ctx = TruncationContext(PrimeModulus(5), space)
         for _ in range(100):
             a = random_poly(rng, space, 5, max_exp=4, allow_zero=False)
             b = random_poly(rng, space, 5, max_exp=4)
-            acc = TruncatedAccumulator(a, ctx).mul_poly(b).mul_poly(a)
-            direct = truncate(a * b * a, ctx)
+            acc = TruncatedAccumulator(a).mul_poly(b).mul_poly(a)
+            direct = truncate(a * b * a)
             assert acc.to_polynomial() == direct
             assert acc.is_zero == direct.is_zero
             assert acc.nnz() == len(direct)
@@ -341,8 +324,7 @@ class TestTruncatedAccumulator:
 
     def test_equals_monomial(self):
         space = small_space(2)
-        ctx = TruncationContext(PrimeModulus(3), space)
-        acc = TruncatedAccumulator(parse_poly("2*z1*z2", space, 3), ctx)
+        acc = TruncatedAccumulator(parse_poly("2*z1*z2", space, 3))
         assert acc.equals_monomial((1, 1), 2)
         assert acc.equals_monomial((1, 1), -1)
         assert not acc.equals_monomial((1, 1), 1)
@@ -359,18 +341,14 @@ PACKED_CONFIGS = [
 ]
 
 
-def _ctx(p, v):
-    return TruncationContext(PrimeModulus(p), small_space(v))
-
-
 @st.composite
 def packed_operands(draw):
     p, v = draw(st.sampled_from(PACKED_CONFIGS))
-    ctx = _ctx(p, v)
+    space = small_space(v)
     # exponents up to p exercise truncation of the inputs as well
-    mono = st.tuples(*[st.integers(0, min(ctx.bound, 5))] * v)
+    mono = st.tuples(*[st.integers(0, min(p, 5))] * v)
     terms = st.dictionaries(mono, st.integers(0, p - 1), max_size=8)
-    return ctx, Polynomial(ctx.space, p, draw(terms)), Polynomial(ctx.space, p, draw(terms))
+    return Polynomial(space, p, draw(terms)), Polynomial(space, p, draw(terms))
 
 
 class TestPackedKernel:
@@ -380,53 +358,53 @@ class TestPackedKernel:
         # (p-1)^2 is close to 2^62: summing three unreduced products of one
         # monomial overflows int64, and every z1^k with k >= 4 has six
         p = 2**31 - 1
-        ctx = _ctx(p, 1)
-        a = Polynomial(ctx.space, p, {(i,): p - 1 - i for i in range(10)})
-        b = Polynomial(ctx.space, p, {(j,): p - 1 - 3 * j for j in range(6)})
-        assert truncated_mul(a, b, ctx) == truncate(a * b, ctx)
-        assert TruncatedAccumulator(a, ctx).mul_poly(b).to_polynomial() == truncate(a * b, ctx)
+        space = small_space(1)
+        a = Polynomial(space, p, {(i,): p - 1 - i for i in range(10)})
+        b = Polynomial(space, p, {(j,): p - 1 - 3 * j for j in range(6)})
+        assert truncated_mul(a, b) == truncate(a * b)
+        assert TruncatedAccumulator(a).mul_poly(b).to_polynomial() == truncate(a * b)
 
     def test_empty_operand(self):
-        ctx = _ctx(5, 3)
-        a = parse_poly("z1 + 2*z2*z3^4", ctx.space, 5)
-        zero = Polynomial.zero(ctx.space, 5)
-        assert truncated_mul(a, zero, ctx).is_zero
-        assert truncated_mul(zero, a, ctx).is_zero
-        assert TruncatedAccumulator(zero, ctx).mul_poly(a).is_zero
-        assert TruncatedAccumulator(a, ctx).mul_poly(zero).nnz() == 0
+        space = small_space(3)
+        a = parse_poly("z1 + 2*z2*z3^4", space, 5)
+        zero = Polynomial.zero(space, 5)
+        assert truncated_mul(a, zero).is_zero
+        assert truncated_mul(zero, a).is_zero
+        assert TruncatedAccumulator(zero).mul_poly(a).is_zero
+        assert TruncatedAccumulator(a).mul_poly(zero).nnz() == 0
 
     def test_every_pair_truncated(self):
-        ctx = _ctx(3, 2)
-        a = parse_poly("z1^2 + 2*z1^2*z2", ctx.space, 3)
-        b = parse_poly("z1 + z1*z2^2", ctx.space, 3)
+        space = small_space(2)
+        a = parse_poly("z1^2 + 2*z1^2*z2", space, 3)
+        b = parse_poly("z1 + z1*z2^2", space, 3)
         assert not (a * b).is_zero
-        assert truncated_mul(a, b, ctx).is_zero
-        assert TruncatedAccumulator(a, ctx).mul_poly(b).is_zero
+        assert truncated_mul(a, b).is_zero
+        assert TruncatedAccumulator(a).mul_poly(b).is_zero
 
     def test_coefficients_cancel_mod_p(self):
         # z1^2*z2^2 arises twice with coefficients 1 and 2; the rest is truncated
-        ctx = _ctx(3, 2)
-        a = parse_poly("z1 + z2", ctx.space, 3)
-        b = parse_poly("z1^2*z2 + 2*z1*z2^2", ctx.space, 3)
-        assert truncated_mul(a, b, ctx).is_zero
-        acc = TruncatedAccumulator(a, ctx).mul_poly(b)
+        space = small_space(2)
+        a = parse_poly("z1 + z2", space, 3)
+        b = parse_poly("z1^2*z2 + 2*z1*z2^2", space, 3)
+        assert truncated_mul(a, b).is_zero
+        acc = TruncatedAccumulator(a).mul_poly(b)
         assert acc.is_zero and acc.nnz() == 0
         # and a partial cancellation keeps only the survivors
-        c = parse_poly("z1 + 2*z2", ctx.space, 3)
-        assert truncated_mul(a, c, ctx) == parse_poly("z1^2 + 2*z2^2", ctx.space, 3)
+        c = parse_poly("z1 + 2*z2", space, 3)
+        assert truncated_mul(a, c) == parse_poly("z1^2 + 2*z2^2", space, 3)
 
     @pytest.mark.parametrize("p, v, packed", [(3, 21, True), (7, 16, False)])
     def test_key_width_boundary(self, p, v, packed):
         # w = bitlen(p) + 1: 21 * 3 = 63 bits fits int64, 16 * 4 = 64 bits does not
         dtype = np.int64 if packed else object
         rng = random.Random(108)
-        ctx = _ctx(p, v)
+        space = small_space(v)
         for _ in range(20):
-            a = random_poly(rng, ctx.space, p, max_terms=6, max_exp=p - 1)
-            b = random_poly(rng, ctx.space, p, max_terms=6, max_exp=p - 1)
-            expected = truncate(a * b, ctx)
-            assert truncated_mul(a, b, ctx) == expected
-            acc = TruncatedAccumulator(a, ctx).mul_poly(b)
+            a = random_poly(rng, space, p, max_terms=6, max_exp=p - 1)
+            b = random_poly(rng, space, p, max_terms=6, max_exp=p - 1)
+            expected = truncate(a * b)
+            assert truncated_mul(a, b) == expected
+            acc = TruncatedAccumulator(a).mul_poly(b)
             assert acc._keys.dtype == dtype
             assert acc.to_polynomial() == expected
             assert acc.nnz() == len(expected)
@@ -436,20 +414,20 @@ class TestPackedKernel:
     @settings(max_examples=300, deadline=None)
     @given(packed_operands())
     def test_packed_matches_dict(self, operands):
-        ctx, a, b = operands
-        expected = _truncated_mul_dict(truncate(a, ctx), truncate(b, ctx), ctx)
-        assert truncated_mul(a, b, ctx) == expected
-        assert TruncatedAccumulator(a, ctx).mul_poly(b).to_polynomial() == expected
+        a, b = operands
+        expected = _truncated_mul_dict(truncate(a), truncate(b))
+        assert truncated_mul(a, b) == expected
+        assert TruncatedAccumulator(a).mul_poly(b).to_polynomial() == expected
 
     # non-homogeneous values whose GRLEX and LEX leading terms differ, on
     # int64 keys (v = 3) and on Python-int keys (v = 16 at p = 7)
     @settings(max_examples=300, deadline=None)
     @given(packed_operands())
-    @example((_ctx(3, 3), *(parse_poly(t, small_space(3), 3) for t in ("z1 + z2^2", "1 + z3"))))
-    @example((_ctx(7, 16), *(parse_poly(t, small_space(16), 7) for t in ("z1 + z16^2", "z2 + 1"))))
+    @example(tuple(parse_poly(t, small_space(3), 3) for t in ("z1 + z2^2", "1 + z3")))
+    @example(tuple(parse_poly(t, small_space(16), 7) for t in ("z1 + z16^2", "z2 + 1")))
     def test_leading_term_matches_unpacked(self, operands):
-        ctx, a, b = operands
-        for acc in (TruncatedAccumulator(a, ctx), TruncatedAccumulator(a, ctx).mul_poly(b)):
+        a, b = operands
+        for acc in (TruncatedAccumulator(a), TruncatedAccumulator(a).mul_poly(b)):
             if acc.is_zero:
                 with pytest.raises(ValueError):
                     acc.leading_term()
@@ -457,16 +435,43 @@ class TestPackedKernel:
                 assert acc.leading_term() == leading_term(acc.to_polynomial(), GRLEX)
 
 
-class TestPrimeModulus:
+class TestCheckPrime:
     def test_accepts_odd_primes(self):
-        assert PrimeModulus(3).p == 3
-        assert PrimeModulus(2**31 - 1).p == 2**31 - 1
+        check_prime(3)
+        check_prime(2**31 - 1)
+        assert Polynomial.one(small_space(1), 2**31 - 1).coeff((0,)) == 1
 
+    # 2^31 + 11 is the first prime above 2^31, beyond the int64 kernels
     @pytest.mark.parametrize("p", [2, 4, 9, 1, -3, 2**31 + 11])
     def test_rejects_bad_primes(self, p):
         with pytest.raises(ValueError):
-            PrimeModulus(p)
+            check_prime(p)
+        with pytest.raises(ValueError):
+            Polynomial(small_space(1), p)
 
-    def test_takes_no_exponent(self):
-        with pytest.raises(TypeError):
-            PrimeModulus(3, 2)
+
+class TestOperandsDecide:
+    """p and the variable space come from the operands; mismatches are refused."""
+
+    def test_truncated_mul_refuses_other_space(self):
+        with pytest.raises(StructureError):
+            truncated_mul(zpoly("z1"), parse_poly("z1", small_space(2), 3))
+
+    def test_truncated_mul_refuses_other_characteristic(self):
+        with pytest.raises(StructureError):
+            truncated_mul(zpoly("z1", 3), zpoly("z1", 5))
+
+    def test_mul_poly_refuses_other_space(self):
+        acc = TruncatedAccumulator(zpoly("z1 + z2"))
+        with pytest.raises(StructureError):
+            acc.mul_poly(parse_poly("z1", small_space(2), 3))
+
+    def test_mul_poly_refuses_other_characteristic(self):
+        acc = TruncatedAccumulator(zpoly("z1 + z2"))
+        with pytest.raises(StructureError):
+            acc.mul_poly(zpoly("z1", 5))
+
+    def test_power_keeps_the_base_characteristic(self):
+        acc = TruncatedAccumulator.power(zpoly("z1 + z2", 5), 0)
+        assert (acc.space, acc.char) == (Z3, 5)
+        assert acc.to_polynomial() == Polynomial.one(Z3, 5)

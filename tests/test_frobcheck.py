@@ -8,8 +8,6 @@ import pytest
 from permcheck import frobcheck
 from permcheck.fppoly import (
     Polynomial,
-    PrimeModulus,
-    TruncationContext,
     VariableSpace,
     parse_poly,
     truncate,
@@ -57,21 +55,21 @@ class TestFedderCICheck:
     def test_monomial_ci_passes(self):
         xy = VariableSpace(("x1", "y1"))
         gens = ci([parse_poly("x1*y1", xy, 3)])
-        verdict = fedder_ci_check(gens, PrimeModulus(3))
+        verdict = fedder_ci_check(gens)
         assert verdict.passed
         assert verdict.surviving_term == ((2, 2), 1)
 
     def test_square_fails(self):
         x = VariableSpace(("x1",))
         gens = ci([parse_poly("x1^2", x, 3)])
-        verdict = fedder_ci_check(gens, PrimeModulus(3))
+        verdict = fedder_ci_check(gens)
         assert not verdict.passed
         assert verdict.surviving_term is None
 
     def test_hankel_2_passes(self):
         mat = build_matrix(MatrixShape.hankel(2))
         gens = permanental_generators(mat, 2, char=3)
-        verdict = fedder_ci_check(gens, PrimeModulus(3))
+        verdict = fedder_ci_check(gens)
         assert verdict.passed
         # survivor = 2 z1 z2^2 z3 + z1^2 z3^2; its graded-lex lead is z1^2 z3^2
         assert verdict.surviving_term == ((2, 0, 2), 1)
@@ -80,7 +78,7 @@ class TestFedderCICheck:
         mat = build_matrix(MatrixShape.generic(3, 3))
         gens = permanental_generators(mat, 2, char=3)
         with pytest.raises(ValueError):
-            fedder_ci_check(gens, PrimeModulus(3))
+            fedder_ci_check(gens)
 
     def test_unused_variable_does_not_change_verdict(self):
         rng = random.Random(42)
@@ -90,8 +88,8 @@ class TestFedderCICheck:
             big = VariableSpace(("x1", "y1", "w1"))
             f_small = random_poly(rng, small, p, max_terms=3, max_exp=2, allow_zero=False)
             f_big = Polynomial(big, p, {m + (0,): c for m, c in f_small.items()})
-            v1 = fedder_ci_check(ci([f_small]), PrimeModulus(p))
-            v2 = fedder_ci_check(ci([f_big]), PrimeModulus(p))
+            v1 = fedder_ci_check(ci([f_small]))
+            v2 = fedder_ci_check(ci([f_big]))
             assert v1.passed == v2.passed
 
 
@@ -104,21 +102,21 @@ class TestGlassbrennerWitness:
     def test_lemma_style_witness(self):
         # z1 z3 * f_2^2 = 2 (z1 z2 z3)^2 modulo cubes, by hand
         c = parse_poly("z1*z3", self.space, 3)
-        verdict = glassbrenner_witness_check(c, self.gens, PrimeModulus(3))
+        verdict = glassbrenner_witness_check(c, self.gens)
         assert verdict.passed
         assert verdict.surviving_term == ((2, 2, 2), 2)
 
     def test_subpermanent_witness(self):
         # z1 * f_2^2 = 2 z1^2 z2^2 z3 modulo cubes, by hand
         c = Polynomial.variable(self.space, 3, 0)
-        verdict = glassbrenner_witness_check(c, self.gens, PrimeModulus(3))
+        verdict = glassbrenner_witness_check(c, self.gens)
         assert verdict.passed
         assert verdict.surviving_term == ((2, 2, 1), 2)
 
     def test_trivial_witness_reduces_to_fedder(self):
         one = Polynomial.one(self.space, 3)
-        fedder = fedder_ci_check(self.gens, PrimeModulus(3))
-        glass = glassbrenner_witness_check(one, self.gens, PrimeModulus(3))
+        fedder = fedder_ci_check(self.gens)
+        glass = glassbrenner_witness_check(one, self.gens)
         assert (glass.passed, glass.surviving_term) == (fedder.passed, fedder.surviving_term)
 
     def test_survivor_is_the_grlex_leading_term(self):
@@ -126,14 +124,14 @@ class TestGlassbrennerWitness:
         space = VariableSpace(("a", "b", "x1", "y1"))
         gens = ci([parse_poly("x1*y1", space, 3)])
         c = parse_poly("a + b^2", space, 3)
-        verdict = glassbrenner_witness_check(c, gens, PrimeModulus(3))
+        verdict = glassbrenner_witness_check(c, gens)
         assert verdict.surviving_term == ((0, 2, 2, 2), 1)
 
     def test_generator_variable_fails(self):
         xy = VariableSpace(("x1", "y1"))
         gens = ci([parse_poly("x1*y1", xy, 3)])
         c = Polynomial.variable(xy, 3, 0)
-        verdict = glassbrenner_witness_check(c, gens, PrimeModulus(3))
+        verdict = glassbrenner_witness_check(c, gens)
         assert not verdict.passed
 
     def test_trivial_witness_equals_fedder_on_random_ci(self):
@@ -148,8 +146,8 @@ class TestGlassbrennerWitness:
                         for _ in range(rng.randrange(1, 3))
                     ]
                 )
-                fedder = fedder_ci_check(gens, PrimeModulus(p))
-                glass = glassbrenner_witness_check(one, gens, PrimeModulus(p))
+                fedder = fedder_ci_check(gens)
+                glass = glassbrenner_witness_check(one, gens)
                 assert glass.passed == fedder.passed
                 assert glass.surviving_term == fedder.surviving_term
 
@@ -219,7 +217,7 @@ class TestColonMembership:
     def test_random_agreement_with_linear_membership(self):
         # (omega^{p-1}) + P^[p] has homogeneous generators, so degree-bounded
         # linear membership at deg(f) is a complete independent oracle
-        from permcheck.linmember import MembershipInstance, member_bounded
+        from permcheck.linmember import member_bounded
 
         rng = random.Random(314)
         p = 3
@@ -243,9 +241,7 @@ class TestColonMembership:
                     continue
                 structural = colon_membership(f, prime) is not None
                 linear = (
-                    member_bounded(
-                        MembershipInstance(f, gens, f.total_degree()), max_entries=10**8
-                    )
+                    member_bounded(f, gens, f.total_degree(), max_entries=10**8)
                     is not None
                 )
                 assert structural == linear
@@ -288,8 +284,8 @@ class TestFedderCoefficient:
     def test_hankel_1(self):
         mat = build_matrix(MatrixShape.hankel(1))
         gens = permanental_generators(mat, 1, char=3)
-        assert fedder_coefficient_fullsupport(gens, PrimeModulus(3), "truncated") == 1
-        assert fedder_coefficient_fullsupport(gens, PrimeModulus(3), "pointcount") == 1
+        assert fedder_coefficient_fullsupport(gens, "truncated") == 1
+        assert fedder_coefficient_fullsupport(gens, "pointcount") == 1
 
     def test_methods_agree_on_random_ci(self):
         rng = random.Random(55)
@@ -319,15 +315,15 @@ class TestFedderCoefficient:
                     if sum(g.total_degree() for g in gens) != v:
                         continue
                     pres = ci(gens)
-                    c1 = fedder_coefficient_fullsupport(pres, PrimeModulus(p), "truncated")
-                    c2 = fedder_coefficient_fullsupport(pres, PrimeModulus(p), "pointcount")
+                    c1 = fedder_coefficient_fullsupport(pres, "truncated")
+                    c2 = fedder_coefficient_fullsupport(pres, "pointcount")
                     assert c1 == c2
 
     def test_generic_3x4_p3_all_methods_agree(self):
         mat = build_matrix(MatrixShape.generic(3, 4))
         gens = permanental_generators(mat, 3, char=3)
         values = {
-            method: fedder_coefficient_fullsupport(gens, PrimeModulus(3), method)
+            method: fedder_coefficient_fullsupport(gens, method)
             for method in ("truncated", "pointcount", "fiber")
         }
         assert len(set(values.values())) == 1
@@ -336,13 +332,13 @@ class TestFedderCoefficient:
         xy = VariableSpace(("x1", "y1"))
         gens = ci([parse_poly("x1", xy, 3)])
         with pytest.raises(ValueError):
-            fedder_coefficient_fullsupport(gens, PrimeModulus(3))
+            fedder_coefficient_fullsupport(gens)
 
     def test_fiber_refused_off_shape(self):
         mat = build_matrix(MatrixShape.generic(2, 3))
         gens = permanental_generators(mat, 2, char=3)
         with pytest.raises(ValueError):
-            fedder_coefficient_fullsupport(gens, PrimeModulus(3), "fiber")
+            fedder_coefficient_fullsupport(gens, "fiber")
 
 
 @pytest.fixture(scope="module")

@@ -11,7 +11,6 @@ from permcheck.fppoly import Polynomial, parse_poly
 from permcheck.frobcheck import colon_membership
 from permcheck.linmember import (
     LinearSystem,
-    MembershipInstance,
     SizeGuardError,
     build_system,
     gaussian_solve,
@@ -105,7 +104,7 @@ class TestMemberBounded:
 
     def test_entry_triple_member(self):
         target = parse_poly("x1_1*x1_2*x2_3", self.mat23.space, 3)
-        comb = member_bounded(MembershipInstance(target, self.gens23.generators, 3))
+        comb = member_bounded(target, self.gens23.generators, 3)
         assert comb is not None
         total = Polynomial.zero(self.mat23.space, 3)
         for gi, h in comb.items():
@@ -116,11 +115,11 @@ class TestMemberBounded:
         mat = build_matrix(MatrixShape.generic(3, 3))
         gens = permanental_generators(mat, 2, char=5)
         target = parse_poly("x1_1^2*x2_2*x3_3", mat.space, 5)
-        assert member_bounded(MembershipInstance(target, gens.generators, 4)) is not None
+        assert member_bounded(target, gens.generators, 4) is not None
 
     def test_degree_two_absence_matches_brute_force(self):
         target = parse_poly("x1_1*x1_2", self.mat23.space, 3)
-        assert member_bounded(MembershipInstance(target, self.gens23.generators, 2)) is None
+        assert member_bounded(target, self.gens23.generators, 2) is None
         # independent oracle: all F_3-combinations of the three generators
         found = False
         g1, g2, g3 = self.gens23.generators
@@ -151,24 +150,21 @@ class TestMemberBounded:
             if target.is_zero:
                 continue
             bound = target.total_degree()
-            comb = member_bounded(MembershipInstance(target, self.gens23.generators, bound))
+            comb = member_bounded(target, self.gens23.generators, bound)
             assert comb is not None
             # monotonicity: membership persists at larger bounds
-            assert member_bounded(
-                MembershipInstance(target, self.gens23.generators, bound + 1)
-            ) is not None
+            assert member_bounded(target, self.gens23.generators, bound + 1) is not None
 
     def test_size_guard(self):
         target = parse_poly("x1_1*x1_2*x2_3", self.mat23.space, 3)
-        inst = MembershipInstance(target, self.gens23.generators, 3)
         with pytest.raises(SizeGuardError) as err:
-            member_bounded(inst, max_entries=10)
+            member_bounded(target, self.gens23.generators, 3, max_entries=10)
         assert err.value.rows > 0 and err.value.cols > 0
 
     def test_target_degree_above_bound_rejected(self):
         target = parse_poly("x1_1*x1_2*x2_3", self.mat23.space, 3)
         with pytest.raises(ValueError):
-            MembershipInstance(target, self.gens23.generators, 2)
+            member_bounded(target, self.gens23.generators, 2)
 
     def test_agreement_with_colon_membership_2x3(self):
         # same verdicts as the structural decision on every minimal prime
@@ -177,15 +173,12 @@ class TestMemberBounded:
         for prime in minimal_primes_generic(2, 3):
             gens = [prime.omega(p) ** (p - 1)] + [g**p for g in prime.generators(p)]
             structural = colon_membership(f, prime) is not None
-            linear = member_bounded(
-                MembershipInstance(f, tuple(gens), f.total_degree()),
-                max_entries=2 * 10**8,
-            )
+            linear = member_bounded(f, gens, f.total_degree(), max_entries=2 * 10**8)
             assert (linear is not None) == structural
             # and the constant 1 is correctly refused on both routes
             one = Polynomial.one(f.space, p)
             assert colon_membership(one, prime) is None
-            assert member_bounded(MembershipInstance(one, tuple(gens), 0)) is None
+            assert member_bounded(one, tuple(gens), 0) is None
 
 
 MAT23 = build_matrix(MatrixShape.generic(2, 3))
@@ -238,7 +231,7 @@ class TestMembersBounded:
         combinations = members_bounded(targets, gens, bound)
         assert len(combinations) == len(targets)
         for target, comb in zip(targets, combinations):
-            oracle = member_bounded_single(MembershipInstance(target, gens, bound))
+            oracle = member_bounded_single(target, gens, bound)
             assert (comb is None) == (oracle is None)
             if comb is not None:
                 total = Polynomial.zero(MAT23.space, 3)
@@ -269,7 +262,7 @@ class TestMembersBounded:
         alone = max(len(build_system([t], GENS23, 3, True).row_labels) for t in targets)
         guard = alone * 18  # 3 generators x 6 linear multipliers
         for t in targets:
-            member_bounded(MembershipInstance(t, GENS23, 3), max_entries=guard)
+            member_bounded(t, GENS23, 3, max_entries=guard)
         with pytest.raises(SizeGuardError) as err:
             members_bounded(targets, GENS23, 3, max_entries=guard)
         assert (err.value.rows, err.value.cols) == (56, 18)

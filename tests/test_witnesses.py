@@ -9,8 +9,6 @@ import pytest
 
 from permcheck.fppoly import (
     Polynomial,
-    PrimeModulus,
-    TruncationContext,
     parse_poly,
     truncate,
 )
@@ -78,9 +76,8 @@ class TestWitnessGeneric:
         for m, n in [(2, 2), (2, 3), (3, 3)]:
             for p in (3, 5, 7):
                 f = witness_generic(m, n, p)
-                ctx = TruncationContext(PrimeModulus(p), f.space)
                 expected = Polynomial.monomial(f.space, p, (p - 1,) * f.space.count)
-                assert truncate(f, ctx) == expected
+                assert truncate(f) == expected
 
     def test_homogeneous_of_expected_degree(self):
         f = witness_generic(2, 3, 5)
@@ -151,10 +148,9 @@ class TestWitnessSymmetric:
         for n in (2, 3):
             for p in (3, 5, 7):
                 f = witness_symmetric(n, p)
-                ctx = TruncationContext(PrimeModulus(p), f.space)
                 sign = (-1) ** ((p - 1) // 2)
                 expected = Polynomial.monomial(f.space, p, (p - 1,) * f.space.count, sign)
-                assert truncate(f, ctx) == expected
+                assert truncate(f) == expected
 
     def test_per_pair_exact_identity(self):
         # g + f_uv = (y_uu y_vv)^{(p-1)/2} (prod outside y^{p-1}) (y_uu y_vv + y_uv^2)^{p-1}
@@ -181,8 +177,7 @@ class TestWitnessSymmetric:
 
     def test_nonzero_residue_mod_cubes(self):
         f = witness_symmetric(2, 3)
-        ctx = TruncationContext(PrimeModulus(3), f.space)
-        assert not truncate(f, ctx).is_zero
+        assert not truncate(f).is_zero
 
 
 class TestLemmaReports:
