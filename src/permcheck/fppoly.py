@@ -63,6 +63,14 @@ def check_prime(p: int) -> None:
         raise ValueError(f"p must be an odd prime in [3, 2^31), got {p}")
 
 
+def PrimeModulus(p: int) -> int:
+    """`check_prime` under its older name, returning p.  Kept only because
+    perfbench/tests/test_tracer.py still calls fedder_ci_check(gens,
+    PrimeModulus(p)); delete it with that call."""
+    check_prime(p)
+    return p
+
+
 class VariableSpace:
     """An ordered set of named indeterminates.
 

@@ -71,8 +71,14 @@ def _require_ci(gens: IdealPresentation, what: str):
         )
 
 
-def fedder_ci_check(gens: IdealPresentation) -> FedderVerdict:
-    """Decide F-purity of a complete intersection: omega^{p-1} != 0 mod m^[p]."""
+def fedder_ci_check(gens: IdealPresentation, p: Optional[int] = None) -> FedderVerdict:
+    """Decide F-purity of a complete intersection: omega^{p-1} != 0 mod m^[p].
+
+    p is gens.char.  The optional second argument is the older two-argument
+    call, still made by perfbench/tests/test_tracer.py; it must equal it.
+    """
+    if p is not None and p != gens.char:
+        raise StructureError(f"p = {p} is not the generators' characteristic {gens.char}")
     _require_ci(gens, "the Fedder check")
     return _survivor_verdict(_omega_power(gens))
 

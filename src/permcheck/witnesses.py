@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -170,6 +171,22 @@ def minimal_primes_symmetric(n: int) -> list:
 # ---------------------------------------------------------------------------
 
 
+# Largest witness, counted as terms x variables (the exponent entries it
+# stores), that the builders below accept.  A witness job takes roughly 100
+# to 300 bytes per entry, so this keeps one under ~150 MB; p = 10007 on the
+# 2x2 matrix (40,028 entries) runs in 29 MB.
+MAX_WITNESS_ENTRIES = 500_000
+
+
+def _refuse_large_witness(terms: int, variables: int):
+    """Refuse before allocating a witness larger than MAX_WITNESS_ENTRIES."""
+    if terms * variables > MAX_WITNESS_ENTRIES:
+        raise ValueError(
+            f"the witness has {terms} terms in {variables} variables, more than "
+            f"{MAX_WITNESS_ENTRIES} exponent entries"
+        )
+
+
 def witness_generic(m: int, n: int, p: int) -> Polynomial:
     """The F-purity witness for the generic m x n matrix at odd p.
 
@@ -183,6 +200,7 @@ def witness_generic(m: int, n: int, p: int) -> Polynomial:
         raise ValueError("the witness construction needs p > 2")
     if m < 2 or n < 2:
         raise ValueError("witness_generic needs m, n >= 2")
+    _refuse_large_witness(math.comb(m, 2) * math.comb(n, 2) * (p - 1) + 1, m * n)
     mat = build_matrix(MatrixShape.generic(m, n))
     space = mat.space
     terms = [((p - 1,) * space.count, 1)]
@@ -214,6 +232,7 @@ def witness_symmetric(n: int, p: int) -> Polynomial:
         raise ValueError("the witness construction needs p > 2")
     if n < 2:
         raise ValueError("witness_symmetric needs n >= 2")
+    _refuse_large_witness(math.comb(n, 2) * (p - 1) + 1, n * (n + 1) // 2)
     mat = build_matrix(MatrixShape.symmetric(n))
     space = mat.space
     sign = (-1) ** ((p - 1) // 2)

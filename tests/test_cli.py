@@ -46,6 +46,18 @@ class TestExitCodes:
         assert out == ""
         assert "2147483659" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("witness-generic", "--m", "3", "--n", "3", "--p", "2147483647"),
+        ("witness-symmetric", "--n", "3", "--p", "2147483647"),
+        ("witness-generic", "--m", "100000", "--n", "100000", "--p", "3"),
+    ])
+    def test_oversized_witness_is_usage_error(self, capsys, argv):
+        # refused from m, n and p before any term is built
+        code, out, err = invoke(capsys, "verify", *argv)
+        assert code == 1
+        assert out == ""
+        assert "exponent entries" in err
+
     def test_bad_shape_is_usage_error(self, capsys):
         code, _, err = invoke(capsys, "verify", "fpure", "--shape", "cube:3", "--p", "3")
         assert code == 1

@@ -13,6 +13,7 @@ from permcheck.fppoly import (
     LEX,
     ParseError,
     Polynomial,
+    PrimeModulus,
     StructureError,
     TruncatedAccumulator,
     VariableSpace,
@@ -435,10 +436,13 @@ class TestPackedKernel:
                 assert acc.leading_term() == leading_term(acc.to_polynomial(), GRLEX)
 
 
-class TestCheckPrime:
+class TestPrimeModulus:
+    """check_prime, its older name PrimeModulus, and Polynomial's use of it."""
+
     def test_accepts_odd_primes(self):
         check_prime(3)
         check_prime(2**31 - 1)
+        assert PrimeModulus(2**31 - 1) == 2**31 - 1
         assert Polynomial.one(small_space(1), 2**31 - 1).coeff((0,)) == 1
 
     # 2^31 + 11 is the first prime above 2^31, beyond the int64 kernels
@@ -447,7 +451,13 @@ class TestCheckPrime:
         with pytest.raises(ValueError):
             check_prime(p)
         with pytest.raises(ValueError):
+            PrimeModulus(p)
+        with pytest.raises(ValueError):
             Polynomial(small_space(1), p)
+
+    def test_takes_no_exponent(self):
+        with pytest.raises(TypeError):
+            PrimeModulus(3, 2)
 
 
 class TestOperandsDecide:

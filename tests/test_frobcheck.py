@@ -8,6 +8,8 @@ import pytest
 from permcheck import frobcheck
 from permcheck.fppoly import (
     Polynomial,
+    PrimeModulus,
+    StructureError,
     VariableSpace,
     parse_poly,
     truncate,
@@ -79,6 +81,12 @@ class TestFedderCICheck:
         gens = permanental_generators(mat, 2, char=3)
         with pytest.raises(ValueError):
             fedder_ci_check(gens)
+
+    def test_older_two_argument_call(self):
+        gens = permanental_generators(build_matrix(MatrixShape.hankel(2)), 2, char=3)
+        assert fedder_ci_check(gens, PrimeModulus(3)) == fedder_ci_check(gens)
+        with pytest.raises(StructureError):
+            fedder_ci_check(gens, PrimeModulus(5))
 
     def test_unused_variable_does_not_change_verdict(self):
         rng = random.Random(42)

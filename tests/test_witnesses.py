@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from permcheck import witnesses
 from permcheck.fppoly import (
     Polynomial,
     parse_poly,
@@ -141,6 +142,22 @@ class TestWitnessGeneric:
     def test_p2_refused(self):
         with pytest.raises(ValueError):
             witness_generic(2, 2, 2)
+
+
+class TestWitnessSize:
+    @pytest.mark.parametrize(
+        "build,args",
+        [(witness_generic, (2, 2, 5)), (witness_generic, (2, 3, 7)),
+         (witness_symmetric, (2, 5)), (witness_symmetric, (3, 7))],
+    )
+    def test_guard_counts_the_built_entries(self, monkeypatch, build, args):
+        f = build(*args)
+        entries = len(f) * f.space.count
+        monkeypatch.setattr(witnesses, "MAX_WITNESS_ENTRIES", entries)
+        assert build(*args) == f
+        monkeypatch.setattr(witnesses, "MAX_WITNESS_ENTRIES", entries - 1)
+        with pytest.raises(ValueError, match="exponent entries"):
+            build(*args)
 
 
 class TestWitnessSymmetric:
