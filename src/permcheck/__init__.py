@@ -10,7 +10,6 @@ from .fppoly import (
     Polynomial,
     StructureError,
     VariableSpace,
-    evaluate,
     exact_divide,
     leading_term,
     parse_poly,
@@ -37,7 +36,6 @@ from .shapes import (
     hankel_specialization,
     parse_shape,
     permanent,
-    permanent_eval,
     permanental_generators,
 )
 from .witnesses import (

@@ -413,23 +413,6 @@ def substitute(a: Polynomial, mapping: Mapping[int, Polynomial]) -> Polynomial:
     return result
 
 
-def evaluate(a: Polynomial, point) -> int:
-    """Value of a at a point of F_p^v."""
-    point = tuple(point)
-    if len(point) != a.space.count:
-        raise StructureError(f"point has {len(point)} entries, expected {a.space.count}")
-    p = a.char
-    point = tuple(x % p for x in point)
-    total = 0
-    for mono, c in a.items():
-        t = c
-        for x, e in zip(point, mono):
-            if e:
-                t = (t * pow(x, e, p)) % p
-        total = (total + t) % p
-    return total
-
-
 # ---------------------------------------------------------------------------
 # truncated quotient arithmetic
 # ---------------------------------------------------------------------------

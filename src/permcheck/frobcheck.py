@@ -12,8 +12,9 @@ Frobenius power q = p, with p the characteristic of the generators.  The module 
 binomial on an inner 2x2 block plus outside variables, or pure variable
 ideals), and computes the "Fedder coefficient" of a full-support ideal --
 the coefficient of prod x_i^{p-1} in omega^{p-1} -- by three independent
-routes: symbolic truncated powering, brute-force point counting (chunked,
-optionally on a thread pool), and a serial fibered enumeration special to the
+routes: symbolic truncated powering, brute-force point counting (a hi-table
+times lo-table product per block of hi points, optionally on a thread pool),
+and a serial fibered enumeration special to the
 generic 3x4 / t=3 complete intersection, which visits only three first
 columns and projective classes of the other two, in passes of bounded size.
 
@@ -266,58 +267,122 @@ def fedder_coefficient_fullsupport(
 
 
 # -- brute-force point counting ---------------------------------------------
+#
+# The v variables split into a hi half (the first v - v // 2) and a lo half
+# (the last v // 2, empty when v = 1), so F_p^v is a grid of hi points (rows)
+# by lo points (columns) and every term is coeff * hi-monomial * lo-monomial.
+# With H[t] = coeff_t * hi-monomial_t mod p on the rows and L[t] =
+# lo-monomial_t mod p on the columns, a generator's values on a block of rows
+# are sum_t H[t] (x) L[t] mod p: T outer products of entries below p, summed
+# exactly in an unsigned dtype that holds T * (p-1)^2.  Every one of the p^v
+# points is still visited and no symmetry is used, which is what makes the
+# count an independent oracle.  Element-wise numpy only: a BLAS product would
+# start threads of its own and ignore `threads`.
+#
+# A sum x below 2^b is divisible by the odd prime p iff x * p^{-1} mod 2^b is
+# at most (2^b - 1) // p, since multiplying by p^{-1} permutes Z/2^b and sends
+# the multiples k*p to the k (Granlund & Montgomery, PLDI 1994, section 9).
+# One wrapping multiply and one compare replace `% p`, numpy's slowest step.
+
+POINTCOUNT_CHUNK = 1 << 17  # points per block of hi rows (at least one row), the unit of work
 
 
-def _eval_terms_on_digits(terms, digits, p):
+def _pointcount_dtype(terms: int, p: int):
+    """uint32 or uint64, whichever holds terms * (p-1)^2; ValueError if neither does."""
     import numpy as np
 
-    acc = None
-    for mono, coeff in terms:
-        t = None
-        for i, e in enumerate(mono):
-            if not e:
-                continue
-            factor = digits[i]
-            for _ in range(e - 1):
-                factor = factor * digits[i] % p
-            t = factor if t is None else t * factor % p
-        t = np.full_like(digits[0], coeff) if t is None else t * coeff % p
-        acc = t if acc is None else (acc + t) % p
-    return acc
+    bound = terms * (p - 1) ** 2
+    if bound < 2**32:
+        return np.uint32
+    if bound < 2**64:
+        return np.uint64
+    raise ValueError(
+        f"point count at p = {p} would overflow: {terms} terms times (p-1)^2 "
+        "do not fit in 64 bits"
+    )
 
 
-def _count_range_nonvanishing(gen_terms, v, p, start, stop):
+def _monomial_values(monos, p, count):
+    """Values mod p of each monomial in `monos` at points 0..count-1 of F_p^k.
+
+    Point i has base-p digit j of i as its j-th coordinate.  Returns an int64
+    array of shape (len(monos), count).
+    """
     import numpy as np
 
-    idx = np.arange(start, stop, dtype=np.int64)
-    digits = []
-    rest = idx
-    for _ in range(v):
-        digits.append(rest % p)
+    rest = np.arange(count, dtype=np.int64)
+    values = np.ones((len(monos), count), dtype=np.int64)
+    for j in range(len(monos[0])):
+        digit = rest % p
         rest = rest // p
-    mask = None
-    for terms in gen_terms:
-        vals = _eval_terms_on_digits(terms, digits, p)
-        nz = vals != 0
-        mask = nz if mask is None else (mask & nz)
-    return int(np.count_nonzero(mask))
+        for t, mono in enumerate(monos):
+            for _ in range(mono[j]):
+                values[t] = values[t] * digit % p
+    return values
 
 
-POINTCOUNT_CHUNK = 1 << 20  # points per array chunk, and per task on a thread
+def _count_hi_block(tables, p, start, stop):
+    """Points with no generator vanishing among hi rows start..stop-1."""
+    import numpy as np
+
+    dtype = tables[0][0].dtype.type
+    bits = 8 * np.dtype(dtype).itemsize
+    inverse, limit = dtype(pow(p, -1, 2**bits)), dtype((2**bits - 1) // p)
+    acc = np.empty((stop - start, tables[0][1].shape[1]), dtype=dtype)
+    product = np.empty_like(acc)
+    nonzero = np.empty(acc.shape, dtype=bool)
+    alive = None
+    for hi, lo in tables:
+        np.multiply(hi[0, start:stop, None], lo[0], out=acc)
+        for t in range(1, len(lo)):
+            np.multiply(hi[t, start:stop, None], lo[t], out=product)
+            acc += product
+        acc *= inverse
+        if alive is None:
+            alive = acc > limit
+        else:
+            np.greater(acc, limit, out=nonzero)
+            alive &= nonzero
+    return int(np.count_nonzero(alive))
 
 
 def count_nonvanishing(gens: IdealPresentation, p: int, threads: int = 1) -> int:
-    """#{a in F_p^v : no generator vanishes at a}, by chunked enumeration."""
+    """#{a in F_p^v : no generator vanishes at a}, by enumerating all p^v points.
+
+    F_p^v is split into hi rows times lo columns (see above).  Each generator's
+    values on a block of about POINTCOUNT_CHUNK points are a sum of outer
+    products of its hi and lo monomial tables, exact in uint32 or uint64 as
+    T * (p-1)^2 allows for the largest term count T; a count that would
+    overflow 64 bits raises ValueError before anything is allocated.  The
+    tables take p^{v - v//2} + p^{v//2} entries per term.  Each of `threads`
+    threads takes every threads-th block.
+    """
+    import numpy as np
+
+    dtype = _pointcount_dtype(max(len(g) for g in gens.generators), p)
     v = gens.space.count
-    total = p**v
-    gen_terms = [list(g.items()) for g in gens.generators]
-    chunk = POINTCOUNT_CHUNK
-    ranges = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
-    if threads <= 1 or len(ranges) == 1:
-        return sum(_count_range_nonvanishing(gen_terms, v, p, a, b) for a, b in ranges)
+    k_hi = v - v // 2
+    n_hi, n_lo = p**k_hi, p ** (v // 2)
+    tables = []
+    for g in gens.generators:
+        monos, coeffs = zip(*g.items())
+        coeffs = np.array(coeffs, dtype=np.int64)[:, None]
+        hi = _monomial_values([mono[:k_hi] for mono in monos], p, n_hi) * coeffs % p
+        lo = _monomial_values([mono[k_hi:] for mono in monos], p, n_lo)
+        tables.append((hi.astype(dtype), lo.astype(dtype)))
+    rows = max(1, POINTCOUNT_CHUNK // n_lo)
+    threads = min(threads, -(-n_hi // rows))
+    step = rows * threads
+
+    def stripe(first):
+        # every threads-th block, so memory does not grow with the block count
+        blocks = ((s, min(s + rows, n_hi)) for s in range(first, n_hi, step))
+        return sum(_count_hi_block(tables, p, a, b) for a, b in blocks)
+
+    if threads <= 1:
+        return stripe(0)
     with ThreadPoolExecutor(max_workers=threads) as ex:
-        futs = [ex.submit(_count_range_nonvanishing, gen_terms, v, p, a, b) for a, b in ranges]
-        return sum(f.result() for f in futs)
+        return sum(ex.map(stripe, range(0, step, rows)))
 
 
 # -- fibered enumeration for the generic 3x4, t = 3 ideal --------------------

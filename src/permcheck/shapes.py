@@ -3,8 +3,7 @@
 Three shapes are supported: generic m x n (all entries distinct), symmetric
 n x n (entry(i,j) = entry(j,i)), and Hankel n x n (constant antidiagonals,
 entries z_1 ... z_{2n-1}).  Symbolic permanents are computed by a
-column-subset dynamic program; numeric permanents over F_p use Ryser
-inclusion-exclusion.
+column-subset dynamic program.
 """
 
 from __future__ import annotations
@@ -175,43 +174,6 @@ def permanent(
                 acc = acc + var * dp[mask ^ (1 << j)]
         dp[mask] = acc
     return dp[(1 << s) - 1]
-
-
-def permanent_eval(values: Sequence[Sequence[int]], p: int) -> int:
-    """Permanent of a square numeric matrix over F_p, by Ryser inclusion-exclusion.
-
-    Column subsets are visited in Gray-code order so each step updates the
-    row sums in O(s).
-    """
-    a = [list(row) for row in values]
-    s = len(a)
-    if any(len(row) != s for row in a):
-        raise ValueError("matrix is not square")
-    if s == 0:
-        return 1
-    row_sums = [0] * s
-    total = 0
-    prev_gray = 0
-    sign = -1 if s % 2 else 1
-    for counter in range(1, 1 << s):
-        gray = counter ^ (counter >> 1)
-        j = (prev_gray ^ gray).bit_length() - 1
-        if gray & (1 << j):
-            for i in range(s):
-                row_sums[i] = (row_sums[i] + a[i][j]) % p
-        else:
-            for i in range(s):
-                row_sums[i] = (row_sums[i] - a[i][j]) % p
-        prev_gray = gray
-        prod = 1
-        for r in row_sums:
-            prod = (prod * r) % p
-            if prod == 0:
-                break
-        if prod:
-            k = bin(gray).count("1")
-            total = (total + (-1) ** k * prod) % p
-    return (sign * total) % p
 
 
 @dataclass(frozen=True)

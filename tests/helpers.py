@@ -4,7 +4,7 @@ import itertools
 from collections import namedtuple
 from typing import Optional, Sequence
 
-from permcheck.fppoly import GRLEX, Polynomial, VariableSpace, exact_divide
+from permcheck.fppoly import GRLEX, Polynomial, StructureError, VariableSpace, exact_divide
 from permcheck.frobcheck import _split_term
 from permcheck.linmember import (
     MAX_MATRIX_ENTRIES,
@@ -59,6 +59,23 @@ def random_poly(rng, space, p, max_terms=5, max_exp=3, allow_zero=True):
 
 def random_point(rng, space, p):
     return tuple(rng.randrange(p) for _ in range(space.count))
+
+
+def evaluate(a: Polynomial, point) -> int:
+    """Value of a at a point of F_p^v, term by term; the point-count oracle."""
+    point = tuple(point)
+    if len(point) != a.space.count:
+        raise StructureError(f"point has {len(point)} entries, expected {a.space.count}")
+    p = a.char
+    point = tuple(x % p for x in point)
+    total = 0
+    for mono, c in a.items():
+        t = c
+        for x, e in zip(point, mono):
+            if e:
+                t = (t * pow(x, e, p)) % p
+        total = (total + t) % p
+    return total
 
 
 def small_space(v, prefix="z"):
@@ -209,6 +226,44 @@ class _FiberKernel:
         any_entry = nz[0] | nz[1] | nz[2]
         count -= np.where(det3 != 0, 1, np.where(any_minor, p, np.where(any_entry, p2, p3)))
         return int(count.sum())
+
+
+def permanent_eval(values: Sequence[Sequence[int]], p: int) -> int:
+    """Numeric permanent over F_p by Ryser inclusion-exclusion; the oracle for
+    symbolic permanents evaluated at points.
+
+    Column subsets are visited in Gray-code order so each step updates the
+    row sums in O(s).
+    """
+    a = [list(row) for row in values]
+    s = len(a)
+    if any(len(row) != s for row in a):
+        raise ValueError("matrix is not square")
+    if s == 0:
+        return 1
+    row_sums = [0] * s
+    total = 0
+    prev_gray = 0
+    sign = -1 if s % 2 else 1
+    for counter in range(1, 1 << s):
+        gray = counter ^ (counter >> 1)
+        j = (prev_gray ^ gray).bit_length() - 1
+        if gray & (1 << j):
+            for i in range(s):
+                row_sums[i] = (row_sums[i] + a[i][j]) % p
+        else:
+            for i in range(s):
+                row_sums[i] = (row_sums[i] - a[i][j]) % p
+        prev_gray = gray
+        prod = 1
+        for r in row_sums:
+            prod = (prod * r) % p
+            if prod == 0:
+                break
+        if prod:
+            k = bin(gray).count("1")
+            total = (total + (-1) ** k * prod) % p
+    return (sign * total) % p
 
 
 def permanent_eval_naive(values: Sequence[Sequence[int]], p: int) -> int:

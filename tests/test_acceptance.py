@@ -16,7 +16,6 @@ from permcheck.fppoly import (
     GRLEX,
     LEX,
     Polynomial,
-    evaluate,
     exact_divide,
     leading_term,
     parse_poly,
@@ -34,7 +33,6 @@ from permcheck.shapes import (
     MatrixShape,
     build_matrix,
     permanent,
-    permanent_eval,
     permanental_generators,
 )
 from permcheck.witnesses import (
@@ -48,7 +46,7 @@ from permcheck.witnesses import (
     verify_squared_entry_triples,
     verify_witness_membership,
 )
-from helpers import brute_permanent, random_poly, small_space
+from helpers import brute_permanent, evaluate, permanent_eval, random_poly, small_space
 
 HANKEL_GRID = [(n, p) for n in (1, 2, 3, 4, 5) for p in (3, 5, 7)]
 

@@ -58,6 +58,16 @@ class TestExitCodes:
         assert out == ""
         assert "exponent entries" in err
 
+    def test_overflowing_point_count_is_usage_error(self, capsys):
+        # the 6-term permanents at p = 2^31 - 1: 6 * (p-1)^2 does not fit 64 bits
+        code, out, err = invoke(
+            capsys, "verify", "fpure", "--shape", "generic:3x4", "--t", "3",
+            "--method", "pointcount", "--p", "2147483647",
+        )
+        assert code == 1
+        assert out == ""
+        assert "overflow" in err
+
     def test_bad_shape_is_usage_error(self, capsys):
         code, _, err = invoke(capsys, "verify", "fpure", "--shape", "cube:3", "--p", "3")
         assert code == 1

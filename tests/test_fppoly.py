@@ -18,7 +18,6 @@ from permcheck.fppoly import (
     TruncatedAccumulator,
     VariableSpace,
     check_prime,
-    evaluate,
     exact_divide,
     leading_term,
     parse_poly,
@@ -28,7 +27,7 @@ from permcheck.fppoly import (
     truncated_mul,
     truncated_pow,
 )
-from helpers import _truncated_mul_dict, random_point, random_poly, small_space
+from helpers import _truncated_mul_dict, evaluate, random_point, random_poly, small_space
 
 Z3 = small_space(3)
 

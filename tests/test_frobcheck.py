@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from permcheck import frobcheck
@@ -16,6 +17,8 @@ from permcheck.fppoly import (
 )
 from permcheck.frobcheck import (
     FedderVerdict,
+    _count_hi_block,
+    _pointcount_dtype,
     _projective_class_count,
     colon_membership,
     count_nonvanishing,
@@ -40,6 +43,7 @@ from permcheck.witnesses import (
 from helpers import (
     _FiberKernel,
     _fiber_range_scalar,
+    evaluate,
     in_frobenius_power,
     prime_contains,
     random_poly,
@@ -432,27 +436,86 @@ class TestPointCount:
         assert count_nonvanishing(gens, 3) == 6  # x != 0: 2 choices x 3 for y
 
     def test_matches_direct_enumeration(self, monkeypatch):
+        # v = 1 leaves the lo half empty, odd v makes the hi half the larger one
         rng = random.Random(60)
-        from permcheck.fppoly import evaluate
-
         cases = []
-        for _ in range(20):
-            p = rng.choice([3, 5])
-            v = rng.randrange(1, 4)
+        for v in (1, 2, 3, 4, 5):
             space = VariableSpace(tuple(f"z{i+1}" for i in range(v)))
-            polys = [
-                random_poly(rng, space, p, max_terms=3, max_exp=2, allow_zero=False)
-                for _ in range(rng.randrange(1, 3))
-            ]
-            gens = ci(polys)
-            direct = sum(
-                1
-                for point in itertools.product(range(p), repeat=v)
-                if all(evaluate(g, point) != 0 for g in polys)
-            )
-            assert count_nonvanishing(gens, p) == direct
-            cases.append((gens, p, direct))
-        # many chunks of 7 points, spread over two threads
+            for _ in range(8):
+                p = rng.choice([3, 5] if v == 5 else [3, 5, 7])
+                polys = [
+                    random_poly(rng, space, p, max_terms=5, max_exp=3, allow_zero=False)
+                    for _ in range(rng.randrange(1, 4))
+                ]
+                if rng.random() < 0.3:
+                    polys.append(Polynomial.constant(space, p, rng.randrange(1, p)))
+                direct = sum(
+                    1
+                    for point in itertools.product(range(p), repeat=v)
+                    if all(evaluate(g, point) != 0 for g in polys)
+                )
+                assert count_nonvanishing(ci(polys), p) == direct
+                cases.append((ci(polys), p, direct))
+        assert any(max(len(g) for g in gens.generators) == 5 for gens, _, _ in cases)
+        # one point per block, less than one hi row whenever v > 1
+        monkeypatch.setattr(frobcheck, "POINTCOUNT_CHUNK", 1)
+        for gens, p, direct in cases:
+            assert count_nonvanishing(gens, p, threads=1) == direct
+            assert count_nonvanishing(gens, p, threads=2) == direct
+        # blocks of several rows with a shorter last one, on two threads
         monkeypatch.setattr(frobcheck, "POINTCOUNT_CHUNK", 7)
         for gens, p, direct in cases:
             assert count_nonvanishing(gens, p, threads=2) == direct
+
+    @pytest.mark.parametrize("p, terms", [(32749, 4), (2**31 - 1, 4)])
+    def test_block_sums_near_the_dtype_bound(self, p, terms):
+        # terms * (p-1)^2 is just below 2^32, then just below 2^64
+        dtype = _pointcount_dtype(terms, p)
+        assert dtype is (np.uint32 if p < 2**16 else np.uint64)
+        rng = random.Random(p)
+        # constant rows, each a unit multiple of the all-(p-1) row 0, then random rows
+        hi = [[p - 1] * terms] + [[p - lam] * terms for lam in rng.sample(range(2, p), 3)]
+        hi += [[rng.choice([p - 1, rng.randrange(p)]) for _ in range(terms)] for _ in range(3)]
+        cols = 40
+        lo = [[rng.choice([p - 1, rng.randrange(p)]) for _ in range(cols)] for _ in range(terms)]
+        for t in range(terms):
+            lo[t][0] = p - 1  # the largest sum, terms * (p-1)^2
+        for c in range(1, cols, 2):
+            # columns summing to 0 mod p vanish on every constant row
+            lo[-1][c] = -sum(lo[t][c] for t in range(terms - 1)) % p
+        sums = [sum(h[t] * lo[t][c] for t in range(terms)) for h in hi for c in range(cols)]
+        assert max(sums) == terms * (p - 1) ** 2
+        expected = sum(1 for total in sums if total % p)
+        assert expected <= len(sums) - 4 * (cols // 2)
+        tables = [(np.array(hi, dtype=dtype).T, np.array(lo, dtype=dtype))]
+        assert _count_hi_block(tables, p, 0, len(hi)) == expected
+
+    def test_wide_accumulator_matches_direct_enumeration(self):
+        # 2 * (p-1)^2 passes 2^32, so the count runs in uint64
+        p = 65537
+        space = VariableSpace(("z1",))
+        polys = [parse_poly("z1^2 + 1", space, p), parse_poly("z1^3 + 5*z1 + 7", space, p)]
+        assert _pointcount_dtype(2, p) is np.uint64
+        direct = sum(1 for x in range(p) if all(evaluate(g, (x,)) != 0 for g in polys))
+        assert count_nonvanishing(ci(polys), p, threads=2) == direct
+
+    def test_dtype_bound_is_exact(self):
+        assert _pointcount_dtype(2**32 - 1, 2) is np.uint32
+        assert _pointcount_dtype(2**32, 2) is np.uint64
+        assert _pointcount_dtype(2**64 - 1, 2) is np.uint64
+        with pytest.raises(ValueError, match="overflow"):
+            _pointcount_dtype(2**64, 2)
+
+    def test_overflowing_count_is_refused_before_enumeration(self, monkeypatch):
+        # 4 terms of at most (p-1)^2 each still fit 64 bits at p = 2^31 - 1; 5 do not
+        p = 2**31 - 1
+        space = VariableSpace(("z1",))
+        assert _pointcount_dtype(4, p) is np.uint64
+
+        def no_tables(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(frobcheck, "_monomial_values", no_tables)
+        g = parse_poly("z1^4 + z1^3 + z1^2 + z1 + 1", space, p)
+        with pytest.raises(ValueError, match="overflow"):
+            count_nonvanishing(ci([g]), p)

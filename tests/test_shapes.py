@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from permcheck.fppoly import Polynomial, VariableSpace, evaluate, parse_poly, substitute
+from permcheck.fppoly import Polynomial, VariableSpace, parse_poly, substitute
 from permcheck.shapes import (
     COMPLETE_INTERSECTION,
     UNSTRUCTURED,
@@ -16,10 +16,16 @@ from permcheck.shapes import (
     hankel_specialization,
     parse_shape,
     permanent,
-    permanent_eval,
     permanental_generators,
 )
-from helpers import brute_permanent, permanent_eval_dp, permanent_eval_naive, random_point
+from helpers import (
+    brute_permanent,
+    evaluate,
+    permanent_eval,
+    permanent_eval_dp,
+    permanent_eval_naive,
+    random_point,
+)
 
 ALL_SMALL_SHAPES = [
     MatrixShape.generic(2, 2),
