@@ -3,15 +3,15 @@
 Whether a target polynomial lies in the span of {generator * monomial} up to
 a degree bound is a linear system over F_p: rows are monomials, columns are
 (generator, multiplier monomial) pairs.  No Groebner bases; absence is
-certified only up to the bound used.  When a target and all generators are
-homogeneous the system is restricted to the graded piece of the target's
-degree, which is equivalent and much smaller.
+certified only up to the bound used.
 
-The columns depend only on the generators and the degree, never on the
-target, so `members_bounded` builds one system per target degree (one up to
-the bound for the non-graded targets) and runs one elimination that carries
-every target as its own right-hand side.  Every combination it returns is
-re-multiplied and compared with its target.
+That system is block-diagonal over the connected components of its row-column
+graph, and the target is in the span exactly when it is in the span of the
+components its own monomials touch.  So each target gets its own system, grown
+outward from its monomials: a row m brings in every column (g, m/u) for a term
+u of g dividing m, and a column brings in its monomials as rows.  For
+homogeneous inputs this never leaves the target's degree.  Every combination
+returned is re-multiplied and compared with its target.
 """
 
 from __future__ import annotations
@@ -25,13 +25,12 @@ MAX_MATRIX_ENTRIES = 10**7
 
 
 class SizeGuardError(ValueError):
-    """The membership system exceeds the configured size guard."""
+    """One target's membership system outgrew MAX_MATRIX_ENTRIES."""
 
-    def __init__(self, rows: int, cols: int, max_entries: int):
+    def __init__(self, rows: int, cols: int):
         super().__init__(
-            f"membership system of {rows} rows x {cols} columns "
-            f"({rows * cols} entries) exceeds the guard of {max_entries}; "
-            "raise max_entries to proceed"
+            f"the membership system of one target reached {rows} rows x {cols} columns "
+            f"({rows * cols} entries), over the guard of {MAX_MATRIX_ENTRIES}"
         )
         self.rows = rows
         self.cols = cols
@@ -39,12 +38,11 @@ class SizeGuardError(ValueError):
 
 @dataclass
 class LinearSystem:
-    """Sparse row-major system A X = rhs over F_p with one column of X per target.
+    """Sparse row-major system A x = rhs over F_p.
 
     Row labels are monomials; column labels are (generator index, multiplier
     monomial) pairs.  matrix[i] maps column index -> nonzero coefficient, and
-    rhs[i] maps target index -> nonzero coefficient of row i's monomial in
-    that target.  Targets are numbered 0 .. targets - 1.
+    rhs[i] is the coefficient of row i's monomial in the target.
     """
 
     row_labels: list
@@ -52,104 +50,77 @@ class LinearSystem:
     matrix: list
     rhs: list
     p: int
-    targets: int
 
 
-def _is_homogeneous(poly: Polynomial) -> bool:
-    degrees = {sum(m) for m, _ in poly.items()}
-    return len(degrees) <= 1
-
-
-def monomials_of_degree(v: int, d: int):
-    """All exponent tuples of total degree exactly d, lexicographically."""
-    if v == 1:
-        yield (d,)
-        return
-    for first in range(d, -1, -1):
-        for rest in monomials_of_degree(v - 1, d - first):
-            yield (first,) + rest
-
-
-def monomials_up_to(v: int, d: int):
-    for deg in range(d + 1):
-        yield from monomials_of_degree(v, deg)
-
-
-def build_system(
-    targets: Sequence[Polynomial],
-    generators: Sequence[Polynomial],
-    degree: int,
-    graded: bool,
-    max_entries: int = MAX_MATRIX_ENTRIES,
-) -> LinearSystem:
-    """Assemble one membership system for all targets.
-
-    The columns are the generators times every multiplier monomial that
-    brings them to total degree exactly `degree` (graded) or at most `degree`.
-    Rows are restricted to monomials that occur in a target or in some column
-    (absent rows are trivially zero); target monomials come first.
-    """
-    p = targets[0].char
-    v = targets[0].space.count
-    enumerate_multipliers = monomials_of_degree if graded else monomials_up_to
-
-    multipliers_by_degree: dict = {}
-    col_labels = []
-    col_polys = []
+def term_table(generators: Sequence[Polynomial]) -> dict:
+    """Every generator term, keyed by the first variable it contains (None for
+    a constant term), as (generator index, the term's (variable, exponent)
+    pairs, deg g - deg term, the generator's terms)."""
+    table: dict = {}
     for gi, g in enumerate(generators):
+        g_terms = list(g.items())
         dg = g.total_degree()
-        if dg > degree:
-            continue
-        mult_degree = degree - dg
-        if mult_degree not in multipliers_by_degree:
-            multipliers_by_degree[mult_degree] = list(enumerate_multipliers(v, mult_degree))
-        for mult in multipliers_by_degree[mult_degree]:
-            col_labels.append((gi, mult))
-            col_polys.append({tuple(a + b for a, b in zip(mult, m)): c for m, c in g.items()})
+        for u, _ in g_terms:
+            pairs = tuple((i, e) for i, e in enumerate(u) if e)
+            key = pairs[0][0] if pairs else None
+            table.setdefault(key, []).append((gi, pairs, dg - sum(u), g_terms))
+    return table
 
+
+def build_system(target: Polynomial, table: dict, degree: int) -> LinearSystem:
+    """The membership system of one target, closed outward from its monomials.
+
+    Rows start as the target's monomials.  Each row m adds every column
+    (g, m/u) with u a term of g dividing m and deg(m/u) + deg g <= degree,
+    and each new column adds its monomials as rows, until nothing new
+    appears.  `table` is `term_table(generators)`.  SizeGuardError is raised
+    as soon as the rows times the columns pass MAX_MATRIX_ENTRIES.
+    """
     row_index: dict = {}
     row_labels: list = []
+    matrix: list = []
+    rhs: list = []
 
     def row_of(mono):
         ri = row_index.get(mono)
         if ri is None:
-            ri = len(row_labels)
-            row_index[mono] = ri
+            ri = row_index[mono] = len(row_labels)
             row_labels.append(mono)
+            matrix.append({})
+            rhs.append(0)
         return ri
 
-    rhs_cells = []
-    for ti, target in enumerate(targets):
-        for mono, c in sorted(target.items(), key=lambda kv: GRLEX.key(kv[0]), reverse=True):
-            rhs_cells.append((row_of(mono), ti, c))
-    cells = []
-    for ci, poly in enumerate(col_polys):
-        for mono, c in poly.items():
-            cells.append((row_of(mono), ci, c))
-    if len(row_labels) * max(len(col_labels), 1) > max_entries:
-        raise SizeGuardError(len(row_labels), len(col_labels), max_entries)
-    matrix = [dict() for _ in row_labels]
-    for ri, ci, c in cells:
-        matrix[ri][ci] = c
-    rhs = [dict() for _ in row_labels]
-    for ri, ti, c in rhs_cells:
-        rhs[ri][ti] = c
-    return LinearSystem(row_labels, col_labels, matrix, rhs, p, len(targets))
+    for mono, c in sorted(target.items(), key=lambda kv: GRLEX.key(kv[0]), reverse=True):
+        rhs[row_of(mono)] = c
+    col_index: dict = {}
+    col_labels: list = []
+    ri = 0
+    while ri < len(row_labels):
+        m = row_labels[ri]
+        ri += 1
+        room = degree - sum(m)
+        for key in (None, *(i for i, e in enumerate(m) if e)):
+            for gi, pairs, excess, g_terms in table.get(key, ()):
+                if excess > room or any(m[i] < e for i, e in pairs):
+                    continue
+                mult = list(m)
+                for i, e in pairs:
+                    mult[i] -= e
+                label = (gi, tuple(mult))
+                if label in col_index:
+                    continue
+                ci = col_index[label] = len(col_labels)
+                col_labels.append(label)
+                for w, c in g_terms:
+                    matrix[row_of(tuple(a + b for a, b in zip(mult, w)))][ci] = c
+                if len(row_labels) * len(col_labels) > MAX_MATRIX_ENTRIES:
+                    raise SizeGuardError(len(row_labels), len(col_labels))
+    return LinearSystem(row_labels, col_labels, matrix, rhs, target.char)
 
 
-def _axpy(target: dict, factor: int, source: dict, p: int) -> None:
-    """target += factor * source over F_p, dropping zeros."""
-    for key, val in source.items():
-        nv = (target.get(key, 0) + factor * val) % p
-        if nv:
-            target[key] = nv
-        elif key in target:
-            del target[key]
-
-
-def gaussian_solve(system: LinearSystem) -> list:
-    """One solution per target (a list of column values), or None where that
-    target's system is inconsistent.
+def gaussian_solve(system: LinearSystem) -> Optional[list]:
+    """A solution (a list of column values), or None if the system is
+    inconsistent.
 
     Gauss-Jordan elimination in one forward pass over the rows: each row that
     is still nonzero when reached pivots on its smallest column, which is then
@@ -159,7 +130,7 @@ def gaussian_solve(system: LinearSystem) -> list:
     """
     p = system.p
     rows = [dict(r) for r in system.matrix]
-    rhs = [dict(r) for r in system.rhs]
+    rhs = list(system.rhs)
     ncols = len(system.col_labels)
     col_members = [set() for _ in range(ncols)]
     for ri, row in enumerate(rows):
@@ -173,7 +144,7 @@ def gaussian_solve(system: LinearSystem) -> list:
         inv = pow(pivot_row[pc], p - 2, p)
         if inv != 1:
             pivot_row = rows[pr] = {c: (val * inv) % p for c, val in pivot_row.items()}
-            rhs[pr] = {t: (val * inv) % p for t, val in rhs[pr].items()}
+            rhs[pr] = (rhs[pr] * inv) % p
         pivots.append((pr, pc))
         for ri in list(col_members[pc]):
             if ri == pr:
@@ -190,38 +161,27 @@ def gaussian_solve(system: LinearSystem) -> list:
                     if c in target:
                         del target[c]
                         col_members[c].discard(ri)
-            _axpy(rhs[ri], factor, rhs[pr], p)
-    inconsistent = set()
-    for ri, row in enumerate(rows):
-        if not row:
-            inconsistent.update(rhs[ri])
-    solutions: list = []
-    for ti in range(system.targets):
-        if ti in inconsistent:
-            solutions.append(None)
-            continue
-        solution = [0] * ncols
-        for pr, pc in pivots:
-            solution[pc] = rhs[pr].get(ti, 0)
-        solutions.append(solution)
-    return solutions
+            rhs[ri] = (rhs[ri] + factor * rhs[pr]) % p
+    if any(rhs[ri] for ri, row in enumerate(rows) if not row):
+        return None
+    solution = [0] * ncols
+    for pr, pc in pivots:
+        solution[pc] = rhs[pr]
+    return solution
 
 
 def members_bounded(
     targets: Sequence[Polynomial],
     generators: Sequence[Polynomial],
     degree_bound: int,
-    max_entries: int = MAX_MATRIX_ENTRIES,
 ) -> list:
     """For each target, multipliers {generator index: h} with
     sum h_g * g = target, or None.
 
-    Homogeneous targets over homogeneous generators share one system per
-    target degree; all other targets share one system up to the bound.  A
-    returned combination always re-multiplies exactly to its target (checked
-    here, unconditionally).  None certifies non-membership only up to the
-    degree bound.  SizeGuardError is raised if any shared system exceeds
-    max_entries.
+    Each target is decided by its own system; the generators' term table is
+    built once for the batch.  A returned combination always re-multiplies
+    exactly to its target (checked here, unconditionally).  None certifies
+    non-membership only up to the degree bound.
     """
     targets = list(targets)
     generators = tuple(generators)
@@ -229,22 +189,15 @@ def members_bounded(
         raise ValueError("target degree exceeds the degree bound")
     if any(g.is_zero for g in generators):
         raise ValueError("generators must be nonzero")
-    graded_gens = all(_is_homogeneous(g) for g in generators)
-    groups: dict = {}
-    for ti, target in enumerate(targets):
-        key = target.total_degree() if graded_gens and _is_homogeneous(target) else None
-        groups.setdefault(key, []).append(ti)
-
-    results: list = [None] * len(targets)
-    for key, indices in groups.items():
-        group = [targets[ti] for ti in indices]
-        graded = key is not None
-        system = build_system(
-            group, generators, key if graded else degree_bound, graded, max_entries=max_entries
+    table = term_table(generators)
+    results: list = []
+    for target in targets:
+        system = build_system(target, table, degree_bound)
+        solution = gaussian_solve(system)
+        results.append(
+            None if solution is None
+            else _combination(target, generators, system.col_labels, solution)
         )
-        for ti, solution in zip(indices, gaussian_solve(system)):
-            if solution is not None:
-                results[ti] = _combination(targets[ti], generators, system.col_labels, solution)
     return results
 
 
@@ -265,11 +218,8 @@ def _combination(target: Polynomial, generators, col_labels, solution) -> dict:
 
 
 def member_bounded(
-    target: Polynomial,
-    generators: Sequence[Polynomial],
-    degree_bound: int,
-    max_entries: int = MAX_MATRIX_ENTRIES,
+    target: Polynomial, generators: Sequence[Polynomial], degree_bound: int
 ) -> Optional[dict]:
     """Multipliers {generator index: h} with sum h_g * g = target, or None:
     the one-target case of `members_bounded`."""
-    return members_bounded([target], generators, degree_bound, max_entries)[0]
+    return members_bounded([target], generators, degree_bound)[0]

@@ -144,7 +144,6 @@ def permanent(
     rows: Optional[Sequence[int]] = None,
     cols: Optional[Sequence[int]] = None,
     char: int = 3,
-    max_size: int = MAX_SYMBOLIC_PERMANENT,
 ) -> Polynomial:
     """Symbolic permanent of a square submatrix selection.
 
@@ -157,8 +156,8 @@ def permanent(
     s = len(rows)
     if s != len(cols):
         raise ValueError(f"selection is not square: {s} rows, {len(cols)} columns")
-    if s > max_size:
-        raise ValueError(f"symbolic permanent size {s} exceeds limit {max_size}")
+    if s > MAX_SYMBOLIC_PERMANENT:
+        raise ValueError(f"symbolic permanent size {s} exceeds limit {MAX_SYMBOLIC_PERMANENT}")
     space = mat.space
     one = Polynomial.one(space, char)
     if s == 0:

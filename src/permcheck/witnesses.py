@@ -580,8 +580,8 @@ def _entry_products_in_p2(
     check: str, mat: SymbolicMatrix, p: int, exponents, degree: int
 ) -> LemmaReport:
     """Shared body of `monomials28` / `monomials29`: every target monomial lies
-    in P_2 of the generic matrix, decided by linear algebra at the degree, with
-    one shared system for all targets."""
+    in P_2 of the generic matrix, decided by linear algebra at the degree, each
+    target by its own small system."""
     from .linmember import members_bounded
 
     t0 = time.perf_counter()

@@ -6,13 +6,8 @@ from typing import Optional, Sequence
 
 from permcheck.fppoly import GRLEX, Polynomial, StructureError, VariableSpace, exact_divide
 from permcheck.frobcheck import _split_term
-from permcheck.linmember import (
-    MAX_MATRIX_ENTRIES,
-    SizeGuardError,
-    _is_homogeneous,
-    monomials_of_degree,
-    monomials_up_to,
-)
+from permcheck import linmember
+from permcheck.linmember import SizeGuardError
 
 
 def brute_permanent(mat, rows, cols, char):
@@ -335,10 +330,31 @@ def prime_contains(prime: "MinimalPrime", g: Polynomial) -> bool:
 
 # -- one-target degree-bounded membership: the oracle for members_bounded -----
 
+
+def _is_homogeneous(poly) -> bool:
+    degrees = {sum(m) for m, _ in poly.items()}
+    return len(degrees) <= 1
+
+
+def monomials_of_degree(v: int, d: int):
+    """All exponent tuples of total degree exactly d, lexicographically."""
+    if v == 1:
+        yield (d,)
+        return
+    for first in range(d, -1, -1):
+        for rest in monomials_of_degree(v - 1, d - first):
+            yield (first,) + rest
+
+
+def monomials_up_to(v: int, d: int):
+    for deg in range(d + 1):
+        yield from monomials_of_degree(v, deg)
+
+
 _SingleSystem = namedtuple("_SingleSystem", "row_labels col_labels matrix rhs p")
 
 
-def _build_system_single(target, generators, degree_bound, max_entries: int = MAX_MATRIX_ENTRIES):
+def _build_system_single(target, generators, degree_bound):
     """Assemble the membership system; rows are restricted to monomials that
     occur in the target or in some column (absent rows are trivially zero)."""
     space = target.space
@@ -383,8 +399,8 @@ def _build_system_single(target, generators, degree_bound, max_entries: int = MA
     for ci, poly in enumerate(col_polys):
         for mono, c in poly.items():
             cells.append((row_of(mono), ci, c))
-    if len(row_labels) * max(len(col_labels), 1) > max_entries:
-        raise SizeGuardError(len(row_labels), len(col_labels), max_entries)
+    if len(row_labels) * max(len(col_labels), 1) > linmember.MAX_MATRIX_ENTRIES:
+        raise SizeGuardError(len(row_labels), len(col_labels))
     matrix = [dict() for _ in row_labels]
     for ri, ci, c in cells:
         matrix[ri][ci] = c
@@ -447,16 +463,14 @@ def _gaussian_solve_single(system) -> Optional[list]:
     return solution
 
 
-def member_bounded_single(
-    target, generators, degree_bound, max_entries: int = MAX_MATRIX_ENTRIES
-) -> Optional[dict]:
+def member_bounded_single(target, generators, degree_bound) -> Optional[dict]:
     """Multipliers {generator index: h} with sum h_g * g = target, or None.
 
     A returned combination always re-multiplies exactly to the target (checked
     here, unconditionally).  None certifies non-membership only up to the
     degree bound.
     """
-    system = _build_system_single(target, generators, degree_bound, max_entries=max_entries)
+    system = _build_system_single(target, generators, degree_bound)
     solution = _gaussian_solve_single(system)
     if solution is None:
         return None

@@ -191,6 +191,16 @@ def test_criterion_7_entry_products():
         assert member_bounded(absent, gens.generators, 2) is None
 
 
+def test_criterion_7_entry_products_at_larger_sizes():
+    with criterion(7, "entry products lie in P_2 of the generic 5x5 and 6x6 matrices"):
+        squared = verify_squared_entry_triples(5, 5, 3)
+        assert squared.verdict == "pass"
+        assert squared.evidence["members"] == squared.evidence["targets"] == 1800
+        triples = verify_entry_triples(6, 6, 3)
+        assert triples.verdict == "pass"
+        assert triples.evidence["members"] == triples.evidence["targets"] == 3600
+
+
 def test_criterion_8_structural_lemmas():
     with criterion(8, "irreducibility conditions, monomial absence, specialization"):
         for n in (3, 4, 5, 6):

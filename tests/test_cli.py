@@ -225,6 +225,17 @@ class TestChecks:
         )
         assert code == 0
 
+    def test_monomials29_4x4(self, capsys):
+        code, out, err = invoke(
+            capsys, "verify", "monomials29", "--m", "4", "--n", "4", "--p", "3,5",
+            "--format", "json",
+        )
+        assert code == 0, err
+        reports = json.loads(out)["reports"]
+        assert [(r["evidence"]["members"], r["evidence"]["targets"]) for r in reports] == [
+            (288, 288), (288, 288)
+        ]
+
     def test_witness_symmetric(self, capsys):
         code, _, _ = invoke(
             capsys, "verify", "witness-symmetric", "--n", "3", "--p", "3,5"

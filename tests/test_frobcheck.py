@@ -240,8 +240,6 @@ class TestColonMembership:
             omega_power = prime.omega(p) ** (p - 1)
             gens = tuple([omega_power] + [g**p for g in prime.generators(p)])
             for _ in range(30):
-                # keep total degrees small: the non-graded linear system grows
-                # with every extra degree of multiplier headroom
                 f = random_poly(rng, prime.space, p, max_terms=3, max_exp=1)
                 if rng.random() < 0.4:
                     mono = [0] * prime.space.count
@@ -252,10 +250,7 @@ class TestColonMembership:
                 if f.is_zero:
                     continue
                 structural = colon_membership(f, prime) is not None
-                linear = (
-                    member_bounded(f, gens, f.total_degree(), max_entries=10**8)
-                    is not None
-                )
+                linear = member_bounded(f, gens, f.total_degree()) is not None
                 assert structural == linear
 
     def test_membership_implies_frobenius_compatibility(self):

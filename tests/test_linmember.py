@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permcheck import linmember
+from permcheck import linmember, witnesses
 from permcheck.fppoly import Polynomial, parse_poly
 from permcheck.frobcheck import colon_membership
 from permcheck.linmember import (
@@ -16,12 +16,11 @@ from permcheck.linmember import (
     gaussian_solve,
     member_bounded,
     members_bounded,
-    monomials_of_degree,
-    monomials_up_to,
+    term_table,
 )
 from permcheck.shapes import MatrixShape, build_matrix, permanental_generators
 from permcheck.witnesses import minimal_primes_generic, witness_generic
-from helpers import _gaussian_solve_single, _SingleSystem, member_bounded_single, random_poly
+from helpers import member_bounded_single, monomials_of_degree, monomials_up_to
 
 
 class TestMonomialEnumeration:
@@ -39,15 +38,14 @@ class TestGaussianSolve:
             row_labels=[0, 1],
             col_labels=[0, 1],
             matrix=[{0: 1}, {1: 1}],
-            rhs=[{0: 2}, {0: 1}],
+            rhs=[2, 1],
             p=3,
-            targets=1,
         )
-        assert gaussian_solve(system) == [[2, 1]]
+        assert gaussian_solve(system) == [2, 1]
 
     def test_inconsistent_1x1(self):
-        system = LinearSystem([0], [0], [{}], [{0: 1}], 3, 1)
-        assert gaussian_solve(system) == [None]
+        system = LinearSystem([0], [0], [{}], [1], 3)
+        assert gaussian_solve(system) is None
 
     def test_random_consistent_systems(self):
         rng = random.Random(21)
@@ -60,41 +58,16 @@ class TestGaussianSolve:
                 matrix.append({c: rng.randrange(1, p) for c in support})
             x0 = [rng.randrange(p) for _ in range(ncols)]
             rhs = [sum(v * x0[c] for c, v in row.items()) % p for row in matrix]
-            system = LinearSystem([None] * nrows, list(range(ncols)), matrix,
-                                  [{0: b} if b else {} for b in rhs], p, 1)
-            [solution] = gaussian_solve(system)
+            system = LinearSystem([None] * nrows, list(range(ncols)), matrix, rhs, p)
+            solution = gaussian_solve(system)
             assert solution is not None
             for row, b in zip(matrix, rhs):
                 assert sum(v * solution[c] for c, v in row.items()) % p == b
 
     def test_detects_random_inconsistency(self):
         # a clearly inconsistent pair of identical rows with different rhs
-        system = LinearSystem([0, 1], [0, 1], [{0: 1, 1: 2}, {0: 1, 1: 2}], [{0: 1}, {0: 2}], 3, 1)
-        assert gaussian_solve(system) == [None]
-
-    def test_random_right_hand_sides_match_one_at_a_time(self):
-        # every rhs column is solved as if it were alone: the same verdict as
-        # the one-target oracle, and a consistent column's solution solves it
-        rng = random.Random(22)
-        for _ in range(200):
-            p = rng.choice([3, 5, 7])
-            nrows, ncols, ntargets = rng.randrange(1, 7), rng.randrange(1, 7), rng.randrange(1, 5)
-            matrix = []
-            for _ in range(nrows):
-                support = rng.sample(range(ncols), rng.randrange(0, ncols + 1))
-                matrix.append({c: rng.randrange(1, p) for c in support})
-            columns = [[rng.randrange(p) for _ in range(nrows)] for _ in range(ntargets)]
-            rhs = [{t: col[r] for t, col in enumerate(columns) if col[r]} for r in range(nrows)]
-            solutions = gaussian_solve(
-                LinearSystem([None] * nrows, list(range(ncols)), matrix, rhs, p, ntargets))
-            assert len(solutions) == ntargets
-            for col, solution in zip(columns, solutions):
-                alone = _gaussian_solve_single(
-                    _SingleSystem([None] * nrows, list(range(ncols)), matrix, col, p))
-                assert (solution is None) == (alone is None)
-                if solution is not None:
-                    for row, b in zip(matrix, col):
-                        assert sum(v * solution[c] for c, v in row.items()) % p == b
+        system = LinearSystem([0, 1], [0, 1], [{0: 1, 1: 2}, {0: 1, 1: 2}], [1, 2], 3)
+        assert gaussian_solve(system) is None
 
 
 class TestMemberBounded:
@@ -155,11 +128,13 @@ class TestMemberBounded:
             # monotonicity: membership persists at larger bounds
             assert member_bounded(target, self.gens23.generators, bound + 1) is not None
 
-    def test_size_guard(self):
+    def test_size_guard(self, monkeypatch):
         target = parse_poly("x1_1*x1_2*x2_3", self.mat23.space, 3)
+        monkeypatch.setattr(linmember, "MAX_MATRIX_ENTRIES", 2)
         with pytest.raises(SizeGuardError) as err:
-            member_bounded(target, self.gens23.generators, 3, max_entries=10)
+            member_bounded(target, self.gens23.generators, 3)
         assert err.value.rows > 0 and err.value.cols > 0
+        assert f"{err.value.rows} rows x {err.value.cols} columns" in str(err.value)
 
     def test_target_degree_above_bound_rejected(self):
         target = parse_poly("x1_1*x1_2*x2_3", self.mat23.space, 3)
@@ -173,7 +148,7 @@ class TestMemberBounded:
         for prime in minimal_primes_generic(2, 3):
             gens = [prime.omega(p) ** (p - 1)] + [g**p for g in prime.generators(p)]
             structural = colon_membership(f, prime) is not None
-            linear = member_bounded(f, gens, f.total_degree(), max_entries=2 * 10**8)
+            linear = member_bounded(f, gens, f.total_degree())
             assert (linear is not None) == structural
             # and the constant 1 is correctly refused on both routes
             one = Polynomial.one(f.space, p)
@@ -239,33 +214,48 @@ class TestMembersBounded:
                     total = total + h * gens[gi]
                 assert total == target
 
-    def test_one_system_per_degree(self, monkeypatch):
-        systems = []
+    def test_monomials29_4x4_systems_are_small(self, monkeypatch):
+        # each target's system is its own component of the 3,612 x 4,896
+        # degree-4 system that one shared system would need
+        sizes = []
 
-        def counting_build_system(targets, *args, **kwargs):
-            systems.append(len(targets))
-            return build_system(targets, *args, **kwargs)
+        def recording_build_system(*args):
+            system = build_system(*args)
+            sizes.append((len(system.row_labels), len(system.col_labels)))
+            return system
 
-        monkeypatch.setattr(linmember, "build_system", counting_build_system)
-        targets = [_poly("x1_1*x1_2*x2_3"), _poly("x1_1*x1_2"), _poly("x1_1*x1_3*x2_2"),
-                   _poly("x1_1*x1_2*x2_3 + x1_1*x1_2")]
-        combinations = members_bounded(targets, GENS23, 3)
-        assert sorted(systems) == [1, 1, 2]  # degree 2, non-homogeneous, degree 3
-        assert [c is not None for c in combinations] == [True, False, True, False]
+        monkeypatch.setattr(linmember, "build_system", recording_build_system)
+        report = witnesses.verify_squared_entry_triples(4, 4, 3)
+        assert report.evidence["members"] == report.evidence["targets"] == len(sizes) == 288
+        assert max(rows for rows, _ in sizes) <= 7
+        assert max(cols for _, cols in sizes) <= 13
+
+    def test_generator_with_a_constant_term(self):
+        # a constant term divides every monomial; over F_3,
+        # 1 = (1 - x1_1) * (1 + x1_1) + x1_1^2 needs multipliers up to degree 1
+        gens = (_poly("x1_1 + 1"), _poly("x1_1^2"))
+        one = _poly("1")
+        for bound, member in [(0, False), (1, False), (2, True)]:
+            [comb] = members_bounded([one], gens, bound)
+            assert (comb is not None) == member == (member_bounded_single(one, gens, bound) is not None)
 
     def test_empty_target_list(self):
         assert members_bounded([], GENS23, 3) == []
 
-    def test_size_guard_counts_the_shared_system(self):
-        # each degree-3 monomial fits alone; all 56 together do not
-        targets = [Polynomial.monomial(MAT23.space, 3, m) for m in monomials_of_degree(6, 3)]
-        alone = max(len(build_system([t], GENS23, 3, True).row_labels) for t in targets)
-        guard = alone * 18  # 3 generators x 6 linear multipliers
-        for t in targets:
-            member_bounded(t, GENS23, 3, max_entries=guard)
+    def test_size_guard_refuses_a_closure_as_it_grows(self, monkeypatch):
+        target = _poly("x1_1*x1_2*x2_3")
+        full = build_system(target, term_table(GENS23), 3)
+        entries = len(full.row_labels) * len(full.col_labels)
+        monkeypatch.setattr(linmember, "MAX_MATRIX_ENTRIES", entries)
+        assert members_bounded([target], GENS23, 3)[0] is not None
+        monkeypatch.setattr(linmember, "MAX_MATRIX_ENTRIES", entries - 1)
+        with pytest.raises(SizeGuardError):
+            members_bounded([target], GENS23, 3)
+        # a guard of one entry stops the closure at its first column
+        monkeypatch.setattr(linmember, "MAX_MATRIX_ENTRIES", 1)
         with pytest.raises(SizeGuardError) as err:
-            members_bounded(targets, GENS23, 3, max_entries=guard)
-        assert (err.value.rows, err.value.cols) == (56, 18)
+            members_bounded([target], GENS23, 3)
+        assert err.value.cols == 1 < len(full.col_labels)
 
     def test_target_degree_above_bound_rejected(self):
         with pytest.raises(ValueError):

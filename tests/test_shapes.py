@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from permcheck import shapes
 from permcheck.fppoly import Polynomial, VariableSpace, parse_poly, substitute
 from permcheck.shapes import (
     COMPLETE_INTERSECTION,
@@ -103,6 +104,13 @@ class TestSymbolicPermanent:
     def test_empty_selection_is_one(self):
         mat = build_matrix(MatrixShape.hankel(2))
         assert permanent(mat, rows=(), cols=(), char=3) == Polynomial.one(mat.space, 3)
+
+    def test_oversized_selection_refused_before_the_dp(self, monkeypatch):
+        mat = build_matrix(MatrixShape.generic(9, 9))
+        # the DP's first step is Polynomial.one: reaching it fails with AttributeError
+        monkeypatch.setattr(shapes, "Polynomial", None)
+        with pytest.raises(ValueError, match="size 9 exceeds limit 8"):
+            permanent(mat, char=3)
 
     def test_repeated_variable_gives_factorial(self):
         space = VariableSpace(("x",))
