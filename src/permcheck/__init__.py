@@ -20,7 +20,6 @@ from .fppoly import (
     truncated_pow,
 )
 from .frobcheck import (
-    FedderVerdict,
     colon_membership,
     fedder_ci_check,
     fedder_coefficient_fullsupport,

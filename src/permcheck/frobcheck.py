@@ -7,14 +7,15 @@ ideal (I^[p] : I) equals (omega^{p-1}) + I^[p], so
   * F-regularity certificate: c * omega^{p-1} not in m^[p] for a test element c
 
 which reduces every check here to truncated polynomial arithmetic at the
-Frobenius power q = p, with p the characteristic of the generators.  The module also decides membership in
-(omega_P^{p-1}) + P^[p] structurally for the classified minimal primes P (a
-binomial on an inner 2x2 block plus outside variables, or pure variable
-ideals), and computes the "Fedder coefficient" of a full-support ideal --
-the coefficient of prod x_i^{p-1} in omega^{p-1} -- by three independent
-routes: symbolic truncated powering, brute-force point counting (a hi-table
-times lo-table product per block of hi points, optionally on a thread pool),
-and a serial fibered enumeration special to the
+Frobenius power q = p, with p the characteristic of the generators.  The
+module also decides membership in (omega_P^{p-1}) + P^[p] for the minimal
+primes P of P_2 (variables, plus a binomial on an inner 2x2 block unless P is
+generated by variables only), and computes the "Fedder coefficient" of a
+full-support ideal -- the coefficient of prod x_i^{p-1} in omega^{p-1} -- by
+three independent routes: symbolic truncated powering, brute-force point
+counting (a hi-table times lo-table product per block of hi points,
+optionally on a thread pool, refused when the tables would pass
+MAX_POINTCOUNT_ENTRIES), and a serial fibered enumeration special to the
 generic 3x4 / t=3 complete intersection, which visits only three first
 columns and projective classes of the other two, in passes of bounded size.
 
@@ -41,14 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .witnesses import MinimalPrime
 
 
-@dataclass(frozen=True)
-class FedderVerdict:
-    """Outcome of one truncated colon-ideal non-vanishing check."""
-
-    passed: bool
-    surviving_term: Optional[tuple]  # (monomial, coefficient) or None
-
-
 def _omega_power(gens: IdealPresentation) -> TruncatedAccumulator:
     """omega^{p-1} mod m^[p], where omega is the product of the generators."""
     omega = Polynomial.one(gens.space, gens.char)
@@ -57,11 +50,9 @@ def _omega_power(gens: IdealPresentation) -> TruncatedAccumulator:
     return TruncatedAccumulator.power(omega, gens.char - 1)
 
 
-def _survivor_verdict(survivor: TruncatedAccumulator) -> FedderVerdict:
-    """Pass with the GRLEX leading term of a nonzero survivor, else fail."""
-    if survivor.is_zero:
-        return FedderVerdict(False, None)
-    return FedderVerdict(True, survivor.leading_term())
+def _survivor(power: TruncatedAccumulator) -> Optional[tuple]:
+    """The GRLEX leading (monomial, coefficient) of a nonzero survivor, else None."""
+    return None if power.is_zero else power.leading_term()
 
 
 def _require_ci(gens: IdealPresentation, what: str):
@@ -72,30 +63,33 @@ def _require_ci(gens: IdealPresentation, what: str):
         )
 
 
-def fedder_ci_check(gens: IdealPresentation, p: Optional[int] = None) -> FedderVerdict:
+def fedder_ci_check(gens: IdealPresentation, p: Optional[int] = None) -> Optional[tuple]:
     """Decide F-purity of a complete intersection: omega^{p-1} != 0 mod m^[p].
 
-    p is gens.char.  The optional second argument is the older two-argument
-    call, still made by perfbench/tests/test_tracer.py; it must equal it.
+    Returns the surviving leading term (monomial, coefficient), or None when
+    omega^{p-1} vanishes (not F-pure).  p is gens.char.  The optional second
+    argument is the older two-argument call, still made by
+    perfbench/tests/test_tracer.py; it must equal it.
     """
     if p is not None and p != gens.char:
         raise StructureError(f"p = {p} is not the generators' characteristic {gens.char}")
     _require_ci(gens, "the Fedder check")
-    return _survivor_verdict(_omega_power(gens))
+    return _survivor(_omega_power(gens))
 
 
-def glassbrenner_witness_check(c: Polynomial, gens: IdealPresentation) -> FedderVerdict:
+def glassbrenner_witness_check(c: Polynomial, gens: IdealPresentation) -> Optional[tuple]:
     """Check c * omega^{p-1} != 0 mod m^[p] for one witness c.
 
-    A pass certifies the F-regularity condition for c at q = p; a failure is
-    only inconclusive, since the criterion asks for some Frobenius power q.
+    Returns the surviving leading term, or None.  A survivor certifies the
+    F-regularity condition for c at q = p; None is only inconclusive, since
+    the criterion asks for some Frobenius power q.
     """
     _require_ci(gens, "the Glassbrenner witness check")
-    return _survivor_verdict(_omega_power(gens).mul_poly(c))
+    return _survivor(_omega_power(gens).mul_poly(c))
 
 
 # ---------------------------------------------------------------------------
-# structural colon-ideal membership for classified minimal primes
+# colon-ideal membership for the minimal primes of P_2
 # ---------------------------------------------------------------------------
 
 
@@ -117,29 +111,31 @@ class ColonMembershipCertificate:
         return total
 
 
-def _split_term(mono, inner_set):
-    inner = tuple(e if i in inner_set else 0 for i, e in enumerate(mono))
-    outer = tuple(0 if i in inner_set else e for i, e in enumerate(mono))
-    return inner, outer
+def _split_term(mono, outer_set):
+    """(rest, outer): mono with the exponents in outer_set zeroed, and mono
+    with every other exponent zeroed."""
+    rest = tuple(0 if i in outer_set else e for i, e in enumerate(mono))
+    outer = tuple(e if i in outer_set else 0 for i, e in enumerate(mono))
+    return rest, outer
 
 
 def colon_membership(
     f: Polynomial, prime: "MinimalPrime"
 ) -> Optional[ColonMembershipCertificate]:
-    """Decide whether f lies in (omega_P^{p-1}) + P^[p] for a structured prime P.
+    """Decide whether f lies in (omega_P^{p-1}) + P^[p] for a minimal prime P.
 
-    p is the characteristic of f.  The generators of P are a binomial b on an
-    inner variable block plus all outside variables (or pure variables).
-    Modulo the p-th powers of the outside variables, the ring splits as a
-    tensor product of the inner and outer variables, so membership is decided
-    exactly:
+    p is the characteristic of f.  P is generated by variables V and, unless
+    it is a prime of variables only, a binomial b in the other variables.
+    Modulo the p-th powers of V the ring splits as a tensor product of the
+    variables in V and the rest, so membership is decided exactly:
 
-      1. terms with an outside-variable exponent >= p lie in P^[p];
-      2. pure-variable primes: every remaining term must be divisible by
-         prod_{x in P} x^{p-1};
-      3. binomial primes: group remaining terms by their outer monomial mu;
-         the cofactor of the unique admissible mu = prod x^{p-1} must be
-         divisible by b^{p-1}, every other cofactor by b^p.
+      1. terms with an exponent >= p on a variable of V lie in P^[p];
+      2. the other terms are grouped by their outer monomial mu in V: the
+         cofactor of the admissible mu = prod_V x^{p-1} must be divisible by
+         b^{p-1}, and every other cofactor by b^p.
+
+    A prime of variables is the case without b: the admissible cofactor is
+    its own quotient, and any other group means f is not a member.
     """
     p = f.char
     if f.space != prime.space:
@@ -147,9 +143,13 @@ def colon_membership(
     space = f.space
     var_gens = set(prime.variable_gens)
     entries = []
-
-    def record_drop(mono, coeff):
-        i = next(i for i in var_gens if mono[i] >= p)
+    groups: dict = {}
+    for mono, coeff in f.items():
+        i = next((i for i in prime.variable_gens if mono[i] >= p), None)
+        if i is None:
+            rest, outer = _split_term(mono, var_gens)
+            groups.setdefault(outer, []).append((rest, coeff))
+            continue
         xi_p = [0] * space.count
         xi_p[i] = p
         rest = list(mono)
@@ -158,54 +158,22 @@ def colon_membership(
             (Polynomial.monomial(space, p, rest, coeff), Polynomial.monomial(space, p, xi_p))
         )
 
-    remaining = []
-    for mono, coeff in f.items():
-        if any(mono[i] >= p for i in var_gens):
-            record_drop(mono, coeff)
-        else:
-            remaining.append((mono, coeff))
-
-    if prime.kind in ("row_variables", "column_variables"):
-        # monomial colon: all variable generators must appear to exponent p-1
-        base_exps = [p - 1 if i in var_gens else 0 for i in range(space.count)]
-        quot_terms = []
-        for mono, coeff in remaining:
-            if any(mono[i] < p - 1 for i in var_gens):
-                return None
-            quot_terms.append((tuple(e - b for e, b in zip(mono, base_exps)), coeff))
-        if quot_terms:
-            entries.append(
-                (Polynomial(space, p, quot_terms), Polynomial.monomial(space, p, base_exps))
-            )
-        return ColonMembershipCertificate(tuple(entries))
-
-    # binomial-plus-variables primes
-    inner_set = set(prime.inner_vars)
-    if not inner_set or prime.binomial(p) is None:
-        raise ValueError(
-            f"prime kind {prime.kind!r} has no structural decomposition; "
-            "use degree-bounded linear membership (linmember) instead"
-        )
-    b = prime.binomial(p)
     admissible = tuple(p - 1 if i in var_gens else 0 for i in range(space.count))
-    groups: dict = {}
-    for mono, coeff in remaining:
-        inner, outer = _split_term(mono, inner_set)
-        groups.setdefault(outer, []).append((inner, coeff))
-
-    b_pm1 = b ** (p - 1)
-    b_p = b**p
-    outside_pm1 = Polynomial.monomial(space, p, admissible)
-    omega_power = b_pm1 * outside_pm1
+    omega_power = Polynomial.monomial(space, p, admissible)
+    b = prime.binomial(p)
+    if b is not None:
+        b_pm1 = b ** (p - 1)
+        b_p = b_pm1 * b
+        omega_power = b_pm1 * omega_power
     for outer in sorted(groups):
         cofactor = Polynomial(space, p, groups[outer])
         if outer == admissible:
-            quotient = exact_divide(cofactor, b_pm1)
+            quotient = cofactor if b is None else exact_divide(cofactor, b_pm1)
             if quotient is None:
                 return None
             entries.append((quotient, omega_power))
         else:
-            quotient = exact_divide(cofactor, b_p)
+            quotient = None if b is None else exact_divide(cofactor, b_p)
             if quotient is None:
                 return None
             entries.append((Polynomial.monomial(space, p, outer) * quotient, b_p))
@@ -285,6 +253,9 @@ def fedder_coefficient_fullsupport(
 # One wrapping multiply and one compare replace `% p`, numpy's slowest step.
 
 POINTCOUNT_CHUNK = 1 << 17  # points per block of hi rows (at least one row), the unit of work
+# Largest hi plus lo table, in entries summed over the generators; the tables
+# take 4 or 8 bytes an entry, so this keeps them under 64 or 128 MB.
+MAX_POINTCOUNT_ENTRIES = 1 << 24
 
 
 def _pointcount_dtype(terms: int, p: int):
@@ -354,8 +325,9 @@ def count_nonvanishing(gens: IdealPresentation, p: int, threads: int = 1) -> int
     products of its hi and lo monomial tables, exact in uint32 or uint64 as
     T * (p-1)^2 allows for the largest term count T; a count that would
     overflow 64 bits raises ValueError before anything is allocated.  The
-    tables take p^{v - v//2} + p^{v//2} entries per term.  Each of `threads`
-    threads takes every threads-th block.
+    tables take p^{v - v//2} + p^{v//2} entries per term; more than
+    MAX_POINTCOUNT_ENTRIES in all raises ValueError before they are built.
+    Each of `threads` threads takes every threads-th block.
     """
     import numpy as np
 
@@ -363,6 +335,12 @@ def count_nonvanishing(gens: IdealPresentation, p: int, threads: int = 1) -> int
     v = gens.space.count
     k_hi = v - v // 2
     n_hi, n_lo = p**k_hi, p ** (v // 2)
+    entries = sum(len(g) for g in gens.generators) * (n_hi + n_lo)
+    if entries > MAX_POINTCOUNT_ENTRIES:
+        raise ValueError(
+            f"point count at p = {p} needs {entries} table entries, "
+            f"more than {MAX_POINTCOUNT_ENTRIES}"
+        )
     tables = []
     for g in gens.generators:
         monos, coeffs = zip(*g.items())

@@ -14,7 +14,7 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .fppoly import (
@@ -43,81 +43,40 @@ from .frobcheck import colon_membership, fedder_coefficient_fullsupport
 
 @dataclass(frozen=True)
 class MinimalPrime:
-    """A structured minimal prime of P_2: a binomial on an inner 2x2 block
-    plus all outside entries, or a pure-variable ideal.
+    """A minimal prime of P_2, stored as its generators.
 
-    kind: "submatrix_binomial" (generic), "symmetric_pair", "row_variables"
-    or "column_variables".  For the variable kinds, `rows`/`cols` hold the
-    index set whose variables generate the prime.
+    `block` is ((a, d), (b, c)), the variable indices of the binomial
+    a*d + b*c on an inner 2x2 block (b = c for a symmetric pair), or None
+    for a prime generated by variables only.  `variable_gens` are the
+    variable generators: every variable outside the block, or the variables
+    of the rows or columns that the label names.
     """
 
-    kind: str
-    shape: MatrixShape
+    label: str
     space: VariableSpace
-    rows: tuple = ()
-    cols: tuple = ()
-    entries: tuple = field(default=(), repr=False)  # matrix entry grid (var indices)
-
-    @property
-    def label(self) -> str:
-        one = lambda ix: ",".join(str(i + 1) for i in ix)
-        if self.kind == "submatrix_binomial":
-            return f"sub(rows {one(self.rows)}; cols {one(self.cols)})"
-        if self.kind == "symmetric_pair":
-            return f"pair({one(self.rows)})"
-        if self.kind == "row_variables":
-            return f"rows({one(self.rows)})"
-        return f"cols({one(self.cols)})"
+    variable_gens: tuple
+    block: Optional[tuple] = None
 
     @property
     def inner_vars(self) -> tuple:
         """Variable indices of the inner block carrying the binomial."""
-        if self.kind == "submatrix_binomial":
-            return tuple(
-                sorted({self.entries[i][j] for i in self.rows for j in self.cols})
-            )
-        if self.kind == "symmetric_pair":
-            u, v = self.rows
-            return tuple(
-                sorted({self.entries[u][u], self.entries[u][v], self.entries[v][v]})
-            )
-        return ()
-
-    @property
-    def variable_gens(self) -> tuple:
-        """Variable indices that are generators of the prime."""
-        if self.kind == "row_variables":
-            keep = {self.entries[i][j] for i in self.rows for j in range(self.shape.ncols)}
-            return tuple(sorted(keep))
-        if self.kind == "column_variables":
-            keep = {self.entries[i][j] for j in self.cols for i in range(self.shape.nrows)}
-            return tuple(sorted(keep))
-        inner = set(self.inner_vars)
-        return tuple(i for i in range(self.space.count) if i not in inner)
+        if self.block is None:
+            return ()
+        return tuple(sorted({i for pair in self.block for i in pair}))
 
     def binomial(self, char: int) -> Optional[Polynomial]:
-        """The permanent of the inner block, or None for variable kinds."""
-        if self.kind == "submatrix_binomial":
-            i1, i2 = self.rows
-            j1, j2 = self.cols
-            e = self.entries
-            var = lambda ix: Polynomial.variable(self.space, char, ix)
-            return var(e[i1][j1]) * var(e[i2][j2]) + var(e[i1][j2]) * var(e[i2][j1])
-        if self.kind == "symmetric_pair":
-            u, v = self.rows
-            e = self.entries
-            var = lambda ix: Polynomial.variable(self.space, char, ix)
-            return var(e[u][u]) * var(e[v][v]) + var(e[u][v]) * var(e[u][v])
-        return None
+        """The permanent a*d + b*c of the inner block, or None."""
+        if self.block is None:
+            return None
+        (a, d), (b, c) = self.block
+        var = lambda ix: Polynomial.variable(self.space, char, ix)
+        return var(a) * var(d) + var(b) * var(c)
 
     def generators(self, char: int) -> list:
         """Flattened generator list: the binomial (if any), then the variables."""
-        gens = []
         b = self.binomial(char)
-        if b is not None:
-            gens.append(b)
-        gens.extend(Polynomial.variable(self.space, char, i) for i in self.variable_gens)
-        return gens
+        variables = [Polynomial.variable(self.space, char, i) for i in self.variable_gens]
+        return variables if b is None else [b] + variables
 
     def omega(self, char: int) -> Polynomial:
         """Product of the regular-sequence generators."""
@@ -125,6 +84,17 @@ class MinimalPrime:
         for g in self.generators(char):
             out = out * g
         return out
+
+
+def _one_based(ix) -> str:
+    return ",".join(str(i + 1) for i in ix)
+
+
+def _block_prime(label: str, mat: SymbolicMatrix, block: tuple) -> MinimalPrime:
+    """The prime of the binomial on `block` plus every variable outside it."""
+    inner = {i for pair in block for i in pair}
+    outside = tuple(i for i in range(mat.space.count) if i not in inner)
+    return MinimalPrime(label, mat.space, outside, block)
 
 
 def minimal_primes_generic(m: int, n: int) -> list:
@@ -136,22 +106,22 @@ def minimal_primes_generic(m: int, n: int) -> list:
     if m < 2 or n < 2:
         raise ValueError("minimal prime classification needs m, n >= 2")
     mat = build_matrix(MatrixShape.generic(m, n))
+    e = mat.entry
     primes = []
     for rows in itertools.combinations(range(m), 2):
         for cols in itertools.combinations(range(n), 2):
-            primes.append(
-                MinimalPrime("submatrix_binomial", mat.shape, mat.space, rows, cols, mat.entries)
-            )
+            (i1, i2), (j1, j2) = rows, cols
+            block = ((e(i1, j1), e(i2, j2)), (e(i1, j2), e(i2, j1)))
+            label = f"sub(rows {_one_based(rows)}; cols {_one_based(cols)})"
+            primes.append(_block_prime(label, mat, block))
     if n >= 3:
         for rows in itertools.combinations(range(m), m - 1):
-            primes.append(
-                MinimalPrime("row_variables", mat.shape, mat.space, rows, (), mat.entries)
-            )
+            gens = tuple(sorted(e(i, j) for i in rows for j in range(n)))
+            primes.append(MinimalPrime(f"rows({_one_based(rows)})", mat.space, gens))
     if m >= 3:
         for cols in itertools.combinations(range(n), n - 1):
-            primes.append(
-                MinimalPrime("column_variables", mat.shape, mat.space, (), cols, mat.entries)
-            )
+            gens = tuple(sorted(e(i, j) for j in cols for i in range(m)))
+            primes.append(MinimalPrime(f"cols({_one_based(cols)})", mat.space, gens))
     return primes
 
 
@@ -160,8 +130,9 @@ def minimal_primes_symmetric(n: int) -> list:
     if n < 2:
         raise ValueError("minimal prime classification needs n >= 2")
     mat = build_matrix(MatrixShape.symmetric(n))
+    e = mat.entry
     return [
-        MinimalPrime("symmetric_pair", mat.shape, mat.space, (u, v), (u, v), mat.entries)
+        _block_prime(f"pair({_one_based((u, v))})", mat, ((e(u, u), e(v, v)), (e(u, v), e(u, v))))
         for u, v in itertools.combinations(range(n), 2)
     ]
 
@@ -560,7 +531,7 @@ def verify_fpure(
     mat = build_matrix(shape)
     gens = permanental_generators(mat, t, char=p)
     if method == "truncated":
-        survivor = frobcheck.fedder_ci_check(gens).surviving_term
+        survivor = frobcheck.fedder_ci_check(gens)
     else:
         coeff = fedder_coefficient_fullsupport(gens, method=method, threads=threads)
         survivor = ((p - 1,) * mat.space.count, coeff) if coeff else None

@@ -298,13 +298,12 @@ def in_frobenius_power(h: Polynomial, prime: "MinimalPrime", p: Optional[int] = 
         p = h.char
     var_gens = set(prime.variable_gens)
     remaining = [(m, c) for m, c in h.items() if not any(m[i] >= p for i in var_gens)]
-    if prime.kind in ("row_variables", "column_variables"):
+    if prime.block is None:
         return not remaining
-    inner_set = set(prime.inner_vars)
     b_p = prime.binomial(p) ** p
     groups: dict = {}
     for mono, coeff in remaining:
-        inner, outer = _split_term(mono, inner_set)
+        inner, outer = _split_term(mono, var_gens)
         groups.setdefault(outer, []).append((inner, coeff))
     for outer, terms in groups.items():
         cofactor = Polynomial(h.space, p, terms)
@@ -322,7 +321,7 @@ def prime_contains(prime: "MinimalPrime", g: Polynomial) -> bool:
     remaining = [(m, c) for m, c in g.items() if not any(m[i] >= 1 for i in var_gens)]
     if not remaining:
         return True
-    if prime.kind in ("row_variables", "column_variables"):
+    if prime.block is None:
         return False
     rest = Polynomial(g.space, g.char, remaining)
     return exact_divide(rest, prime.binomial(g.char)) is not None

@@ -68,6 +68,16 @@ class TestExitCodes:
         assert out == ""
         assert "overflow" in err
 
+    def test_oversized_point_count_tables_are_usage_error(self, capsys):
+        # 24 terms times 2 * 11^6 hi and lo points: 85,034,928 table entries
+        code, out, err = invoke(
+            capsys, "verify", "fpure", "--shape", "generic:3x4", "--t", "3",
+            "--method", "pointcount", "--p", "11", "--threads", "1",
+        )
+        assert code == 1
+        assert out == ""
+        assert "85034928 table entries" in err
+
     def test_bad_shape_is_usage_error(self, capsys):
         code, _, err = invoke(capsys, "verify", "fpure", "--shape", "cube:3", "--p", "3")
         assert code == 1

@@ -34,7 +34,64 @@ from permcheck.witnesses import (
 )
 
 
+# (label, binomial at p = 3 or None, variable generators) of every minimal
+# prime, in the order the classifiers return them
+PRIMES_2X3 = [
+    ("sub(rows 1,2; cols 1,2)", "x1_1*x2_2 + x1_2*x2_1", "x1_3 x2_3"),
+    ("sub(rows 1,2; cols 1,3)", "x1_1*x2_3 + x1_3*x2_1", "x1_2 x2_2"),
+    ("sub(rows 1,2; cols 2,3)", "x1_2*x2_3 + x1_3*x2_2", "x1_1 x2_1"),
+    ("rows(1)", None, "x1_1 x1_2 x1_3"),
+    ("rows(2)", None, "x2_1 x2_2 x2_3"),
+]
+PRIMES_3X3 = [
+    ("sub(rows 1,2; cols 1,2)", "x1_1*x2_2 + x1_2*x2_1", "x1_3 x2_3 x3_1 x3_2 x3_3"),
+    ("sub(rows 1,2; cols 1,3)", "x1_1*x2_3 + x1_3*x2_1", "x1_2 x2_2 x3_1 x3_2 x3_3"),
+    ("sub(rows 1,2; cols 2,3)", "x1_2*x2_3 + x1_3*x2_2", "x1_1 x2_1 x3_1 x3_2 x3_3"),
+    ("sub(rows 1,3; cols 1,2)", "x1_1*x3_2 + x1_2*x3_1", "x1_3 x2_1 x2_2 x2_3 x3_3"),
+    ("sub(rows 1,3; cols 1,3)", "x1_1*x3_3 + x1_3*x3_1", "x1_2 x2_1 x2_2 x2_3 x3_2"),
+    ("sub(rows 1,3; cols 2,3)", "x1_2*x3_3 + x1_3*x3_2", "x1_1 x2_1 x2_2 x2_3 x3_1"),
+    ("sub(rows 2,3; cols 1,2)", "x2_1*x3_2 + x2_2*x3_1", "x1_1 x1_2 x1_3 x2_3 x3_3"),
+    ("sub(rows 2,3; cols 1,3)", "x2_1*x3_3 + x2_3*x3_1", "x1_1 x1_2 x1_3 x2_2 x3_2"),
+    ("sub(rows 2,3; cols 2,3)", "x2_2*x3_3 + x2_3*x3_2", "x1_1 x1_2 x1_3 x2_1 x3_1"),
+    ("rows(1,2)", None, "x1_1 x1_2 x1_3 x2_1 x2_2 x2_3"),
+    ("rows(1,3)", None, "x1_1 x1_2 x1_3 x3_1 x3_2 x3_3"),
+    ("rows(2,3)", None, "x2_1 x2_2 x2_3 x3_1 x3_2 x3_3"),
+    ("cols(1,2)", None, "x1_1 x1_2 x2_1 x2_2 x3_1 x3_2"),
+    ("cols(1,3)", None, "x1_1 x1_3 x2_1 x2_3 x3_1 x3_3"),
+    ("cols(2,3)", None, "x1_2 x1_3 x2_2 x2_3 x3_2 x3_3"),
+]
+PRIMES_SYM3 = [
+    ("pair(1,2)", "y1_1*y2_2 + y1_2^2", "y1_3 y2_3 y3_3"),
+    ("pair(1,3)", "y1_1*y3_3 + y1_3^2", "y1_2 y2_2 y2_3"),
+    ("pair(2,3)", "y2_2*y3_3 + y2_3^2", "y1_1 y1_2 y1_3"),
+]
+
+
 class TestMinimalPrimes:
+    @pytest.mark.parametrize(
+        "primes,pinned",
+        [
+            (lambda: minimal_primes_generic(2, 3), PRIMES_2X3),
+            (lambda: minimal_primes_generic(3, 3), PRIMES_3X3),
+            (lambda: minimal_primes_symmetric(3), PRIMES_SYM3),
+        ],
+        ids=["generic-2x3", "generic-3x3", "symmetric-3"],
+    )
+    def test_prime_data_is_pinned(self, primes, pinned):
+        primes = primes()
+        assert len(primes) == len(pinned)
+        for prime, (label, binomial, variables) in zip(primes, pinned):
+            names = prime.space.names
+            assert prime.label == label
+            assert [names[i] for i in prime.variable_gens] == variables.split()
+            if binomial is None:
+                assert prime.binomial(3) is None
+                assert prime.inner_vars == ()
+            else:
+                b = parse_poly(binomial, prime.space, 3)
+                assert prime.binomial(3) == b
+                assert prime.inner_vars == tuple(sorted(b.variables_used()))
+
     @pytest.mark.parametrize(
         "m,n,count", [(2, 2, 1), (2, 3, 5), (3, 3, 15), (3, 4, 25), (4, 4, 44), (2, 4, 8)]
     )
@@ -58,7 +115,7 @@ class TestMinimalPrimes:
         for prime in minimal_primes_generic(3, 3) + minimal_primes_symmetric(3):
             b = prime.binomial(3)
             if b is None:
-                assert prime.kind in ("row_variables", "column_variables")
+                assert prime.label.startswith(("rows(", "cols("))
                 continue
             inner = set(prime.inner_vars)
             assert inner.isdisjoint(prime.variable_gens)
