@@ -15,9 +15,10 @@ full-support ideal -- the coefficient of prod x_i^{p-1} in omega^{p-1} -- by
 three independent routes: symbolic truncated powering, brute-force point
 counting (a hi-table times lo-table product per block of hi points,
 optionally on a thread pool, refused when the tables would pass
-MAX_POINTCOUNT_ENTRIES), and a serial fibered enumeration special to the
-generic 3x4 / t=3 complete intersection, which visits only three first
-columns and projective classes of the other two, in passes of bounded size.
+MAX_POINTCOUNT_ENTRIES or the points MAX_POINTCOUNT_POINTS), and a serial
+fibered enumeration special to the generic 3x4 / t=3 complete intersection,
+which visits only three first columns and projective classes of the other
+two, in passes of bounded size.
 
 The point-count and fiber engines import numpy inside their functions, so it
 loads on their first call; colon membership never loads it.
@@ -25,15 +26,15 @@ loads on their first call; colon membership never loads it.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from operator import add
 from typing import TYPE_CHECKING, Optional
 
 from .fppoly import (
     Polynomial,
     StructureError,
     TruncatedAccumulator,
-    exact_divide,
+    mono_mul,
     truncated_mul,
 )
 from .shapes import COMPLETE_INTERSECTION, GENERIC, IdealPresentation
@@ -97,18 +98,30 @@ def glassbrenner_witness_check(c: Polynomial, gens: IdealPresentation) -> Option
 class ColonMembershipCertificate:
     """A decomposition of f as a combination of colon-ideal generators.
 
-    Each entry is a (multiplier, ideal_element) pair whose ideal_element lies
-    in the colon ideal; replaying them (summing multiplier * ideal_element)
-    reconstructs f exactly.
+    Each entry is a (multiplier, ideal_element) pair of polynomials whose
+    ideal_element is a generator of the colon ideal: x_i^p for a variable
+    generator x_i, b^p, or omega_P^{p-1}.  `colon_membership` writes one
+    entry per generator it uses, so at most |V| + 2.  Replaying them (summing
+    multiplier * ideal_element) reconstructs f exactly, which checks the
+    certificate independently of how it was built.
     """
 
     entries: tuple
 
     def replay(self, space, char) -> Polynomial:
-        total = Polynomial.zero(space, char)
+        """The sum of multiplier * ideal_element, accumulated in one dict."""
+        total: dict = {}
         for multiplier, ideal_element in self.entries:
-            total = total + multiplier * ideal_element
-        return total
+            for poly in (multiplier, ideal_element):
+                if poly.space != space or poly.char != char:
+                    raise StructureError("a certificate entry lives in another space")
+            for m2, c2 in ideal_element.items():
+                for m1, c1 in multiplier.items():
+                    m = tuple(map(add, m1, m2))
+                    total[m] = total.get(m, 0) + c1 * c2
+        return Polynomial._make(
+            space, char, {m: c % char for m, c in total.items() if c % char}
+        )
 
 
 def _split_term(mono, outer_set):
@@ -119,64 +132,148 @@ def _split_term(mono, outer_set):
     return rest, outer
 
 
+def _block_exponents(block, count: int) -> tuple:
+    """The exponent vectors (u, w) of the binomial b = x^u + x^w on `block`."""
+    (a, d), (b, c) = block
+    u, w = [0] * count, [0] * count
+    u[a] += 1
+    u[d] += 1
+    w[b] += 1
+    w[c] += 1
+    return tuple(u), tuple(w)
+
+
+def _closed_form_powers(u, w, space, p: int) -> tuple:
+    """(b^{p-1}, b^p) for b = x^u + x^w over F_p, written down without products.
+
+    Frobenius gives b^p = x^{pu} + x^{pw}, and C(p-1, j) = (-1)^j mod p gives
+    b^{p-1} = sum_{j=0}^{p-1} (-1)^j x^{ju + (p-1-j)w}, whose p monomials are
+    distinct because u != w.
+    """
+    b_pm1 = {
+        tuple(j * x + (p - 1 - j) * y for x, y in zip(u, w)): 1 if j % 2 == 0 else p - 1
+        for j in range(p)
+    }
+    b_p = {tuple(p * x for x in u): 1, tuple(p * y for y in w): 1}
+    return Polynomial._make(space, p, b_pm1), Polynomial._make(space, p, b_p)
+
+
+def _times_binomial(terms: dict, u, w, p: int) -> dict:
+    """The term dict of sum(terms) * (x^u + x^w)."""
+    out: dict = {}
+    for mono, coeff in terms.items():
+        for shift in (u, w):
+            m = tuple(map(add, mono, shift))
+            out[m] = (out.get(m, 0) + coeff) % p
+    return {m: c for m, c in out.items() if c}
+
+
+def _divide_by_binomial(terms: dict, u, w, p: int) -> Optional[dict]:
+    """The quotient of sum(terms) by x^u + x^w as a term dict, or None.
+
+    u and w must have disjoint supports, as on every block.  With d = w - u
+    the monomials fall into chains m0 + t*d.  On a chain the quotient's
+    coefficient q_t of x^{m0 + t*d - u} obeys c_t = q_t + q_{t-1}, so one
+    pass up from the chain's lowest t finds q, and the binomial divides iff
+    every chain ends with q = 0.  With disjoint supports the lowest power of
+    each variable in q survives in q * (x^u + x^w), so q has no negative
+    exponent when the product is a polynomial.  The cost is linear in the
+    terms plus the quotient.
+    """
+    d = tuple(y - x for x, y in zip(u, w))
+    k = next(i for i, e in enumerate(d) if e > 0)  # a variable of w
+    chains: dict = {}
+    for mono, coeff in terms.items():
+        t = mono[k] // d[k]
+        base = tuple(e - t * s for e, s in zip(mono, d))
+        chains.setdefault(base, {})[t] = coeff
+    quotient = {}
+    for base, chain in chains.items():
+        q, top = 0, max(chain)
+        for t in range(min(chain), top):
+            q = (chain.get(t, 0) - q) % p
+            if q:
+                quotient[tuple(e + t * s - x for e, s, x in zip(base, d, u))] = q
+        if (chain[top] - q) % p:
+            return None
+    return quotient
+
+
 def colon_membership(
     f: Polynomial, prime: "MinimalPrime"
 ) -> Optional[ColonMembershipCertificate]:
     """Decide whether f lies in (omega_P^{p-1}) + P^[p] for a minimal prime P.
 
     p is the characteristic of f.  P is generated by variables V and, unless
-    it is a prime of variables only, a binomial b in the other variables.
-    Modulo the p-th powers of V the ring splits as a tensor product of the
-    variables in V and the rest, so membership is decided exactly:
+    it is a prime of variables only, a binomial b = x^u + x^w in the other
+    variables.  Modulo the p-th powers of V the ring splits as a tensor
+    product of the variables in V and the rest, so membership is decided
+    exactly:
 
-      1. terms with an exponent >= p on a variable of V lie in P^[p];
-      2. the other terms are grouped by their outer monomial mu in V: the
+      1. terms with an exponent >= p on a variable of V lie in P^[p]; they
+         are grouped into one multiplier of x_i^p per variable x_i of V;
+      2. the other terms are split by their outer monomial mu in V: the
          cofactor of the admissible mu = prod_V x^{p-1} must be divisible by
-         b^{p-1}, and every other cofactor by b^p.
+         b^{p-1}, and every other cofactor by b^p.  As b^p lies in the other
+         variables, that is one division of the sum of all other terms.
+
+    The certificate has one entry per generator used, at most |V| + 2.  In
+    characteristic p, b^p = x^{pu} + x^{pw} and b^{p-1} = sum_j (-1)^j
+    x^{ju + (p-1-j)w} are written down in closed form, dividing by b^{p-1}
+    is multiplying by b and dividing by b^p, and a binomial divides in one
+    pass along chains of monomials, so the cost is linear in the terms of f
+    and of the quotients.
 
     A prime of variables is the case without b: the admissible cofactor is
-    its own quotient, and any other group means f is not a member.
+    its own quotient, and any other term means f is not a member.
     """
     p = f.char
     if f.space != prime.space:
         raise StructureError("f does not live in the prime's variable space")
     space = f.space
-    var_gens = set(prime.variable_gens)
-    entries = []
-    groups: dict = {}
+    var_set = set(prime.variable_gens)
+    admissible = tuple(p - 1 if i in var_set else 0 for i in range(space.count))
+    frobenius: dict = {}  # i -> multiplier of x_i^p
+    cofactor: dict = {}  # the cofactor of prod_V x^{p-1}
+    other: dict = {}  # every other term, a multiple of b^p for a member
     for mono, coeff in f.items():
         i = next((i for i in prime.variable_gens if mono[i] >= p), None)
-        if i is None:
-            rest, outer = _split_term(mono, var_gens)
-            groups.setdefault(outer, []).append((rest, coeff))
+        if i is not None:
+            frobenius.setdefault(i, {})[mono[:i] + (mono[i] - p,) + mono[i + 1:]] = coeff
             continue
-        xi_p = [0] * space.count
-        xi_p[i] = p
-        rest = list(mono)
-        rest[i] -= p
-        entries.append(
-            (Polynomial.monomial(space, p, rest, coeff), Polynomial.monomial(space, p, xi_p))
-        )
-
-    admissible = tuple(p - 1 if i in var_gens else 0 for i in range(space.count))
-    omega_power = Polynomial.monomial(space, p, admissible)
-    b = prime.binomial(p)
-    if b is not None:
-        b_pm1 = b ** (p - 1)
-        b_p = b_pm1 * b
-        omega_power = b_pm1 * omega_power
-    for outer in sorted(groups):
-        cofactor = Polynomial(space, p, groups[outer])
+        rest, outer = _split_term(mono, var_set)
         if outer == admissible:
-            quotient = cofactor if b is None else exact_divide(cofactor, b_pm1)
-            if quotient is None:
-                return None
-            entries.append((quotient, omega_power))
+            cofactor[rest] = coeff
         else:
-            quotient = None if b is None else exact_divide(cofactor, b_p)
-            if quotient is None:
-                return None
-            entries.append((Polynomial.monomial(space, p, outer) * quotient, b_p))
+            other[mono] = coeff
+
+    poly = lambda terms: Polynomial._make(space, p, terms)  # terms are reduced already
+    entries = [
+        (poly(multiplier), poly({tuple(p if j == i else 0 for j in range(space.count)): 1}))
+        for i, multiplier in frobenius.items()
+    ]
+    if prime.block is None:
+        if other:
+            return None
+        if cofactor:
+            entries.append((poly(cofactor), poly({admissible: 1})))
+        return ColonMembershipCertificate(tuple(entries))
+
+    u, w = _block_exponents(prime.block, space.count)
+    b_pm1, b_p = _closed_form_powers(u, w, space, p)
+    u_p, w_p = tuple(p * x for x in u), tuple(p * y for y in w)
+    if other:
+        quotient = _divide_by_binomial(other, u_p, w_p, p)
+        if quotient is None:
+            return None
+        entries.append((poly(quotient), b_p))
+    if cofactor:
+        # q * b^{p-1} = cofactor  iff  q * b^p = cofactor * b
+        quotient = _divide_by_binomial(_times_binomial(cofactor, u, w, p), u_p, w_p, p)
+        if quotient is None:
+            return None
+        omega_power = {mono_mul(m, admissible): c for m, c in b_pm1.items()}
+        entries.append((poly(quotient), poly(omega_power)))
     return ColonMembershipCertificate(tuple(entries))
 
 
@@ -256,6 +353,10 @@ POINTCOUNT_CHUNK = 1 << 17  # points per block of hi rows (at least one row), th
 # Largest hi plus lo table, in entries summed over the generators; the tables
 # take 4 or 8 bytes an entry, so this keeps them under 64 or 128 MB.
 MAX_POINTCOUNT_ENTRIES = 1 << 24
+# Most points a count visits: about 25 s at the 8.5 * 10^7 points/s that
+# generic 3x4 at p = 5 (5^12 points) counts on one thread of a 2-core VM.
+# At p = 7 (7^12 points) that count is refused.
+MAX_POINTCOUNT_POINTS = 1 << 31
 
 
 def _pointcount_dtype(terms: int, p: int):
@@ -326,7 +427,8 @@ def count_nonvanishing(gens: IdealPresentation, p: int, threads: int = 1) -> int
     T * (p-1)^2 allows for the largest term count T; a count that would
     overflow 64 bits raises ValueError before anything is allocated.  The
     tables take p^{v - v//2} + p^{v//2} entries per term; more than
-    MAX_POINTCOUNT_ENTRIES in all raises ValueError before they are built.
+    MAX_POINTCOUNT_ENTRIES in all, or more than MAX_POINTCOUNT_POINTS points,
+    raises ValueError before they are built.
     Each of `threads` threads takes every threads-th block.
     """
     import numpy as np
@@ -340,6 +442,10 @@ def count_nonvanishing(gens: IdealPresentation, p: int, threads: int = 1) -> int
         raise ValueError(
             f"point count at p = {p} needs {entries} table entries, "
             f"more than {MAX_POINTCOUNT_ENTRIES}"
+        )
+    if p**v > MAX_POINTCOUNT_POINTS:
+        raise ValueError(
+            f"point count at p = {p} visits {p**v} points, more than {MAX_POINTCOUNT_POINTS}"
         )
     tables = []
     for g in gens.generators:
@@ -359,6 +465,9 @@ def count_nonvanishing(gens: IdealPresentation, p: int, threads: int = 1) -> int
 
     if threads <= 1:
         return stripe(0)
+    # imported here: it loads logging, which only a threaded count needs
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as ex:
         return sum(ex.map(stripe, range(0, step, rows)))
 

@@ -78,6 +78,16 @@ class TestExitCodes:
         assert out == ""
         assert "85034928 table entries" in err
 
+    def test_overlong_point_count_is_usage_error(self, capsys):
+        # the tables fit (5,647,152 entries), but 7^12 points would take minutes
+        code, out, err = invoke(
+            capsys, "verify", "fpure", "--shape", "generic:3x4", "--t", "3",
+            "--method", "pointcount", "--p", "7", "--threads", "1",
+        )
+        assert code == 1
+        assert out == ""
+        assert "13841287201 points" in err
+
     def test_bad_shape_is_usage_error(self, capsys):
         code, _, err = invoke(capsys, "verify", "fpure", "--shape", "cube:3", "--p", "3")
         assert code == 1
@@ -253,15 +263,17 @@ class TestChecks:
         assert code == 0
 
     def test_witness_generic_large_prime(self, capsys):
-        # the 2x2 witness has degree 4(p - 1) = 4120 at p = 1031
+        # the 2x2 witness has degree 4(p - 1): 4120 at p = 1031, 40024 at 10007
         code, out, err = invoke(
-            capsys, "verify", "witness-generic", "--m", "2", "--n", "2", "--p", "1031",
+            capsys, "verify", "witness-generic", "--m", "2", "--n", "2", "--p", "1031,10007",
             "--format", "json",
         )
         assert code == 0, err
-        (report,) = json.loads(out)["reports"]
-        assert report["verdict"] == "pass"
-        assert report["evidence"]["residue_matches_full_product"] is True
+        reports = json.loads(out)["reports"]
+        assert [report["params"]["p"] for report in reports] == [1031, 10007]
+        for report in reports:
+            assert report["verdict"] == "pass"
+            assert report["evidence"]["residue_matches_full_product"] is True
 
 
 class TestCheckTable:
@@ -359,21 +371,23 @@ class TestCheckTable:
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Runs in a fresh interpreter: prints whether numpy is loaded after
-# `import permcheck.cli`, then runs argv (if any) and prints the exit code
-# and whether numpy is loaded now.
+# Runs in a fresh interpreter: prints which of numpy and concurrent.futures
+# are loaded after `import permcheck.cli`, then runs argv (if any) and prints
+# the exit code and which of them are loaded now.
 PROBE = """
 import contextlib, io, json, sys
 import permcheck, permcheck.cli
-imported = "numpy" in sys.modules
+loaded = lambda: ["numpy" in sys.modules, "concurrent.futures" in sys.modules]
+imported = loaded()
 with contextlib.redirect_stdout(io.StringIO()):
     code = permcheck.cli.run(sys.argv[1:]) if sys.argv[1:] else 0
-print(json.dumps([imported, code, "numpy" in sys.modules]))
+print(json.dumps([imported, code, loaded()]))
 """
 
 
 def cold_start(*argv):
-    """(numpy loaded by the import, exit code, numpy loaded after the run)."""
+    """([numpy, concurrent.futures] loaded by the import, exit code,
+    [numpy, concurrent.futures] loaded after the run)."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, *argv], env=env, capture_output=True, text=True,
@@ -383,11 +397,15 @@ def cold_start(*argv):
     return tuple(json.loads(proc.stdout))
 
 
+NOTHING, NUMPY = [False, False], [True, False]
+
+
 class TestColdStart:
-    """numpy is imported by the array kernels only, never by `import permcheck`."""
+    """numpy is imported by the array kernels only and concurrent.futures by a
+    threaded point count only, never by `import permcheck`."""
 
     def test_import_loads_no_numpy(self):
-        assert cold_start() == (False, 0, False)
+        assert cold_start() == (NOTHING, 0, NOTHING)
 
     @pytest.mark.parametrize("argv", [
         ("verify", "lemma31", "--n", "3"),
@@ -400,7 +418,7 @@ class TestColdStart:
         ("generators", "--shape", "generic:2x3"),
     ], ids=lambda argv: argv[1] if argv[0] == "verify" else argv[0])
     def test_check_runs_without_numpy(self, argv):
-        assert cold_start(*argv) == (False, 0, False)
+        assert cold_start(*argv) == (NOTHING, 0, NOTHING)
 
     @pytest.mark.parametrize("argv", [
         ("verify", "lemma34", "--n", "2", "--p", "3"),
@@ -408,7 +426,13 @@ class TestColdStart:
         ("scan", "conjecture45", "--method", "fiber", "--p", "3"),
     ], ids=["lemma34", "fpure", "conjecture45-fiber"])
     def test_array_kernel_loads_numpy(self, argv):
-        assert cold_start(*argv, "--threads", "1") == (False, 0, True)
+        assert cold_start(*argv, "--threads", "1") == (NOTHING, 0, NUMPY)
+
+    def test_threaded_point_count_loads_the_thread_pool(self):
+        # generic:3x4 at p = 3 splits into five blocks of hi rows and is not F-pure
+        argv = ("verify", "fpure", "--shape", "generic:3x4", "--t", "3", "--method",
+                "pointcount", "--p", "3", "--threads", "2")
+        assert cold_start(*argv) == (NOTHING, 2, [True, True])
 
 
 def _cap_address_space():

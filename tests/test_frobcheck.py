@@ -163,6 +163,42 @@ class TestColonMembership:
             assert cert is not None
             assert cert.replay(f.space, 3) == f
 
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 101, 1009])
+    def test_closed_form_powers_match_repeated_products(self, p):
+        # a generic block a*d + b*c and a symmetric one y11*y22 + y12^2
+        for prime in (minimal_primes_generic(2, 3)[0], minimal_primes_symmetric(3)[0]):
+            b = prime.binomial(p)
+            u, w = frobcheck._block_exponents(prime.block, prime.space.count)
+            b_pm1, b_p = frobcheck._closed_form_powers(u, w, prime.space, p)
+            assert b_pm1 == b ** (p - 1)
+            assert b_p == b ** p
+
+    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("witness, minimal_primes, size", [
+        (witness_generic, minimal_primes_generic, (2, 3)),
+        (witness_generic, minimal_primes_generic, (3, 3)),
+        (witness_generic, minimal_primes_generic, (4, 4)),
+        (witness_symmetric, minimal_primes_symmetric, (3,)),
+        (witness_symmetric, minimal_primes_symmetric, (5,)),
+    ], ids=["generic:2x3", "generic:3x3", "generic:4x4", "symmetric:3", "symmetric:5"])
+    def test_witness_certificates_have_one_entry_per_generator(
+        self, witness, minimal_primes, size, p
+    ):
+        # one multiplier per variable generator, one of b^p and one of omega^{p-1}
+        f = witness(*size, p)
+        for prime in minimal_primes(*size):
+            cert = colon_membership(f, prime)
+            assert cert is not None, prime.label
+            assert len(cert.entries) <= len(prime.variable_gens) + 2, prime.label
+            assert cert.replay(f.space, p) == f
+
+    def test_replay_refuses_an_entry_from_another_characteristic(self):
+        prime = minimal_primes_generic(2, 2)[0]
+        one = Polynomial.one(prime.space, 5)
+        cert = frobcheck.ColonMembershipCertificate(((one, one),))
+        with pytest.raises(StructureError):
+            cert.replay(prime.space, 3)
+
     def test_constant_one_is_not_member(self):
         for prime in minimal_primes_generic(2, 3):
             one = Polynomial.one(prime.space, 3)
@@ -515,4 +551,20 @@ class TestPointCount:
         monkeypatch.setattr(frobcheck, "MAX_POINTCOUNT_ENTRIES", entries - 1)
         monkeypatch.setattr(frobcheck, "_monomial_values", no_tables)
         with pytest.raises(ValueError, match="table entries"):
+            count_nonvanishing(gens, p)
+
+    @pytest.mark.parametrize("m, n, t, p", [(2, 3, 2, 5), (3, 3, 3, 3)])
+    def test_point_guard_counts_the_visited_points(self, monkeypatch, m, n, t, p):
+        gens = permanental_generators(build_matrix(MatrixShape.generic(m, n)), t, char=p)
+        points = p**gens.space.count
+        expected = count_nonvanishing(gens, p)
+        monkeypatch.setattr(frobcheck, "MAX_POINTCOUNT_POINTS", points)
+        assert count_nonvanishing(gens, p) == expected
+
+        def no_tables(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(frobcheck, "MAX_POINTCOUNT_POINTS", points - 1)
+        monkeypatch.setattr(frobcheck, "_monomial_values", no_tables)
+        with pytest.raises(ValueError, match=f"visits {points} points"):
             count_nonvanishing(gens, p)
