@@ -238,6 +238,10 @@ def _run_generators(args) -> int:
 
 
 def run(argv) -> int:
+    # The array kernels are element-wise only and never call BLAS, so the
+    # OpenBLAS pool that numpy's import starts (one thread per core) is dead
+    # weight.  Set before any check can import numpy; a user's value is kept.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -19,6 +19,9 @@ kernel is the same for both.  Powers are repeated products with the base.
 
 numpy is imported inside the kernel functions, so it loads on the first
 truncated product and never for code that only uses the sparse dict form.
+The kernels are element-wise and never call BLAS.  This module leaves
+OPENBLAS_NUM_THREADS alone, so an embedding program keeps its own setting;
+the command line sets it to 1 unless it is already set.
 """
 
 from __future__ import annotations

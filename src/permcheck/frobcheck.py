@@ -342,7 +342,7 @@ def fedder_coefficient_fullsupport(
 # exactly in an unsigned dtype that holds T * (p-1)^2.  Every one of the p^v
 # points is still visited and no symmetry is used, which is what makes the
 # count an independent oracle.  Element-wise numpy only: a BLAS product would
-# start threads of its own and ignore `threads`.
+# run on OpenBLAS's threads, not `threads`, and the CLI loads numpy with one.
 #
 # A sum x below 2^b is divisible by the odd prime p iff x * p^{-1} mod 2^b is
 # at most (2^b - 1) // p, since multiplying by p^{-1} permutes Z/2^b and sends

@@ -373,31 +373,50 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Runs in a fresh interpreter: prints which of numpy and concurrent.futures
 # are loaded after `import permcheck.cli`, then runs argv (if any) and prints
-# the exit code and which of them are loaded now.
+# the exit code, which of them are loaded now, the process's OS thread count
+# (None without /proc) and OPENBLAS_NUM_THREADS.
 PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 import permcheck, permcheck.cli
 loaded = lambda: ["numpy" in sys.modules, "concurrent.futures" in sys.modules]
 imported = loaded()
 with contextlib.redirect_stdout(io.StringIO()):
     code = permcheck.cli.run(sys.argv[1:]) if sys.argv[1:] else 0
-print(json.dumps([imported, code, loaded()]))
+try:
+    with open("/proc/self/status") as fh:
+        threads = next(int(line.split()[1]) for line in fh if line.startswith("Threads:"))
+except OSError:
+    threads = None
+print(json.dumps([imported, code, loaded(), threads, os.environ.get("OPENBLAS_NUM_THREADS")]))
 """
 
 
-def cold_start(*argv):
+def child_env(**extra):
+    """This environment with `src` on the path and OPENBLAS_NUM_THREADS
+    removed (an in-process `run` sets it here), plus `extra`."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return dict(env, PYTHONPATH=str(SRC), **extra)
+
+
+def cold_start(*argv, **env):
     """([numpy, concurrent.futures] loaded by the import, exit code,
-    [numpy, concurrent.futures] loaded after the run)."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    [numpy, concurrent.futures] loaded after the run, OS threads after the
+    run or None without /proc, OPENBLAS_NUM_THREADS after the run), with
+    `env` added to the child's environment."""
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, *argv], env=env, capture_output=True, text=True,
-        timeout=120,
+        [sys.executable, "-c", PROBE, *argv], env=child_env(**env), capture_output=True,
+        text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return tuple(json.loads(proc.stdout))
 
 
 NOTHING, NUMPY = [False, False], [True, False]
+ARRAY_KERNELS = [
+    ("verify", "lemma34", "--n", "2", "--p", "3"),
+    ("verify", "fpure", "--shape", "hankel:3", "--p", "3"),
+    ("scan", "conjecture45", "--method", "fiber", "--p", "3"),
+]
 
 
 class TestColdStart:
@@ -405,7 +424,7 @@ class TestColdStart:
     threaded point count only, never by `import permcheck`."""
 
     def test_import_loads_no_numpy(self):
-        assert cold_start() == (NOTHING, 0, NOTHING)
+        assert cold_start()[:3] == (NOTHING, 0, NOTHING)
 
     @pytest.mark.parametrize("argv", [
         ("verify", "lemma31", "--n", "3"),
@@ -418,42 +437,62 @@ class TestColdStart:
         ("generators", "--shape", "generic:2x3"),
     ], ids=lambda argv: argv[1] if argv[0] == "verify" else argv[0])
     def test_check_runs_without_numpy(self, argv):
-        assert cold_start(*argv) == (NOTHING, 0, NOTHING)
+        assert cold_start(*argv)[:3] == (NOTHING, 0, NOTHING)
 
-    @pytest.mark.parametrize("argv", [
-        ("verify", "lemma34", "--n", "2", "--p", "3"),
-        ("verify", "fpure", "--shape", "hankel:3", "--p", "3"),
-        ("scan", "conjecture45", "--method", "fiber", "--p", "3"),
-    ], ids=["lemma34", "fpure", "conjecture45-fiber"])
+    @pytest.mark.parametrize("argv", ARRAY_KERNELS, ids=["lemma34", "fpure", "conjecture45-fiber"])
     def test_array_kernel_loads_numpy(self, argv):
-        assert cold_start(*argv, "--threads", "1") == (NOTHING, 0, NUMPY)
+        # the kernels never call BLAS, so the CLI loads numpy with one
+        # OpenBLAS thread rather than a pool of one per core
+        probe = cold_start(*argv, "--threads", "1")
+        assert probe[:3] == (NOTHING, 0, NUMPY)
+        threads, blas = probe[3:]
+        assert blas == "1"
+        if threads is None:
+            pytest.skip("no /proc/self/status to count threads")
+        assert threads == 1
+
+    def test_users_blas_thread_count_is_kept(self):
+        probe = cold_start(*ARRAY_KERNELS[0], "--threads", "1", OPENBLAS_NUM_THREADS="2")
+        assert probe[:3] == (NOTHING, 0, NUMPY)
+        assert probe[4] == "2"
 
     def test_threaded_point_count_loads_the_thread_pool(self):
         # generic:3x4 at p = 3 splits into five blocks of hi rows and is not F-pure
         argv = ("verify", "fpure", "--shape", "generic:3x4", "--t", "3", "--method",
                 "pointcount", "--p", "3", "--threads", "2")
-        assert cold_start(*argv) == (NOTHING, 2, [True, True])
+        assert cold_start(*argv)[:3] == (NOTHING, 2, [True, True])
 
 
-def _cap_address_space():
-    """Runs in the child only: 512 MiB of address space."""
-    import resource
+def capped_cli(mib, *argv):
+    """`python -m permcheck.cli *argv --format json` in a fresh interpreter
+    with its address space capped at `mib` MiB."""
 
-    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+    def cap():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (mib << 20, mib << 20))
+
+    return subprocess.run(
+        [sys.executable, "-m", "permcheck.cli", *argv, "--format", "json"],
+        env=child_env(), capture_output=True, text=True, timeout=120, preexec_fn=cap,
+    )
 
 
 class TestMemoryCap:
     def test_fiber_p13_fits_in_512_mib(self):
         # enumerating all p^6 choices of columns 2 and 3 at p = 13 takes more
-        # than 768 MiB of address space; the projective-class passes, under 256
-        # one BLAS thread, so numpy's import reserves the same address space
-        # whatever the machine's core count
-        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
-        proc = subprocess.run(
-            [sys.executable, "-m", "permcheck.cli", "scan", "conjecture45", "--method", "fiber",
-             "--p", "13", "--threads", "1", "--format", "json"],
-            env=env, capture_output=True, text=True, timeout=120,
-            preexec_fn=_cap_address_space,
+        # than 768 MiB of address space; the projective-class passes fit in 512
+        proc = capped_cli(
+            512, "scan", "conjecture45", "--method", "fiber", "--p", "13", "--threads", "1"
         )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert json.loads(proc.stdout)["aggregate"] == "pass"
+
+    def test_numpy_job_fits_in_128_mib(self):
+        # loading numpy with OpenBLAS's default pool of one thread per core
+        # reserves about 41 MB of address space per extra core, and dies under
+        # this cap from two cores on (142 MB peak on two); with the one thread
+        # the CLI asks for, the whole job peaks near 102 MB
+        proc = capped_cli(128, "verify", "lemma34", "--n", "3", "--p", "5", "--threads", "1")
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert json.loads(proc.stdout)["aggregate"] == "pass"
