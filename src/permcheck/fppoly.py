@@ -130,29 +130,14 @@ def mono_div(b: Monomial, a: Monomial) -> Monomial:
     return tuple(y - x for x, y in zip(a, b))
 
 
-class MonomialOrder:
-    """A lex or graded-lex order, variable index 0 most significant.  Both
-    kinds are multiplicative total orders.
-    """
-
-    __slots__ = ("kind",)
-
-    def __init__(self, kind: str = "grlex"):
-        if kind not in ("lex", "grlex"):
-            raise ValueError(f"unknown order kind {kind!r}")
-        self.kind = kind
-
-    def key(self, mono: Monomial):
-        if self.kind == "lex":
-            return mono
-        return (sum(mono), mono)
-
-    def __repr__(self) -> str:
-        return f"MonomialOrder({self.kind!r})"
+def GRLEX(mono: Monomial) -> tuple:
+    """Sort key of the graded-lex order, variable index 0 most significant."""
+    return sum(mono), mono
 
 
-GRLEX = MonomialOrder("grlex")
-LEX = MonomialOrder("lex")
+def LEX(mono: Monomial) -> Monomial:
+    """Sort key of the lex order, variable index 0 most significant."""
+    return mono
 
 
 class Polynomial:
@@ -222,15 +207,12 @@ class Polynomial:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def items(self) -> Iterator:
         return iter(self._terms.items())
 
-    def sorted_terms(self, order: MonomialOrder = GRLEX) -> list:
-        """Terms in descending canonical order (leading term first)."""
-        return sorted(self._terms.items(), key=lambda kv: order.key(kv[0]), reverse=True)
+    def sorted_terms(self) -> list:
+        """Terms in descending graded-lex order (leading term first)."""
+        return sorted(self._terms.items(), key=lambda kv: GRLEX(kv[0]), reverse=True)
 
     def coeff(self, mono: Monomial) -> int:
         return self._terms.get(tuple(mono), 0)
@@ -240,14 +222,6 @@ class Polynomial:
         if not self._terms:
             return -1
         return max(sum(m) for m in self._terms)
-
-    def variables_used(self) -> set:
-        used = set()
-        for m in self._terms:
-            for i, e in enumerate(m):
-                if e:
-                    used.add(i)
-        return used
 
     def _check_compatible(self, other: "Polynomial"):
         if self.space != other.space or self.char != other.char:
@@ -331,32 +305,32 @@ class Polynomial:
         return f"Polynomial({render_poly(self)}, p={self.char})"
 
 
-def leading_term(a: Polynomial, order: MonomialOrder = GRLEX) -> tuple:
-    """The maximal (monomial, coefficient) pair of a nonzero polynomial."""
+def leading_term(a: Polynomial, order=GRLEX) -> tuple:
+    """The maximal (monomial, coefficient) pair of a nonzero polynomial under
+    the sort key `order`."""
     if a.is_zero:
         raise ValueError("the zero polynomial has no leading term")
-    mono = max(a._terms, key=order.key)
+    mono = max(a._terms, key=order)
     return mono, a._terms[mono]
 
 
-def exact_divide(f: Polynomial, g: Polynomial, order: MonomialOrder = GRLEX) -> Optional[Polynomial]:
+def exact_divide(f: Polynomial, g: Polynomial) -> Optional[Polynomial]:
     """Return q with f = q*g if g divides f exactly, else None.
 
-    Single-divisor leading-term elimination: over a field this decides
-    divisibility (hence principal-ideal membership) completely, and the
-    outcome does not depend on the chosen monomial order.
+    Single-divisor leading-term elimination in graded-lex order: over a field
+    this decides divisibility (hence principal-ideal membership) completely.
     """
     if g.is_zero:
         raise ValueError("division by the zero polynomial")
     f._check_compatible(g)
     p = f.char
-    lt_g, lc_g = leading_term(g, order)
+    lt_g, lc_g = leading_term(g)
     lc_g_inv = pow(lc_g, p - 2, p)
     rem = dict(f._terms)
     quot: dict = {}
     g_items = list(g._terms.items())
     while rem:
-        lt_r = max(rem, key=order.key)
+        lt_r = max(rem, key=GRLEX)
         if not mono_divides(lt_g, lt_r):
             return None
         qm = mono_div(lt_r, lt_g)
@@ -370,50 +344,6 @@ def exact_divide(f: Polynomial, g: Polynomial, order: MonomialOrder = GRLEX) -> 
             elif mm in rem:
                 del rem[mm]
     return Polynomial._make(f.space, p, quot)
-
-
-def substitute(a: Polynomial, mapping: Mapping[int, Polynomial]) -> Polynomial:
-    """Simultaneous substitution of polynomials for variables.
-
-    Variables absent from `mapping` are kept as themselves, which requires the
-    target space to coincide with the source space.  The target space and
-    characteristic are taken from the mapped values.
-    """
-    if not mapping:
-        return a
-    values = list(mapping.values())
-    target = values[0].space
-    char = values[0].char
-    if char != a.char:
-        raise StructureError("substitution values have a different characteristic")
-    for val in values:
-        if val.space != target or val.char != char:
-            raise StructureError("substitution values live in different spaces")
-    if target != a.space:
-        unmapped = a.variables_used() - set(mapping)
-        if unmapped:
-            names = ", ".join(a.space.names[i] for i in sorted(unmapped))
-            raise StructureError(f"variables not mapped into the target space: {names}")
-
-    power_cache: dict = {}
-
-    def var_power(i: int, e: int) -> Polynomial:
-        key = (i, e)
-        if key not in power_cache:
-            base = mapping.get(i)
-            if base is None:
-                base = Polynomial.variable(target, char, i)
-            power_cache[key] = base**e
-        return power_cache[key]
-
-    result = Polynomial.zero(target, char)
-    for mono, c in a.items():
-        term = Polynomial.constant(target, char, c)
-        for i, e in enumerate(mono):
-            if e:
-                term = term * var_power(i, e)
-        result = result + term
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -621,9 +551,9 @@ def truncated_pow(a: Polynomial, k: int) -> Polynomial:
     """a^k mod m^[p], p the characteristic of a, by TruncatedAccumulator.power.
 
     Truncation is a ring quotient, so truncating after every product is sound.
-    No check calls this; it stays public on purpose: it is exported, the tests
-    use it, and perfbench/tracer.py binds it by name, so deleting it would
-    break the benchmark's CI step.
+    No check calls this; it stays public on purpose: the tests use it, and
+    perfbench/tracer.py binds it by name, so deleting it would break the
+    benchmark's CI step.
     """
     return TruncatedAccumulator.power(a, k).to_polynomial()
 
@@ -639,7 +569,7 @@ def render_poly(a: Polynomial) -> str:
         return "0"
     parts = []
     names = a.space.names
-    for mono, c in a.sorted_terms(GRLEX):
+    for mono, c in a.sorted_terms():
         factors = []
         for i, e in enumerate(mono):
             if e == 1:

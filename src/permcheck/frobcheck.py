@@ -37,7 +37,7 @@ from .fppoly import (
     mono_mul,
     truncated_mul,
 )
-from .shapes import COMPLETE_INTERSECTION, GENERIC, IdealPresentation
+from .shapes import GENERIC, IdealPresentation
 
 if TYPE_CHECKING:  # pragma: no cover
     from .witnesses import MinimalPrime
@@ -57,11 +57,8 @@ def _survivor(power: TruncatedAccumulator) -> Optional[tuple]:
 
 
 def _require_ci(gens: IdealPresentation, what: str):
-    if gens.structure != COMPLETE_INTERSECTION:
-        raise ValueError(
-            f"{what} requires a complete-intersection presentation "
-            f"(structure tag is {gens.structure!r})"
-        )
+    if not gens.complete_intersection:
+        raise ValueError(f"{what} requires a complete-intersection presentation")
 
 
 def fedder_ci_check(gens: IdealPresentation, p: Optional[int] = None) -> Optional[tuple]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .fppoly import GRLEX, Polynomial
+from .fppoly import Polynomial
 
 MAX_MATRIX_ENTRIES = 10**7
 
@@ -90,7 +90,7 @@ def build_system(target: Polynomial, table: dict, degree: int) -> LinearSystem:
             rhs.append(0)
         return ri
 
-    for mono, c in sorted(target.items(), key=lambda kv: GRLEX.key(kv[0]), reverse=True):
+    for mono, c in target.sorted_terms():
         rhs[row_of(mono)] = c
     col_index: dict = {}
     col_labels: list = []

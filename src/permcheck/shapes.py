@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .fppoly import Polynomial, VariableSpace
+from .fppoly import Polynomial, StructureError, VariableSpace
 
 # Symbolic permanents cost O(2^s * s) ring operations; cap the size.
 MAX_SYMBOLIC_PERMANENT = 8
@@ -20,10 +20,6 @@ MAX_SYMBOLIC_PERMANENT = 8
 GENERIC = "generic"
 SYMMETRIC = "symmetric"
 HANKEL = "hankel"
-
-# IdealPresentation.structure values
-COMPLETE_INTERSECTION = "complete_intersection"
-UNSTRUCTURED = "unstructured"
 
 
 @dataclass(frozen=True)
@@ -143,7 +139,8 @@ def permanent(
     mat: SymbolicMatrix,
     rows: Optional[Sequence[int]] = None,
     cols: Optional[Sequence[int]] = None,
-    char: int = 3,
+    *,
+    char: int,
 ) -> Polynomial:
     """Symbolic permanent of a square submatrix selection.
 
@@ -177,17 +174,16 @@ def permanent(
 
 @dataclass(frozen=True)
 class IdealPresentation:
-    """Generators of an ideal plus an asserted structure tag.
+    """Generators of an ideal, and whether they form a complete intersection.
 
-    The structure tag selects algorithms (the complete-intersection Fedder
-    shortcut in particular) and is recorded in reports; it is asserted by the
-    constructor, never inferred.  `duplicates` lists submatrix selections
-    whose permanent coincided with an earlier generator and was therefore not
-    repeated.
+    `complete_intersection` admits the Fedder checks that need one; it is
+    asserted by the constructor, never inferred.  `duplicates` lists submatrix
+    selections whose permanent coincided with an earlier generator and was
+    therefore not repeated.
     """
 
     generators: tuple
-    structure: str = UNSTRUCTURED
+    complete_intersection: bool = False
     shape: Optional[MatrixShape] = None
     t: Optional[int] = None
     duplicates: tuple = ()
@@ -218,9 +214,7 @@ def _is_known_complete_intersection(shape: MatrixShape, t: int) -> bool:
     return False
 
 
-def permanental_generators(
-    mat: SymbolicMatrix, t: int, char: int = 3
-) -> IdealPresentation:
+def permanental_generators(mat: SymbolicMatrix, t: int, char: int) -> IdealPresentation:
     """Permanents of all t x t submatrices, as deduplicated polynomials.
 
     For symmetric and Hankel matrices distinct row/column selections can give
@@ -242,61 +236,36 @@ def permanental_generators(
             else:
                 seen[key] = (rows, cols)
                 gens.append(poly)
-    structure = (
-        COMPLETE_INTERSECTION if _is_known_complete_intersection(shape, t) else UNSTRUCTURED
-    )
     return IdealPresentation(
         generators=tuple(gens),
-        structure=structure,
+        complete_intersection=_is_known_complete_intersection(shape, t),
         shape=shape,
         t=t,
         duplicates=tuple(duplicates),
     )
 
 
-def generator_lines(pres: IdealPresentation) -> list:
-    """Generator dump: one polynomial per line in the text grammar."""
-    from .fppoly import render_poly
+def hankel_image(poly: Polynomial, shape: MatrixShape) -> Polynomial:
+    """Image of a polynomial in the entries of an n x n matrix of `shape`
+    under entry (i, j) -> z_{i+j-1} (1-based), in the Hankel space.
 
-    return [render_poly(g) for g in pres.generators]
-
-
-@dataclass(frozen=True)
-class SpecializationMap:
-    """A substitution identifying matrix variables with Hankel variables."""
-
-    mapping: dict
-    source_space: VariableSpace
-    target_space: VariableSpace
-    identifications: int
-
-    def __post_init__(self):
-        # number of independent identifications = variables merged away
-        assert self.identifications == self.source_space.count - self.target_space.count
-
-
-def hankel_specialization(n: int, char: int = 3, kind: str = GENERIC) -> SpecializationMap:
-    """Substitution sending entry (i, j) to z_{i+j-1} (1-based).
-
-    `kind` selects the source matrix: a generic n x n matrix, or the
-    symmetric one (identifying the variables on each antidiagonal).
+    Each variable goes to a variable, so the image renames exponent vectors;
+    Polynomial sums, mod p, the coefficients of vectors that collide.
     """
-    if kind == GENERIC:
-        src = build_matrix(MatrixShape.generic(n, n))
-    elif kind == SYMMETRIC:
-        src = build_matrix(MatrixShape.symmetric(n))
-    else:
-        raise ValueError(f"no Hankel specialization from kind {kind!r}")
-    dst = build_matrix(MatrixShape.hankel(n))
-    mapping = {}
+    if shape.nrows != shape.ncols:
+        raise ValueError(f"no Hankel specialization from {shape.spec_string()}")
+    if poly.space.names != shape.var_names():
+        raise StructureError(f"polynomial is not in the variables of {shape.spec_string()}")
+    n = shape.nrows
+    target = MatrixShape.hankel(n)
+    image = [0] * poly.space.count
     for i in range(n):
         for j in range(n):
-            mapping[src.entry(i, j)] = Polynomial.variable(
-                dst.space, char, dst.entry(i, j)
-            )
-    return SpecializationMap(
-        mapping=mapping,
-        source_space=src.space,
-        target_space=dst.space,
-        identifications=src.space.count - dst.space.count,
-    )
+            image[shape.entry_index(i, j)] = target.entry_index(i, j)
+    terms = []
+    for mono, c in poly.items():
+        exps = [0] * (2 * n - 1)
+        for k, e in enumerate(mono):
+            exps[image[k]] += e
+        terms.append((exps, c))
+    return Polynomial(VariableSpace(target.var_names()), poly.char, terms)

@@ -10,7 +10,6 @@ as a refutation.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import time
@@ -24,7 +23,6 @@ from .fppoly import (
     VariableSpace,
     leading_term,
     render_poly,
-    substitute,
     truncate,
 )
 from .shapes import (
@@ -33,7 +31,7 @@ from .shapes import (
     MatrixShape,
     SymbolicMatrix,
     build_matrix,
-    hankel_specialization,
+    hankel_image,
     permanent,
     permanental_generators,
 )
@@ -248,19 +246,19 @@ class LemmaReport:
         }
 
 
-def _report(check: str, params: dict, ok: bool, evidence: dict, t0: float, failed="fail"):
+def _report(check: str, params: dict, ok: bool, evidence: dict, t0: float):
     return LemmaReport(
         check=check,
         params=params,
-        verdict="pass" if ok else failed,
+        verdict="pass" if ok else "fail",
         evidence=evidence,
         ms=(time.perf_counter() - t0) * 1000.0,
     )
 
 
-@functools.lru_cache(maxsize=4)
 def _hankel_data(n: int, p: int):
-    """Shared Hankel objects: matrix, f_n, f_{n-1}, and f_n^{p-1} mod m^[p].
+    """The Hankel objects of lemma34 and thm35: matrix, f_n, f_{n-1}, and
+    f_n^{p-1} mod m^[p].
 
     The Frobenius power is held in a TruncatedAccumulator as packed keys:
     it reaches ~10^6 terms at (n, p) = (6, 7) and only ever needs nonzero
@@ -282,6 +280,7 @@ def verify_hankel_monomial_absence(n: int) -> LemmaReport:
     t0 = time.perf_counter()
     params = {"shape": f"hankel:{n}", "n": n}
     mat = build_matrix(MatrixShape.hankel(n))
+    # char 3 until report schema 2 (ROADMAP item 6): perfbench/references/hankel.json pins it
     f_n = permanent(mat, char=3)
 
     def absent(lo_idx: int, hi_idx: int, must_appear: int) -> bool:
@@ -319,6 +318,7 @@ def verify_hankel_eisenstein(n: int) -> LemmaReport:
     if n <= 2:
         return _report("lemma32", params, True, {"small_case": True}, t0)
     mat = build_matrix(MatrixShape.hankel(n))
+    # char 3 until report schema 2 (ROADMAP item 6): perfbench/references/hankel.json pins it
     f_n = permanent(mat, char=3)
     idx_zn = n - 1
     idx_up = n  # z_{n+1}
@@ -429,26 +429,21 @@ def verify_hankel_specialization_check(n: int) -> LemmaReport:
     """
     t0 = time.perf_counter()
     params = {"shape": f"hankel:{n}", "n": n}
-    char = 3
-    hankel_perm = permanent(build_matrix(MatrixShape.hankel(n)), char=char)
-
-    sp_generic = hankel_specialization(n, char=char, kind=GENERIC)
-    generic_perm = permanent(build_matrix(MatrixShape.generic(n, n)), char=char)
-    generic_ok = substitute(generic_perm, sp_generic.mapping) == hankel_perm
-    generic_count_ok = sp_generic.identifications == (n - 1) ** 2
-
-    sp_sym = hankel_specialization(n, char=char, kind=SYMMETRIC)
-    sym_perm = permanent(build_matrix(MatrixShape.symmetric(n)), char=char)
-    sym_ok = substitute(sym_perm, sp_sym.mapping) == hankel_perm
-    sym_count_ok = sp_sym.identifications == (n - 1) * (n - 2) // 2
-
-    ok = generic_ok and generic_count_ok and sym_ok and sym_count_ok
-    evidence = {
-        "generic_substitution_ok": generic_ok,
-        "generic_identifications": sp_generic.identifications,
-        "symmetric_substitution_ok": sym_ok,
-        "symmetric_identifications": sp_sym.identifications,
-    }
+    # char 3 until report schema 2 (ROADMAP item 6): perfbench/references/hankel.json pins it
+    hankel = build_matrix(MatrixShape.hankel(n))
+    hankel_perm = permanent(hankel, char=3)
+    evidence = {}
+    ok = True
+    for shape, expected in (
+        (MatrixShape.generic(n, n), (n - 1) ** 2),
+        (MatrixShape.symmetric(n), (n - 1) * (n - 2) // 2),
+    ):
+        source = build_matrix(shape)
+        renamed_ok = hankel_image(permanent(source, char=3), shape) == hankel_perm
+        identifications = source.space.count - hankel.space.count
+        evidence[f"{shape.kind}_substitution_ok"] = renamed_ok
+        evidence[f"{shape.kind}_identifications"] = identifications
+        ok = ok and renamed_ok and identifications == expected
     return _report("thm36", params, ok, evidence, t0)
 
 

@@ -4,7 +4,7 @@ import itertools
 from collections import namedtuple
 from typing import Optional, Sequence
 
-from permcheck.fppoly import GRLEX, Polynomial, StructureError, VariableSpace, exact_divide
+from permcheck.fppoly import Polynomial, StructureError, VariableSpace, exact_divide
 from permcheck.frobcheck import _split_term
 from permcheck import linmember
 from permcheck.linmember import SizeGuardError
@@ -392,7 +392,7 @@ def _build_system_single(target, generators, degree_bound):
             row_labels.append(mono)
         return ri
 
-    for mono, _ in sorted(target.items(), key=lambda kv: GRLEX.key(kv[0]), reverse=True):
+    for mono, _ in target.sorted_terms():
         row_of(mono)
     cells = []
     for ci, poly in enumerate(col_polys):

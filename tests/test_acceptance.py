@@ -13,8 +13,6 @@ from contextlib import contextmanager
 import pytest
 
 from permcheck.fppoly import (
-    GRLEX,
-    LEX,
     Polynomial,
     exact_divide,
     leading_term,
@@ -64,8 +62,8 @@ def criterion(number, description):
 
 @pytest.fixture(scope="module")
 def hankel_reports():
-    """One pass over the (n, p) grid; the Frobenius power is shared between
-    the product-identity and hypersurface checks per grid point."""
+    """One pass over the (n, p) grid, running the product-identity and
+    hypersurface checks at each grid point."""
     reports = {}
     for n, p in HANKEL_GRID:
         reports[(n, p)] = (

@@ -113,6 +113,25 @@ class TestExitCodes:
         assert out == ""
         assert "--threads" in err
 
+    def test_threads_not_a_number_is_usage_error(self, capsys):
+        code, out, err = invoke(capsys, "verify", "lemma31", "--n", "2", "--threads", "abc")
+        assert code == 1
+        assert out == ""
+        assert "'abc'" in err
+
+    def test_empty_prime_list_is_usage_error(self, capsys):
+        code, out, err = invoke(capsys, "verify", "lemma34", "--n", "2", "--p", ",")
+        assert code == 1
+        assert out == ""
+        assert "--p is required" in err
+
+    def test_inconclusive_is_three(self, capsys, monkeypatch):
+        report = witnesses.LemmaReport("lemma31", {}, "inconclusive", {}, 0.0)
+        monkeypatch.setattr(witnesses, "verify_hankel_monomial_absence", lambda n: report)
+        code, out, _ = invoke(capsys, "verify", "lemma31", "--n", "2")
+        assert code == 3
+        assert "aggregate: inconclusive" in out
+
     def test_non_ci_shape_refused(self, capsys):
         code, _, err = invoke(
             capsys, "verify", "fpure", "--shape", "generic:3x3", "--t", "2", "--p", "3"
@@ -130,6 +149,13 @@ class TestReports:
         doc = json.loads(out)
         assert [r["params"]["p"] for r in doc["reports"]] == [3, 5, 7]
         assert doc["aggregate"] == "pass"
+
+    def test_empty_prime_list_entries_are_skipped(self, capsys):
+        code, out, _ = invoke(
+            capsys, "verify", "lemma34", "--n", "2", "--p", "3,,5", "--format", "json"
+        )
+        assert code == 0
+        assert [r["params"]["p"] for r in json.loads(out)["reports"]] == [3, 5]
 
     def test_json_schema(self, capsys):
         code, out, _ = invoke(
@@ -425,6 +451,16 @@ class TestColdStart:
 
     def test_import_loads_no_numpy(self):
         assert cold_start()[:3] == (NOTHING, 0, NOTHING)
+
+    def test_import_loads_no_linmember(self):
+        # only monomials28/29 use it, and witnesses imports it when they run
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, permcheck.cli; print('permcheck.linmember' in sys.modules)"],
+            env=child_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     @pytest.mark.parametrize("argv", [
         ("verify", "lemma31", "--n", "3"),

@@ -22,7 +22,6 @@ from permcheck.fppoly import (
     leading_term,
     parse_poly,
     render_poly,
-    substitute,
     truncate,
     truncated_mul,
     truncated_pow,
@@ -145,35 +144,6 @@ class TestExactDivide:
     def test_zero_divisor_refused(self):
         with pytest.raises(ValueError):
             exact_divide(zpoly("z1"), Polynomial.zero(Z3, 3))
-
-
-class TestSubstitute:
-    def test_generic_to_hankel(self):
-        x = VariableSpace(("x1_1", "x1_2", "x2_1", "x2_2"))
-        perm = parse_poly("x1_1*x2_2 + x1_2*x2_1", x, 3)
-        images = {
-            0: Polynomial.variable(Z3, 3, 0),
-            1: Polynomial.variable(Z3, 3, 1),
-            2: Polynomial.variable(Z3, 3, 1),
-            3: Polynomial.variable(Z3, 3, 2),
-        }
-        assert substitute(perm, images) == zpoly("z1*z3 + z2^2")
-
-    def test_identity_map(self):
-        f = zpoly("z2^2 + 2*z1*z3")
-        images = {i: Polynomial.variable(Z3, 3, i) for i in range(3)}
-        assert substitute(f, images) == f
-        assert substitute(f, {}) == f
-
-    def test_all_to_zero(self):
-        f = zpoly("z2^2 + 2*z1*z3 + 2")
-        images = {i: Polynomial.zero(Z3, 3) for i in range(3)}
-        assert substitute(f, images) == Polynomial.constant(Z3, 3, 2)
-
-    def test_unmapped_variable_into_new_space(self):
-        other = small_space(2, prefix="w")
-        with pytest.raises(StructureError):
-            substitute(zpoly("z1*z3"), {0: Polynomial.variable(other, 3, 0)})
 
 
 class TestEvaluate:

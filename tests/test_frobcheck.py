@@ -27,7 +27,6 @@ from permcheck.frobcheck import (
     glassbrenner_witness_check,
 )
 from permcheck.shapes import (
-    COMPLETE_INTERSECTION,
     IdealPresentation,
     MatrixShape,
     build_matrix,
@@ -52,7 +51,7 @@ from helpers import (
 
 def ci(generators, shape=None, t=None):
     return IdealPresentation(
-        generators=tuple(generators), structure=COMPLETE_INTERSECTION, shape=shape, t=t
+        generators=tuple(generators), complete_intersection=True, shape=shape, t=t
     )
 
 

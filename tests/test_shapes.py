@@ -7,14 +7,12 @@ import random
 import pytest
 
 from permcheck import shapes
-from permcheck.fppoly import Polynomial, VariableSpace, parse_poly, substitute
+from permcheck.fppoly import Polynomial, StructureError, VariableSpace, parse_poly
 from permcheck.shapes import (
-    COMPLETE_INTERSECTION,
-    UNSTRUCTURED,
     MatrixShape,
     SymbolicMatrix,
     build_matrix,
-    hankel_specialization,
+    hankel_image,
     parse_shape,
     permanent,
     permanental_generators,
@@ -218,7 +216,7 @@ class TestPermanentalGenerators:
         gens = permanental_generators(mat, 2, char=3)
         assert len(gens.generators) == 1
         assert gens.generators[0] == parse_poly("x1_1*x2_2 + x1_2*x2_1", mat.space, 3)
-        assert gens.structure == COMPLETE_INTERSECTION  # square hypersurface
+        assert gens.complete_intersection  # square hypersurface
 
     def test_generic_counts_t2(self):
         for m, n in [(2, 3), (3, 3), (3, 4), (4, 4)]:
@@ -230,24 +228,24 @@ class TestPermanentalGenerators:
         mat = build_matrix(MatrixShape.generic(3, 4))
         gens = permanental_generators(mat, 3, char=3)
         assert len(gens.generators) == 4
-        assert gens.structure == COMPLETE_INTERSECTION
+        assert gens.complete_intersection
 
     def test_generic_2x3_t2_complete_intersection(self):
         mat = build_matrix(MatrixShape.generic(2, 3))
         gens = permanental_generators(mat, 2, char=3)
         assert len(gens.generators) == 3
-        assert gens.structure == COMPLETE_INTERSECTION
+        assert gens.complete_intersection
 
     def test_generic_3x3_t2_unstructured(self):
         mat = build_matrix(MatrixShape.generic(3, 3))
-        assert permanental_generators(mat, 2, char=3).structure == UNSTRUCTURED
+        assert not permanental_generators(mat, 2, char=3).complete_intersection
 
     def test_hankel_square_is_hypersurface(self):
         for n in (1, 2, 3, 4):
             mat = build_matrix(MatrixShape.hankel(n))
             gens = permanental_generators(mat, n, char=3)
             assert len(gens.generators) == 1
-            assert gens.structure == COMPLETE_INTERSECTION
+            assert gens.complete_intersection
 
     def test_symmetric_duplicates_reported(self):
         mat = build_matrix(MatrixShape.symmetric(3))
@@ -272,29 +270,56 @@ class TestPermanentalGenerators:
 
 
 class TestHankelSpecialization:
+    HANKEL2 = build_matrix(MatrixShape.hankel(2)).space
+
+    def test_generic_to_hankel(self):
+        shape = MatrixShape.generic(2, 2)
+        perm = parse_poly("x1_1*x2_2 + x1_2*x2_1", build_matrix(shape).space, 3)
+        assert hankel_image(perm, shape) == parse_poly("z1*z3 + z2^2", self.HANKEL2, 3)
+
+    def test_symmetric_to_hankel(self):
+        shape = MatrixShape.symmetric(3)
+        f = parse_poly("y1_3*y2_2 + 2*y2_2^2 + y3_3", build_matrix(shape).space, 5)
+        z5 = build_matrix(MatrixShape.hankel(3)).space
+        assert hankel_image(f, shape) == parse_poly("3*z3^2 + z5", z5, 5)
+
+    def test_colliding_terms_cancel_mod_p(self):
+        # x1_2 and x2_1 both become z2, and 1 + 2 = 0 at p = 3
+        shape = MatrixShape.generic(2, 2)
+        f = parse_poly("x1_2^2 + 2*x1_2*x2_1", build_matrix(shape).space, 3)
+        assert hankel_image(f, shape) == Polynomial.zero(self.HANKEL2, 3)
+
     def test_perm_match_n2(self):
-        sp = hankel_specialization(2, char=3)
-        generic = permanent(build_matrix(MatrixShape.generic(2, 2)), char=3)
         hankel = permanent(build_matrix(MatrixShape.hankel(2)), char=3)
-        assert substitute(generic, sp.mapping) == hankel
+        for shape in (MatrixShape.generic(2, 2), MatrixShape.symmetric(2)):
+            assert hankel_image(permanent(build_matrix(shape), char=3), shape) == hankel
 
     def test_identification_counts(self):
-        assert hankel_specialization(1).identifications == 0
-        assert hankel_specialization(2).identifications == 1
-        assert hankel_specialization(3).identifications == 4
-        assert hankel_specialization(5).identifications == 16
+        # variables merged away: source count minus Hankel count, as thm36 reports
+        for n, generic, symmetric in [(1, 0, 0), (2, 1, 0), (3, 4, 1), (5, 16, 6)]:
+            hankel = len(MatrixShape.hankel(n).var_names())
+            assert len(MatrixShape.generic(n, n).var_names()) - hankel == generic
+            assert len(MatrixShape.symmetric(n).var_names()) - hankel == symmetric
 
     def test_generator_sets_map_onto_hankel(self):
         for n in (2, 3):
-            sp = hankel_specialization(n, char=3)
-            generic = build_matrix(MatrixShape.generic(n, n))
+            shape = MatrixShape.generic(n, n)
+            generic = build_matrix(shape)
             hankel = build_matrix(MatrixShape.hankel(n))
             for t in range(1, n + 1):
                 g_gens = permanental_generators(generic, t, char=3)
                 h_gens = permanental_generators(hankel, t, char=3)
                 mapped = {
-                    tuple(sorted(substitute(g, sp.mapping).items()))
-                    for g in g_gens.generators
+                    tuple(sorted(hankel_image(g, shape).items())) for g in g_gens.generators
                 }
                 target = {tuple(sorted(h.items())) for h in h_gens.generators}
                 assert mapped == target
+
+    def test_non_square_shape_refused(self):
+        shape = MatrixShape.generic(2, 3)
+        with pytest.raises(ValueError):
+            hankel_image(Polynomial.one(build_matrix(shape).space, 3), shape)
+
+    def test_polynomial_outside_the_shape_refused(self):
+        with pytest.raises(StructureError):
+            hankel_image(Polynomial.one(self.HANKEL2, 3), MatrixShape.generic(2, 2))
