@@ -1,24 +1,20 @@
 """Frobenius-power criteria over F_p.
 
 For an ideal I generated by a regular sequence with product omega, the colon
-ideal (I^[p] : I) equals (omega^{p-1}) + I^[p], so
-
-  * F-purity (Fedder):        omega^{p-1} not in m^[p]
-  * F-regularity certificate: c * omega^{p-1} not in m^[p] for a test element c
-
-which reduces every check here to truncated polynomial arithmetic at the
-Frobenius power q = p, with p the characteristic of the generators.  The
-module also decides membership in (omega_P^{p-1}) + P^[p] for the minimal
-primes P of P_2 (variables, plus a binomial on an inner 2x2 block unless P is
-generated by variables only), and computes the "Fedder coefficient" of a
-full-support ideal -- the coefficient of prod x_i^{p-1} in omega^{p-1} -- by
-three independent routes: symbolic truncated powering, brute-force point
-counting (a hi-table times lo-table product per block of hi points,
-optionally on a thread pool, refused when the tables would pass
-MAX_POINTCOUNT_ENTRIES or the points MAX_POINTCOUNT_POINTS), and a serial
-fibered enumeration special to the generic 3x4 / t=3 complete intersection,
-which visits only three first columns and projective classes of the other
-two, in passes of bounded size.
+ideal (I^[p] : I) equals (omega^{p-1}) + I^[p], so F-purity (Fedder) is
+omega^{p-1} not in m^[p], which reduces it to truncated polynomial
+arithmetic at the Frobenius power q = p, with p the characteristic of the
+generators.  The module also decides membership in (omega_P^{p-1}) + P^[p]
+for the minimal primes P of P_2 (variables, plus a binomial x^u + x^w on an
+inner 2x2 block unless P is generated by variables only), and computes the
+"Fedder coefficient" of a full-support ideal -- the coefficient of
+prod x_i^{p-1} in omega^{p-1} -- by three independent routes: symbolic
+truncated powering, brute-force point counting (a hi-table times lo-table
+product per block of hi points, optionally on a thread pool, refused when
+the tables would pass MAX_POINTCOUNT_ENTRIES or the points
+MAX_POINTCOUNT_POINTS), and a serial fibered enumeration special to the
+generic 3x4 / t=3 complete intersection, which visits only three first
+columns and projective classes of the other two, in passes of bounded size.
 
 The point-count and fiber engines import numpy inside their functions, so it
 loads on their first call; colon membership never loads it.
@@ -28,19 +24,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .fppoly import (
     Polynomial,
     StructureError,
     TruncatedAccumulator,
+    VariableSpace,
     mono_mul,
     truncated_mul,
 )
 from .shapes import GENERIC, IdealPresentation
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .witnesses import MinimalPrime
 
 
 def _omega_power(gens: IdealPresentation) -> TruncatedAccumulator:
@@ -49,11 +43,6 @@ def _omega_power(gens: IdealPresentation) -> TruncatedAccumulator:
     for g in gens.generators:
         omega = truncated_mul(omega, g)
     return TruncatedAccumulator.power(omega, gens.char - 1)
-
-
-def _survivor(power: TruncatedAccumulator) -> Optional[tuple]:
-    """The GRLEX leading (monomial, coefficient) of a nonzero survivor, else None."""
-    return None if power.is_zero else power.leading_term()
 
 
 def _require_ci(gens: IdealPresentation, what: str):
@@ -72,23 +61,32 @@ def fedder_ci_check(gens: IdealPresentation, p: Optional[int] = None) -> Optiona
     if p is not None and p != gens.char:
         raise StructureError(f"p = {p} is not the generators' characteristic {gens.char}")
     _require_ci(gens, "the Fedder check")
-    return _survivor(_omega_power(gens))
-
-
-def glassbrenner_witness_check(c: Polynomial, gens: IdealPresentation) -> Optional[tuple]:
-    """Check c * omega^{p-1} != 0 mod m^[p] for one witness c.
-
-    Returns the surviving leading term, or None.  A survivor certifies the
-    F-regularity condition for c at q = p; None is only inconclusive, since
-    the criterion asks for some Frobenius power q.
-    """
-    _require_ci(gens, "the Glassbrenner witness check")
-    return _survivor(_omega_power(gens).mul_poly(c))
+    power = _omega_power(gens)
+    return None if power.is_zero else power.leading_term()
 
 
 # ---------------------------------------------------------------------------
 # colon-ideal membership for the minimal primes of P_2
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class MinimalPrime:
+    """A minimal prime of P_2, stored as its generators.
+
+    `variable_gens` are the indices of the variable generators: every
+    variable outside the block, or the variables of the rows or columns that
+    the label names.  `binomial` is the exponent pair (u, w) of the
+    permanent x^u + x^w of an inner 2x2 block, u its diagonal product and w
+    its antidiagonal one (a square for a symmetric pair), or None for a prime
+    generated by variables only.  u and w have disjoint supports, outside
+    `variable_gens`.
+    """
+
+    label: str
+    space: VariableSpace
+    variable_gens: tuple
+    binomial: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
@@ -129,30 +127,16 @@ def _split_term(mono, outer_set):
     return rest, outer
 
 
-def _block_exponents(block, count: int) -> tuple:
-    """The exponent vectors (u, w) of the binomial b = x^u + x^w on `block`."""
-    (a, d), (b, c) = block
-    u, w = [0] * count, [0] * count
-    u[a] += 1
-    u[d] += 1
-    w[b] += 1
-    w[c] += 1
-    return tuple(u), tuple(w)
+def _closed_form_pm1(u, w, p: int) -> dict:
+    """The term dict of b^{p-1} for b = x^u + x^w over F_p, without products.
 
-
-def _closed_form_powers(u, w, space, p: int) -> tuple:
-    """(b^{p-1}, b^p) for b = x^u + x^w over F_p, written down without products.
-
-    Frobenius gives b^p = x^{pu} + x^{pw}, and C(p-1, j) = (-1)^j mod p gives
-    b^{p-1} = sum_{j=0}^{p-1} (-1)^j x^{ju + (p-1-j)w}, whose p monomials are
-    distinct because u != w.
+    C(p-1, j) = (-1)^j mod p gives b^{p-1} = sum_{j=0}^{p-1} (-1)^j
+    x^{ju + (p-1-j)w}, whose p monomials are distinct because u != w.
     """
-    b_pm1 = {
+    return {
         tuple(j * x + (p - 1 - j) * y for x, y in zip(u, w)): 1 if j % 2 == 0 else p - 1
         for j in range(p)
     }
-    b_p = {tuple(p * x for x in u): 1, tuple(p * y for y in w): 1}
-    return Polynomial._make(space, p, b_pm1), Polynomial._make(space, p, b_p)
 
 
 def _times_binomial(terms: dict, u, w, p: int) -> dict:
@@ -196,9 +180,7 @@ def _divide_by_binomial(terms: dict, u, w, p: int) -> Optional[dict]:
     return quotient
 
 
-def colon_membership(
-    f: Polynomial, prime: "MinimalPrime"
-) -> Optional[ColonMembershipCertificate]:
+def colon_membership(f: Polynomial, prime: MinimalPrime) -> Optional[ColonMembershipCertificate]:
     """Decide whether f lies in (omega_P^{p-1}) + P^[p] for a minimal prime P.
 
     p is the characteristic of f.  P is generated by variables V and, unless
@@ -249,27 +231,26 @@ def colon_membership(
         (poly(multiplier), poly({tuple(p if j == i else 0 for j in range(space.count)): 1}))
         for i, multiplier in frobenius.items()
     ]
-    if prime.block is None:
+    if prime.binomial is None:
         if other:
             return None
         if cofactor:
             entries.append((poly(cofactor), poly({admissible: 1})))
         return ColonMembershipCertificate(tuple(entries))
 
-    u, w = _block_exponents(prime.block, space.count)
-    b_pm1, b_p = _closed_form_powers(u, w, space, p)
-    u_p, w_p = tuple(p * x for x in u), tuple(p * y for y in w)
+    u, w = prime.binomial
+    u_p, w_p = tuple(p * x for x in u), tuple(p * y for y in w)  # b^p = x^{pu} + x^{pw}
     if other:
         quotient = _divide_by_binomial(other, u_p, w_p, p)
         if quotient is None:
             return None
-        entries.append((poly(quotient), b_p))
+        entries.append((poly(quotient), poly({u_p: 1, w_p: 1})))
     if cofactor:
         # q * b^{p-1} = cofactor  iff  q * b^p = cofactor * b
         quotient = _divide_by_binomial(_times_binomial(cofactor, u, w, p), u_p, w_p, p)
         if quotient is None:
             return None
-        omega_power = {mono_mul(m, admissible): c for m, c in b_pm1.items()}
+        omega_power = {mono_mul(m, admissible): c for m, c in _closed_form_pm1(u, w, p).items()}
         entries.append((poly(quotient), poly(omega_power)))
     return ColonMembershipCertificate(tuple(entries))
 

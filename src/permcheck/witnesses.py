@@ -14,13 +14,11 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 from .fppoly import (
     LEX,
     Polynomial,
     TruncatedAccumulator,
-    VariableSpace,
     leading_term,
     render_poly,
     truncate,
@@ -36,63 +34,21 @@ from .shapes import (
     permanental_generators,
 )
 from . import frobcheck
-from .frobcheck import colon_membership, fedder_coefficient_fullsupport
-
-
-@dataclass(frozen=True)
-class MinimalPrime:
-    """A minimal prime of P_2, stored as its generators.
-
-    `block` is ((a, d), (b, c)), the variable indices of the binomial
-    a*d + b*c on an inner 2x2 block (b = c for a symmetric pair), or None
-    for a prime generated by variables only.  `variable_gens` are the
-    variable generators: every variable outside the block, or the variables
-    of the rows or columns that the label names.
-    """
-
-    label: str
-    space: VariableSpace
-    variable_gens: tuple
-    block: Optional[tuple] = None
-
-    @property
-    def inner_vars(self) -> tuple:
-        """Variable indices of the inner block carrying the binomial."""
-        if self.block is None:
-            return ()
-        return tuple(sorted({i for pair in self.block for i in pair}))
-
-    def binomial(self, char: int) -> Optional[Polynomial]:
-        """The permanent a*d + b*c of the inner block, or None."""
-        if self.block is None:
-            return None
-        (a, d), (b, c) = self.block
-        var = lambda ix: Polynomial.variable(self.space, char, ix)
-        return var(a) * var(d) + var(b) * var(c)
-
-    def generators(self, char: int) -> list:
-        """Flattened generator list: the binomial (if any), then the variables."""
-        b = self.binomial(char)
-        variables = [Polynomial.variable(self.space, char, i) for i in self.variable_gens]
-        return variables if b is None else [b] + variables
-
-    def omega(self, char: int) -> Polynomial:
-        """Product of the regular-sequence generators."""
-        out = Polynomial.one(self.space, char)
-        for g in self.generators(char):
-            out = out * g
-        return out
+from .frobcheck import MinimalPrime, colon_membership, fedder_coefficient_fullsupport
 
 
 def _one_based(ix) -> str:
     return ",".join(str(i + 1) for i in ix)
 
 
-def _block_prime(label: str, mat: SymbolicMatrix, block: tuple) -> MinimalPrime:
-    """The prime of the binomial on `block` plus every variable outside it."""
-    inner = {i for pair in block for i in pair}
-    outside = tuple(i for i in range(mat.space.count) if i not in inner)
-    return MinimalPrime(label, mat.space, outside, block)
+def _block_prime(label: str, mat: SymbolicMatrix, diagonal, antidiagonal) -> MinimalPrime:
+    """The prime of the block permanent x^u + x^w, u the product of the
+    `diagonal` variables and w of the `antidiagonal` ones, plus every
+    variable outside the block."""
+    u = tuple(diagonal.count(i) for i in range(mat.space.count))
+    w = tuple(antidiagonal.count(i) for i in range(mat.space.count))
+    outside = tuple(i for i in range(mat.space.count) if not u[i] + w[i])
+    return MinimalPrime(label, mat.space, outside, (u, w))
 
 
 def minimal_primes_generic(m: int, n: int) -> list:
@@ -109,9 +65,8 @@ def minimal_primes_generic(m: int, n: int) -> list:
     for rows in itertools.combinations(range(m), 2):
         for cols in itertools.combinations(range(n), 2):
             (i1, i2), (j1, j2) = rows, cols
-            block = ((e(i1, j1), e(i2, j2)), (e(i1, j2), e(i2, j1)))
             label = f"sub(rows {_one_based(rows)}; cols {_one_based(cols)})"
-            primes.append(_block_prime(label, mat, block))
+            primes.append(_block_prime(label, mat, (e(i1, j1), e(i2, j2)), (e(i1, j2), e(i2, j1))))
     if n >= 3:
         for rows in itertools.combinations(range(m), m - 1):
             gens = tuple(sorted(e(i, j) for i in rows for j in range(n)))
@@ -130,7 +85,7 @@ def minimal_primes_symmetric(n: int) -> list:
     mat = build_matrix(MatrixShape.symmetric(n))
     e = mat.entry
     return [
-        _block_prime(f"pair({_one_based((u, v))})", mat, ((e(u, u), e(v, v)), (e(u, v), e(u, v))))
+        _block_prime(f"pair({_one_based((u, v))})", mat, (e(u, u), e(v, v)), (e(u, v),) * 2)
         for u, v in itertools.combinations(range(n), 2)
     ]
 
@@ -141,82 +96,77 @@ def minimal_primes_symmetric(n: int) -> list:
 
 
 # Largest witness, counted as terms x variables (the exponent entries it
-# stores), that the builders below accept.  A witness job takes roughly 100
-# to 300 bytes per entry, so this keeps one under ~150 MB; p = 10007 on the
-# 2x2 matrix (40,028 entries) runs in 29 MB.
+# stores), that `witness` accepts.  A witness job takes roughly 100 to 300
+# bytes per entry, so this keeps one under ~150 MB; p = 10007 on the 2x2
+# matrix (40,028 entries) runs in 29 MB.
 MAX_WITNESS_ENTRIES = 500_000
 
 
-def _refuse_large_witness(terms: int, variables: int):
-    """Refuse before allocating a witness larger than MAX_WITNESS_ENTRIES."""
-    if terms * variables > MAX_WITNESS_ENTRIES:
+def _witness(shape: MatrixShape, p: int) -> tuple:
+    """(sign, minimal primes, witness) of `shape` at odd p; see `witness`.
+
+    Refuses a witness past MAX_WITNESS_ENTRIES from m, n and p alone, before
+    any prime or variable is built.
+    """
+    m, n, half = shape.nrows, shape.ncols, (p - 1) // 2
+    # kind: (blocks, variables, sign, skip, top, minimal primes)
+    forms = {
+        GENERIC: (math.comb(m, 2) * math.comb(n, 2), m * n, 1, p - 1, 2 * p - 2,
+                  lambda: minimal_primes_generic(m, n)),
+        SYMMETRIC: (math.comb(n, 2), n * (n + 1) // 2, (-1) ** half, half, 3 * half,
+                    lambda: minimal_primes_symmetric(n)),
+    }
+    if shape.kind not in forms:
+        raise ValueError("witness membership applies to generic and symmetric shapes")
+    blocks, variables, sign, skip, top, minimal_primes = forms[shape.kind]
+    size = blocks * (p - 1) + 1
+    if size * variables > MAX_WITNESS_ENTRIES:
         raise ValueError(
-            f"the witness has {terms} terms in {variables} variables, more than "
+            f"the witness has {size} terms in {variables} variables, more than "
             f"{MAX_WITNESS_ENTRIES} exponent entries"
         )
-
-
-def witness_generic(m: int, n: int, p: int) -> Polynomial:
-    """The F-purity witness for the generic m x n matrix at odd p.
-
-    f = prod_all x^{p-1}
-      + sum over 2x2 submatrices w = [[a, b], [c, d]] of
-        (prod_{x not in w} x^{p-1}) * sum_{k=0}^{p-2} (-1)^k (ad)^{2p-2-k} (bc)^k.
-
-    Every summand is a single monomial, so f is assembled termwise.
-    """
-    if p == 2:
-        raise ValueError("the witness construction needs p > 2")
-    if m < 2 or n < 2:
-        raise ValueError("witness_generic needs m, n >= 2")
-    _refuse_large_witness(math.comb(m, 2) * math.comb(n, 2) * (p - 1) + 1, m * n)
-    mat = build_matrix(MatrixShape.generic(m, n))
-    space = mat.space
-    terms = [((p - 1,) * space.count, 1)]
-    for rows in itertools.combinations(range(m), 2):
-        for cols in itertools.combinations(range(n), 2):
-            i1, i2 = rows
-            j1, j2 = cols
-            a, b = mat.entry(i1, j1), mat.entry(i1, j2)
-            c, d = mat.entry(i2, j1), mat.entry(i2, j2)
-            inner = {a, b, c, d}
-            base = [0 if i in inner else p - 1 for i in range(space.count)]
-            for k in range(p - 1):
-                exps = list(base)
-                exps[a] = exps[d] = 2 * p - 2 - k
-                exps[b] = exps[c] = k
-                terms.append((tuple(exps), (-1) ** k))
-    return Polynomial(space, p, terms)
-
-
-def witness_symmetric(n: int, p: int) -> Polynomial:
-    """The F-purity witness for the symmetric n x n matrix at odd p.
-
-    f = (-1)^{(p-1)/2} prod_{i<=j} y_ij^{p-1}
-      + sum over pairs i < j of (prod_{y not in w_ij} y^{p-1}) times the two
-        k-ranges k in [0, (p-3)/2] and [(p+1)/2, p-1] of
-        (-1)^k (y_ii y_jj)^{3(p-1)/2 - k} y_ij^{2k}.
-    """
-    if p == 2:
-        raise ValueError("the witness construction needs p > 2")
-    if n < 2:
-        raise ValueError("witness_symmetric needs n >= 2")
-    _refuse_large_witness(math.comb(n, 2) * (p - 1) + 1, n * (n + 1) // 2)
-    mat = build_matrix(MatrixShape.symmetric(n))
-    space = mat.space
-    sign = (-1) ** ((p - 1) // 2)
+    primes = minimal_primes()
+    space = primes[0].space
     terms = [((p - 1,) * space.count, sign)]
-    for u, v in itertools.combinations(range(n), 2):
-        yuu, yuv, yvv = mat.entry(u, u), mat.entry(u, v), mat.entry(v, v)
-        inner = {yuu, yuv, yvv}
-        base = [0 if i in inner else p - 1 for i in range(space.count)]
-        k_values = list(range(0, (p - 1) // 2)) + list(range((p + 1) // 2, p))
-        for k in k_values:
+    for prime in primes:
+        if prime.binomial is None:
+            continue
+        u, w = prime.binomial
+        var_set = set(prime.variable_gens)
+        base = [p - 1 if i in var_set else 0 for i in range(space.count)]
+        diagonal = [i for i, e in enumerate(u) if e]  # u is 0/1
+        antidiagonal = [i for i, e in enumerate(w) if e]
+        w_entry = w[antidiagonal[0]]  # 1, or 2 for a symmetric pair's y_uv^2
+        for k in range(p):
+            if k == skip:
+                continue
+            # one int object per value, shared by the entries that hold it
+            hi, lo = top - k, w_entry * k
             exps = list(base)
-            exps[yuu] = exps[yvv] = 3 * (p - 1) // 2 - k
-            exps[yuv] = 2 * k
+            for i in diagonal:
+                exps[i] = hi
+            for i in antidiagonal:
+                exps[i] = lo
             terms.append((tuple(exps), (-1) ** k))
-    return Polynomial(space, p, terms)
+    return sign, primes, Polynomial(space, p, terms)
+
+
+def witness(shape: MatrixShape, p: int) -> Polynomial:
+    """The F-purity witness of the generic or symmetric matrix `shape` at odd p.
+
+    f = sign * prod_all x^{p-1}
+      + sum over the minimal primes P with a block permanent x^u + x^w of
+        (prod over P's variable generators x of x^{p-1})
+        * sum_k (-1)^k x^{(top-k)u + kw},
+
+    k running over [0, p-1] but one `skip`.  Generic: sign 1, skip p-1, top
+    2p-2, so the block [[a, b], [c, d]] contributes (ad)^{2p-2-k} (bc)^k.
+    Symmetric: sign (-1)^{(p-1)/2}, skip (p-1)/2, top 3(p-1)/2, so the pair
+    u < v contributes (y_uu y_vv)^{3(p-1)/2-k} y_uv^{2k}.  Every summand is
+    a single monomial, so f is assembled termwise.  ValueError when f would
+    pass MAX_WITNESS_ENTRIES, before anything is built.
+    """
+    return _witness(shape, p)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +309,6 @@ def verify_hankel_product_identity(n: int, p: int) -> LemmaReport:
     f_{n-1} f_n^{p-1} (prod z_{2i+1}) (prod z_{2i})^{p-3}
         = (-1)^{n+1} (prod_{i=1}^{2n-1} z_i)^{p-1}   mod (z_1^p, ..., z_{2n-1}^p).
     """
-    if p == 2:
-        raise ValueError("the identity needs p > 2")
     t0 = time.perf_counter()
     params = {"shape": f"hankel:{n}", "n": n, "p": p, "e": 1, "method": "truncated"}
     mat, f_n, f_prev, power = _hankel_data(n, p)
@@ -393,8 +341,6 @@ def verify_hankel_hypersurface(n: int, p: int) -> LemmaReport:
         (F-purity by the Fedder criterion);
     (c) f_{n-1} f_n^{p-1} != 0 mod m^[p] (the F-regularity witness).
     """
-    if p == 2:
-        raise ValueError("the check needs p > 2")
     t0 = time.perf_counter()
     params = {"shape": f"hankel:{n}", "n": n, "p": p, "e": 1, "method": "truncated"}
     mat, f_n, f_prev, power = _hankel_data(n, p)
@@ -447,29 +393,11 @@ def verify_hankel_specialization_check(n: int) -> LemmaReport:
     return _report("thm36", params, ok, evidence, t0)
 
 
-def _expected_residue(shape: MatrixShape, space: VariableSpace, p: int) -> Polynomial:
-    if shape.kind == GENERIC:
-        return Polynomial.monomial(space, p, (p - 1,) * space.count)
-    sign = (-1) ** ((p - 1) // 2)
-    return Polynomial.monomial(space, p, (p - 1,) * space.count, sign)
-
-
 def verify_witness_membership(shape: MatrixShape, p: int) -> LemmaReport:
     """CLI checks `witness-generic` / `witness-symmetric`: the witness f lies
     in every minimal-prime colon ideal and survives modulo m^[p]."""
     t0 = time.perf_counter()
-    if shape.kind == GENERIC:
-        check = "witness-generic"
-        m, n = shape.nrows, shape.ncols
-        f = witness_generic(m, n, p)
-        primes = minimal_primes_generic(m, n)
-    elif shape.kind == SYMMETRIC:
-        check = "witness-symmetric"
-        n = shape.nrows
-        f = witness_symmetric(n, p)
-        primes = minimal_primes_symmetric(n)
-    else:
-        raise ValueError("witness membership applies to generic and symmetric shapes")
+    sign, primes, f = _witness(shape, p)
     params = {
         "shape": shape.spec_string(),
         "m": shape.nrows,
@@ -478,8 +406,8 @@ def verify_witness_membership(shape: MatrixShape, p: int) -> LemmaReport:
         "e": 1,
     }
     residue = truncate(f)
-    expected = _expected_residue(shape, f.space, p)
-    residue_ok = residue == expected
+    full_product = (p - 1,) * f.space.count
+    residue_ok = residue == Polynomial.monomial(f.space, p, full_product, sign)
     memberships = []
     all_member = True
     for prime in primes:
@@ -497,15 +425,14 @@ def verify_witness_membership(shape: MatrixShape, p: int) -> LemmaReport:
     if shape.kind == SYMMETRIC:
         # the unsigned off-diagonal product is a plausible-looking alternative
         # residue; record explicitly whether the computed one matches it
-        mat = build_matrix(shape)
-        diag_vars = {mat.entry(i, i) for i in range(shape.nrows)}
+        diag_vars = {shape.entry_index(i, i) for i in range(shape.nrows)}
         off_diag = tuple(
             0 if i in diag_vars else p - 1 for i in range(f.space.count)
         )
         alt = Polynomial.monomial(f.space, p, off_diag)
         evidence["residue_equals_unsigned_offdiagonal_product"] = residue == alt
     ok = residue_ok and all_member
-    return _report(check, params, ok, evidence, t0)
+    return _report(f"witness-{shape.kind}", params, ok, evidence, t0)
 
 
 def verify_fpure(

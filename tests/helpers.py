@@ -5,7 +5,7 @@ from collections import namedtuple
 from typing import Optional, Sequence
 
 from permcheck.fppoly import Polynomial, StructureError, VariableSpace, exact_divide
-from permcheck.frobcheck import _split_term
+from permcheck.frobcheck import MinimalPrime, _omega_power, _require_ci, _split_term
 from permcheck import linmember
 from permcheck.linmember import SizeGuardError
 
@@ -292,15 +292,38 @@ def permanent_eval_dp(values: Sequence[Sequence[int]], p: int) -> int:
     return dp[(1 << s) - 1]
 
 
-def in_frobenius_power(h: Polynomial, prime: "MinimalPrime", p: Optional[int] = None) -> bool:
+def prime_binomial(prime: MinimalPrime, char: int) -> Optional[Polynomial]:
+    """The binomial x^u + x^w of a minimal prime, or None for a prime of variables."""
+    if prime.binomial is None:
+        return None
+    u, w = prime.binomial
+    return Polynomial(prime.space, char, [(u, 1), (w, 1)])
+
+
+def prime_generators(prime: MinimalPrime, char: int) -> list:
+    """The prime's generators: its binomial (if any), then its variables."""
+    b = prime_binomial(prime, char)
+    variables = [Polynomial.variable(prime.space, char, i) for i in prime.variable_gens]
+    return variables if b is None else [b] + variables
+
+
+def prime_omega(prime: MinimalPrime, char: int) -> Polynomial:
+    """The product of the prime's generators, a regular sequence."""
+    out = Polynomial.one(prime.space, char)
+    for g in prime_generators(prime, char):
+        out = out * g
+    return out
+
+
+def in_frobenius_power(h: Polynomial, prime: MinimalPrime, p: Optional[int] = None) -> bool:
     """Decide h in P^[p] structurally (same tensor split as colon_membership)."""
     if p is None:
         p = h.char
     var_gens = set(prime.variable_gens)
     remaining = [(m, c) for m, c in h.items() if not any(m[i] >= p for i in var_gens)]
-    if prime.block is None:
+    if prime.binomial is None:
         return not remaining
-    b_p = prime.binomial(p) ** p
+    b_p = prime_binomial(prime, p) ** p
     groups: dict = {}
     for mono, coeff in remaining:
         inner, outer = _split_term(mono, var_gens)
@@ -314,17 +337,30 @@ def in_frobenius_power(h: Polynomial, prime: "MinimalPrime", p: Optional[int] = 
     return True
 
 
-def prime_contains(prime: "MinimalPrime", g: Polynomial) -> bool:
+def prime_contains(prime: MinimalPrime, g: Polynomial) -> bool:
     """Decide g in P structurally: drop terms with an outside variable, the
     rest must be a polynomial multiple of the binomial (or zero)."""
     var_gens = set(prime.variable_gens)
     remaining = [(m, c) for m, c in g.items() if not any(m[i] >= 1 for i in var_gens)]
     if not remaining:
         return True
-    if prime.block is None:
+    if prime.binomial is None:
         return False
     rest = Polynomial(g.space, g.char, remaining)
-    return exact_divide(rest, prime.binomial(g.char)) is not None
+    return exact_divide(rest, prime_binomial(prime, g.char)) is not None
+
+
+def glassbrenner_witness_check(c: Polynomial, gens) -> Optional[tuple]:
+    """Check c * omega^{p-1} != 0 mod m^[p] for one witness c of a complete
+    intersection `gens`; the second engine for F-regularity certificates.
+
+    Returns the GRLEX leading term of the survivor, or None.  A survivor
+    certifies the F-regularity condition for c at q = p; None is only
+    inconclusive, since the criterion asks for some Frobenius power q.
+    """
+    _require_ci(gens, "the Glassbrenner witness check")
+    power = _omega_power(gens).mul_poly(c)
+    return None if power.is_zero else power.leading_term()
 
 
 # -- one-target degree-bounded membership: the oracle for members_bounded -----

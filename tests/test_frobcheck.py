@@ -24,7 +24,6 @@ from permcheck.frobcheck import (
     fedder_ci_check,
     fedder_coefficient_fullsupport,
     fiber_count_3x4,
-    glassbrenner_witness_check,
 )
 from permcheck.shapes import (
     IdealPresentation,
@@ -35,15 +34,18 @@ from permcheck.shapes import (
 from permcheck.witnesses import (
     minimal_primes_generic,
     minimal_primes_symmetric,
-    witness_generic,
-    witness_symmetric,
+    witness,
 )
 from helpers import (
     _FiberKernel,
     _fiber_range_scalar,
     evaluate,
+    glassbrenner_witness_check,
     in_frobenius_power,
+    prime_binomial,
     prime_contains,
+    prime_generators,
+    prime_omega,
     random_poly,
     rank_mod_p,
 )
@@ -149,14 +151,14 @@ class TestGlassbrennerWitness:
 
 class TestColonMembership:
     def test_generic_23_all_primes(self):
-        f = witness_generic(2, 3, 3)
+        f = witness(MatrixShape.generic(2, 3), 3)
         for prime in minimal_primes_generic(2, 3):
             cert = colon_membership(f, prime)
             assert cert is not None, prime.label
             assert cert.replay(f.space, 3) == f
 
     def test_symmetric_3_all_primes(self):
-        f = witness_symmetric(3, 3)
+        f = witness(MatrixShape.symmetric(3), 3)
         for prime in minimal_primes_symmetric(3):
             cert = colon_membership(f, prime)
             assert cert is not None
@@ -166,25 +168,26 @@ class TestColonMembership:
     def test_closed_form_powers_match_repeated_products(self, p):
         # a generic block a*d + b*c and a symmetric one y11*y22 + y12^2
         for prime in (minimal_primes_generic(2, 3)[0], minimal_primes_symmetric(3)[0]):
-            b = prime.binomial(p)
-            u, w = frobcheck._block_exponents(prime.block, prime.space.count)
-            b_pm1, b_p = frobcheck._closed_form_powers(u, w, prime.space, p)
-            assert b_pm1 == b ** (p - 1)
-            assert b_p == b ** p
+            b = prime_binomial(prime, p)
+            b_pm1 = frobcheck._closed_form_pm1(*prime.binomial, p)
+            assert Polynomial(prime.space, p, b_pm1) == b ** (p - 1)
+            # b^p alone is one multiple of the closed-form b^p generator
+            one = Polynomial.one(prime.space, p)
+            assert colon_membership(b ** p, prime).entries == ((one, b ** p),)
 
     @pytest.mark.parametrize("p", [3, 5])
-    @pytest.mark.parametrize("witness, minimal_primes, size", [
-        (witness_generic, minimal_primes_generic, (2, 3)),
-        (witness_generic, minimal_primes_generic, (3, 3)),
-        (witness_generic, minimal_primes_generic, (4, 4)),
-        (witness_symmetric, minimal_primes_symmetric, (3,)),
-        (witness_symmetric, minimal_primes_symmetric, (5,)),
+    @pytest.mark.parametrize("shape, minimal_primes, size", [
+        (MatrixShape.generic, minimal_primes_generic, (2, 3)),
+        (MatrixShape.generic, minimal_primes_generic, (3, 3)),
+        (MatrixShape.generic, minimal_primes_generic, (4, 4)),
+        (MatrixShape.symmetric, minimal_primes_symmetric, (3,)),
+        (MatrixShape.symmetric, minimal_primes_symmetric, (5,)),
     ], ids=["generic:2x3", "generic:3x3", "generic:4x4", "symmetric:3", "symmetric:5"])
     def test_witness_certificates_have_one_entry_per_generator(
-        self, witness, minimal_primes, size, p
+        self, shape, minimal_primes, size, p
     ):
         # one multiplier per variable generator, one of b^p and one of omega^{p-1}
-        f = witness(*size, p)
+        f = witness(shape(*size), p)
         for prime in minimal_primes(*size):
             cert = colon_membership(f, prime)
             assert cert is not None, prime.label
@@ -205,7 +208,7 @@ class TestColonMembership:
 
     def test_omega_power_is_member(self):
         for prime in minimal_primes_generic(3, 3)[:5]:
-            omega = prime.omega(3)
+            omega = prime_omega(prime, 3)
             assert colon_membership(omega**2, prime) is not None
 
     def test_random_multiples_are_members(self):
@@ -213,8 +216,8 @@ class TestColonMembership:
         primes = minimal_primes_generic(2, 3) + minimal_primes_symmetric(3)
         for prime in primes:
             p = 3
-            gens = prime.generators(p)
-            omega_pm1 = prime.omega(p) ** (p - 1)
+            gens = prime_generators(prime, p)
+            omega_pm1 = prime_omega(prime, p) ** (p - 1)
             for _ in range(5):
                 f = omega_pm1 * random_poly(rng, prime.space, p, max_terms=2, max_exp=1)
                 g = rng.choice(gens)
@@ -226,12 +229,12 @@ class TestColonMembership:
     def test_near_miss_rejected(self):
         # omega^{p-2} multiples are not in the colon ideal
         prime = minimal_primes_generic(2, 2)[0]
-        omega = prime.omega(3)
+        omega = prime_omega(prime, 3)
         assert colon_membership(omega, prime) is None
 
     def test_pure_variable_prime_agrees_with_monomial_ideal(self):
         rng = random.Random(78)
-        primes = [pr for pr in minimal_primes_generic(3, 3) if pr.block is None]
+        primes = [pr for pr in minimal_primes_generic(3, 3) if pr.binomial is None]
         for prime in primes:
             p = 3
             V = set(prime.variable_gens)
@@ -256,8 +259,8 @@ class TestColonMembership:
             pr for pr in minimal_primes_generic(2, 3) if pr.label.startswith("rows(")
         ]
         for prime in primes:
-            omega_power = prime.omega(p) ** (p - 1)
-            gens = tuple([omega_power] + [g**p for g in prime.generators(p)])
+            omega_power = prime_omega(prime, p) ** (p - 1)
+            gens = tuple([omega_power] + [g**p for g in prime_generators(prime, p)])
             for _ in range(30):
                 f = random_poly(rng, prime.space, p, max_terms=3, max_exp=1)
                 if rng.random() < 0.4:
@@ -274,14 +277,14 @@ class TestColonMembership:
 
     def test_membership_implies_frobenius_compatibility(self):
         for m, n in [(2, 2), (2, 3), (3, 3)]:
-            f = witness_generic(m, n, 3)
+            f = witness(MatrixShape.generic(m, n), 3)
             for prime in minimal_primes_generic(m, n):
-                for g in prime.generators(3):
+                for g in prime_generators(prime, 3):
                     assert in_frobenius_power(f * g, prime, 3)
         for n in (2, 3):
-            f = witness_symmetric(n, 3)
+            f = witness(MatrixShape.symmetric(n), 3)
             for prime in minimal_primes_symmetric(n):
-                for g in prime.generators(3):
+                for g in prime_generators(prime, 3):
                     assert in_frobenius_power(f * g, prime, 3)
 
 
@@ -302,7 +305,7 @@ class TestPrimeContainment:
 
     def test_non_member_detected(self):
         prime = minimal_primes_generic(2, 3)[0]
-        g = Polynomial.variable(prime.space, 3, prime.inner_vars[0])
+        g = Polynomial.variable(prime.space, 3, prime.binomial[0].index(1))
         assert not prime_contains(prime, g)
 
 

@@ -19,8 +19,14 @@ from permcheck.linmember import (
     term_table,
 )
 from permcheck.shapes import MatrixShape, build_matrix, permanental_generators
-from permcheck.witnesses import minimal_primes_generic, witness_generic
-from helpers import member_bounded_single, monomials_of_degree, monomials_up_to
+from permcheck.witnesses import minimal_primes_generic, witness
+from helpers import (
+    member_bounded_single,
+    monomials_of_degree,
+    monomials_up_to,
+    prime_generators,
+    prime_omega,
+)
 
 
 class TestMonomialEnumeration:
@@ -144,9 +150,9 @@ class TestMemberBounded:
     def test_agreement_with_colon_membership_2x3(self):
         # same verdicts as the structural decision on every minimal prime
         p = 3
-        f = witness_generic(2, 3, p)
+        f = witness(MatrixShape.generic(2, 3), p)
         for prime in minimal_primes_generic(2, 3):
-            gens = [prime.omega(p) ** (p - 1)] + [g**p for g in prime.generators(p)]
+            gens = [prime_omega(prime, p) ** (p - 1)] + [g**p for g in prime_generators(prime, p)]
             structural = colon_membership(f, prime) is not None
             linear = member_bounded(f, gens, f.total_degree())
             assert (linear is not None) == structural
@@ -274,7 +280,7 @@ def colon_batches(draw):
     p = 3
     prime = draw(st.sampled_from(PRIMES23))
     space, v = prime.space, prime.space.count
-    gens = [prime.omega(p) ** (p - 1)] + [g**p for g in prime.generators(p)]
+    gens = [prime_omega(prime, p) ** (p - 1)] + [g**p for g in prime_generators(prime, p)]
 
     def target(degree):
         f = Polynomial.zero(space, p)

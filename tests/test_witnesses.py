@@ -29,30 +29,30 @@ from permcheck.witnesses import (
     verify_hankel_specialization_check,
     verify_squared_entry_triples,
     verify_witness_membership,
-    witness_generic,
-    witness_symmetric,
+    witness,
 )
+from helpers import prime_binomial
 
 
-# (label, binomial at p = 3 or None, variable generators) of every minimal
-# prime, in the order the classifiers return them
+# (label, binomial x^u + x^w as (x^u, x^w) or None, variable generators) of
+# every minimal prime, in the order the classifiers return them
 PRIMES_2X3 = [
-    ("sub(rows 1,2; cols 1,2)", "x1_1*x2_2 + x1_2*x2_1", "x1_3 x2_3"),
-    ("sub(rows 1,2; cols 1,3)", "x1_1*x2_3 + x1_3*x2_1", "x1_2 x2_2"),
-    ("sub(rows 1,2; cols 2,3)", "x1_2*x2_3 + x1_3*x2_2", "x1_1 x2_1"),
+    ("sub(rows 1,2; cols 1,2)", ("x1_1*x2_2", "x1_2*x2_1"), "x1_3 x2_3"),
+    ("sub(rows 1,2; cols 1,3)", ("x1_1*x2_3", "x1_3*x2_1"), "x1_2 x2_2"),
+    ("sub(rows 1,2; cols 2,3)", ("x1_2*x2_3", "x1_3*x2_2"), "x1_1 x2_1"),
     ("rows(1)", None, "x1_1 x1_2 x1_3"),
     ("rows(2)", None, "x2_1 x2_2 x2_3"),
 ]
 PRIMES_3X3 = [
-    ("sub(rows 1,2; cols 1,2)", "x1_1*x2_2 + x1_2*x2_1", "x1_3 x2_3 x3_1 x3_2 x3_3"),
-    ("sub(rows 1,2; cols 1,3)", "x1_1*x2_3 + x1_3*x2_1", "x1_2 x2_2 x3_1 x3_2 x3_3"),
-    ("sub(rows 1,2; cols 2,3)", "x1_2*x2_3 + x1_3*x2_2", "x1_1 x2_1 x3_1 x3_2 x3_3"),
-    ("sub(rows 1,3; cols 1,2)", "x1_1*x3_2 + x1_2*x3_1", "x1_3 x2_1 x2_2 x2_3 x3_3"),
-    ("sub(rows 1,3; cols 1,3)", "x1_1*x3_3 + x1_3*x3_1", "x1_2 x2_1 x2_2 x2_3 x3_2"),
-    ("sub(rows 1,3; cols 2,3)", "x1_2*x3_3 + x1_3*x3_2", "x1_1 x2_1 x2_2 x2_3 x3_1"),
-    ("sub(rows 2,3; cols 1,2)", "x2_1*x3_2 + x2_2*x3_1", "x1_1 x1_2 x1_3 x2_3 x3_3"),
-    ("sub(rows 2,3; cols 1,3)", "x2_1*x3_3 + x2_3*x3_1", "x1_1 x1_2 x1_3 x2_2 x3_2"),
-    ("sub(rows 2,3; cols 2,3)", "x2_2*x3_3 + x2_3*x3_2", "x1_1 x1_2 x1_3 x2_1 x3_1"),
+    ("sub(rows 1,2; cols 1,2)", ("x1_1*x2_2", "x1_2*x2_1"), "x1_3 x2_3 x3_1 x3_2 x3_3"),
+    ("sub(rows 1,2; cols 1,3)", ("x1_1*x2_3", "x1_3*x2_1"), "x1_2 x2_2 x3_1 x3_2 x3_3"),
+    ("sub(rows 1,2; cols 2,3)", ("x1_2*x2_3", "x1_3*x2_2"), "x1_1 x2_1 x3_1 x3_2 x3_3"),
+    ("sub(rows 1,3; cols 1,2)", ("x1_1*x3_2", "x1_2*x3_1"), "x1_3 x2_1 x2_2 x2_3 x3_3"),
+    ("sub(rows 1,3; cols 1,3)", ("x1_1*x3_3", "x1_3*x3_1"), "x1_2 x2_1 x2_2 x2_3 x3_2"),
+    ("sub(rows 1,3; cols 2,3)", ("x1_2*x3_3", "x1_3*x3_2"), "x1_1 x2_1 x2_2 x2_3 x3_1"),
+    ("sub(rows 2,3; cols 1,2)", ("x2_1*x3_2", "x2_2*x3_1"), "x1_1 x1_2 x1_3 x2_3 x3_3"),
+    ("sub(rows 2,3; cols 1,3)", ("x2_1*x3_3", "x2_3*x3_1"), "x1_1 x1_2 x1_3 x2_2 x3_2"),
+    ("sub(rows 2,3; cols 2,3)", ("x2_2*x3_3", "x2_3*x3_2"), "x1_1 x1_2 x1_3 x2_1 x3_1"),
     ("rows(1,2)", None, "x1_1 x1_2 x1_3 x2_1 x2_2 x2_3"),
     ("rows(1,3)", None, "x1_1 x1_2 x1_3 x3_1 x3_2 x3_3"),
     ("rows(2,3)", None, "x2_1 x2_2 x2_3 x3_1 x3_2 x3_3"),
@@ -61,9 +61,9 @@ PRIMES_3X3 = [
     ("cols(2,3)", None, "x1_2 x1_3 x2_2 x2_3 x3_2 x3_3"),
 ]
 PRIMES_SYM3 = [
-    ("pair(1,2)", "y1_1*y2_2 + y1_2^2", "y1_3 y2_3 y3_3"),
-    ("pair(1,3)", "y1_1*y3_3 + y1_3^2", "y1_2 y2_2 y2_3"),
-    ("pair(2,3)", "y2_2*y3_3 + y2_3^2", "y1_1 y1_2 y1_3"),
+    ("pair(1,2)", ("y1_1*y2_2", "y1_2^2"), "y1_3 y2_3 y3_3"),
+    ("pair(1,3)", ("y1_1*y3_3", "y1_3^2"), "y1_2 y2_2 y2_3"),
+    ("pair(2,3)", ("y2_2*y3_3", "y2_3^2"), "y1_1 y1_2 y1_3"),
 ]
 
 
@@ -85,13 +85,11 @@ class TestMinimalPrimes:
             assert prime.label == label
             assert [names[i] for i in prime.variable_gens] == variables.split()
             if binomial is None:
-                assert prime.binomial(3) is None
-                assert prime.inner_vars == ()
+                assert prime.binomial is None
             else:
-                b = parse_poly(binomial, prime.space, 3)
-                assert prime.binomial(3) == b
-                used = {i for mono, _ in b.items() for i, e in enumerate(mono) if e}
-                assert prime.inner_vars == tuple(sorted(used))
+                assert prime.binomial == tuple(
+                    _exponents(parse_poly(x, prime.space, 3)) for x in binomial
+                )
 
     @pytest.mark.parametrize(
         "m,n,count", [(2, 2, 1), (2, 3, 5), (3, 3, 15), (3, 4, 25), (4, 4, 44), (2, 4, 8)]
@@ -114,11 +112,11 @@ class TestMinimalPrimes:
     def test_generators_form_regular_sequence_shape(self):
         # binomial in inner variables disjoint from the outside variables
         for prime in minimal_primes_generic(3, 3) + minimal_primes_symmetric(3):
-            b = prime.binomial(3)
+            b = prime_binomial(prime, 3)
             if b is None:
                 assert prime.label.startswith(("rows(", "cols("))
                 continue
-            inner = set(prime.inner_vars)
+            inner = {i for x in prime.binomial for i, e in enumerate(x) if e}
             assert inner.isdisjoint(prime.variable_gens)
             assert {i for mono, _ in b.items() for i, e in enumerate(mono) if e} <= inner
             assert len(prime.variable_gens) + len(inner) == prime.space.count
@@ -134,12 +132,12 @@ class TestWitnessGeneric:
     def test_residue_is_full_product(self):
         for m, n in [(2, 2), (2, 3), (3, 3)]:
             for p in (3, 5, 7):
-                f = witness_generic(m, n, p)
+                f = witness(MatrixShape.generic(m, n), p)
                 expected = Polynomial.monomial(f.space, p, (p - 1,) * f.space.count)
                 assert truncate(f) == expected
 
     def test_homogeneous_of_expected_degree(self):
-        f = witness_generic(2, 3, 5)
+        f = witness(MatrixShape.generic(2, 3), 5)
         degrees = {sum(m) for m, _ in f.items()}
         assert degrees == {6 * 4}
 
@@ -147,7 +145,7 @@ class TestWitnessGeneric:
         # beyond the leading product, every term has a corner exponent >= p
         mat = build_matrix(MatrixShape.generic(2, 2))
         p = 3
-        f = witness_generic(2, 2, p)
+        f = witness(MatrixShape.generic(2, 2), p)
         g = Polynomial.monomial(f.space, p, (p - 1,) * 4)
         a, d = mat.entry(0, 0), mat.entry(1, 1)
         for mono, _ in (f - g).items():
@@ -175,7 +173,7 @@ class TestWitnessGeneric:
                     for k in range(p - 1):
                         acc = acc + (a * d) ** (2 * p - 2 - k) * (b * c) ** k * ((-1) ** k)
                     total = total + outside * acc
-            assert total == witness_generic(m, n, p)
+            assert total == witness(MatrixShape.generic(m, n), p)
 
     def test_per_pair_exact_identity(self):
         # g + f_w = (ad)^{p-1} (prod outside x^{p-1}) (ad + bc)^{p-1}
@@ -199,33 +197,56 @@ class TestWitnessGeneric:
 
     def test_p2_refused(self):
         with pytest.raises(ValueError):
-            witness_generic(2, 2, 2)
+            witness(MatrixShape.generic(2, 2), 2)
 
 
 class TestWitnessSize:
     @pytest.mark.parametrize(
-        "build,args",
-        [(witness_generic, (2, 2, 5)), (witness_generic, (2, 3, 7)),
-         (witness_symmetric, (2, 5)), (witness_symmetric, (3, 7))],
+        "shape,p",
+        [(MatrixShape.generic(2, 2), 5), (MatrixShape.generic(2, 3), 7),
+         (MatrixShape.symmetric(2), 5), (MatrixShape.symmetric(3), 7)],
     )
-    def test_guard_counts_the_built_entries(self, monkeypatch, build, args):
-        f = build(*args)
+    def test_guard_counts_the_built_entries(self, monkeypatch, shape, p):
+        f = witness(shape, p)
         entries = len(f) * f.space.count
         monkeypatch.setattr(witnesses, "MAX_WITNESS_ENTRIES", entries)
-        assert build(*args) == f
+        assert witness(shape, p) == f
         monkeypatch.setattr(witnesses, "MAX_WITNESS_ENTRIES", entries - 1)
         with pytest.raises(ValueError, match="exponent entries"):
-            build(*args)
+            witness(shape, p)
 
 
 class TestWitnessSymmetric:
     def test_residue_is_signed_full_product(self):
         for n in (2, 3):
             for p in (3, 5, 7):
-                f = witness_symmetric(n, p)
+                f = witness(MatrixShape.symmetric(n), p)
                 sign = (-1) ** ((p - 1) // 2)
                 expected = Polynomial.monomial(f.space, p, (p - 1,) * f.space.count, sign)
                 assert truncate(f) == expected
+
+    def test_construction_matches_polynomial_formula(self):
+        for n in (2, 3):
+            for p in (3, 5, 7):
+                mat = build_matrix(MatrixShape.symmetric(n))
+                space = mat.space
+                var = lambda i: Polynomial.variable(space, p, i)
+                sign = (-1) ** ((p - 1) // 2)
+                total = Polynomial.monomial(space, p, (p - 1,) * space.count, sign)
+                for u, v in itertools.combinations(range(n), 2):
+                    yuu, yuv, yvv = var(mat.entry(u, u)), var(mat.entry(u, v)), var(mat.entry(v, v))
+                    inner = {mat.entry(u, u), mat.entry(u, v), mat.entry(v, v)}
+                    outside = Polynomial.monomial(
+                        space, p, [0 if i in inner else p - 1 for i in range(space.count)]
+                    )
+                    acc = Polynomial.zero(space, p)
+                    for k in range(p):
+                        if k != (p - 1) // 2:
+                            acc = acc + (yuu * yvv) ** (3 * (p - 1) // 2 - k) * yuv ** (2 * k) * (
+                                (-1) ** k
+                            )
+                    total = total + outside * acc
+                assert total == witness(MatrixShape.symmetric(n), p), (n, p)
 
     def test_per_pair_exact_identity(self):
         # g + f_uv = (y_uu y_vv)^{(p-1)/2} (prod outside y^{p-1}) (y_uu y_vv + y_uv^2)^{p-1}
@@ -251,7 +272,7 @@ class TestWitnessSymmetric:
             assert g + f_uv == rhs
 
     def test_nonzero_residue_mod_cubes(self):
-        f = witness_symmetric(2, 3)
+        f = witness(MatrixShape.symmetric(2), 3)
         assert not truncate(f).is_zero
 
 
@@ -284,6 +305,13 @@ class TestLemmaReports:
 
     def test_product_identity_rejects_p2(self):
         with pytest.raises(ValueError):
+            verify_hankel_product_identity(2, 2)
+
+    def test_hankel_checks_reject_p2_in_check_prime(self):
+        # the polynomial constructors refuse p = 2, so neither check guards it
+        with pytest.raises(ValueError, match="odd prime"):
+            verify_hankel_hypersurface(2, 2)
+        with pytest.raises(ValueError, match="odd prime"):
             verify_hankel_product_identity(2, 2)
 
     def test_hypersurface_grid_small(self):
