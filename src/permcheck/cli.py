@@ -227,13 +227,13 @@ def _emit(text, out_path):
 
 def _run_generators(args) -> int:
     from .fppoly import render_poly
-    from .shapes import build_matrix, permanental_generators
+    from .shapes import permanental_generators
 
     primes = _parse_primes(args.p)
     if len(primes) != 1:
         raise UsageError("the generators dump takes a single prime")
     shape, t = _shape_and_t(args)
-    pres = permanental_generators(build_matrix(shape), t, char=primes[0])
+    pres = permanental_generators(shape, t, char=primes[0])
     _emit("\n".join(map(render_poly, pres.generators)) + "\n", args.out)
     return 0
 

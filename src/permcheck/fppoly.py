@@ -47,10 +47,7 @@ class ParseError(ValueError):
 
 @functools.lru_cache(maxsize=None)
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
+    """Trial division of an odd n >= 3, cached: every Polynomial checks its p."""
     d = 3
     while d * d <= n:
         if n % d == 0:
@@ -617,8 +614,6 @@ def parse_poly(text: str, space: VariableSpace, char: int) -> Polynomial:
         start = pos
         while pos < n and (text[pos].isalnum() or text[pos] == "_"):
             pos += 1
-        if pos == start:
-            raise ParseError("expected a variable name", start)
         return text[start:pos]
 
     def read_term() -> tuple:
@@ -626,7 +621,6 @@ def parse_poly(text: str, space: VariableSpace, char: int) -> Polynomial:
         skip_ws()
         coeff = 1
         exps = [0] * space.count
-        saw_factor = False
         if pos < n and text[pos].isdigit():
             coeff = read_int()
             skip_ws()
@@ -634,12 +628,10 @@ def parse_poly(text: str, space: VariableSpace, char: int) -> Polynomial:
                 pos += 1
             else:
                 return tuple(exps), coeff  # bare constant
-        while True:
+        while True:  # a factor is required here, after a "*" too
             skip_ws()
-            if pos >= n or not (text[pos].isalpha()):
-                if not saw_factor:
-                    raise ParseError("expected a variable name", pos)
-                break
+            if pos >= n or not text[pos].isalpha():
+                raise ParseError("expected a variable name", pos)
             name_pos = pos
             name = read_name()
             if name not in space:
@@ -651,13 +643,11 @@ def parse_poly(text: str, space: VariableSpace, char: int) -> Polynomial:
                 skip_ws()
                 e = read_int()
             exps[space.index(name)] += e
-            saw_factor = True
             skip_ws()
             if pos < n and text[pos] == "*":
                 pos += 1
                 continue
-            break
-        return tuple(exps), coeff
+            return tuple(exps), coeff
 
     terms = []
     skip_ws()

@@ -14,7 +14,8 @@ product per block of hi points, optionally on a thread pool, refused when
 the tables would pass MAX_POINTCOUNT_ENTRIES or the points
 MAX_POINTCOUNT_POINTS), and a serial fibered enumeration special to the
 generic 3x4 / t=3 complete intersection, which visits only three first
-columns and projective classes of the other two, in passes of bounded size.
+columns and projective classes of the other two, in passes of bounded size,
+and is refused when those classes would pass MAX_FIBER_PAIRS column pairs.
 
 The point-count and fiber engines import numpy inside their functions, so it
 loads on their first call; colon membership never loads it.
@@ -472,6 +473,11 @@ def count_nonvanishing(gens: IdealPresentation, p: int, threads: int = 1) -> int
 # each pair of points stands for (p-1)^2 blocks.
 
 FIBER_PASS = 1 << 20  # column pairs per array pass; bounds the engine's memory
+# Most column pairs (p^2 + p + 1)^2 a fiber count visits per first column:
+# about 23 s at the 0.23 us per pair and first column measured on one thread
+# of a 2-core VM (p = 53 took 5.7 s, p = 73 20 s).  p = 73 is accepted and
+# p = 79 refused.
+MAX_FIBER_PAIRS = 1 << 25
 
 
 def _projective_class_count(p: int, column) -> int:
@@ -484,12 +490,12 @@ def _projective_class_count(p: int, column) -> int:
     import numpy as np
 
     a, b, c = column
-    dtype = np.int32 if 3 * (p - 1) ** 2 < 2**31 else np.int64
+    # MAX_FIBER_PAIRS keeps p below 79, so 3 (p-1)^2 fits int32
     points = np.array(
         [(1, x, y) for x in range(p) for y in range(p)]
         + [(0, 1, y) for y in range(p)]
         + [(0, 0, 1)],
-        dtype=dtype,
+        dtype=np.int32,
     ).T
     n = points.shape[1]
     p3, p2 = p**3, p * p
@@ -552,8 +558,15 @@ def fiber_count_3x4(p: int) -> int:
 
     Sums the three representative first columns (with 0, 1 or 2 zeros) over
     projective classes of columns 2 and 3, in passes of FIBER_PASS pairs, and
-    weights each by the number of blocks it stands for.
+    weights each by the number of blocks it stands for.  More than
+    MAX_FIBER_PAIRS pairs raises ValueError before the first pass.
     """
+    pairs = (p * p + p + 1) ** 2
+    if pairs > MAX_FIBER_PAIRS:
+        raise ValueError(
+            f"fiber count at p = {p} visits {pairs} column pairs per first column, "
+            f"more than {MAX_FIBER_PAIRS}"
+        )
     classes = (
         ((1, 1, 1), (p - 1) ** 3),
         ((1, 1, 0), 3 * (p - 1) ** 2),

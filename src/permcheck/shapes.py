@@ -1,13 +1,15 @@
-"""Symbolic matrices of indeterminates and their permanental ideals.
+"""Matrices of indeterminates and their permanental ideals.
 
-Three shapes are supported: generic m x n (all entries distinct), symmetric
-n x n (entry(i,j) = entry(j,i)), and Hankel n x n (constant antidiagonals,
-entries z_1 ... z_{2n-1}).  Symbolic permanents are computed by a
-column-subset dynamic program.
+A matrix is its MatrixShape: the kind and size fix every entry.  Three
+shapes are supported: generic m x n (all entries distinct), symmetric n x n
+(entry(i,j) = entry(j,i)), and Hankel n x n (constant antidiagonals, entries
+z_1 ... z_{2n-1}).  Symbolic permanents are computed by a column-subset
+dynamic program.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -24,6 +26,9 @@ HANKEL = "hankel"
 
 @dataclass(frozen=True)
 class MatrixShape:
+    """A matrix of indeterminates: entry (i, j) is variable `entry_index(i, j)`
+    of `space`."""
+
     kind: str
     nrows: int
     ncols: int
@@ -61,6 +66,12 @@ class MatrixShape:
             )
         return tuple(f"z{k + 1}" for k in range(2 * self.nrows - 1))
 
+    @functools.cached_property
+    def space(self) -> VariableSpace:
+        """The VariableSpace of `var_names()`, built on first use: a shape
+        too large to hold its names can still be refused by size."""
+        return VariableSpace(self.var_names())
+
     def entry_index(self, i: int, j: int) -> int:
         """Variable index of entry (i, j), 0-based."""
         if not (0 <= i < self.nrows and 0 <= j < self.ncols):
@@ -94,49 +105,16 @@ def parse_shape(text: str) -> MatrixShape:
     raise ValueError(f"invalid shape spec {text!r}")
 
 
-class SymbolicMatrix:
-    """A matrix whose entries are indices into a VariableSpace."""
-
-    __slots__ = ("shape", "space", "entries")
-
-    def __init__(self, shape: MatrixShape, space: VariableSpace, entries: tuple):
-        self.shape = shape
-        self.space = space
-        self.entries = entries  # tuple of row tuples of variable indices
-
-    @property
-    def nrows(self) -> int:
-        return self.shape.nrows
-
-    @property
-    def ncols(self) -> int:
-        return self.shape.ncols
-
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i][j]
-
-    def entry_name(self, i: int, j: int) -> str:
-        return self.space.names[self.entries[i][j]]
-
-    def __repr__(self) -> str:
-        rows = "; ".join(
-            " ".join(self.entry_name(i, j) for j in range(self.ncols))
-            for i in range(self.nrows)
-        )
-        return f"SymbolicMatrix({self.shape.spec_string()}: {rows})"
-
-
-def build_matrix(shape: MatrixShape) -> SymbolicMatrix:
-    space = VariableSpace(shape.var_names())
-    entries = tuple(
-        tuple(shape.entry_index(i, j) for j in range(shape.ncols))
-        for i in range(shape.nrows)
-    )
-    return SymbolicMatrix(shape, space, entries)
+def build_matrix(shape: MatrixShape) -> MatrixShape:
+    """The shape itself, which is the matrix.  Kept only because
+    perfbench/tests/test_tracer.py still calls
+    permanental_generators(build_matrix(shape), t, char=p); delete it with
+    that call."""
+    return shape
 
 
 def permanent(
-    mat: SymbolicMatrix,
+    shape: MatrixShape,
     rows: Optional[Sequence[int]] = None,
     cols: Optional[Sequence[int]] = None,
     *,
@@ -148,14 +126,14 @@ def permanent(
     |S| = k holds the permanent of the first k selected rows against the
     column subset S.
     """
-    rows = tuple(rows) if rows is not None else tuple(range(mat.nrows))
-    cols = tuple(cols) if cols is not None else tuple(range(mat.ncols))
+    rows = tuple(rows) if rows is not None else tuple(range(shape.nrows))
+    cols = tuple(cols) if cols is not None else tuple(range(shape.ncols))
     s = len(rows)
     if s != len(cols):
         raise ValueError(f"selection is not square: {s} rows, {len(cols)} columns")
     if s > MAX_SYMBOLIC_PERMANENT:
         raise ValueError(f"symbolic permanent size {s} exceeds limit {MAX_SYMBOLIC_PERMANENT}")
-    space = mat.space
+    space = shape.space
     one = Polynomial.one(space, char)
     if s == 0:
         return one
@@ -166,7 +144,7 @@ def permanent(
         acc = Polynomial.zero(space, char)
         for j in range(s):
             if mask & (1 << j):
-                var = Polynomial.variable(space, char, mat.entry(rows[k], cols[j]))
+                var = Polynomial.variable(space, char, shape.entry_index(rows[k], cols[j]))
                 acc = acc + var * dp[mask ^ (1 << j)]
         dp[mask] = acc
     return dp[(1 << s) - 1]
@@ -214,14 +192,13 @@ def _is_known_complete_intersection(shape: MatrixShape, t: int) -> bool:
     return False
 
 
-def permanental_generators(mat: SymbolicMatrix, t: int, char: int) -> IdealPresentation:
+def permanental_generators(shape: MatrixShape, t: int, char: int) -> IdealPresentation:
     """Permanents of all t x t submatrices, as deduplicated polynomials.
 
     For symmetric and Hankel matrices distinct row/column selections can give
     equal polynomials; only the first occurrence is kept as a generator and
     later ones are recorded in `duplicates`.
     """
-    shape = mat.shape
     if not (1 <= t <= min(shape.nrows, shape.ncols)):
         raise ValueError(f"t = {t} out of range for {shape.spec_string()}")
     gens = []
@@ -229,7 +206,7 @@ def permanental_generators(mat: SymbolicMatrix, t: int, char: int) -> IdealPrese
     duplicates = []
     for rows in itertools.combinations(range(shape.nrows), t):
         for cols in itertools.combinations(range(shape.ncols), t):
-            poly = permanent(mat, rows, cols, char=char)
+            poly = permanent(shape, rows, cols, char=char)
             key = tuple(sorted(poly.items()))
             if key in seen:
                 duplicates.append(((rows, cols), seen[key]))
@@ -254,7 +231,7 @@ def hankel_image(poly: Polynomial, shape: MatrixShape) -> Polynomial:
     """
     if shape.nrows != shape.ncols:
         raise ValueError(f"no Hankel specialization from {shape.spec_string()}")
-    if poly.space.names != shape.var_names():
+    if poly.space != shape.space:
         raise StructureError(f"polynomial is not in the variables of {shape.spec_string()}")
     n = shape.nrows
     target = MatrixShape.hankel(n)
@@ -268,4 +245,4 @@ def hankel_image(poly: Polynomial, shape: MatrixShape) -> Polynomial:
         for k, e in enumerate(mono):
             exps[image[k]] += e
         terms.append((exps, c))
-    return Polynomial(VariableSpace(target.var_names()), poly.char, terms)
+    return Polynomial(target.space, poly.char, terms)

@@ -27,8 +27,6 @@ from .shapes import (
     GENERIC,
     SYMMETRIC,
     MatrixShape,
-    SymbolicMatrix,
-    build_matrix,
     hankel_image,
     permanent,
     permanental_generators,
@@ -41,14 +39,14 @@ def _one_based(ix) -> str:
     return ",".join(str(i + 1) for i in ix)
 
 
-def _block_prime(label: str, mat: SymbolicMatrix, diagonal, antidiagonal) -> MinimalPrime:
+def _block_prime(label: str, shape: MatrixShape, diagonal, antidiagonal) -> MinimalPrime:
     """The prime of the block permanent x^u + x^w, u the product of the
     `diagonal` variables and w of the `antidiagonal` ones, plus every
     variable outside the block."""
-    u = tuple(diagonal.count(i) for i in range(mat.space.count))
-    w = tuple(antidiagonal.count(i) for i in range(mat.space.count))
-    outside = tuple(i for i in range(mat.space.count) if not u[i] + w[i])
-    return MinimalPrime(label, mat.space, outside, (u, w))
+    u = tuple(diagonal.count(i) for i in range(shape.space.count))
+    w = tuple(antidiagonal.count(i) for i in range(shape.space.count))
+    outside = tuple(i for i in range(shape.space.count) if not u[i] + w[i])
+    return MinimalPrime(label, shape.space, outside, (u, w))
 
 
 def minimal_primes_generic(m: int, n: int) -> list:
@@ -59,22 +57,22 @@ def minimal_primes_generic(m: int, n: int) -> list:
     """
     if m < 2 or n < 2:
         raise ValueError("minimal prime classification needs m, n >= 2")
-    mat = build_matrix(MatrixShape.generic(m, n))
-    e = mat.entry
+    shape = MatrixShape.generic(m, n)
+    e = shape.entry_index
     primes = []
     for rows in itertools.combinations(range(m), 2):
         for cols in itertools.combinations(range(n), 2):
             (i1, i2), (j1, j2) = rows, cols
             label = f"sub(rows {_one_based(rows)}; cols {_one_based(cols)})"
-            primes.append(_block_prime(label, mat, (e(i1, j1), e(i2, j2)), (e(i1, j2), e(i2, j1))))
+            primes.append(_block_prime(label, shape, (e(i1, j1), e(i2, j2)), (e(i1, j2), e(i2, j1))))
     if n >= 3:
         for rows in itertools.combinations(range(m), m - 1):
             gens = tuple(sorted(e(i, j) for i in rows for j in range(n)))
-            primes.append(MinimalPrime(f"rows({_one_based(rows)})", mat.space, gens))
+            primes.append(MinimalPrime(f"rows({_one_based(rows)})", shape.space, gens))
     if m >= 3:
         for cols in itertools.combinations(range(n), n - 1):
             gens = tuple(sorted(e(i, j) for j in cols for i in range(m)))
-            primes.append(MinimalPrime(f"cols({_one_based(cols)})", mat.space, gens))
+            primes.append(MinimalPrime(f"cols({_one_based(cols)})", shape.space, gens))
     return primes
 
 
@@ -82,10 +80,10 @@ def minimal_primes_symmetric(n: int) -> list:
     """All minimal primes of P_2 of a symmetric n x n matrix: one per pair u < v."""
     if n < 2:
         raise ValueError("minimal prime classification needs n >= 2")
-    mat = build_matrix(MatrixShape.symmetric(n))
-    e = mat.entry
+    shape = MatrixShape.symmetric(n)
+    e = shape.entry_index
     return [
-        _block_prime(f"pair({_one_based((u, v))})", mat, (e(u, u), e(v, v)), (e(u, v),) * 2)
+        _block_prime(f"pair({_one_based((u, v))})", shape, (e(u, u), e(v, v)), (e(u, v),) * 2)
         for u, v in itertools.combinations(range(n), 2)
     ]
 
@@ -207,17 +205,17 @@ def _report(check: str, params: dict, ok: bool, evidence: dict, t0: float):
 
 
 def _hankel_data(n: int, p: int):
-    """The Hankel objects of lemma34 and thm35: matrix, f_n, f_{n-1}, and
-    f_n^{p-1} mod m^[p].
+    """The Hankel objects of lemma34 and thm35: the variable space, f_n,
+    f_{n-1}, and f_n^{p-1} mod m^[p].
 
     The Frobenius power is held in a TruncatedAccumulator as packed keys:
     it reaches ~10^6 terms at (n, p) = (6, 7) and only ever needs nonzero
     tests, coefficient lookups, and further products with small polynomials.
     """
-    mat = build_matrix(MatrixShape.hankel(n))
-    f_n = permanent(mat, char=p)
-    f_prev = permanent(mat, rows=range(n - 1), cols=range(n - 1), char=p)
-    return mat, f_n, f_prev, TruncatedAccumulator.power(f_n, p - 1)
+    shape = MatrixShape.hankel(n)
+    f_n = permanent(shape, char=p)
+    f_prev = permanent(shape, rows=range(n - 1), cols=range(n - 1), char=p)
+    return shape.space, f_n, f_prev, TruncatedAccumulator.power(f_n, p - 1)
 
 
 def verify_hankel_monomial_absence(n: int) -> LemmaReport:
@@ -229,9 +227,8 @@ def verify_hankel_monomial_absence(n: int) -> LemmaReport:
     """
     t0 = time.perf_counter()
     params = {"shape": f"hankel:{n}", "n": n}
-    mat = build_matrix(MatrixShape.hankel(n))
     # char 3 until report schema 2 (ROADMAP item 6): perfbench/references/hankel.json pins it
-    f_n = permanent(mat, char=3)
+    f_n = permanent(MatrixShape.hankel(n), char=3)
 
     def absent(lo_idx: int, hi_idx: int, must_appear: int) -> bool:
         # no monomial supported only on {lo_idx, hi_idx} with positive
@@ -247,9 +244,9 @@ def verify_hankel_monomial_absence(n: int) -> LemmaReport:
     lower_ok = True if n == 1 else absent(n - 2, idx_zn, n - 2)
     evidence = {
         "terms": len(f_n),
-        "upper_variable": None if n == 1 else mat.space.names[n],
+        "upper_variable": None if n == 1 else f_n.space.names[n],
         "upper_ok": upper_ok,
-        "lower_variable": None if n == 1 else mat.space.names[n - 2],
+        "lower_variable": None if n == 1 else f_n.space.names[n - 2],
         "lower_ok": lower_ok,
     }
     return _report("lemma31", params, upper_ok, evidence, t0)
@@ -267,9 +264,9 @@ def verify_hankel_eisenstein(n: int) -> LemmaReport:
     params = {"shape": f"hankel:{n}", "n": n}
     if n <= 2:
         return _report("lemma32", params, True, {"small_case": True}, t0)
-    mat = build_matrix(MatrixShape.hankel(n))
     # char 3 until report schema 2 (ROADMAP item 6): perfbench/references/hankel.json pins it
-    f_n = permanent(mat, char=3)
+    f_n = permanent(MatrixShape.hankel(n), char=3)
+    v = f_n.space.count
     idx_zn = n - 1
     idx_up = n  # z_{n+1}
     coeffs: dict = {}
@@ -277,13 +274,13 @@ def verify_hankel_eisenstein(n: int) -> LemmaReport:
         i = mono[idx_zn]
         rest = tuple(0 if k == idx_zn else e for k, e in enumerate(mono))
         coeffs.setdefault(i, {})[rest] = c
-    prime_indices = [i for i in range(mat.space.count) if i not in (idx_zn, idx_up)]
-    monic = coeffs.get(n) == {(0,) * mat.space.count: 1}
+    prime_indices = [i for i in range(v) if i not in (idx_zn, idx_up)]
+    monic = coeffs.get(n) == {(0,) * v: 1}
     lower_in_prime = all(
         all(any(mono[i] for i in prime_indices) for mono in coeffs.get(i, {}))
         for i in range(n)
     )
-    predicted = [0] * mat.space.count
+    predicted = [0] * v
     predicted[0] = 1
     predicted[idx_up] = n - 1
     predicted = tuple(predicted)
@@ -311,8 +308,7 @@ def verify_hankel_product_identity(n: int, p: int) -> LemmaReport:
     """
     t0 = time.perf_counter()
     params = {"shape": f"hankel:{n}", "n": n, "p": p, "e": 1, "method": "truncated"}
-    mat, f_n, f_prev, power = _hankel_data(n, p)
-    space = mat.space
+    space, f_n, f_prev, power = _hankel_data(n, p)
     exps = [0] * space.count
     for i in range(1, n):
         exps[2 * i] += 1  # z_{2i+1}
@@ -343,8 +339,7 @@ def verify_hankel_hypersurface(n: int, p: int) -> LemmaReport:
     """
     t0 = time.perf_counter()
     params = {"shape": f"hankel:{n}", "n": n, "p": p, "e": 1, "method": "truncated"}
-    mat, f_n, f_prev, power = _hankel_data(n, p)
-    space = mat.space
+    space, f_n, f_prev, power = _hankel_data(n, p)
     diag = tuple(1 if i % 2 == 0 else 0 for i in range(space.count))
     lt = leading_term(f_n, LEX)
     lt_ok = lt == (diag, 1)
@@ -376,7 +371,7 @@ def verify_hankel_specialization_check(n: int) -> LemmaReport:
     t0 = time.perf_counter()
     params = {"shape": f"hankel:{n}", "n": n}
     # char 3 until report schema 2 (ROADMAP item 6): perfbench/references/hankel.json pins it
-    hankel = build_matrix(MatrixShape.hankel(n))
+    hankel = MatrixShape.hankel(n)
     hankel_perm = permanent(hankel, char=3)
     evidence = {}
     ok = True
@@ -384,9 +379,8 @@ def verify_hankel_specialization_check(n: int) -> LemmaReport:
         (MatrixShape.generic(n, n), (n - 1) ** 2),
         (MatrixShape.symmetric(n), (n - 1) * (n - 2) // 2),
     ):
-        source = build_matrix(shape)
-        renamed_ok = hankel_image(permanent(source, char=3), shape) == hankel_perm
-        identifications = source.space.count - hankel.space.count
+        renamed_ok = hankel_image(permanent(shape, char=3), shape) == hankel_perm
+        identifications = shape.space.count - hankel.space.count
         evidence[f"{shape.kind}_substitution_ok"] = renamed_ok
         evidence[f"{shape.kind}_identifications"] = identifications
         ok = ok and renamed_ok and identifications == expected
@@ -450,13 +444,12 @@ def verify_fpure(
     t0 = time.perf_counter()
     params = {"shape": shape.spec_string(), "m": shape.nrows, "n": shape.ncols,
               "t": t, "p": p, "e": 1, "method": method}
-    mat = build_matrix(shape)
-    gens = permanental_generators(mat, t, char=p)
+    gens = permanental_generators(shape, t, char=p)
     if method == "truncated":
         survivor = frobcheck.fedder_ci_check(gens)
     else:
         coeff = fedder_coefficient_fullsupport(gens, method=method, threads=threads)
-        survivor = ((p - 1,) * mat.space.count, coeff) if coeff else None
+        survivor = ((p - 1,) * shape.space.count, coeff) if coeff else None
     passed = survivor is not None
     evidence = {
         "generators": len(gens.generators),
@@ -464,13 +457,13 @@ def verify_fpure(
         "passed": passed,
         "survivor": None
         if survivor is None
-        else render_poly(Polynomial.monomial(mat.space, p, *survivor)),
+        else render_poly(Polynomial.monomial(shape.space, p, *survivor)),
     }
     return _report("fpure", params, passed, evidence, t0)
 
 
 def _entry_products_in_p2(
-    check: str, mat: SymbolicMatrix, p: int, exponents, degree: int
+    check: str, shape: MatrixShape, p: int, exponents, degree: int
 ) -> LemmaReport:
     """Shared body of `monomials28` / `monomials29`: every target monomial lies
     in P_2 of the generic matrix, decided by linear algebra at the degree, each
@@ -478,9 +471,9 @@ def _entry_products_in_p2(
     from .linmember import members_bounded
 
     t0 = time.perf_counter()
-    params = {"shape": mat.shape.spec_string(), "m": mat.nrows, "n": mat.ncols, "p": p}
-    gens = permanental_generators(mat, 2, char=p)
-    targets = [Polynomial.monomial(mat.space, p, e) for e in sorted(exponents)]
+    params = {"shape": shape.spec_string(), "m": shape.nrows, "n": shape.ncols, "p": p}
+    gens = permanental_generators(shape, 2, char=p)
+    targets = [Polynomial.monomial(shape.space, p, e) for e in sorted(exponents)]
     combinations = members_bounded(targets, gens.generators, degree)
     failures = [render_poly(t) for t, comb in zip(targets, combinations) if comb is None]
     evidence = {"targets": len(targets), "members": len(targets) - len(failures),
@@ -492,13 +485,13 @@ def verify_entry_triples(m: int, n: int, p: int) -> LemmaReport:
     """CLI check `monomials28`: every product of three entries from three
     distinct columns and two distinct rows (n >= 3), or the transpose
     configuration (m >= 3), lies in P_2, decided at d = 3."""
-    mat = build_matrix(MatrixShape.generic(m, n))
+    shape = MatrixShape.generic(m, n)
     exponents = set()
 
     def add(rows, cols):
-        exps = [0] * mat.space.count
+        exps = [0] * shape.space.count
         for r, c in zip(rows, cols):
-            exps[mat.entry(r, c)] += 1
+            exps[shape.entry_index(r, c)] += 1
         exponents.add(tuple(exps))
 
     if n >= 3:
@@ -511,7 +504,7 @@ def verify_entry_triples(m: int, n: int, p: int) -> LemmaReport:
             for cols in itertools.product(range(n), repeat=3):
                 if len(set(cols)) == 2:
                     add(rows, cols)
-    return _entry_products_in_p2("monomials28", mat, p, exponents, 3)
+    return _entry_products_in_p2("monomials28", shape, p, exponents, 3)
 
 
 def verify_squared_entry_triples(m: int, n: int, p: int) -> LemmaReport:
@@ -519,16 +512,16 @@ def verify_squared_entry_triples(m: int, n: int, p: int) -> LemmaReport:
     with distinct rows and distinct columns lies in P_2, at d = 4."""
     if m < 3 or n < 3:
         raise ValueError("the squared-entry products need m, n >= 3")
-    mat = build_matrix(MatrixShape.generic(m, n))
+    shape = MatrixShape.generic(m, n)
     exponents = set()
     for rows in itertools.permutations(range(m), 3):
         for cols in itertools.permutations(range(n), 3):
-            exps = [0] * mat.space.count
-            exps[mat.entry(rows[0], cols[0])] += 2
-            exps[mat.entry(rows[1], cols[1])] += 1
-            exps[mat.entry(rows[2], cols[2])] += 1
+            exps = [0] * shape.space.count
+            exps[shape.entry_index(rows[0], cols[0])] += 2
+            exps[shape.entry_index(rows[1], cols[1])] += 1
+            exps[shape.entry_index(rows[2], cols[2])] += 1
             exponents.add(tuple(exps))
-    return _entry_products_in_p2("monomials29", mat, p, exponents, 4)
+    return _entry_products_in_p2("monomials29", shape, p, exponents, 4)
 
 
 def scan_three_by_four_fpurity(p_list, method: str = "truncated", threads: int = 1) -> LemmaReport:
@@ -541,8 +534,7 @@ def scan_three_by_four_fpurity(p_list, method: str = "truncated", threads: int =
     per_p = []
     all_ok = True
     for p in p_list:
-        mat = build_matrix(MatrixShape.generic(3, 4))
-        gens = permanental_generators(mat, 3, char=p)
+        gens = permanental_generators(MatrixShape.generic(3, 4), 3, char=p)
         coeff = fedder_coefficient_fullsupport(gens, method=method, threads=threads)
         fpure = coeff != 0
         predicted = p % 6 == 1

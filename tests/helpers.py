@@ -10,15 +10,15 @@ from permcheck import linmember
 from permcheck.linmember import SizeGuardError
 
 
-def brute_permanent(mat, rows, cols, char):
+def brute_permanent(shape, rows, cols, char):
     """Permutation-sum symbolic permanent; the oracle for the DP version."""
     rows, cols = tuple(rows), tuple(cols)
-    space = mat.space
+    space = shape.space
     total = Polynomial.zero(space, char)
     for perm in itertools.permutations(range(len(cols))):
         term = Polynomial.one(space, char)
         for i, j in enumerate(perm):
-            term = term * Polynomial.variable(space, char, mat.entry(rows[i], cols[j]))
+            term = term * Polynomial.variable(space, char, shape.entry_index(rows[i], cols[j]))
         total = total + term
     return total
 

@@ -29,7 +29,6 @@ from permcheck.frobcheck import (
 from permcheck.linmember import member_bounded
 from permcheck.shapes import (
     MatrixShape,
-    build_matrix,
     permanent,
     permanental_generators,
 )
@@ -142,7 +141,7 @@ class TestCriterion6:
 
     def test_cross_check_truncated_p3(self, small_fiber_counts):
         with criterion(6, "cross-check p=3: truncated symbolic method"):
-            gens = permanental_generators(build_matrix(MatrixShape.generic(3, 4)), 3, char=3)
+            gens = permanental_generators(MatrixShape.generic(3, 4), 3, char=3)
             c_truncated = fedder_coefficient_fullsupport(gens, "truncated")
             assert c_truncated == small_fiber_counts[3] % 3 == 0
 
@@ -150,7 +149,7 @@ class TestCriterion6:
         with criterion(6, "cross-check p in {3,5}: brute-force point count"):
             for p in (3, 5):
                 gens = permanental_generators(
-                    build_matrix(MatrixShape.generic(3, 4)), 3, char=p
+                    MatrixShape.generic(3, 4), 3, char=p
                 )
                 assert count_nonvanishing(gens, p, threads=2) == small_fiber_counts[p]
 
@@ -183,9 +182,9 @@ def test_criterion_7_entry_products():
             assert verify_entry_triples(2, 3, p).verdict == "pass"
             assert verify_entry_triples(3, 3, p).verdict == "pass"
             assert verify_squared_entry_triples(3, 3, p).verdict == "pass"
-        mat = build_matrix(MatrixShape.generic(2, 3))
-        gens = permanental_generators(mat, 2, char=3)
-        absent = parse_poly("x1_1*x1_2", mat.space, 3)
+        shape = MatrixShape.generic(2, 3)
+        gens = permanental_generators(shape, 2, char=3)
+        absent = parse_poly("x1_1*x1_2", shape.space, 3)
         assert member_bounded(absent, gens.generators, 2) is None
 
 
@@ -263,16 +262,15 @@ class TestCriterion9:
                 MatrixShape.symmetric(4),
                 MatrixShape.hankel(4),
             ]
-            mats = [build_matrix(s) for s in shapes]
             for case in range(500):
-                mat = mats[case % 3]
+                shape = shapes[case % 3]
                 s = rng.randrange(1, 5)
                 rows = tuple(rng.sample(range(4), s))
                 cols = tuple(rng.sample(range(4), s))
-                symbolic = permanent(mat, rows, cols, char=5)
-                assert symbolic == brute_permanent(mat, rows, cols, 5)
-                point = tuple(rng.randrange(5) for _ in range(mat.space.count))
-                numeric = [[point[mat.entry(i, j)] for j in cols] for i in rows]
+                symbolic = permanent(shape, rows, cols, char=5)
+                assert symbolic == brute_permanent(shape, rows, cols, 5)
+                point = tuple(rng.randrange(5) for _ in range(shape.space.count))
+                numeric = [[point[shape.entry_index(i, j)] for j in cols] for i in rows]
                 assert permanent_eval(numeric, 5) == evaluate(symbolic, point)
 
     def test_point_count_coefficient_identity(self):

@@ -88,6 +88,15 @@ class TestExitCodes:
         assert out == ""
         assert "13841287201 points" in err
 
+    def test_overlong_fiber_count_is_usage_error(self, capsys):
+        # 1,019,091^2 column pairs per first column would take days
+        code, out, err = invoke(
+            capsys, "scan", "conjecture45", "--method", "fiber", "--p", "1009", "--threads", "1",
+        )
+        assert code == 1
+        assert out == ""
+        assert "fiber count at p = 1009 visits 1038546466281 column pairs" in err
+
     def test_bad_shape_is_usage_error(self, capsys):
         code, _, err = invoke(capsys, "verify", "fpure", "--shape", "cube:3", "--p", "3")
         assert code == 1
@@ -209,13 +218,13 @@ class TestGeneratorsDump:
         code, out, _ = invoke(capsys, "generators", "--shape", "generic:2x3", "--t", "2")
         assert code == 0
         from permcheck.fppoly import parse_poly
-        from permcheck.shapes import MatrixShape, build_matrix, permanental_generators
+        from permcheck.shapes import MatrixShape, permanental_generators
 
-        mat = build_matrix(MatrixShape.generic(2, 3))
-        expected = permanental_generators(mat, 2, char=3).generators
+        shape = MatrixShape.generic(2, 3)
+        expected = permanental_generators(shape, 2, char=3).generators
         lines = out.strip().splitlines()
         assert len(lines) == 3
-        parsed = [parse_poly(line, mat.space, 3) for line in lines]
+        parsed = [parse_poly(line, shape.space, 3) for line in lines]
         assert parsed == list(expected)
 
     def test_hankel_default_t(self, capsys):

@@ -196,6 +196,41 @@ class TestTextFormat:
     def test_whitespace_insignificant(self):
         assert zpoly("  z2 ^2+ z1 * z3 ") == zpoly("z2^2 + z1*z3")
 
+    # term ::= [coeff "*"] factor {"*" factor}: every "*" needs a factor after it
+    @pytest.mark.parametrize("text,position", [("z1*", 3), ("3*z1*", 5), ("z1 * + z2", 5)])
+    def test_dangling_star_refused(self, text, position):
+        with pytest.raises(ParseError, match="expected a variable name") as err:
+            zpoly(text)
+        assert err.value.position == position
+
+
+class TestConstructionGuards:
+    """Malformed spaces and terms are refused, and built values stay immutable."""
+
+    def test_duplicate_variable_names(self):
+        with pytest.raises(ValueError, match="unique"):
+            VariableSpace(("z1", "z2", "z1"))
+
+    def test_space_is_immutable(self):
+        with pytest.raises(AttributeError):
+            Z3.names = ("a", "b", "c")
+
+    def test_monomial_of_wrong_length(self):
+        with pytest.raises(StructureError, match="2 exponents, space has 3"):
+            Polynomial(Z3, 3, {(1, 0): 1})
+
+    def test_negative_exponent(self):
+        with pytest.raises(ValueError, match="negative exponent"):
+            Polynomial(Z3, 3, {(1, -1, 0): 1})
+
+    def test_polynomial_is_immutable(self):
+        with pytest.raises(AttributeError):
+            zpoly("z1").char = 5
+
+    def test_negative_power(self):
+        with pytest.raises(ValueError, match="negative power"):
+            zpoly("z1") ** -1
+
 
 class TestRandomizedLaws:
     """Ring axioms and operation identities on seeded random inputs."""

@@ -28,7 +28,6 @@ from permcheck.frobcheck import (
 from permcheck.shapes import (
     IdealPresentation,
     MatrixShape,
-    build_matrix,
     permanental_generators,
 )
 from permcheck.witnesses import (
@@ -69,19 +68,19 @@ class TestFedderCICheck:
         assert fedder_ci_check(gens) is None
 
     def test_hankel_2_passes(self):
-        mat = build_matrix(MatrixShape.hankel(2))
-        gens = permanental_generators(mat, 2, char=3)
+        shape = MatrixShape.hankel(2)
+        gens = permanental_generators(shape, 2, char=3)
         # survivor = 2 z1 z2^2 z3 + z1^2 z3^2; its graded-lex lead is z1^2 z3^2
         assert fedder_ci_check(gens) == ((2, 0, 2), 1)
 
     def test_requires_ci_tag(self):
-        mat = build_matrix(MatrixShape.generic(3, 3))
-        gens = permanental_generators(mat, 2, char=3)
+        shape = MatrixShape.generic(3, 3)
+        gens = permanental_generators(shape, 2, char=3)
         with pytest.raises(ValueError):
             fedder_ci_check(gens)
 
     def test_older_two_argument_call(self):
-        gens = permanental_generators(build_matrix(MatrixShape.hankel(2)), 2, char=3)
+        gens = permanental_generators(MatrixShape.hankel(2), 2, char=3)
         assert fedder_ci_check(gens, PrimeModulus(3)) == fedder_ci_check(gens)
         with pytest.raises(StructureError):
             fedder_ci_check(gens, PrimeModulus(5))
@@ -101,9 +100,9 @@ class TestFedderCICheck:
 
 class TestGlassbrennerWitness:
     def setup_method(self):
-        self.mat = build_matrix(MatrixShape.hankel(2))
-        self.gens = permanental_generators(self.mat, 2, char=3)
-        self.space = self.mat.space
+        self.shape = MatrixShape.hankel(2)
+        self.gens = permanental_generators(self.shape, 2, char=3)
+        self.space = self.shape.space
 
     def test_lemma_style_witness(self):
         # z1 z3 * f_2^2 = 2 (z1 z2 z3)^2 modulo cubes, by hand
@@ -163,6 +162,11 @@ class TestColonMembership:
             cert = colon_membership(f, prime)
             assert cert is not None
             assert cert.replay(f.space, 3) == f
+
+    def test_f_from_another_space_refused(self):
+        f = witness(MatrixShape.generic(2, 2), 3)
+        with pytest.raises(StructureError, match="prime's variable space"):
+            colon_membership(f, minimal_primes_generic(2, 3)[0])
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 101, 1009])
     def test_closed_form_powers_match_repeated_products(self, p):
@@ -291,14 +295,14 @@ class TestColonMembership:
 class TestPrimeContainment:
     def test_p2_generators_lie_in_every_minimal_prime(self):
         for m, n in [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)]:
-            mat = build_matrix(MatrixShape.generic(m, n))
-            p2 = permanental_generators(mat, 2, char=3)
+            shape = MatrixShape.generic(m, n)
+            p2 = permanental_generators(shape, 2, char=3)
             for prime in minimal_primes_generic(m, n):
                 for g in p2.generators:
                     assert prime_contains(prime, g)
         for n in (2, 3, 4):
-            mat = build_matrix(MatrixShape.symmetric(n))
-            p2 = permanental_generators(mat, 2, char=3)
+            shape = MatrixShape.symmetric(n)
+            p2 = permanental_generators(shape, 2, char=3)
             for prime in minimal_primes_symmetric(n):
                 for g in p2.generators:
                     assert prime_contains(prime, g)
@@ -311,10 +315,15 @@ class TestPrimeContainment:
 
 class TestFedderCoefficient:
     def test_hankel_1(self):
-        mat = build_matrix(MatrixShape.hankel(1))
-        gens = permanental_generators(mat, 1, char=3)
+        shape = MatrixShape.hankel(1)
+        gens = permanental_generators(shape, 1, char=3)
         assert fedder_coefficient_fullsupport(gens, "truncated") == 1
         assert fedder_coefficient_fullsupport(gens, "pointcount") == 1
+
+    def test_unknown_method_refused(self):
+        gens = permanental_generators(MatrixShape.hankel(1), 1, char=3)
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            fedder_coefficient_fullsupport(gens, "bogus")
 
     def test_methods_agree_on_random_ci(self):
         rng = random.Random(55)
@@ -349,8 +358,8 @@ class TestFedderCoefficient:
                     assert c1 == c2
 
     def test_generic_3x4_p3_all_methods_agree(self):
-        mat = build_matrix(MatrixShape.generic(3, 4))
-        gens = permanental_generators(mat, 3, char=3)
+        shape = MatrixShape.generic(3, 4)
+        gens = permanental_generators(shape, 3, char=3)
         values = {
             method: fedder_coefficient_fullsupport(gens, method)
             for method in ("truncated", "pointcount", "fiber")
@@ -364,8 +373,8 @@ class TestFedderCoefficient:
             fedder_coefficient_fullsupport(gens)
 
     def test_fiber_refused_off_shape(self):
-        mat = build_matrix(MatrixShape.generic(2, 3))
-        gens = permanental_generators(mat, 2, char=3)
+        shape = MatrixShape.generic(2, 3)
+        gens = permanental_generators(shape, 2, char=3)
         with pytest.raises(ValueError):
             fedder_coefficient_fullsupport(gens, "fiber")
 
@@ -402,8 +411,8 @@ class TestFiberEngine:
 
     def test_count_matches_pointcount(self):
         for p in (3,):
-            mat = build_matrix(MatrixShape.generic(3, 4))
-            gens = permanental_generators(mat, 3, char=p)
+            shape = MatrixShape.generic(3, 4)
+            gens = permanental_generators(shape, 3, char=p)
             assert fiber_count_3x4(p) == count_nonvanishing(gens, p, threads=2)
 
     @pytest.mark.parametrize("p", [3, 5, 7])
@@ -433,6 +442,22 @@ class TestFiberEngine:
         # (p-1)^2 unit scalings in the oracle's p^6 blocks
         for column, hi in [((1, 1, 1), p * p + p + 1), ((1, 1, 0), p * p + p), ((1, 0, 0), p * p)]:
             assert unreduced_blocks[p][hi] == (p - 1) ** 2 * _projective_class_count(p, column)
+
+    def test_pair_bound_refuses_before_the_first_pass(self, monkeypatch):
+        pairs = 31**2  # p = 5: 31 projective points for each of columns 2 and 3
+        monkeypatch.setattr(frobcheck, "MAX_FIBER_PAIRS", pairs)
+        assert fiber_count_3x4(5) > 0
+        monkeypatch.setattr(frobcheck, "MAX_FIBER_PAIRS", pairs - 1)
+        monkeypatch.setattr(frobcheck, "_projective_class_count", None)
+        with pytest.raises(ValueError, match="visits 961 column pairs"):
+            fiber_count_3x4(5)
+
+    def test_pair_bound_admits_the_pinned_primes(self):
+        # tier-1 runs p <= 37 and the closed-form scan needs p <= 53;
+        # p = 1009 would run for days
+        assert (53**2 + 53 + 1) ** 2 <= frobcheck.MAX_FIBER_PAIRS
+        with pytest.raises(ValueError, match="more than"):
+            fiber_count_3x4(1009)
 
     def test_passes_do_not_change_the_count(self, monkeypatch):
         # 7 pairs per pass splits p = 5's 31^2 pairs into 138 passes
@@ -540,7 +565,7 @@ class TestPointCount:
     @pytest.mark.parametrize("m, n, t, p", [(2, 3, 2, 5), (3, 3, 3, 3)])
     def test_table_guard_counts_the_built_entries(self, monkeypatch, m, n, t, p):
         # v = 6 splits evenly, v = 9 has the larger hi half
-        gens = permanental_generators(build_matrix(MatrixShape.generic(m, n)), t, char=p)
+        gens = permanental_generators(MatrixShape.generic(m, n), t, char=p)
         v = gens.space.count
         entries = sum(len(g) for g in gens.generators) * (p ** (v - v // 2) + p ** (v // 2))
         expected = count_nonvanishing(gens, p)
@@ -557,7 +582,7 @@ class TestPointCount:
 
     @pytest.mark.parametrize("m, n, t, p", [(2, 3, 2, 5), (3, 3, 3, 3)])
     def test_point_guard_counts_the_visited_points(self, monkeypatch, m, n, t, p):
-        gens = permanental_generators(build_matrix(MatrixShape.generic(m, n)), t, char=p)
+        gens = permanental_generators(MatrixShape.generic(m, n), t, char=p)
         points = p**gens.space.count
         expected = count_nonvanishing(gens, p)
         monkeypatch.setattr(frobcheck, "MAX_POINTCOUNT_POINTS", points)

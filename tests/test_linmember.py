@@ -18,7 +18,7 @@ from permcheck.linmember import (
     members_bounded,
     term_table,
 )
-from permcheck.shapes import MatrixShape, build_matrix, permanental_generators
+from permcheck.shapes import MatrixShape, permanental_generators
 from permcheck.witnesses import minimal_primes_generic, witness
 from helpers import (
     member_bounded_single,
@@ -78,26 +78,26 @@ class TestGaussianSolve:
 
 class TestMemberBounded:
     def setup_method(self):
-        self.mat23 = build_matrix(MatrixShape.generic(2, 3))
-        self.gens23 = permanental_generators(self.mat23, 2, char=3)
+        self.shape23 = MatrixShape.generic(2, 3)
+        self.gens23 = permanental_generators(self.shape23, 2, char=3)
 
     def test_entry_triple_member(self):
-        target = parse_poly("x1_1*x1_2*x2_3", self.mat23.space, 3)
+        target = parse_poly("x1_1*x1_2*x2_3", self.shape23.space, 3)
         comb = member_bounded(target, self.gens23.generators, 3)
         assert comb is not None
-        total = Polynomial.zero(self.mat23.space, 3)
+        total = Polynomial.zero(self.shape23.space, 3)
         for gi, h in comb.items():
             total = total + h * self.gens23.generators[gi]
         assert total == target
 
     def test_squared_entry_member(self):
-        mat = build_matrix(MatrixShape.generic(3, 3))
-        gens = permanental_generators(mat, 2, char=5)
-        target = parse_poly("x1_1^2*x2_2*x3_3", mat.space, 5)
+        shape = MatrixShape.generic(3, 3)
+        gens = permanental_generators(shape, 2, char=5)
+        target = parse_poly("x1_1^2*x2_2*x3_3", shape.space, 5)
         assert member_bounded(target, gens.generators, 4) is not None
 
     def test_degree_two_absence_matches_brute_force(self):
-        target = parse_poly("x1_1*x1_2", self.mat23.space, 3)
+        target = parse_poly("x1_1*x1_2", self.shape23.space, 3)
         assert member_bounded(target, self.gens23.generators, 2) is None
         # independent oracle: all F_3-combinations of the three generators
         found = False
@@ -111,7 +111,7 @@ class TestMemberBounded:
 
     def test_random_combinations_are_members(self):
         rng = random.Random(31)
-        space = self.mat23.space
+        space = self.shape23.space
 
         def random_linear():
             terms = {(0,) * space.count: rng.randrange(3)}
@@ -135,7 +135,7 @@ class TestMemberBounded:
             assert member_bounded(target, self.gens23.generators, bound + 1) is not None
 
     def test_size_guard(self, monkeypatch):
-        target = parse_poly("x1_1*x1_2*x2_3", self.mat23.space, 3)
+        target = parse_poly("x1_1*x1_2*x2_3", self.shape23.space, 3)
         monkeypatch.setattr(linmember, "MAX_MATRIX_ENTRIES", 2)
         with pytest.raises(SizeGuardError) as err:
             member_bounded(target, self.gens23.generators, 3)
@@ -143,7 +143,7 @@ class TestMemberBounded:
         assert f"{err.value.rows} rows x {err.value.cols} columns" in str(err.value)
 
     def test_target_degree_above_bound_rejected(self):
-        target = parse_poly("x1_1*x1_2*x2_3", self.mat23.space, 3)
+        target = parse_poly("x1_1*x1_2*x2_3", self.shape23.space, 3)
         with pytest.raises(ValueError):
             member_bounded(target, self.gens23.generators, 2)
 
@@ -162,19 +162,19 @@ class TestMemberBounded:
             assert member_bounded(one, tuple(gens), 0) is None
 
 
-MAT23 = build_matrix(MatrixShape.generic(2, 3))
-GENS23 = permanental_generators(MAT23, 2, char=3).generators
+SHAPE23 = MatrixShape.generic(2, 3)
+GENS23 = permanental_generators(SHAPE23, 2, char=3).generators
 
 
 def _poly(text):
-    return parse_poly(text, MAT23.space, 3)
+    return parse_poly(text, SHAPE23.space, 3)
 
 
 @st.composite
 def membership_batches(draw):
     """Generators of P_2 for the generic 2x3 matrix (one of them made
     non-homogeneous half the time), a degree bound, and a target list."""
-    space, p, v = MAT23.space, 3, MAT23.space.count
+    space, p, v = SHAPE23.space, 3, SHAPE23.space.count
     gens = list(GENS23)
     if draw(st.booleans()):
         gens[0] = gens[0] + _poly("x1_1")
@@ -215,7 +215,7 @@ class TestMembersBounded:
             oracle = member_bounded_single(target, gens, bound)
             assert (comb is None) == (oracle is None)
             if comb is not None:
-                total = Polynomial.zero(MAT23.space, 3)
+                total = Polynomial.zero(SHAPE23.space, 3)
                 for gi, h in comb.items():
                     total = total + h * gens[gi]
                 assert total == target
@@ -247,6 +247,18 @@ class TestMembersBounded:
 
     def test_empty_target_list(self):
         assert members_bounded([], GENS23, 3) == []
+
+    def test_zero_generator_refused(self):
+        with pytest.raises(ValueError, match="generators must be nonzero"):
+            members_bounded([_poly("x1_1")], (GENS23[0], _poly("0")), 2)
+
+    def test_wrong_solution_fails_the_remultiplication(self, monkeypatch):
+        # a member target, and a solver that returns a solution of nothing:
+        # the combination is checked by multiplying out, not taken on trust
+        target = _poly("x1_1*x1_2*x2_3")
+        monkeypatch.setattr(linmember, "gaussian_solve", lambda system: [1] * len(system.col_labels))
+        with pytest.raises(RuntimeError, match="does not re-multiply"):
+            members_bounded([target], GENS23, 3)
 
     def test_size_guard_refuses_a_closure_as_it_grows(self, monkeypatch):
         target = _poly("x1_1*x1_2*x2_3")

@@ -1,4 +1,4 @@
-"""Symbolic matrices, permanents, and permanental generators."""
+"""Matrix shapes, symbolic permanents, and permanental generators."""
 
 import itertools
 import math
@@ -7,11 +7,10 @@ import random
 import pytest
 
 from permcheck import shapes
-from permcheck.fppoly import Polynomial, StructureError, VariableSpace, parse_poly
+from permcheck.fppoly import Polynomial, StructureError, parse_poly
 from permcheck.shapes import (
+    IdealPresentation,
     MatrixShape,
-    SymbolicMatrix,
-    build_matrix,
     hankel_image,
     parse_shape,
     permanent,
@@ -38,28 +37,31 @@ ALL_SMALL_SHAPES = [
 ]
 
 
-class TestBuildMatrix:
+def entry_names(shape):
+    return [
+        [shape.space.names[shape.entry_index(i, j)] for j in range(shape.ncols)]
+        for i in range(shape.nrows)
+    ]
+
+
+class TestMatrixShape:
     def test_hankel_2(self):
-        mat = build_matrix(MatrixShape.hankel(2))
-        names = [[mat.entry_name(i, j) for j in range(2)] for i in range(2)]
-        assert names == [["z1", "z2"], ["z2", "z3"]]
+        assert entry_names(MatrixShape.hankel(2)) == [["z1", "z2"], ["z2", "z3"]]
 
     def test_symmetric_2(self):
-        mat = build_matrix(MatrixShape.symmetric(2))
-        names = [[mat.entry_name(i, j) for j in range(2)] for i in range(2)]
-        assert names == [["y1_1", "y1_2"], ["y1_2", "y2_2"]]
+        assert entry_names(MatrixShape.symmetric(2)) == [["y1_1", "y1_2"], ["y1_2", "y2_2"]]
 
     def test_generic_2x3_all_distinct(self):
-        mat = build_matrix(MatrixShape.generic(2, 3))
-        entries = {mat.entry(i, j) for i in range(2) for j in range(3)}
+        shape = MatrixShape.generic(2, 3)
+        entries = {shape.entry_index(i, j) for i in range(2) for j in range(3)}
         assert len(entries) == 6
-        assert mat.space.count == 6
+        assert shape.space.count == 6
 
     def test_hankel_antidiagonal_constraint(self):
-        mat = build_matrix(MatrixShape.hankel(4))
+        shape = MatrixShape.hankel(4)
         for i, j in itertools.product(range(4), repeat=2):
             for k in range(j - i + 1):
-                assert mat.entry(i, j) == mat.entry(i + k, j - k)
+                assert shape.entry_index(i, j) == shape.entry_index(i + k, j - k)
 
     def test_zero_dimension_rejected(self):
         with pytest.raises(ValueError):
@@ -68,6 +70,22 @@ class TestBuildMatrix:
     def test_non_square_symmetric_rejected(self):
         with pytest.raises(ValueError):
             MatrixShape("symmetric", 2, 3)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown shape kind 'square'"):
+            MatrixShape("square", 2, 2)
+
+    def test_entry_out_of_range(self):
+        with pytest.raises(IndexError, match=r"entry \(2, 0\) out of range"):
+            MatrixShape.generic(2, 3).entry_index(2, 0)
+
+    def test_space_is_built_once_and_only_on_use(self):
+        # 10^10 names could not be held: a shape this large must stay cheap
+        huge = MatrixShape.generic(100000, 100000)
+        assert "space" not in vars(huge)
+        shape = MatrixShape.hankel(3)
+        assert shape.space is shape.space
+        assert shape.space.names == shape.var_names() == ("z1", "z2", "z3", "z4", "z5")
 
 
 class TestParseShape:
@@ -92,79 +110,87 @@ class TestParseShape:
 
 class TestSymbolicPermanent:
     def test_hankel_2(self):
-        mat = build_matrix(MatrixShape.hankel(2))
-        assert permanent(mat, char=3) == parse_poly("z2^2 + z1*z3", mat.space, 3)
+        shape = MatrixShape.hankel(2)
+        assert permanent(shape, char=3) == parse_poly("z2^2 + z1*z3", shape.space, 3)
 
     def test_one_by_one(self):
-        mat = build_matrix(MatrixShape.hankel(1))
-        assert permanent(mat, char=3) == Polynomial.variable(mat.space, 3, 0)
+        shape = MatrixShape.hankel(1)
+        assert permanent(shape, char=3) == Polynomial.variable(shape.space, 3, 0)
 
     def test_empty_selection_is_one(self):
-        mat = build_matrix(MatrixShape.hankel(2))
-        assert permanent(mat, rows=(), cols=(), char=3) == Polynomial.one(mat.space, 3)
+        shape = MatrixShape.hankel(2)
+        assert permanent(shape, rows=(), cols=(), char=3) == Polynomial.one(shape.space, 3)
 
     def test_oversized_selection_refused_before_the_dp(self, monkeypatch):
-        mat = build_matrix(MatrixShape.generic(9, 9))
+        shape = MatrixShape.generic(9, 9)
         # the DP's first step is Polynomial.one: reaching it fails with AttributeError
         monkeypatch.setattr(shapes, "Polynomial", None)
         with pytest.raises(ValueError, match="size 9 exceeds limit 8"):
-            permanent(mat, char=3)
+            permanent(shape, char=3)
 
-    def test_repeated_variable_gives_factorial(self):
-        space = VariableSpace(("x",))
-        shape = MatrixShape.generic(4, 4)
-        entries = tuple(tuple(0 for _ in range(4)) for _ in range(4))
-        mat = SymbolicMatrix(shape, space, entries)
-        assert permanent(mat, char=7) == Polynomial.monomial(space, 7, (4,), math.factorial(4) % 7)
+    def test_all_ones_point_gives_factorial(self):
+        # each of the n! permutations adds 1 at the all-ones point, also where
+        # repeated variables (symmetric, Hankel) collect terms in the DP
+        for n in range(1, 6):
+            for shape in (MatrixShape.generic(n, n), MatrixShape.symmetric(n), MatrixShape.hankel(n)):
+                poly = permanent(shape, char=10007)
+                assert evaluate(poly, (1,) * shape.space.count) == math.factorial(n), shape
 
     def test_matches_brute_force_all_shapes(self):
         for shape in ALL_SMALL_SHAPES:
-            mat = build_matrix(shape)
             for s in range(1, min(shape.nrows, shape.ncols, 4) + 1):
                 rows = tuple(range(s))
                 cols = tuple(range(shape.ncols - s, shape.ncols))
-                assert permanent(mat, rows, cols, char=5) == brute_permanent(
-                    mat, rows, cols, 5
+                assert permanent(shape, rows, cols, char=5) == brute_permanent(
+                    shape, rows, cols, 5
                 )
 
     def test_row_and_column_permutation_invariance(self):
         rng = random.Random(3)
         for shape in ALL_SMALL_SHAPES:
-            mat = build_matrix(shape)
             s = min(shape.nrows, shape.ncols, 4)
             rows = tuple(rng.sample(range(shape.nrows), s))
             cols = tuple(rng.sample(range(shape.ncols), s))
-            base = permanent(mat, rows, cols, char=5)
+            base = permanent(shape, rows, cols, char=5)
             for _ in range(3):
                 pr = tuple(rng.sample(rows, s))
                 pc = tuple(rng.sample(cols, s))
-                assert permanent(mat, pr, pc, char=5) == base
+                assert permanent(shape, pr, pc, char=5) == base
 
     def test_transpose_invariance(self):
-        # permanent of the transposed selection equals the original
+        # perm(A) = perm(A^T): the generic DP against the permutation sum of
+        # the transposed selection; a symmetric or Hankel matrix is its own
+        # transpose, so swapping rows and columns keeps its permanents
         rng = random.Random(4)
-        mat = build_matrix(MatrixShape.generic(4, 4))
-        transposed = SymbolicMatrix(
-            mat.shape,
-            mat.space,
-            tuple(tuple(mat.entry(j, i) for j in range(4)) for i in range(4)),
-        )
+        generic = MatrixShape.generic(4, 4)
+        space = generic.space
         for s in (2, 3, 4):
             rows = tuple(rng.sample(range(4), s))
             cols = tuple(rng.sample(range(4), s))
-            assert permanent(mat, rows, cols, char=5) == permanent(
-                transposed, cols, rows, char=5
-            )
+            transposed = Polynomial.zero(space, 5)
+            for perm in itertools.permutations(range(s)):
+                term = Polynomial.one(space, 5)
+                for a in range(s):  # row a of A^T is column cols[a] of A
+                    term = term * Polynomial.variable(
+                        space, 5, generic.entry_index(rows[perm[a]], cols[a])
+                    )
+                transposed = transposed + term
+            assert permanent(generic, rows, cols, char=5) == transposed
+        for shape in (MatrixShape.symmetric(4), MatrixShape.hankel(4)):
+            for s in (2, 3, 4):
+                rows = tuple(rng.sample(range(4), s))
+                cols = tuple(rng.sample(range(4), s))
+                assert permanent(shape, rows, cols, char=5) == permanent(shape, cols, rows, char=5)
 
     def test_size_limit(self):
-        mat = build_matrix(MatrixShape.generic(9, 9))
+        shape = MatrixShape.generic(9, 9)
         with pytest.raises(ValueError):
-            permanent(mat, char=3)
+            permanent(shape, char=3)
 
     def test_non_square_selection(self):
-        mat = build_matrix(MatrixShape.generic(2, 3))
+        shape = MatrixShape.generic(2, 3)
         with pytest.raises(ValueError):
-            permanent(mat, rows=(0,), cols=(0, 1), char=3)
+            permanent(shape, rows=(0,), cols=(0, 1), char=3)
 
 
 class TestNumericPermanent:
@@ -188,13 +214,12 @@ class TestNumericPermanent:
     def test_matches_symbolic_evaluation(self):
         rng = random.Random(10)
         for shape in ALL_SMALL_SHAPES:
-            mat = build_matrix(shape)
             s = min(shape.nrows, shape.ncols, 4)
             rows, cols = tuple(range(s)), tuple(range(s))
-            poly = permanent(mat, rows, cols, char=7)
+            poly = permanent(shape, rows, cols, char=7)
             for _ in range(10):
-                point = random_point(rng, mat.space, 7)
-                numeric = [[point[mat.entry(i, j)] for j in cols] for i in rows]
+                point = random_point(rng, shape.space, 7)
+                numeric = [[point[shape.entry_index(i, j)] for j in cols] for i in rows]
                 assert permanent_eval(numeric, 7) == evaluate(poly, point)
 
     def test_row_scaling_multilinearity(self):
@@ -212,87 +237,92 @@ class TestNumericPermanent:
 
 class TestPermanentalGenerators:
     def test_generic_2x2_single(self):
-        mat = build_matrix(MatrixShape.generic(2, 2))
-        gens = permanental_generators(mat, 2, char=3)
+        shape = MatrixShape.generic(2, 2)
+        gens = permanental_generators(shape, 2, char=3)
         assert len(gens.generators) == 1
-        assert gens.generators[0] == parse_poly("x1_1*x2_2 + x1_2*x2_1", mat.space, 3)
+        assert gens.generators[0] == parse_poly("x1_1*x2_2 + x1_2*x2_1", shape.space, 3)
         assert gens.complete_intersection  # square hypersurface
 
     def test_generic_counts_t2(self):
         for m, n in [(2, 3), (3, 3), (3, 4), (4, 4)]:
-            mat = build_matrix(MatrixShape.generic(m, n))
-            gens = permanental_generators(mat, 2, char=3)
+            shape = MatrixShape.generic(m, n)
+            gens = permanental_generators(shape, 2, char=3)
             assert len(gens.generators) == math.comb(m, 2) * math.comb(n, 2)
 
     def test_generic_3x4_t3_complete_intersection(self):
-        mat = build_matrix(MatrixShape.generic(3, 4))
-        gens = permanental_generators(mat, 3, char=3)
+        shape = MatrixShape.generic(3, 4)
+        gens = permanental_generators(shape, 3, char=3)
         assert len(gens.generators) == 4
         assert gens.complete_intersection
 
     def test_generic_2x3_t2_complete_intersection(self):
-        mat = build_matrix(MatrixShape.generic(2, 3))
-        gens = permanental_generators(mat, 2, char=3)
+        shape = MatrixShape.generic(2, 3)
+        gens = permanental_generators(shape, 2, char=3)
         assert len(gens.generators) == 3
         assert gens.complete_intersection
 
     def test_generic_3x3_t2_unstructured(self):
-        mat = build_matrix(MatrixShape.generic(3, 3))
-        assert not permanental_generators(mat, 2, char=3).complete_intersection
+        shape = MatrixShape.generic(3, 3)
+        assert not permanental_generators(shape, 2, char=3).complete_intersection
 
     def test_hankel_square_is_hypersurface(self):
         for n in (1, 2, 3, 4):
-            mat = build_matrix(MatrixShape.hankel(n))
-            gens = permanental_generators(mat, n, char=3)
+            shape = MatrixShape.hankel(n)
+            gens = permanental_generators(shape, n, char=3)
             assert len(gens.generators) == 1
             assert gens.complete_intersection
 
     def test_symmetric_duplicates_reported(self):
-        mat = build_matrix(MatrixShape.symmetric(3))
-        gens = permanental_generators(mat, 2, char=3)
+        shape = MatrixShape.symmetric(3)
+        gens = permanental_generators(shape, 2, char=3)
         assert len(gens.generators) == 6
         assert len(gens.duplicates) == 3
         # every duplicate names an earlier selection with an equal polynomial
         for (rows, cols), (first_rows, first_cols) in gens.duplicates:
-            dup = permanent(mat, rows, cols, char=3)
-            first = permanent(mat, first_rows, first_cols, char=3)
+            dup = permanent(shape, rows, cols, char=3)
+            first = permanent(shape, first_rows, first_cols, char=3)
             assert dup == first
 
     def test_hankel_duplicates(self):
-        mat = build_matrix(MatrixShape.hankel(3))
-        gens = permanental_generators(mat, 2, char=3)
+        shape = MatrixShape.hankel(3)
+        gens = permanental_generators(shape, 2, char=3)
         assert len(gens.generators) + len(gens.duplicates) == 9
 
     def test_t_out_of_range(self):
-        mat = build_matrix(MatrixShape.generic(2, 3))
+        shape = MatrixShape.generic(2, 3)
         with pytest.raises(ValueError):
-            permanental_generators(mat, 3, char=3)
+            permanental_generators(shape, 3, char=3)
+
+    def test_zero_generator_refused(self):
+        one = Polynomial.one(MatrixShape.hankel(2).space, 3)
+        with pytest.raises(ValueError, match="generators must be nonzero"):
+            IdealPresentation((one, one - one))
 
 
 class TestHankelSpecialization:
-    HANKEL2 = build_matrix(MatrixShape.hankel(2)).space
+    HANKEL2 = MatrixShape.hankel(2).space
 
     def test_generic_to_hankel(self):
         shape = MatrixShape.generic(2, 2)
-        perm = parse_poly("x1_1*x2_2 + x1_2*x2_1", build_matrix(shape).space, 3)
+        perm = parse_poly("x1_1*x2_2 + x1_2*x2_1", shape.space, 3)
         assert hankel_image(perm, shape) == parse_poly("z1*z3 + z2^2", self.HANKEL2, 3)
 
     def test_symmetric_to_hankel(self):
         shape = MatrixShape.symmetric(3)
-        f = parse_poly("y1_3*y2_2 + 2*y2_2^2 + y3_3", build_matrix(shape).space, 5)
-        z5 = build_matrix(MatrixShape.hankel(3)).space
+        f = parse_poly("y1_3*y2_2 + 2*y2_2^2 + y3_3", shape.space, 5)
+        z5 = MatrixShape.hankel(3).space
         assert hankel_image(f, shape) == parse_poly("3*z3^2 + z5", z5, 5)
 
     def test_colliding_terms_cancel_mod_p(self):
         # x1_2 and x2_1 both become z2, and 1 + 2 = 0 at p = 3
         shape = MatrixShape.generic(2, 2)
-        f = parse_poly("x1_2^2 + 2*x1_2*x2_1", build_matrix(shape).space, 3)
+        f = parse_poly("x1_2^2 + 2*x1_2*x2_1", shape.space, 3)
         assert hankel_image(f, shape) == Polynomial.zero(self.HANKEL2, 3)
 
     def test_perm_match_n2(self):
-        hankel = permanent(build_matrix(MatrixShape.hankel(2)), char=3)
+        hankel = permanent(MatrixShape.hankel(2), char=3)
         for shape in (MatrixShape.generic(2, 2), MatrixShape.symmetric(2)):
-            assert hankel_image(permanent(build_matrix(shape), char=3), shape) == hankel
+            assert hankel_image(permanent(shape, char=3), shape) == hankel
 
     def test_identification_counts(self):
         # variables merged away: source count minus Hankel count, as thm36 reports
@@ -304,10 +334,9 @@ class TestHankelSpecialization:
     def test_generator_sets_map_onto_hankel(self):
         for n in (2, 3):
             shape = MatrixShape.generic(n, n)
-            generic = build_matrix(shape)
-            hankel = build_matrix(MatrixShape.hankel(n))
+            hankel = MatrixShape.hankel(n)
             for t in range(1, n + 1):
-                g_gens = permanental_generators(generic, t, char=3)
+                g_gens = permanental_generators(shape, t, char=3)
                 h_gens = permanental_generators(hankel, t, char=3)
                 mapped = {
                     tuple(sorted(hankel_image(g, shape).items())) for g in g_gens.generators
@@ -318,7 +347,7 @@ class TestHankelSpecialization:
     def test_non_square_shape_refused(self):
         shape = MatrixShape.generic(2, 3)
         with pytest.raises(ValueError):
-            hankel_image(Polynomial.one(build_matrix(shape).space, 3), shape)
+            hankel_image(Polynomial.one(shape.space, 3), shape)
 
     def test_polynomial_outside_the_shape_refused(self):
         with pytest.raises(StructureError):

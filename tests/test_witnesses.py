@@ -13,7 +13,7 @@ from permcheck.fppoly import (
     parse_poly,
     truncate,
 )
-from permcheck.shapes import MatrixShape, build_matrix, permanental_generators
+from permcheck.shapes import MatrixShape, permanental_generators
 from permcheck.witnesses import (
     LemmaReport,
     _entry_products_in_p2,
@@ -143,28 +143,28 @@ class TestWitnessGeneric:
 
     def test_2x2_off_terms_carry_pth_powers(self):
         # beyond the leading product, every term has a corner exponent >= p
-        mat = build_matrix(MatrixShape.generic(2, 2))
+        shape = MatrixShape.generic(2, 2)
         p = 3
         f = witness(MatrixShape.generic(2, 2), p)
         g = Polynomial.monomial(f.space, p, (p - 1,) * 4)
-        a, d = mat.entry(0, 0), mat.entry(1, 1)
+        a, d = shape.entry_index(0, 0), shape.entry_index(1, 1)
         for mono, _ in (f - g).items():
             assert mono[a] >= p or mono[d] >= p
 
     def test_construction_matches_polynomial_formula(self):
         for (m, n, p) in [(2, 2, 3), (2, 3, 3), (2, 2, 5), (3, 3, 3)]:
-            mat = build_matrix(MatrixShape.generic(m, n))
-            space = mat.space
+            shape = MatrixShape.generic(m, n)
+            space = shape.space
             var = lambda i: Polynomial.variable(space, p, i)
             total = Polynomial.monomial(space, p, (p - 1,) * space.count)
             for rows in itertools.combinations(range(m), 2):
                 for cols in itertools.combinations(range(n), 2):
-                    a = var(mat.entry(rows[0], cols[0]))
-                    b = var(mat.entry(rows[0], cols[1]))
-                    c = var(mat.entry(rows[1], cols[0]))
-                    d = var(mat.entry(rows[1], cols[1]))
+                    a = var(shape.entry_index(rows[0], cols[0]))
+                    b = var(shape.entry_index(rows[0], cols[1]))
+                    c = var(shape.entry_index(rows[1], cols[0]))
+                    d = var(shape.entry_index(rows[1], cols[1]))
                     inner = {
-                        mat.entry(r, cc) for r in rows for cc in cols
+                        shape.entry_index(r, cc) for r in rows for cc in cols
                     }
                     outside = Polynomial.monomial(
                         space, p, [0 if i in inner else p - 1 for i in range(space.count)]
@@ -178,14 +178,14 @@ class TestWitnessGeneric:
     def test_per_pair_exact_identity(self):
         # g + f_w = (ad)^{p-1} (prod outside x^{p-1}) (ad + bc)^{p-1}
         for (m, n, p) in [(2, 2, 3), (2, 3, 3), (2, 2, 5), (3, 3, 5)]:
-            mat = build_matrix(MatrixShape.generic(m, n))
-            space = mat.space
+            shape = MatrixShape.generic(m, n)
+            space = shape.space
             var = lambda i: Polynomial.variable(space, p, i)
             g = Polynomial.monomial(space, p, (p - 1,) * space.count)
             rows, cols = (0, 1), (0, 1)
-            a, b = var(mat.entry(0, 0)), var(mat.entry(0, 1))
-            c, d = var(mat.entry(1, 0)), var(mat.entry(1, 1))
-            inner = {mat.entry(r, cc) for r in rows for cc in cols}
+            a, b = var(shape.entry_index(0, 0)), var(shape.entry_index(0, 1))
+            c, d = var(shape.entry_index(1, 0)), var(shape.entry_index(1, 1))
+            inner = {shape.entry_index(r, cc) for r in rows for cc in cols}
             outside = Polynomial.monomial(
                 space, p, [0 if i in inner else p - 1 for i in range(space.count)]
             )
@@ -198,6 +198,10 @@ class TestWitnessGeneric:
     def test_p2_refused(self):
         with pytest.raises(ValueError):
             witness(MatrixShape.generic(2, 2), 2)
+
+    def test_hankel_shape_refused(self):
+        with pytest.raises(ValueError, match="generic and symmetric shapes"):
+            witness(MatrixShape.hankel(3), 3)
 
 
 class TestWitnessSize:
@@ -216,6 +220,14 @@ class TestWitnessSize:
             witness(shape, p)
 
 
+    def test_oversized_shape_is_refused_before_its_space(self):
+        # 10^10 variables: the guard reads m, n and p, never the names
+        shape = MatrixShape.generic(100000, 100000)
+        with pytest.raises(ValueError, match="exponent entries"):
+            witness(shape, 3)
+        assert "space" not in vars(shape)
+
+
 class TestWitnessSymmetric:
     def test_residue_is_signed_full_product(self):
         for n in (2, 3):
@@ -228,14 +240,14 @@ class TestWitnessSymmetric:
     def test_construction_matches_polynomial_formula(self):
         for n in (2, 3):
             for p in (3, 5, 7):
-                mat = build_matrix(MatrixShape.symmetric(n))
-                space = mat.space
+                shape = MatrixShape.symmetric(n)
+                space = shape.space
                 var = lambda i: Polynomial.variable(space, p, i)
                 sign = (-1) ** ((p - 1) // 2)
                 total = Polynomial.monomial(space, p, (p - 1,) * space.count, sign)
                 for u, v in itertools.combinations(range(n), 2):
-                    yuu, yuv, yvv = var(mat.entry(u, u)), var(mat.entry(u, v)), var(mat.entry(v, v))
-                    inner = {mat.entry(u, u), mat.entry(u, v), mat.entry(v, v)}
+                    yuu, yuv, yvv = var(shape.entry_index(u, u)), var(shape.entry_index(u, v)), var(shape.entry_index(v, v))
+                    inner = {shape.entry_index(u, u), shape.entry_index(u, v), shape.entry_index(v, v)}
                     outside = Polynomial.monomial(
                         space, p, [0 if i in inner else p - 1 for i in range(space.count)]
                     )
@@ -251,14 +263,14 @@ class TestWitnessSymmetric:
     def test_per_pair_exact_identity(self):
         # g + f_uv = (y_uu y_vv)^{(p-1)/2} (prod outside y^{p-1}) (y_uu y_vv + y_uv^2)^{p-1}
         for (n, p) in [(2, 3), (3, 3), (2, 5), (3, 5)]:
-            mat = build_matrix(MatrixShape.symmetric(n))
-            space = mat.space
+            shape = MatrixShape.symmetric(n)
+            space = shape.space
             var = lambda i: Polynomial.variable(space, p, i)
             sign = (-1) ** ((p - 1) // 2)
             g = Polynomial.monomial(space, p, (p - 1,) * space.count, sign)
             u, v = 0, 1
-            yuu, yuv, yvv = var(mat.entry(u, u)), var(mat.entry(u, v)), var(mat.entry(v, v))
-            inner = {mat.entry(u, u), mat.entry(u, v), mat.entry(v, v)}
+            yuu, yuv, yvv = var(shape.entry_index(u, u)), var(shape.entry_index(u, v)), var(shape.entry_index(v, v))
+            inner = {shape.entry_index(u, u), shape.entry_index(u, v), shape.entry_index(v, v)}
             outside = Polynomial.monomial(
                 space, p, [0 if i in inner else p - 1 for i in range(space.count)]
             )
@@ -282,6 +294,20 @@ class TestLemmaReports:
             report = verify_hankel_monomial_absence(n)
             assert report.verdict == "pass"
             assert report.evidence["lower_ok"]
+
+    def test_monomial_absence_fails_on_an_upper_term(self, monkeypatch):
+        # z3*z4 is supported on z_n, z_{n+1} for n = 3 and contains z_{n+1}
+        real = witnesses.permanent
+
+        def with_upper_term(shape, **kwargs):
+            f = real(shape, **kwargs)
+            return f + parse_poly("z3*z4", f.space, f.char)
+
+        monkeypatch.setattr(witnesses, "permanent", with_upper_term)
+        report = verify_hankel_monomial_absence(3)
+        assert report.verdict == "fail"
+        assert not report.evidence["upper_ok"]
+        assert report.evidence["lower_ok"]
 
     def test_eisenstein_grid(self):
         for n in (3, 4, 5):
@@ -318,6 +344,21 @@ class TestLemmaReports:
         for n, p in [(1, 5), (2, 3), (2, 5), (3, 3)]:
             report = verify_hankel_hypersurface(n, p)
             assert report.verdict == "pass"
+
+    def test_hypersurface_without_fregularity_witness_is_inconclusive(self, monkeypatch):
+        # (a) and (b) decide F-purity; a vanishing f_{n-1} f_n^{p-1} only
+        # leaves F-regularity open, it does not refute it
+        real = witnesses._hankel_data
+
+        def without_witness(n, p):
+            space, f_n, _, power = real(n, p)
+            return space, f_n, Polynomial.zero(space, p), power
+
+        monkeypatch.setattr(witnesses, "_hankel_data", without_witness)
+        report = verify_hankel_hypersurface(2, 3)
+        assert report.verdict == "inconclusive"
+        assert report.evidence["fregularity_witness_terms"] == 0
+        assert report.evidence["leading_term_ok"]
 
     def test_specialization_grid(self):
         for n in (1, 2, 3, 4):
@@ -376,12 +417,12 @@ class TestEntryProducts:
     def test_non_member_reported_under_failures(self):
         # the six monomials28 targets of 2x3 plus x1_1*x1_2*x2_2, which shares
         # its row with a column (x1_2 * perm) but is not in P_2 at degree 3
-        mat = build_matrix(MatrixShape.generic(2, 3))
+        shape = MatrixShape.generic(2, 3)
         members = ["x1_1*x1_2*x2_3", "x1_1*x1_3*x2_2", "x1_1*x2_2*x2_3",
                    "x1_2*x1_3*x2_1", "x1_2*x2_1*x2_3", "x1_3*x2_1*x2_2"]
-        exponents = {_exponents(parse_poly(t, mat.space, 3)) for t in members}
-        exponents.add(_exponents(parse_poly("x1_1*x1_2*x2_2", mat.space, 3)))
-        report = _entry_products_in_p2("monomials28", mat, 3, exponents, 3)
+        exponents = {_exponents(parse_poly(t, shape.space, 3)) for t in members}
+        exponents.add(_exponents(parse_poly("x1_1*x1_2*x2_2", shape.space, 3)))
+        report = _entry_products_in_p2("monomials28", shape, 3, exponents, 3)
         assert report.verdict == "fail"
         assert report.evidence == {"targets": 7, "members": 6, "failures": ["x1_1*x1_2*x2_2"]}
         assert verify_entry_triples(2, 3, 3).evidence["failures"] == []
