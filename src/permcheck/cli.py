@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import time
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 from . import __version__
 from .fppoly import check_prime
@@ -40,12 +40,16 @@ def _shape_and_t(args):
 class Check(NamedTuple):
     """A verify check: the flags it requires, the ones it may also take, and
     its runner, called as runner(args, p) once per prime when it requires
-    --p and as runner(args) otherwise.  Runners name `witnesses.<fn>` at
-    call time, so a patched module attribute is the one that runs."""
+    --p and as runner(args) otherwise.  A guard, if any, is called as
+    guard(args, p) for every prime before the first runner, so a prime the
+    check would refuse stops the job before any work.  Runners name
+    `witnesses.<fn>` at call time, so a patched module attribute is the one
+    that runs."""
 
     required: tuple
     runner: Callable
     optional: tuple = ()
+    guard: Optional[Callable] = None
 
 
 CHECKS = {
@@ -76,6 +80,7 @@ CHECKS = {
             *_shape_and_t(a), p, method=a.method, threads=a.threads
         ),
         optional=("t",),
+        guard=lambda a, p: witnesses.check_fpure(*_shape_and_t(a), p, a.method),
     ),
 }
 
@@ -165,7 +170,11 @@ def _run_verify(args) -> list:
     _take_flags(args, check.required, check.optional)
     if "p" not in check.required:
         return [check.runner(args)]
-    return [check.runner(args, p) for p in _parse_primes(args.p)]
+    primes = _parse_primes(args.p)
+    if check.guard is not None:
+        for p in primes:
+            check.guard(args, p)
+    return [check.runner(args, p) for p in primes]
 
 
 def _run_scan(args) -> list:

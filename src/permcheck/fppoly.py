@@ -11,22 +11,26 @@ exponent >= p is annihilated.  p and the variables are read from the
 operands, and operands from different spaces or characteristics are refused
 with StructureError.  Every characteristic is an odd prime below 2^31
 (`check_prime`), which the int64 kernels rely on.  Truncated products run
-on one numpy kernel over packed exponent vectors: each exponent gets a w-bit
-field with p < 2^(w-1), so the top bit of a field is a guard that flags a
-product reaching p (Monagan & Pearce, CASC 2007).  Keys are int64 while v
-fields fit 63 bits and Python ints (numpy object arrays) beyond that; the
-kernel is the same for both.  Powers are repeated products with the base.
+on packed exponent vectors: each exponent gets a w-bit field with
+p < 2^(w-1), so the top bit of a field is a guard that flags a product
+reaching p (Monagan & Pearce, CASC 2007).  A chain of products runs on a
+dict of Python-int keys until ARRAY_PAIRS term pairs in all, and on one
+numpy kernel after that, with int64 keys while v fields fit 63 bits and
+Python ints (numpy object arrays) beyond.  Powers are repeated products with
+the base.
 
 numpy is imported inside the kernel functions, so it loads on the first
-truncated product and never for code that only uses the sparse dict form.
-The kernels are element-wise and never call BLAS.  This module leaves
-OPENBLAS_NUM_THREADS alone, so an embedding program keeps its own setting;
-the command line sets it to 1 unless it is already set.
+chain that reaches ARRAY_PAIRS pairs and never for smaller truncated
+products or code that only uses the sparse dict form.  The kernels are
+element-wise and never call BLAS.  This module leaves OPENBLAS_NUM_THREADS
+alone, so an embedding program keeps its own setting; the command line sets
+it to 1 unless it is already set.
 """
 
 from __future__ import annotations
 
 import functools
+from operator import lshift
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -366,30 +370,74 @@ def _key_width(p: int) -> int:
     return p.bit_length() + 1
 
 
-def _shifts(v: int, w: int) -> np.ndarray:
-    """Bit offset of each of the v exponent fields; the first variable takes
-    the most significant one.  The dtype of these offsets is the dtype of the
-    keys: int64 when v fields fit 63 bits, Python ints (dtype=object) beyond.
+def _shifts(v: int, w: int) -> list:
+    """Bit offset of each of the v exponent fields.  The first variable takes
+    the most significant one, so key order is lex order."""
+    return [w * i for i in range(v - 1, -1, -1)]
+
+
+def _guard_and_bias(p: int, v: int, w: int) -> tuple:
+    """The top bit of every field, and 2^(w-1) - p in every field.  Adding the
+    bias to a sum of two keys sets a field's top bit exactly when that
+    exponent sum reaches p, so one add and one AND find the products that
+    truncation annihilates."""
+    unit = sum(1 << (w * i) for i in range(v))
+    return unit << (w - 1), unit * ((1 << (w - 1)) - p)
+
+
+def _pack(a: Polynomial, w: int) -> dict:
+    """{packed key: coefficient} of the terms of a that survive truncation."""
+    p, shifts = a.char, _shifts(a.space.count, w)
+    return {
+        sum(map(lshift, mono, shifts)): c
+        for mono, c in a._terms.items()
+        if max(mono, default=0) < p
+    }
+
+
+def _unpack_key(key: int, shifts: list, mask: int) -> Monomial:
+    return tuple([(key >> s) & mask for s in shifts])
+
+
+def _mul_dict(a: dict, b: dict, p: int, v: int, w: int) -> dict:
+    """Truncated product of two packed term dicts, on Python ints.
+
+    Sums are kept biased and unreduced until the end; Python ints make keys
+    of any width and sums of any size exact.
     """
+    if len(a) < len(b):
+        a, b = b, a
+    guard, bias = _guard_and_bias(p, v, w)
+    a_items = list(a.items())
+    out: dict = {}
+    get = out.get
+    for kb, cb in b.items():
+        kb += bias
+        for ka, ca in a_items:
+            k = ka + kb
+            if not k & guard:
+                out[k] = get(k, 0) + ca * cb
+    return {k - bias: c for k, c in ((k, c % p) for k, c in out.items()) if c}
+
+
+def _arrays(terms: dict, v: int, w: int):
+    """A packed term dict as sorted key and coefficient arrays.  Keys are
+    int64 while v fields fit 63 bits and Python ints (dtype=object) beyond;
+    the kernel is the same for both."""
     import numpy as np
 
-    return np.arange(v - 1, -1, -1, dtype=np.int64 if v * w <= 63 else object) * w
-
-
-def _pack(a: Polynomial, w: int):
-    """Sorted packed keys and coefficients of a truncated polynomial."""
-    import numpy as np
-
-    shifts = _shifts(a.space.count, w)
-    monos = np.array(list(a._terms), dtype=shifts.dtype).reshape(len(a), a.space.count)
-    keys = (monos << shifts).sum(axis=1)
-    coeffs = np.fromiter(a._terms.values(), dtype=np.int64, count=len(a))
-    order = np.argsort(keys)
-    return keys[order], coeffs[order]
+    keys = sorted(terms)
+    return (
+        np.array(keys, dtype=np.int64 if v * w <= 63 else object),
+        np.fromiter(map(terms.__getitem__, keys), dtype=np.int64, count=len(keys)),
+    )
 
 
 def _unpack(keys: np.ndarray, coeffs: np.ndarray, space: VariableSpace, p: int, w: int) -> Polynomial:
-    fields = (keys[:, None] >> _shifts(space.count, w)) & ((1 << w) - 1)
+    import numpy as np
+
+    shifts = np.array(_shifts(space.count, w), dtype=keys.dtype)
+    fields = (keys[:, None] >> shifts) & ((1 << w) - 1)
     terms = dict(zip(map(tuple, fields.tolist()), coeffs.tolist()))
     return Polynomial._make(space, p, terms)
 
@@ -415,19 +463,15 @@ def _mul_packed(a_keys, a_coeffs, b_keys, b_coeffs, p: int, v: int, w: int):
     """Truncated product of two packed polynomials in v variables over F_p, as
     sorted keys and coefficients.
 
-    The longer operand is shifted by each term of the shorter one.  Adding the
-    term's key plus a bias of 2^(w-1) - p in every field sets a field's guard
-    bit exactly when that exponent sum reaches p, so one add and one AND find
-    the products that truncation annihilates.  Each coefficient product is
-    reduced mod p at once, so sums over at most len(b) + 1 runs fit int64.
-    Pending slices are merged into the result as soon as they outgrow it and
-    the input together, so they never hold more than one slice beyond that.
+    The longer operand is shifted by each term of the shorter one, biased as
+    in `_guard_and_bias`.  Each coefficient product is reduced mod p at once,
+    so sums over at most len(b) + 1 runs fit int64.  Pending slices are
+    merged into the result as soon as they outgrow it and the input
+    together, so they never hold more than one slice beyond that.
     """
     if len(a_keys) < len(b_keys):
         a_keys, a_coeffs, b_keys, b_coeffs = b_keys, b_coeffs, a_keys, a_coeffs
-    unit = sum(1 << (w * i) for i in range(v))
-    guard = unit << (w - 1)
-    bias = unit * ((1 << (w - 1)) - p)
+    guard, bias = _guard_and_bias(p, v, w)
     keys, coeffs = a_keys[:0], a_coeffs[:0]
     pending_keys, pending_coeffs, pending = [], [], 0
     for term, c in zip((b_keys + bias).tolist(), b_coeffs.tolist()):
@@ -442,23 +486,44 @@ def _mul_packed(a_keys, a_coeffs, b_keys, b_coeffs, p: int, v: int, w: int):
     return _merge([keys, *pending_keys], [coeffs, *pending_coeffs], p)
 
 
-class TruncatedAccumulator:
-    """A truncated-quotient value held as sorted packed keys and coefficients.
+# A value is multiplied on Python ints while the term pairs of the products
+# that made it, this one included, stay below ARRAY_PAIRS.  The first product
+# that reaches the bound sorts the value into arrays, and every later product
+# runs on the numpy kernel.  Counting the whole chain caps the Python-int
+# work of a value near ARRAY_PAIRS pairs, about 30-50 ms, below numpy's
+# import (65-75 ms with one OpenBLAS thread); past it the kernel is 3-6x
+# faster.  Per power f^{p-1} of the Hankel permanent, pairs summed over the
+# chain, all-dict / all-numpy with numpy's import excluded, median of 3-5
+# runs on a 2-core Xeon VM with Python 3.11 and numpy 2.4:
+#   (n, p) = (4, 7):  1,075 terms,  41k pairs:   5.4 /   2.3 ms
+#   (n, p) = (5, 5):  2,696 terms, 198k pairs:  24   /   7.3 ms
+#   (n, p) = (5, 7): 29,636 terms, 3.3M pairs: 590   / 107   ms
+# A value that goes on to numpy anyway pays for that head start: f^12 at
+# (n, p) = (4, 13) took 102 ms against 61 ms on arrays alone.
+ARRAY_PAIRS = 1 << 18
 
-    Chains of products against small polynomials (Frobenius powers of a
-    permanent, say) can hold millions of terms; the accumulator keeps them
-    packed and never materializes the sparse dict form.  Its space and
-    characteristic are those of the polynomial it starts from.  Keys are int64
-    when v exponent fields fit 63 bits and Python ints otherwise; both run the
-    same kernel.
+
+class TruncatedAccumulator:
+    """A truncated-quotient value held in packed form.
+
+    Each monomial is one packed key (see `_key_width`).  A value starts as a
+    dict {key: coefficient} and is multiplied on Python ints while the term
+    pairs of its products so far stay below ARRAY_PAIRS; then it becomes
+    sorted key and coefficient arrays and stays on the numpy kernel.  Chains
+    of products against small polynomials (Frobenius powers of a permanent,
+    say) can hold millions of terms; the accumulator never materializes the
+    sparse dict form of them.  Its space and characteristic are those of the
+    polynomial it starts from.
     """
 
-    __slots__ = ("space", "char", "_width", "_keys", "_coeffs")
+    __slots__ = ("space", "char", "_width", "_pairs", "_terms", "_keys", "_coeffs")
 
     def __init__(self, poly: Polynomial):
         self.space, self.char = poly.space, poly.char
         self._width = _key_width(poly.char)
-        self._keys, self._coeffs = _pack(truncate(poly), self._width)
+        self._pairs = 0  # term pairs multiplied so far on its way to this value
+        self._terms = _pack(poly, self._width)
+        self._keys = self._coeffs = None
 
     @classmethod
     def power(cls, poly: Polynomial, k: int) -> "TruncatedAccumulator":
@@ -479,12 +544,17 @@ class TruncatedAccumulator:
     def mul_poly(self, poly: Polynomial) -> "TruncatedAccumulator":
         """Truncated product with a (typically small) sparse polynomial."""
         poly._check_compatible(self)  # reads only .space and .char
-        w = self._width
+        p, v, w = self.char, self.space.count, self._width
+        factor = _pack(poly, w)
         out = object.__new__(TruncatedAccumulator)
-        out.space, out.char, out._width = self.space, self.char, w
-        out._keys, out._coeffs = _mul_packed(
-            self._keys, self._coeffs, *_pack(truncate(poly), w), self.char, self.space.count, w
-        )
+        out.space, out.char, out._width = self.space, p, w
+        out._pairs = self._pairs + self.nnz() * len(factor)
+        out._terms = out._keys = out._coeffs = None
+        if self._terms is not None and out._pairs < ARRAY_PAIRS:
+            out._terms = _mul_dict(self._terms, factor, p, v, w)
+        else:
+            value = (self._keys, self._coeffs) if self._terms is None else _arrays(self._terms, v, w)
+            out._keys, out._coeffs = _mul_packed(*value, *_arrays(factor, v, w), p, v, w)
         return out
 
     @property
@@ -492,15 +562,17 @@ class TruncatedAccumulator:
         return self.nnz() == 0
 
     def nnz(self) -> int:
-        return len(self._keys)
+        return len(self._terms if self._terms is not None else self._keys)
 
     def coeff(self, mono) -> int:
-        import numpy as np
-
         mono = tuple(mono)
         if any(e >= self.char for e in mono):
             return 0
-        key = sum(int(e) << int(s) for e, s in zip(mono, _shifts(self.space.count, self._width)))
+        key = sum(int(e) << s for e, s in zip(mono, _shifts(self.space.count, self._width)))
+        if self._terms is not None:
+            return self._terms.get(key, 0)
+        import numpy as np
+
         i = int(np.searchsorted(self._keys, key))
         if i < len(self._keys) and self._keys[i] == key:
             return int(self._coeffs[i])
@@ -513,35 +585,38 @@ class TruncatedAccumulator:
     def leading_term(self) -> tuple:
         """The GRLEX leading (monomial, coefficient) pair of a nonzero value.
 
-        Variable 0 holds the most significant field, so key order is lex
-        order and the leading term is the largest key of top total degree.
-        Degrees are summed one field at a time, and only that key is
-        unpacked, so a survivor of millions of terms is never materialized.
+        Key order is lex order, so the leading term is the largest key of top
+        total degree.  On arrays, degrees are summed one field at a time and
+        only that key is unpacked, so a survivor of millions of terms is
+        never materialized.
         """
         if self.is_zero:
             raise ValueError("the zero value has no leading term")
+        shifts, mask = _shifts(self.space.count, self._width), (1 << self._width) - 1
+        if self._terms is not None:
+            key = max(self._terms, key=lambda k: (sum(_unpack_key(k, shifts, mask)), k))
+            return _unpack_key(key, shifts, mask), self._terms[key]
         import numpy as np
 
-        mask = (1 << self._width) - 1
-        shifts = _shifts(self.space.count, self._width).tolist()
         degree = np.zeros(len(self._keys), dtype=np.int64)
         for s in shifts:
             degree += ((self._keys >> s) & mask).astype(np.int64)
         # keys ascend, so the last one of top degree is the largest
         i = int(np.flatnonzero(degree == degree.max())[-1])
-        key = int(self._keys[i])
-        return tuple((key >> s) & mask for s in shifts), int(self._coeffs[i])
+        return _unpack_key(int(self._keys[i]), shifts, mask), int(self._coeffs[i])
 
     def to_polynomial(self) -> Polynomial:
-        return _unpack(self._keys, self._coeffs, self.space, self.char, self._width)
+        if self._terms is None:
+            return _unpack(self._keys, self._coeffs, self.space, self.char, self._width)
+        shifts, mask = _shifts(self.space.count, self._width), (1 << self._width) - 1
+        terms = {_unpack_key(k, shifts, mask): c for k, c in self._terms.items()}
+        return Polynomial._make(self.space, self.char, terms)
 
 
 def truncated_mul(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Product in the truncated quotient; equals truncate(a * b)."""
-    a._check_compatible(b)
-    p, w = a.char, _key_width(a.char)
-    product = _mul_packed(*_pack(truncate(a), w), *_pack(truncate(b), w), p, a.space.count, w)
-    return _unpack(*product, a.space, p, w)
+    """Product in the truncated quotient; equals truncate(a * b).  It runs
+    through TruncatedAccumulator, so ARRAY_PAIRS picks its kernel too."""
+    return TruncatedAccumulator(a).mul_poly(b).to_polynomial()
 
 
 def truncated_pow(a: Polynomial, k: int) -> Polynomial:

@@ -4,7 +4,8 @@ For an ideal I generated by a regular sequence with product omega, the colon
 ideal (I^[p] : I) equals (omega^{p-1}) + I^[p], so F-purity (Fedder) is
 omega^{p-1} not in m^[p], which reduces it to truncated polynomial
 arithmetic at the Frobenius power q = p, with p the characteristic of the
-generators.  The module also decides membership in (omega_P^{p-1}) + P^[p]
+generators; a squarefree leading monomial of omega decides it without any
+power.  The module also decides membership in (omega_P^{p-1}) + P^[p]
 for the minimal primes P of P_2 (variables, plus a binomial x^u + x^w on an
 inner 2x2 block unless P is generated by variables only), and computes the
 "Fedder coefficient" of a full-support ideal -- the coefficient of
@@ -18,7 +19,9 @@ columns and projective classes of the other two, in passes of bounded size,
 and is refused when those classes would pass MAX_FIBER_PAIRS column pairs.
 
 The point-count and fiber engines import numpy inside their functions, so it
-loads on their first call; colon membership never loads it.
+loads on their first call; the truncated routes load it only for a chain of
+products that reaches fppoly.ARRAY_PAIRS term pairs, and colon membership
+never.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .fppoly import (
     StructureError,
     TruncatedAccumulator,
     VariableSpace,
+    leading_term,
     mono_mul,
     truncated_mul,
 )
@@ -54,14 +58,30 @@ def _require_ci(gens: IdealPresentation, what: str):
 def fedder_ci_check(gens: IdealPresentation, p: Optional[int] = None) -> Optional[tuple]:
     """Decide F-purity of a complete intersection: omega^{p-1} != 0 mod m^[p].
 
-    Returns the surviving leading term (monomial, coefficient), or None when
-    omega^{p-1} vanishes (not F-pure).  p is gens.char.  The optional second
-    argument is the older two-argument call, still made by
+    Returns the GRLEX leading term (monomial, coefficient) of omega^{p-1} mod
+    m^[p], or None when it vanishes (not F-pure).  p is gens.char.  The
+    optional second argument is the older two-argument call, still made by
     perfbench/tests/test_tracer.py; it must equal it.
+
+    When the leading monomial LT(omega) = prod LT(g) is squarefree, that is
+    the answer and no power is taken.  GRLEX is a monomial order, so
+    LT(omega^{p-1}) = LT(omega)^{p-1}, with coefficient lc(omega)^{p-1} = 1
+    by Fermat.  Its exponents are at most p - 1, so it lies outside m^[p],
+    and truncation only removes monomials, so it stays the GRLEX maximum of
+    omega^{p-1} mod m^[p].  The generic, symmetric and Hankel n x n
+    hypersurfaces take this route at every p, so they are F-pure for every
+    p: LT(omega) is the diagonal product x_11 x_22 ... x_nn, y_11 ... y_nn
+    or z_1 z_3 ... z_{2n-1}.  Otherwise omega^{p-1} is computed.
     """
     if p is not None and p != gens.char:
         raise StructureError(f"p = {p} is not the generators' characteristic {gens.char}")
     _require_ci(gens, "the Fedder check")
+    p = gens.char
+    lead = (0,) * gens.space.count
+    for g in gens.generators:
+        lead = mono_mul(lead, leading_term(g)[0])
+    if max(lead, default=0) <= 1:
+        return tuple((p - 1) * e for e in lead), 1
     power = _omega_power(gens)
     return None if power.is_zero else power.leading_term()
 
@@ -281,8 +301,25 @@ def fedder_coefficient_fullsupport(
     the count of every other one) and projective classes of columns 2 and 3
     (column scaling fixes it too).
     """
-    _require_ci(gens, "the Fedder coefficient")
+    check_fullsupport(gens, method)
     p = gens.char
+    v = gens.space.count
+    if method == "truncated":
+        return _omega_power(gens).coeff((p - 1,) * v)
+    if method == "pointcount":
+        count = count_nonvanishing(gens, p, threads=threads)
+    else:
+        count = fiber_count_3x4(p)
+    return (-1) ** v * count % p
+
+
+def check_fullsupport(gens: IdealPresentation, method: str) -> None:
+    """Raise ValueError wherever fedder_coefficient_fullsupport(gens, method)
+    would refuse, without counting anything: not a complete intersection,
+    deg(omega) != v, an unknown method, a fiber count off the generic 3x4
+    ideal, and the size bounds of the point-count and fiber engines.  A scan
+    over several primes runs it for every prime before the first count."""
+    _require_ci(gens, "the Fedder coefficient")
     v = gens.space.count
     total_deg = sum(g.total_degree() for g in gens.generators)
     if total_deg != v:
@@ -290,13 +327,9 @@ def fedder_coefficient_fullsupport(
             f"deg(omega) = {total_deg} must equal the variable count {v} "
             "for the full-support coefficient"
         )
-    sign = 1 if v % 2 == 0 else -1
-    if method == "truncated":
-        return _omega_power(gens).coeff((p - 1,) * v)
     if method == "pointcount":
-        count = count_nonvanishing(gens, p, threads=threads)
-        return (sign * count) % p
-    if method == "fiber":
+        _check_pointcount_size(gens, gens.char)
+    elif method == "fiber":
         shape = gens.shape
         if (
             shape is None
@@ -305,9 +338,9 @@ def fedder_coefficient_fullsupport(
             or gens.t != 3
         ):
             raise ValueError("the fiber method only applies to the generic 3x4 ideal with t = 3")
-        count = fiber_count_3x4(p)
-        return (sign * count) % p
-    raise ValueError(f"unknown method {method!r}")
+        _check_fiber_size(gens.char)
+    elif method != "truncated":
+        raise ValueError(f"unknown method {method!r}")
 
 
 # -- brute-force point counting ---------------------------------------------
@@ -397,6 +430,25 @@ def _count_hi_block(tables, p, start, stop):
     return int(np.count_nonzero(alive))
 
 
+def _check_pointcount_size(gens: IdealPresentation, p: int):
+    """The table dtype of a point count at p (see `_pointcount_dtype`).
+    Refuses a count past MAX_POINTCOUNT_ENTRIES table entries or
+    MAX_POINTCOUNT_POINTS points."""
+    dtype = _pointcount_dtype(max(len(g) for g in gens.generators), p)
+    v = gens.space.count
+    entries = sum(len(g) for g in gens.generators) * (p ** (v - v // 2) + p ** (v // 2))
+    if entries > MAX_POINTCOUNT_ENTRIES:
+        raise ValueError(
+            f"point count at p = {p} needs {entries} table entries, "
+            f"more than {MAX_POINTCOUNT_ENTRIES}"
+        )
+    if p**v > MAX_POINTCOUNT_POINTS:
+        raise ValueError(
+            f"point count at p = {p} visits {p**v} points, more than {MAX_POINTCOUNT_POINTS}"
+        )
+    return dtype
+
+
 def count_nonvanishing(gens: IdealPresentation, p: int, threads: int = 1) -> int:
     """#{a in F_p^v : no generator vanishes at a}, by enumerating all p^v points.
 
@@ -412,20 +464,10 @@ def count_nonvanishing(gens: IdealPresentation, p: int, threads: int = 1) -> int
     """
     import numpy as np
 
-    dtype = _pointcount_dtype(max(len(g) for g in gens.generators), p)
+    dtype = _check_pointcount_size(gens, p)
     v = gens.space.count
     k_hi = v - v // 2
     n_hi, n_lo = p**k_hi, p ** (v // 2)
-    entries = sum(len(g) for g in gens.generators) * (n_hi + n_lo)
-    if entries > MAX_POINTCOUNT_ENTRIES:
-        raise ValueError(
-            f"point count at p = {p} needs {entries} table entries, "
-            f"more than {MAX_POINTCOUNT_ENTRIES}"
-        )
-    if p**v > MAX_POINTCOUNT_POINTS:
-        raise ValueError(
-            f"point count at p = {p} visits {p**v} points, more than {MAX_POINTCOUNT_POINTS}"
-        )
     tables = []
     for g in gens.generators:
         monos, coeffs = zip(*g.items())
@@ -553,6 +595,16 @@ def _projective_class_count(p: int, column) -> int:
     return total
 
 
+def _check_fiber_size(p: int) -> None:
+    """Refuse a fiber count past MAX_FIBER_PAIRS column pairs per first column."""
+    pairs = (p * p + p + 1) ** 2
+    if pairs > MAX_FIBER_PAIRS:
+        raise ValueError(
+            f"fiber count at p = {p} visits {pairs} column pairs per first column, "
+            f"more than {MAX_FIBER_PAIRS}"
+        )
+
+
 def fiber_count_3x4(p: int) -> int:
     """#{A in F_p^{3x4} : all four 3x3 permanents nonzero}, exactly.
 
@@ -561,12 +613,7 @@ def fiber_count_3x4(p: int) -> int:
     weights each by the number of blocks it stands for.  More than
     MAX_FIBER_PAIRS pairs raises ValueError before the first pass.
     """
-    pairs = (p * p + p + 1) ** 2
-    if pairs > MAX_FIBER_PAIRS:
-        raise ValueError(
-            f"fiber count at p = {p} visits {pairs} column pairs per first column, "
-            f"more than {MAX_FIBER_PAIRS}"
-        )
+    _check_fiber_size(p)
     classes = (
         ((1, 1, 1), (p - 1) ** 3),
         ((1, 1, 0), 3 * (p - 1) ** 2),

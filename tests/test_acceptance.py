@@ -14,6 +14,7 @@ import pytest
 
 from permcheck.fppoly import (
     Polynomial,
+    TruncatedAccumulator,
     exact_divide,
     leading_term,
     parse_poly,
@@ -78,6 +79,26 @@ def test_criterion_1_product_identity(hankel_reports):
             assert lemma34.verdict == "pass", (n, p)
             expected = (-1) ** (n + 1) % p
             assert lemma34.evidence["result_full_support_coefficient"] == expected
+
+
+def test_product_identity_matches_the_power_first_order(hankel_reports):
+    # lemma34 multiplies the monomial and f_{n-1} first; the product in the
+    # order f_n^{p-1} * f_{n-1} * monomial must give the same evidence
+    for (n, p), (lemma34, _) in hankel_reports.items():
+        shape = MatrixShape.hankel(n)
+        f_n = permanent(shape, char=p)
+        f_prev = permanent(shape, rows=range(n - 1), cols=range(n - 1), char=p)
+        exps = [0] * shape.space.count
+        for i in range(1, n):
+            exps[2 * i] += 1
+            exps[2 * i - 1] += p - 3
+        multiplier = Polynomial.monomial(shape.space, p, exps)
+        product = TruncatedAccumulator.power(f_n, p - 1).mul_poly(f_prev).mul_poly(multiplier)
+        full_support = (p - 1,) * shape.space.count
+        assert lemma34.evidence["result_terms"] == product.nnz(), (n, p)
+        assert lemma34.evidence["result_full_support_coefficient"] == product.coeff(full_support)
+        assert (lemma34.verdict == "pass") == product.equals_monomial(
+            full_support, (-1) ** (n + 1))
 
 
 def test_criterion_2_hankel_fpurity(hankel_reports):

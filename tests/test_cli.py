@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from permcheck import witnesses
+from permcheck import frobcheck, witnesses
 from permcheck.cli import CHECKS, run
 
 
@@ -96,6 +96,25 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert "fiber count at p = 1009 visits 1038546466281 column pairs" in err
+
+    @pytest.mark.parametrize("argv, counter, message", [
+        (("scan", "conjecture45", "--method", "fiber", "--p", "37,1009"), "fiber_count_3x4",
+         "fiber count at p = 1009 visits 1038546466281 column pairs"),
+        (("verify", "fpure", "--shape", "generic:3x4", "--t", "3", "--method", "pointcount",
+          "--p", "3,11"), "count_nonvanishing",
+         "point count at p = 11 needs 85034928 table entries"),
+    ], ids=["fiber", "pointcount"])
+    def test_oversized_prime_is_refused_before_any_count(self, capsys, monkeypatch, argv,
+                                                         counter, message):
+        # the admissible first prime would be counted if its turn came first
+        def never(*args, **kwargs):
+            raise AssertionError(f"{counter} ran before the oversized prime was refused")
+
+        monkeypatch.setattr(frobcheck, counter, never)
+        code, out, err = invoke(capsys, *argv, "--threads", "1")
+        assert code == 1
+        assert out == ""
+        assert message in err
 
     def test_bad_shape_is_usage_error(self, capsys):
         code, _, err = invoke(capsys, "verify", "fpure", "--shape", "cube:3", "--p", "3")
@@ -447,9 +466,10 @@ def cold_start(*argv, **env):
 
 
 NOTHING, NUMPY = [False, False], [True, False]
+# thm35 at (5, 7) has multiplied 405,684 term pairs when it reaches f_5^4,
+# past fppoly.ARRAY_PAIRS, so it runs the numpy product kernel
 ARRAY_KERNELS = [
-    ("verify", "lemma34", "--n", "2", "--p", "3"),
-    ("verify", "fpure", "--shape", "hankel:3", "--p", "3"),
+    ("verify", "thm35", "--n", "5", "--p", "7"),
     ("scan", "conjecture45", "--method", "fiber", "--p", "3"),
 ]
 
@@ -471,20 +491,47 @@ class TestColdStart:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
 
-    @pytest.mark.parametrize("argv", [
-        ("verify", "lemma31", "--n", "3"),
-        ("verify", "lemma32", "--n", "3"),
-        ("verify", "thm36", "--n", "3"),
-        ("verify", "witness-generic", "--m", "2", "--n", "3", "--p", "3"),
-        ("verify", "witness-symmetric", "--n", "3", "--p", "3"),
-        ("verify", "monomials28", "--m", "2", "--n", "3", "--p", "3"),
-        ("verify", "monomials29", "--m", "3", "--n", "3", "--p", "3"),
-        ("generators", "--shape", "generic:2x3"),
-    ], ids=lambda argv: argv[1] if argv[0] == "verify" else argv[0])
-    def test_check_runs_without_numpy(self, argv):
-        assert cold_start(*argv)[:3] == (NOTHING, 0, NOTHING)
+    @pytest.mark.parametrize("argv, code", [
+        (("verify", "lemma31", "--n", "3"), 0),
+        (("verify", "lemma32", "--n", "3"), 0),
+        (("verify", "thm36", "--n", "3"), 0),
+        (("verify", "witness-generic", "--m", "2", "--n", "3", "--p", "3"), 0),
+        (("verify", "witness-symmetric", "--n", "3", "--p", "3"), 0),
+        (("verify", "monomials28", "--m", "2", "--n", "3", "--p", "3"), 0),
+        (("verify", "monomials29", "--m", "3", "--n", "3", "--p", "3"), 0),
+        (("generators", "--shape", "generic:2x3"), 0),
+        # chains of truncated products below fppoly.ARRAY_PAIRS pairs run on Python ints
+        (("verify", "lemma34", "--n", "2", "--p", "3"), 0),
+        (("verify", "thm35", "--n", "5", "--p", "5"), 0),
+        # a squarefree leading term answers the hypersurface without a power
+        (("verify", "fpure", "--shape", "hankel:3", "--p", "3"), 0),
+        # omega^2 is computed and vanishes: not F-pure
+        (("verify", "fpure", "--shape", "generic:3x4", "--t", "3", "--p", "3"), 2),
+    ], ids=[
+        "lemma31", "lemma32", "thm36", "witness-generic", "witness-symmetric", "monomials28",
+        "monomials29", "generators", "lemma34", "thm35", "fpure-hankel", "fpure-generic-3x4",
+    ])
+    def test_check_runs_without_numpy(self, argv, code):
+        assert cold_start(*argv)[:3] == (NOTHING, code, NOTHING)
 
-    @pytest.mark.parametrize("argv", ARRAY_KERNELS, ids=["lemma34", "fpure", "conjecture45-fiber"])
+    # the truncated jobs of the hankel and fedder-sparse benchmark workloads
+    @pytest.mark.parametrize("job, code", [
+        ("verify lemma34 --n 3 --p 3,5,7", 0),
+        ("verify lemma34 --n 4 --p 3,5,7", 0),
+        ("verify lemma34 --n 5 --p 3,5", 0),
+        ("verify thm35 --n 3 --p 3,5,7", 0),
+        ("verify thm35 --n 4 --p 3,5,7", 0),
+        ("verify thm35 --n 5 --p 3,5", 0),
+        ("verify fpure --shape generic:3x4 --t 3 --p 3", 2),
+        ("verify fpure --shape symmetric:4 --p 7", 0),
+        ("verify fpure --shape generic:2x3 --t 2 --p 11,13", 0),
+        ("verify fpure --shape symmetric:3 --p 37", 0),
+    ], ids=lambda arg: arg if isinstance(arg, str) else None)
+    def test_benchmark_truncated_job_runs_without_numpy(self, job, code):
+        argv = shlex.split(job) + ["--threads", "1"]
+        assert cold_start(*argv)[:3] == (NOTHING, code, NOTHING)
+
+    @pytest.mark.parametrize("argv", ARRAY_KERNELS, ids=["thm35", "conjecture45-fiber"])
     def test_array_kernel_loads_numpy(self, argv):
         # the kernels never call BLAS, so the CLI loads numpy with one
         # OpenBLAS thread rather than a pool of one per core
@@ -537,7 +584,8 @@ class TestMemoryCap:
         # loading numpy with OpenBLAS's default pool of one thread per core
         # reserves about 41 MB of address space per extra core, and dies under
         # this cap from two cores on (142 MB peak on two); with the one thread
-        # the CLI asks for, the whole job peaks near 102 MB
-        proc = capped_cli(128, "verify", "lemma34", "--n", "3", "--p", "5", "--threads", "1")
+        # the CLI asks for, this job, which runs the numpy product kernel,
+        # peaks near 107 MB
+        proc = capped_cli(128, *ARRAY_KERNELS[0], "--threads", "1")
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert json.loads(proc.stdout)["aggregate"] == "pass"

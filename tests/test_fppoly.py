@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from permcheck import fppoly
 from permcheck.fppoly import (
     GRLEX,
     LEX,
@@ -312,14 +313,34 @@ class TestRandomizedLaws:
                     assert total == expected
 
 
+# ARRAY_PAIRS = 0 sends every product to the numpy kernel, and a bound past
+# any pair count keeps every product on the Python-int dict
+KERNELS = {"arrays": 0, "dict": 1 << 62}
+
+
+@pytest.fixture(scope="class", params=list(KERNELS))
+def kernel(request):
+    """Run a whole test class on one truncated-product kernel."""
+    saved = fppoly.ARRAY_PAIRS
+    fppoly.ARRAY_PAIRS = KERNELS[request.param]
+    yield request.param
+    fppoly.ARRAY_PAIRS = saved
+
+
+def on_arrays(acc) -> bool:
+    return acc._terms is None
+
+
+@pytest.mark.usefixtures("kernel")
 class TestTruncatedAccumulator:
-    def test_matches_sparse_pipeline(self):
+    def test_matches_sparse_pipeline(self, kernel):
         rng = random.Random(107)
         space = small_space(3)
         for _ in range(100):
             a = random_poly(rng, space, 5, max_exp=4, allow_zero=False)
             b = random_poly(rng, space, 5, max_exp=4)
             acc = TruncatedAccumulator(a).mul_poly(b).mul_poly(a)
+            assert on_arrays(acc) == (kernel == "arrays")
             direct = truncate(a * b * a)
             assert acc.to_polynomial() == direct
             assert acc.is_zero == direct.is_zero
@@ -356,8 +377,9 @@ def packed_operands(draw):
     return Polynomial(space, p, draw(terms)), Polynomial(space, p, draw(terms))
 
 
+@pytest.mark.usefixtures("kernel")
 class TestPackedKernel:
-    """The packed-exponent kernel against the dict-loop oracle and untruncated products."""
+    """Both packed-exponent kernels against the dict-loop oracle and untruncated products."""
 
     def test_large_prime_reduces_each_product(self):
         # (p-1)^2 is close to 2^62: summing three unreduced products of one
@@ -398,24 +420,6 @@ class TestPackedKernel:
         c = parse_poly("z1 + 2*z2", space, 3)
         assert truncated_mul(a, c) == parse_poly("z1^2 + 2*z2^2", space, 3)
 
-    @pytest.mark.parametrize("p, v, packed", [(3, 21, True), (7, 16, False)])
-    def test_key_width_boundary(self, p, v, packed):
-        # w = bitlen(p) + 1: 21 * 3 = 63 bits fits int64, 16 * 4 = 64 bits does not
-        dtype = np.int64 if packed else object
-        rng = random.Random(108)
-        space = small_space(v)
-        for _ in range(20):
-            a = random_poly(rng, space, p, max_terms=6, max_exp=p - 1)
-            b = random_poly(rng, space, p, max_terms=6, max_exp=p - 1)
-            expected = truncate(a * b)
-            assert truncated_mul(a, b) == expected
-            acc = TruncatedAccumulator(a).mul_poly(b)
-            assert acc._keys.dtype == dtype
-            assert acc.to_polynomial() == expected
-            assert acc.nnz() == len(expected)
-            for mono, c in expected.items():
-                assert acc.coeff(mono) == c
-
     @settings(max_examples=300, deadline=None)
     @given(packed_operands())
     def test_packed_matches_dict(self, operands):
@@ -438,6 +442,71 @@ class TestPackedKernel:
                     acc.leading_term()
             else:
                 assert acc.leading_term() == leading_term(acc.to_polynomial(), GRLEX)
+
+
+class TestKernelChoice:
+    """A chain of products runs on the dict until its pairs reach ARRAY_PAIRS
+    in all, and on the numpy kernel from that product on."""
+
+    @pytest.mark.parametrize("p, v, packed", [(3, 21, True), (7, 16, False)])
+    def test_key_width_boundary(self, monkeypatch, p, v, packed):
+        monkeypatch.setattr(fppoly, "ARRAY_PAIRS", 0)
+        # w = bitlen(p) + 1: 21 * 3 = 63 bits fits int64, 16 * 4 = 64 bits does not
+        dtype = np.int64 if packed else object
+        rng = random.Random(108)
+        space = small_space(v)
+        for _ in range(20):
+            a = random_poly(rng, space, p, max_terms=6, max_exp=p - 1)
+            b = random_poly(rng, space, p, max_terms=6, max_exp=p - 1)
+            expected = truncate(a * b)
+            assert truncated_mul(a, b) == expected
+            acc = TruncatedAccumulator(a).mul_poly(b)
+            assert acc._keys.dtype == dtype
+            assert acc.to_polynomial() == expected
+            assert acc.nnz() == len(expected)
+            for mono, c in expected.items():
+                assert acc.coeff(mono) == c
+
+    def test_power_crosses_to_arrays_mid_chain(self, monkeypatch):
+        # (1 + z1 + z2 + z3)^k over F_7: the products have 4 x 4, 10 x 4,
+        # 20 x 4, ... pairs, 16, 56, 136, ... in all.  The bound counts them
+        # in all, so at 50 the second product (40 pairs) is on arrays already
+        space = small_space(3)
+        base = parse_poly("1 + z1 + z2 + z3", space, 7)
+        calls = []
+
+        def counted(name):
+            real = getattr(fppoly, name)
+
+            def kernel(*args):
+                calls.append(name)
+                return real(*args)
+
+            return kernel
+
+        for name in ("_mul_dict", "_mul_packed"):
+            monkeypatch.setattr(fppoly, name, counted(name))
+        monkeypatch.setattr(fppoly, "ARRAY_PAIRS", 50)
+        acc = TruncatedAccumulator.power(base, 9)
+        assert calls == ["_mul_dict"] + ["_mul_packed"] * 7
+        assert on_arrays(acc)
+        expected = base
+        for _ in range(8):
+            expected = _truncated_mul_dict(expected, base)
+        assert acc.to_polynomial() == expected == truncate(base**9)
+        assert acc.leading_term() == leading_term(expected, GRLEX)
+        for mono, c in expected.items():
+            assert acc.coeff(mono) == c
+
+    def test_truncated_mul_follows_the_bound(self, monkeypatch):
+        a, b = zpoly("z1 + z2 + z3", 5), zpoly("1 + z1 + z2", 5)
+        for bound, kernel in ((9, "_mul_packed"), (10, "_mul_dict")):
+            monkeypatch.setattr(fppoly, "ARRAY_PAIRS", bound)
+            for name in ("_mul_dict", "_mul_packed"):
+                if name != kernel:
+                    monkeypatch.setattr(fppoly, name, None)  # calling it raises
+            assert truncated_mul(a, b) == truncate(a * b)
+            monkeypatch.undo()
 
 
 class TestPrimeModulus:

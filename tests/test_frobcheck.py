@@ -28,6 +28,7 @@ from permcheck.frobcheck import (
 from permcheck.shapes import (
     IdealPresentation,
     MatrixShape,
+    parse_shape,
     permanental_generators,
 )
 from permcheck.witnesses import (
@@ -84,6 +85,34 @@ class TestFedderCICheck:
         assert fedder_ci_check(gens, PrimeModulus(3)) == fedder_ci_check(gens)
         with pytest.raises(StructureError):
             fedder_ci_check(gens, PrimeModulus(5))
+
+    # every whitelisted complete intersection whose omega^{p-1} takes under a
+    # second at p = 3, 5, 7, and whether LT(omega) is squarefree
+    WHITELISTED = [
+        *((f"generic:{n}x{n}", n, p, True)
+          for n in (2, 3, 4) for p in (3, 5, 7) if (n, p) != (4, 7)),
+        *((f"symmetric:{n}", n, p, True)
+          for n in (2, 3, 4, 5) for p in (3, 5, 7) if (n, p) != (5, 7)),
+        ("symmetric:6", 6, 3, True),
+        *((f"hankel:{n}", n, p, True)
+          for n in (2, 3, 4, 5) for p in (3, 5, 7) if (n, p) != (5, 7)),
+        ("hankel:6", 6, 3, True),
+        ("hankel:6", 6, 5, True),
+        *((spec, 2, p, False) for spec in ("generic:2x3", "generic:3x2") for p in (3, 5, 7)),
+        *(("generic:3x4", 3, p, False) for p in (3, 5, 7)),
+        ("generic:4x5", 4, 3, False),
+    ]
+
+    @pytest.mark.parametrize("spec, t, p, squarefree", WHITELISTED)
+    def test_leading_term_certificate_matches_the_power(self, monkeypatch, spec, t, p, squarefree):
+        gens = permanental_generators(parse_shape(spec), t, char=p)
+        power = frobcheck._omega_power(gens)
+        expected = None if power.is_zero else power.leading_term()
+        powers = []
+        monkeypatch.setattr(frobcheck, "_omega_power", lambda g: powers.append(g) or power)
+        assert fedder_ci_check(gens) == expected
+        # a squarefree LT(omega) answers without the power, at every p
+        assert powers == ([] if squarefree else [gens])
 
     def test_unused_variable_does_not_change_verdict(self):
         rng = random.Random(42)

@@ -348,13 +348,13 @@ class TestLemmaReports:
     def test_hypersurface_without_fregularity_witness_is_inconclusive(self, monkeypatch):
         # (a) and (b) decide F-purity; a vanishing f_{n-1} f_n^{p-1} only
         # leaves F-regularity open, it does not refute it
-        real = witnesses._hankel_data
+        real = witnesses._hankel_permanents
 
         def without_witness(n, p):
-            space, f_n, _, power = real(n, p)
-            return space, f_n, Polynomial.zero(space, p), power
+            space, f_n, _ = real(n, p)
+            return space, f_n, Polynomial.zero(space, p)
 
-        monkeypatch.setattr(witnesses, "_hankel_data", without_witness)
+        monkeypatch.setattr(witnesses, "_hankel_permanents", without_witness)
         report = verify_hankel_hypersurface(2, 3)
         assert report.verdict == "inconclusive"
         assert report.evidence["fregularity_witness_terms"] == 0
