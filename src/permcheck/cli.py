@@ -6,7 +6,8 @@
 
 Each verify check takes exactly the flags its CHECKS entry names; any other
 of --shape/--m/--n/--t/--p is refused.  --method, --threads, --format and
---out are accepted everywhere.
+--out are accepted everywhere.  --threads has no effect: every check runs on
+one thread.  It is still validated and echoed in the JSON config.
 
 Exit codes: 0 all checks passed, 2 some check failed, 3 inconclusive only,
 1 usage or configuration error.
@@ -76,9 +77,7 @@ CHECKS = {
     ),
     "fpure": Check(
         ("shape", "p"),
-        lambda a, p: witnesses.verify_fpure(
-            *_shape_and_t(a), p, method=a.method, threads=a.threads
-        ),
+        lambda a, p: witnesses.verify_fpure(*_shape_and_t(a), p, method=a.method),
         optional=("t",),
         guard=lambda a, p: witnesses.check_fpure(*_shape_and_t(a), p, a.method),
     ),
@@ -117,7 +116,8 @@ def build_parser() -> _Parser:
             choices=("truncated", "pointcount", "fiber"),
             default="truncated",
         )
-        p.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1)
+        p.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1,
+                       help="no effect: every check runs on one thread")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", help="write the report to a file instead of stdout")
 
@@ -180,7 +180,7 @@ def _run_verify(args) -> list:
 def _run_scan(args) -> list:
     _take_flags(args, ("p",))
     primes = _parse_primes(args.p)
-    return [witnesses.scan_three_by_four_fpurity(primes, method=args.method, threads=args.threads)]
+    return [witnesses.scan_three_by_four_fpurity(primes, method=args.method)]
 
 
 def _aggregate(reports) -> str:

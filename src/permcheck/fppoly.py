@@ -17,7 +17,8 @@ reaching p (Monagan & Pearce, CASC 2007).  A chain of products runs on a
 dict of Python-int keys until ARRAY_PAIRS term pairs in all, and on one
 numpy kernel after that, with int64 keys while v fields fit 63 bits and
 Python ints (numpy object arrays) beyond.  Powers are repeated products with
-the base.
+the base.  A chain of more than MAX_CHAIN_PAIRS term pairs is refused with
+ValueError before its last product runs.
 
 numpy is imported inside the kernel functions, so it loads on the first
 chain that reaches ARRAY_PAIRS pairs and never for smaller truncated
@@ -501,6 +502,11 @@ def _mul_packed(a_keys, a_coeffs, b_keys, b_coeffs, p: int, v: int, w: int):
 # A value that goes on to numpy anyway pays for that head start: f^12 at
 # (n, p) = (4, 13) took 102 ms against 61 ms on arrays alone.
 ARRAY_PAIRS = 1 << 18
+# Most term pairs a chain may multiply, about 75 s at the 2.8 * 10^7 pairs/s
+# of a 2-core VM: thm35 at (6, 7) chains 4.1 * 10^8 pairs (15 s) and fpure of
+# generic:3x4 at p = 13 1.18 * 10^9 (41 s); generic:4x5, t = 4 at p = 5 is
+# refused at omega^2, 208,051^2 = 4.3 * 10^10 pairs.
+MAX_CHAIN_PAIRS = 1 << 31
 
 
 class TruncatedAccumulator:
@@ -542,13 +548,17 @@ class TruncatedAccumulator:
         return acc
 
     def mul_poly(self, poly: Polynomial) -> "TruncatedAccumulator":
-        """Truncated product with a (typically small) sparse polynomial."""
+        """Truncated product with a (typically small) sparse polynomial;
+        ValueError, before multiplying, if the chain passes MAX_CHAIN_PAIRS."""
         poly._check_compatible(self)  # reads only .space and .char
         p, v, w = self.char, self.space.count, self._width
         factor = _pack(poly, w)
         out = object.__new__(TruncatedAccumulator)
         out.space, out.char, out._width = self.space, p, w
         out._pairs = self._pairs + self.nnz() * len(factor)
+        if out._pairs > MAX_CHAIN_PAIRS:
+            raise ValueError(f"a truncated product chain would multiply {out._pairs} "
+                             f"term pairs, more than {MAX_CHAIN_PAIRS}")
         out._terms = out._keys = out._coeffs = None
         if self._terms is not None and out._pairs < ARRAY_PAIRS:
             out._terms = _mul_dict(self._terms, factor, p, v, w)

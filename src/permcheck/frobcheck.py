@@ -11,12 +11,12 @@ inner 2x2 block unless P is generated by variables only), and computes the
 "Fedder coefficient" of a full-support ideal -- the coefficient of
 prod x_i^{p-1} in omega^{p-1} -- by three independent routes: symbolic
 truncated powering, brute-force point counting (a hi-table times lo-table
-product per block of hi points, optionally on a thread pool, refused when
-the tables would pass MAX_POINTCOUNT_ENTRIES or the points
-MAX_POINTCOUNT_POINTS), and a serial fibered enumeration special to the
-generic 3x4 / t=3 complete intersection, which visits only three first
-columns and projective classes of the other two, in passes of bounded size,
-and is refused when those classes would pass MAX_FIBER_PAIRS column pairs.
+product per block of hi points, refused when the tables would pass
+MAX_POINTCOUNT_ENTRIES or the points MAX_POINTCOUNT_POINTS), and a fibered
+enumeration special to the generic 3x4 / t=3 complete intersection, which
+visits only three first columns and projective classes of the other two, in
+passes of bounded size, and is refused when those classes would pass
+MAX_FIBER_PAIRS column pairs.  Every route runs on the calling thread.
 
 The point-count and fiber engines import numpy inside their functions, so it
 loads on their first call; the truncated routes load it only for a chain of
@@ -281,9 +281,7 @@ def colon_membership(f: Polynomial, prime: MinimalPrime) -> Optional[ColonMember
 # ---------------------------------------------------------------------------
 
 
-def fedder_coefficient_fullsupport(
-    gens: IdealPresentation, method: str = "truncated", threads: int = 1
-) -> int:
+def fedder_coefficient_fullsupport(gens: IdealPresentation, method: str = "truncated") -> int:
     """Coefficient of prod x_i^{p-1} in omega^{p-1} mod p, for deg(omega) = v.
 
     With deg(omega) equal to the variable count v, the full-support monomial
@@ -294,12 +292,12 @@ def fedder_coefficient_fullsupport(
 
     since nonzero values of omega contribute 1 by Fermat.  Methods:
     "truncated" computes omega^{p-1} symbolically, "pointcount" enumerates
-    F_p^v on `threads` threads, and "fiber" (generic 3x4, t = 3 only, serial)
-    counts admissible fourth columns per block of the first three columns by
-    inclusion-exclusion on the ranks of three linear forms, enumerating only
-    three representative first columns (row scaling and row permutations fix
-    the count of every other one) and projective classes of columns 2 and 3
-    (column scaling fixes it too).
+    F_p^v, and "fiber" (generic 3x4, t = 3 only) counts admissible fourth
+    columns per block of the first three columns by inclusion-exclusion on
+    the ranks of three linear forms, enumerating only three representative
+    first columns (row scaling and row permutations fix the count of every
+    other one) and projective classes of columns 2 and 3 (column scaling
+    fixes it too).
     """
     check_fullsupport(gens, method)
     p = gens.char
@@ -307,7 +305,7 @@ def fedder_coefficient_fullsupport(
     if method == "truncated":
         return _omega_power(gens).coeff((p - 1,) * v)
     if method == "pointcount":
-        count = count_nonvanishing(gens, p, threads=threads)
+        count = count_nonvanishing(gens, p)
     else:
         count = fiber_count_3x4(p)
     return (-1) ** v * count % p
@@ -354,7 +352,7 @@ def check_fullsupport(gens: IdealPresentation, method: str) -> None:
 # exactly in an unsigned dtype that holds T * (p-1)^2.  Every one of the p^v
 # points is still visited and no symmetry is used, which is what makes the
 # count an independent oracle.  Element-wise numpy only: a BLAS product would
-# run on OpenBLAS's threads, not `threads`, and the CLI loads numpy with one.
+# run on OpenBLAS's pool, which the CLI sizes to one thread.
 #
 # A sum x below 2^b is divisible by the odd prime p iff x * p^{-1} mod 2^b is
 # at most (2^b - 1) // p, since multiplying by p^{-1} permutes Z/2^b and sends
@@ -449,7 +447,7 @@ def _check_pointcount_size(gens: IdealPresentation, p: int):
     return dtype
 
 
-def count_nonvanishing(gens: IdealPresentation, p: int, threads: int = 1) -> int:
+def count_nonvanishing(gens: IdealPresentation, p: int) -> int:
     """#{a in F_p^v : no generator vanishes at a}, by enumerating all p^v points.
 
     F_p^v is split into hi rows times lo columns (see above).  Each generator's
@@ -459,8 +457,8 @@ def count_nonvanishing(gens: IdealPresentation, p: int, threads: int = 1) -> int
     overflow 64 bits raises ValueError before anything is allocated.  The
     tables take p^{v - v//2} + p^{v//2} entries per term; more than
     MAX_POINTCOUNT_ENTRIES in all, or more than MAX_POINTCOUNT_POINTS points,
-    raises ValueError before they are built.
-    Each of `threads` threads takes every threads-th block.
+    raises ValueError before they are built.  The blocks run one after
+    another, so memory does not grow with the block count.
     """
     import numpy as np
 
@@ -476,21 +474,7 @@ def count_nonvanishing(gens: IdealPresentation, p: int, threads: int = 1) -> int
         lo = _monomial_values([mono[k_hi:] for mono in monos], p, n_lo)
         tables.append((hi.astype(dtype), lo.astype(dtype)))
     rows = max(1, POINTCOUNT_CHUNK // n_lo)
-    threads = min(threads, -(-n_hi // rows))
-    step = rows * threads
-
-    def stripe(first):
-        # every threads-th block, so memory does not grow with the block count
-        blocks = ((s, min(s + rows, n_hi)) for s in range(first, n_hi, step))
-        return sum(_count_hi_block(tables, p, a, b) for a, b in blocks)
-
-    if threads <= 1:
-        return stripe(0)
-    # imported here: it loads logging, which only a threaded count needs
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return sum(ex.map(stripe, range(0, step, rows)))
+    return sum(_count_hi_block(tables, p, s, min(s + rows, n_hi)) for s in range(0, n_hi, rows))
 
 
 # -- fibered enumeration for the generic 3x4, t = 3 ideal --------------------

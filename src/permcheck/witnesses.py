@@ -433,9 +433,7 @@ def verify_witness_membership(shape: MatrixShape, p: int) -> LemmaReport:
     return _report(f"witness-{shape.kind}", params, ok, evidence, t0)
 
 
-def verify_fpure(
-    shape: MatrixShape, t: int, p: int, method: str = "truncated", threads: int = 1
-) -> LemmaReport:
+def verify_fpure(shape: MatrixShape, t: int, p: int, method: str = "truncated") -> LemmaReport:
     """CLI check `fpure`: the Fedder criterion for a whitelisted complete
     intersection P_t of the given shape.
 
@@ -455,7 +453,7 @@ def verify_fpure(
     if method == "truncated":
         survivor = frobcheck.fedder_ci_check(gens)
     else:
-        coeff = fedder_coefficient_fullsupport(gens, method=method, threads=threads)
+        coeff = fedder_coefficient_fullsupport(gens, method=method)
         survivor = ((p - 1,) * shape.space.count, coeff) if coeff else None
     passed = survivor is not None
     evidence = {
@@ -472,7 +470,9 @@ def verify_fpure(
 def check_fpure(shape: MatrixShape, t: int, p: int, method: str) -> None:
     """Raise ValueError where verify_fpure would refuse a point count or a
     fiber count, without counting; the CLI runs it for every prime of a list
-    before the first check."""
+    before the first check.  The truncated route is not checked here: its
+    size (fppoly.MAX_CHAIN_PAIRS) is only known once omega is built, so in a
+    prime list the primes before a refused one still run."""
     if method != "truncated":
         frobcheck.check_fullsupport(permanental_generators(shape, t, char=p), method)
 
@@ -539,7 +539,7 @@ def verify_squared_entry_triples(m: int, n: int, p: int) -> LemmaReport:
     return _entry_products_in_p2("monomials29", shape, p, exponents, 4)
 
 
-def scan_three_by_four_fpurity(p_list, method: str = "truncated", threads: int = 1) -> LemmaReport:
+def scan_three_by_four_fpurity(p_list, method: str = "truncated") -> LemmaReport:
     """CLI check `conjecture45`: Fedder coefficient of the generic 3x4 / t=3
     complete intersection across primes, compared with the p = 1 mod 6 rule."""
     t0 = time.perf_counter()
@@ -552,7 +552,7 @@ def scan_three_by_four_fpurity(p_list, method: str = "truncated", threads: int =
     per_p = []
     all_ok = True
     for p, gens in zip(p_list, presentations):
-        coeff = fedder_coefficient_fullsupport(gens, method=method, threads=threads)
+        coeff = fedder_coefficient_fullsupport(gens, method=method)
         fpure = coeff != 0
         predicted = p % 6 == 1
         ok = fpure == predicted

@@ -172,7 +172,7 @@ class TestCriterion6:
                 gens = permanental_generators(
                     MatrixShape.generic(3, 4), 3, char=p
                 )
-                assert count_nonvanishing(gens, p, threads=2) == small_fiber_counts[p]
+                assert count_nonvanishing(gens, p) == small_fiber_counts[p]
 
     def test_fiber_p11(self):
         with criterion(6, "fiber scan p=11: not F-pure, < 30 min"):

@@ -88,6 +88,17 @@ class TestExitCodes:
         assert out == ""
         assert "13841287201 points" in err
 
+    def test_overlong_truncated_chain_is_usage_error(self, capsys):
+        # omega of generic:4x5, t = 4 has 208,051 terms at p = 5, so omega^2
+        # alone would multiply 208,051^2 term pairs; omega itself is built
+        code, out, err = invoke(
+            capsys, "verify", "fpure", "--shape", "generic:4x5", "--t", "4", "--p", "5",
+            "--threads", "1",
+        )
+        assert code == 1
+        assert out == ""
+        assert f"{208_051**2} term pairs, more than {2**31}" in err
+
     def test_overlong_fiber_count_is_usage_error(self, capsys):
         # 1,019,091^2 column pairs per first column would take days
         code, out, err = invoke(
@@ -475,8 +486,8 @@ ARRAY_KERNELS = [
 
 
 class TestColdStart:
-    """numpy is imported by the array kernels only and concurrent.futures by a
-    threaded point count only, never by `import permcheck`."""
+    """numpy is imported by the array kernels only, never by `import
+    permcheck`, and concurrent.futures never: no check starts a thread."""
 
     def test_import_loads_no_numpy(self):
         assert cold_start()[:3] == (NOTHING, 0, NOTHING)
@@ -548,11 +559,20 @@ class TestColdStart:
         assert probe[:3] == (NOTHING, 0, NUMPY)
         assert probe[4] == "2"
 
-    def test_threaded_point_count_loads_the_thread_pool(self):
+    def test_point_count_ignores_threads(self, capsys):
         # generic:3x4 at p = 3 splits into five blocks of hi rows and is not F-pure
         argv = ("verify", "fpure", "--shape", "generic:3x4", "--t", "3", "--method",
-                "pointcount", "--p", "3", "--threads", "2")
-        assert cold_start(*argv)[:3] == (NOTHING, 2, [True, True])
+                "pointcount", "--p", "3")
+        probe = cold_start(*argv, "--threads", "2")
+        assert probe[:3] == (NOTHING, 2, NUMPY)
+        assert probe[3] in (1, None)  # None: no /proc/self/status to count threads
+        reports = {}
+        for threads in (1, 2):
+            code, out, _ = invoke(capsys, *argv, "--threads", str(threads), "--format", "json")
+            assert code == 2
+            reports[threads] = json.loads(re.sub(r'"(ms|total_ms)": [0-9.]+', '"\\1": 0', out))
+            assert reports[threads]["config"].pop("threads") == threads
+        assert reports[1] == reports[2]
 
 
 def capped_cli(mib, *argv):

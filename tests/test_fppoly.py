@@ -509,6 +509,27 @@ class TestKernelChoice:
             monkeypatch.undo()
 
 
+class TestChainBound:
+    """A chain of products whose term pairs would pass MAX_CHAIN_PAIRS is
+    refused before the product that passes it runs, on either kernel."""
+
+    @pytest.mark.parametrize("array_pairs", [0, fppoly.ARRAY_PAIRS], ids=["arrays", "dict"])
+    def test_product_past_the_bound_is_refused_before_it_runs(self, monkeypatch, array_pairs):
+        # (1 + z1 + z2 + z3)^k over F_7: 16, 56, 136, ... pairs in all
+        base = parse_poly("1 + z1 + z2 + z3", small_space(3), 7)
+        monkeypatch.setattr(fppoly, "ARRAY_PAIRS", array_pairs)
+        monkeypatch.setattr(fppoly, "MAX_CHAIN_PAIRS", 56)
+        assert TruncatedAccumulator.power(base, 3).to_polynomial() == truncate(base**3)
+        monkeypatch.setattr(fppoly, "MAX_CHAIN_PAIRS", 55)
+        with pytest.raises(ValueError, match="56 term pairs, more than 55"):
+            TruncatedAccumulator.power(base, 3)
+        square = TruncatedAccumulator.power(base, 2)
+        for name in ("_mul_dict", "_mul_packed"):
+            monkeypatch.setattr(fppoly, name, None)  # calling it raises
+        with pytest.raises(ValueError, match="56 term pairs, more than 55"):
+            square.mul_poly(base)
+
+
 class TestPrimeModulus:
     """check_prime, its older name PrimeModulus, and Polynomial's use of it."""
 

@@ -355,7 +355,11 @@ class TestFedderCoefficient:
             fedder_coefficient_fullsupport(gens, "bogus")
 
     def test_methods_agree_on_random_ci(self):
+        # the point count is the oracle for both truncated routes: the
+        # coefficient, and fedder_ci_check's verdict (a squarefree leading
+        # term when it has one, else the computed power)
         rng = random.Random(55)
+        verdicts = set()
         for p in (3, 5):
             for v in (1, 2, 3):
                 space = VariableSpace(tuple(f"z{i+1}" for i in range(v)))
@@ -385,6 +389,9 @@ class TestFedderCoefficient:
                     c1 = fedder_coefficient_fullsupport(pres, "truncated")
                     c2 = fedder_coefficient_fullsupport(pres, "pointcount")
                     assert c1 == c2
+                    assert (fedder_ci_check(pres) is None) == (c2 == 0)
+                    verdicts.add(c2 == 0)
+        assert verdicts == {False, True}
 
     def test_generic_3x4_p3_all_methods_agree(self):
         shape = MatrixShape.generic(3, 4)
@@ -442,7 +449,7 @@ class TestFiberEngine:
         for p in (3,):
             shape = MatrixShape.generic(3, 4)
             gens = permanental_generators(shape, 3, char=p)
-            assert fiber_count_3x4(p) == count_nonvanishing(gens, p, threads=2)
+            assert fiber_count_3x4(p) == count_nonvanishing(gens, p)
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_every_block_equals_its_class_value(self, unreduced_blocks, p):
@@ -531,12 +538,11 @@ class TestPointCount:
         # one point per block, less than one hi row whenever v > 1
         monkeypatch.setattr(frobcheck, "POINTCOUNT_CHUNK", 1)
         for gens, p, direct in cases:
-            assert count_nonvanishing(gens, p, threads=1) == direct
-            assert count_nonvanishing(gens, p, threads=2) == direct
-        # blocks of several rows with a shorter last one, on two threads
+            assert count_nonvanishing(gens, p) == direct
+        # blocks of several rows with a shorter last one
         monkeypatch.setattr(frobcheck, "POINTCOUNT_CHUNK", 7)
         for gens, p, direct in cases:
-            assert count_nonvanishing(gens, p, threads=2) == direct
+            assert count_nonvanishing(gens, p) == direct
 
     @pytest.mark.parametrize("p, terms", [(32749, 4), (2**31 - 1, 4)])
     def test_block_sums_near_the_dtype_bound(self, p, terms):
@@ -568,7 +574,7 @@ class TestPointCount:
         polys = [parse_poly("z1^2 + 1", space, p), parse_poly("z1^3 + 5*z1 + 7", space, p)]
         assert _pointcount_dtype(2, p) is np.uint64
         direct = sum(1 for x in range(p) if all(evaluate(g, (x,)) != 0 for g in polys))
-        assert count_nonvanishing(ci(polys), p, threads=2) == direct
+        assert count_nonvanishing(ci(polys), p) == direct
 
     def test_dtype_bound_is_exact(self):
         assert _pointcount_dtype(2**32 - 1, 2) is np.uint32

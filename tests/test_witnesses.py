@@ -436,12 +436,12 @@ class TestConjectureScan:
         assert report.evidence["per_p"][0]["fpure"] is False
 
     def test_fiber_small(self):
-        report = scan_three_by_four_fpurity([3, 7], method="fiber", threads=2)
+        report = scan_three_by_four_fpurity([3, 7], method="fiber")
         assert report.verdict == "pass"
         by_p = {row["p"]: row for row in report.evidence["per_p"]}
         assert by_p[3]["fpure"] is False
         assert by_p[7]["fpure"] is True
 
     def test_fpure_full_support_fail(self):
-        report = verify_fpure(MatrixShape.generic(3, 4), 3, 5, method="fiber", threads=2)
+        report = verify_fpure(MatrixShape.generic(3, 4), 3, 5, method="fiber")
         assert report.verdict == "fail"
