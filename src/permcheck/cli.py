@@ -16,6 +16,7 @@ Exit codes: 0 all checks passed, 2 some check failed, 3 inconclusive only,
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
@@ -23,9 +24,6 @@ import time
 from typing import Callable, NamedTuple, Optional
 
 from . import __version__
-from .fppoly import check_prime
-from .shapes import MatrixShape, parse_shape
-from . import witnesses
 
 
 class UsageError(Exception):
@@ -34,19 +32,25 @@ class UsageError(Exception):
 
 def _shape_and_t(args):
     """--shape, and --t defaulting to the smaller side (fpure, generators)."""
+    from .shapes import parse_shape
+
     shape = parse_shape(args.shape)
     return shape, args.t if args.t is not None else min(shape.nrows, shape.ncols)
 
 
 class Check(NamedTuple):
-    """A verify check: the flags it requires, the ones it may also take, and
-    its runner, called as runner(args, p) once per prime when it requires
-    --p and as runner(args) otherwise.  A guard, if any, is called as
-    guard(args, p) for every prime before the first runner, so a prime the
-    check would refuse stops the job before any work.  Runners name
-    `witnesses.<fn>` at call time, so a patched module attribute is the one
-    that runs."""
+    """A verify check: the module of `permcheck` that holds its runner, the
+    flags it requires, the ones it may also take, and its runner.  The
+    module is imported only once the arguments parse, so a job loads the
+    code of its own check and no other.  The runner is called as
+    runner(module, args, p) once per prime when the check requires --p and
+    as runner(module, args) otherwise.  A guard, if any, is called as
+    guard(module, args, p) for every prime before the first runner, so a
+    prime the check would refuse stops the job before any work.  Both look
+    the check's function up on the module at call time, so a patched module
+    attribute is the one that runs."""
 
+    module: str
     required: tuple
     runner: Callable
     optional: tuple = ()
@@ -54,32 +58,33 @@ class Check(NamedTuple):
 
 
 CHECKS = {
-    "lemma31": Check(("n",), lambda a: witnesses.verify_hankel_monomial_absence(a.n)),
-    "lemma32": Check(("n",), lambda a: witnesses.verify_hankel_eisenstein(a.n)),
+    "lemma31": Check("hankel", ("n",), lambda m, a: m.verify_hankel_monomial_absence(a.n)),
+    "lemma32": Check("hankel", ("n",), lambda m, a: m.verify_hankel_eisenstein(a.n)),
     "lemma34": Check(
-        ("n", "p"), lambda a, p: witnesses.verify_hankel_product_identity(a.n, p)
+        "hankel", ("n", "p"), lambda m, a, p: m.verify_hankel_product_identity(a.n, p)
     ),
-    "thm35": Check(("n", "p"), lambda a, p: witnesses.verify_hankel_hypersurface(a.n, p)),
-    "thm36": Check(("n",), lambda a: witnesses.verify_hankel_specialization_check(a.n)),
+    "thm35": Check("hankel", ("n", "p"), lambda m, a, p: m.verify_hankel_hypersurface(a.n, p)),
+    "thm36": Check("hankel", ("n",), lambda m, a: m.verify_hankel_specialization_check(a.n)),
     "witness-generic": Check(
-        ("m", "n", "p"),
-        lambda a, p: witnesses.verify_witness_membership(MatrixShape.generic(a.m, a.n), p),
+        "witnesses", ("m", "n", "p"),
+        lambda m, a, p: m.verify_witness_membership(m.MatrixShape.generic(a.m, a.n), p),
     ),
     "witness-symmetric": Check(
-        ("n", "p"),
-        lambda a, p: witnesses.verify_witness_membership(MatrixShape.symmetric(a.n), p),
+        "witnesses", ("n", "p"),
+        lambda m, a, p: m.verify_witness_membership(m.MatrixShape.symmetric(a.n), p),
     ),
     "monomials28": Check(
-        ("m", "n", "p"), lambda a, p: witnesses.verify_entry_triples(a.m, a.n, p)
+        "witnesses", ("m", "n", "p"), lambda m, a, p: m.verify_entry_triples(a.m, a.n, p)
     ),
     "monomials29": Check(
-        ("m", "n", "p"), lambda a, p: witnesses.verify_squared_entry_triples(a.m, a.n, p)
+        "witnesses", ("m", "n", "p"),
+        lambda m, a, p: m.verify_squared_entry_triples(a.m, a.n, p),
     ),
     "fpure": Check(
-        ("shape", "p"),
-        lambda a, p: witnesses.verify_fpure(*_shape_and_t(a), p, method=a.method),
+        "witnesses", ("shape", "p"),
+        lambda m, a, p: m.verify_fpure(*_shape_and_t(a), p, method=a.method),
         optional=("t",),
-        guard=lambda a, p: witnesses.check_fpure(*_shape_and_t(a), p, a.method),
+        guard=lambda m, a, p: m.check_fpure(*_shape_and_t(a), p, a.method),
     ),
 }
 
@@ -116,7 +121,7 @@ def build_parser() -> _Parser:
             choices=("truncated", "pointcount", "fiber"),
             default="truncated",
         )
-        p.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1,
+        p.add_argument("--threads", type=_thread_count, default=1,
                        help="no effect: every check runs on one thread")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", help="write the report to a file instead of stdout")
@@ -139,6 +144,8 @@ def build_parser() -> _Parser:
 
 
 def _parse_primes(text):
+    from .fppoly import check_prime
+
     primes = []
     for part in str(text).split(","):
         part = part.strip()
@@ -168,16 +175,19 @@ def _take_flags(args, required, optional=()):
 def _run_verify(args) -> list:
     check = CHECKS[args.check]
     _take_flags(args, check.required, check.optional)
-    if "p" not in check.required:
-        return [check.runner(args)]
-    primes = _parse_primes(args.p)
+    primes = _parse_primes(args.p) if "p" in check.required else None
+    module = importlib.import_module(f".{check.module}", __package__)
+    if primes is None:
+        return [check.runner(module, args)]
     if check.guard is not None:
         for p in primes:
-            check.guard(args, p)
-    return [check.runner(args, p) for p in primes]
+            check.guard(module, args, p)
+    return [check.runner(module, args, p) for p in primes]
 
 
 def _run_scan(args) -> list:
+    from . import witnesses
+
     _take_flags(args, ("p",))
     primes = _parse_primes(args.p)
     return [witnesses.scan_three_by_four_fpurity(primes, method=args.method)]

@@ -26,9 +26,8 @@ never.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .fppoly import (
     Polynomial,
@@ -91,8 +90,7 @@ def fedder_ci_check(gens: IdealPresentation, p: Optional[int] = None) -> Optiona
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MinimalPrime:
+class MinimalPrime(NamedTuple):
     """A minimal prime of P_2, stored as its generators.
 
     `variable_gens` are the indices of the variable generators: every
@@ -110,8 +108,7 @@ class MinimalPrime:
     binomial: Optional[tuple] = None
 
 
-@dataclass(frozen=True)
-class ColonMembershipCertificate:
+class ColonMembershipCertificate(NamedTuple):
     """A decomposition of f as a combination of colon-ideal generators.
 
     Each entry is a (multiplier, ideal_element) pair of polynomials whose

@@ -16,8 +16,7 @@ returned is re-multiplied and compared with its target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .fppoly import Polynomial
 
@@ -36,8 +35,7 @@ class SizeGuardError(ValueError):
         self.cols = cols
 
 
-@dataclass
-class LinearSystem:
+class LinearSystem(NamedTuple):
     """Sparse row-major system A x = rhs over F_p.
 
     Row labels are monomials; column labels are (generator index, multiplier

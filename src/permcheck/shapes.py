@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .fppoly import Polynomial, StructureError, VariableSpace
 
@@ -24,22 +23,28 @@ SYMMETRIC = "symmetric"
 HANKEL = "hankel"
 
 
-@dataclass(frozen=True)
-class MatrixShape:
-    """A matrix of indeterminates: entry (i, j) is variable `entry_index(i, j)`
-    of `space`."""
-
+class _Dims(NamedTuple):
     kind: str
     nrows: int
     ncols: int
 
-    def __post_init__(self):
-        if self.kind not in (GENERIC, SYMMETRIC, HANKEL):
-            raise ValueError(f"unknown shape kind {self.kind!r}")
-        if self.nrows < 1 or self.ncols < 1:
+
+class MatrixShape(_Dims):
+    """A matrix of indeterminates: entry (i, j) is variable `entry_index(i, j)`
+    of `space`.  Immutable; equal and hashed by (kind, nrows, ncols).  It has
+    no __slots__, so `space` can be cached in its __dict__."""
+
+    def __new__(cls, kind: str, nrows: int, ncols: int):
+        if kind not in (GENERIC, SYMMETRIC, HANKEL):
+            raise ValueError(f"unknown shape kind {kind!r}")
+        if nrows < 1 or ncols < 1:
             raise ValueError("matrix dimensions must be positive")
-        if self.kind in (SYMMETRIC, HANKEL) and self.nrows != self.ncols:
-            raise ValueError(f"{self.kind} matrices must be square")
+        if kind in (SYMMETRIC, HANKEL) and nrows != ncols:
+            raise ValueError(f"{kind} matrices must be square")
+        return super().__new__(cls, kind, nrows, ncols)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MatrixShape is immutable")
 
     @classmethod
     def generic(cls, m: int, n: int) -> "MatrixShape":
@@ -150,8 +155,15 @@ def permanent(
     return dp[(1 << s) - 1]
 
 
-@dataclass(frozen=True)
-class IdealPresentation:
+class _Presentation(NamedTuple):
+    generators: tuple
+    complete_intersection: bool = False
+    shape: Optional[MatrixShape] = None
+    t: Optional[int] = None
+    duplicates: tuple = ()
+
+
+class IdealPresentation(_Presentation):
     """Generators of an ideal, and whether they form a complete intersection.
 
     `complete_intersection` admits the Fedder checks that need one; it is
@@ -160,15 +172,13 @@ class IdealPresentation:
     therefore not repeated.
     """
 
-    generators: tuple
-    complete_intersection: bool = False
-    shape: Optional[MatrixShape] = None
-    t: Optional[int] = None
-    duplicates: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if any(g.is_zero for g in self.generators):
             raise ValueError("ideal generators must be nonzero")
+        return self
 
     @property
     def space(self) -> VariableSpace:

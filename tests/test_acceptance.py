@@ -27,6 +27,13 @@ from permcheck.frobcheck import (
     fedder_coefficient_fullsupport,
     fiber_count_3x4,
 )
+from permcheck.hankel import (
+    verify_hankel_eisenstein,
+    verify_hankel_hypersurface,
+    verify_hankel_monomial_absence,
+    verify_hankel_product_identity,
+    verify_hankel_specialization_check,
+)
 from permcheck.linmember import member_bounded
 from permcheck.shapes import (
     MatrixShape,
@@ -36,11 +43,6 @@ from permcheck.shapes import (
 from permcheck.witnesses import (
     scan_three_by_four_fpurity,
     verify_entry_triples,
-    verify_hankel_eisenstein,
-    verify_hankel_monomial_absence,
-    verify_hankel_product_identity,
-    verify_hankel_hypersurface,
-    verify_hankel_specialization_check,
     verify_squared_entry_triples,
     verify_witness_membership,
 )

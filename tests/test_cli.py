@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from permcheck import frobcheck, witnesses
+from permcheck import frobcheck, hankel, witnesses
 from permcheck.cli import CHECKS, run
+from permcheck.report import LemmaReport
 
 
 def invoke(capsys, *argv):
@@ -165,8 +166,8 @@ class TestExitCodes:
         assert "--p is required" in err
 
     def test_inconclusive_is_three(self, capsys, monkeypatch):
-        report = witnesses.LemmaReport("lemma31", {}, "inconclusive", {}, 0.0)
-        monkeypatch.setattr(witnesses, "verify_hankel_monomial_absence", lambda n: report)
+        report = LemmaReport("lemma31", {}, "inconclusive", {}, 0.0)
+        monkeypatch.setattr(hankel, "verify_hankel_monomial_absence", lambda n: report)
         code, out, _ = invoke(capsys, "verify", "lemma31", "--n", "2")
         assert code == 3
         assert "aggregate: inconclusive" in out
@@ -343,33 +344,37 @@ class TestChecks:
 
 class TestCheckTable:
     CASES = [
-        (("verify", "lemma31", "--n", "2"), "verify_hankel_monomial_absence"),
-        (("verify", "lemma32", "--n", "3"), "verify_hankel_eisenstein"),
-        (("verify", "lemma34", "--n", "2", "--p", "3,5"), "verify_hankel_product_identity"),
-        (("verify", "thm35", "--n", "2", "--p", "3,5"), "verify_hankel_hypersurface"),
-        (("verify", "thm36", "--n", "3"), "verify_hankel_specialization_check"),
-        (("verify", "witness-generic", "--m", "2", "--n", "3", "--p", "3,5"),
+        (("verify", "lemma31", "--n", "2"), hankel, "verify_hankel_monomial_absence"),
+        (("verify", "lemma32", "--n", "3"), hankel, "verify_hankel_eisenstein"),
+        (("verify", "lemma34", "--n", "2", "--p", "3,5"), hankel,
+         "verify_hankel_product_identity"),
+        (("verify", "thm35", "--n", "2", "--p", "3,5"), hankel, "verify_hankel_hypersurface"),
+        (("verify", "thm36", "--n", "3"), hankel, "verify_hankel_specialization_check"),
+        (("verify", "witness-generic", "--m", "2", "--n", "3", "--p", "3,5"), witnesses,
          "verify_witness_membership"),
-        (("verify", "witness-symmetric", "--n", "3", "--p", "3,5"), "verify_witness_membership"),
-        (("verify", "monomials28", "--m", "2", "--n", "3", "--p", "3,5"), "verify_entry_triples"),
-        (("verify", "monomials29", "--m", "3", "--n", "3", "--p", "3,5"),
+        (("verify", "witness-symmetric", "--n", "3", "--p", "3,5"), witnesses,
+         "verify_witness_membership"),
+        (("verify", "monomials28", "--m", "2", "--n", "3", "--p", "3,5"), witnesses,
+         "verify_entry_triples"),
+        (("verify", "monomials29", "--m", "3", "--n", "3", "--p", "3,5"), witnesses,
          "verify_squared_entry_triples"),
-        (("verify", "fpure", "--shape", "hankel:3", "--p", "3,5"), "verify_fpure"),
-        (("scan", "conjecture45", "--p", "3,5"), "scan_three_by_four_fpurity"),
+        (("verify", "fpure", "--shape", "hankel:3", "--p", "3,5"), witnesses, "verify_fpure"),
+        (("scan", "conjecture45", "--p", "3,5"), witnesses, "scan_three_by_four_fpurity"),
     ]
 
     def test_cases_cover_every_check(self):
-        assert {argv[1] for argv, _ in self.CASES if argv[0] == "verify"} == set(CHECKS)
+        assert {argv[1] for argv, _, _ in self.CASES if argv[0] == "verify"} == set(CHECKS)
 
-    @pytest.mark.parametrize("argv, fn", CASES, ids=[argv[1] for argv, _ in CASES])
-    def test_runner_calls_the_patched_module_function(self, capsys, monkeypatch, argv, fn):
+    @pytest.mark.parametrize("argv, module, fn", CASES, ids=[argv[1] for argv, _, _ in CASES])
+    def test_runner_calls_the_patched_module_function(self, capsys, monkeypatch, argv, module,
+                                                      fn):
         calls = []
 
         def stub(*args, **kwargs):
             calls.append(args)
-            return witnesses.LemmaReport(argv[1], {}, "pass", {}, 0.0)
+            return LemmaReport(argv[1], {}, "pass", {}, 0.0)
 
-        monkeypatch.setattr(witnesses, fn, stub)
+        monkeypatch.setattr(module, fn, stub)
         code, out, _ = invoke(capsys, *argv)
         assert code == 0
         once_per_prime = "--p" in argv and argv[0] == "verify"
@@ -433,6 +438,13 @@ class TestCheckTable:
         assert '"e": 1,' in out
         assert '"checkpoint": null' in out
 
+    def test_default_threads_echo_is_one_on_any_machine(self, capsys, monkeypatch):
+        # --threads has no effect, so a default report must not depend on the core count
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        code, out, _ = invoke(capsys, "verify", "lemma31", "--n", "3", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["config"]["threads"] == 1
+
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -476,6 +488,64 @@ def cold_start(*argv, **env):
     return tuple(json.loads(proc.stdout))
 
 
+# Runs in a fresh interpreter: prints the watched modules (those of
+# `permcheck`, dataclasses, inspect, numpy and concurrent.futures) loaded
+# after `import permcheck.cli`, then runs argv and prints its exit code (the
+# code of a SystemExit for --help and --version) and the watched modules
+# loaded now.
+MODULE_PROBE = """
+import contextlib, io, json, sys
+import permcheck.cli
+watched = lambda: sorted(m for m in sys.modules if m.startswith("permcheck.")
+                         or m in ("dataclasses", "inspect", "numpy", "concurrent.futures"))
+imported = watched()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = permcheck.cli.run(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([imported, code, watched()]))
+"""
+
+
+def loaded_modules(*argv):
+    """(watched modules after `import permcheck.cli`, exit code, watched
+    modules after running argv), from a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", MODULE_PROBE, *argv], env=child_env(), capture_output=True,
+        text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return tuple(json.loads(proc.stdout))
+
+
+# every job of the benchmark's four workloads, with its expected exit code;
+# the tests run them with --threads 1, which has no effect
+BENCHMARK_JOBS = [
+    ("verify lemma34 --n 3 --p 3,5,7", 0),
+    ("verify lemma34 --n 4 --p 3,5,7", 0),
+    ("verify lemma34 --n 5 --p 3,5", 0),
+    ("verify thm35 --n 3 --p 3,5,7", 0),
+    ("verify thm35 --n 4 --p 3,5,7", 0),
+    ("verify thm35 --n 5 --p 3,5", 0),
+    ("verify lemma31 --n 6", 0),
+    ("verify lemma32 --n 6", 0),
+    ("verify thm36 --n 5", 0),
+    ("scan conjecture45 --method fiber --p 3,5,7", 0),
+    ("scan conjecture45 --method fiber --p 5", 0),
+    ("verify fpure --shape generic:3x4 --t 3 --method pointcount --p 3", 2),
+    ("verify fpure --shape generic:3x4 --t 3 --p 3", 2),
+    ("verify fpure --shape symmetric:4 --p 7", 0),
+    ("verify fpure --shape generic:2x3 --t 2 --p 11,13", 0),
+    ("verify fpure --shape symmetric:3 --p 37", 0),
+    ("verify witness-generic --m 4 --n 4 --p 3,5,7", 0),
+    ("verify witness-symmetric --n 5 --p 3,5,7", 0),
+    ("verify monomials28 --m 3 --n 3 --p 3,5", 0),
+    ("verify monomials28 --m 3 --n 4 --p 3", 0),
+    ("verify monomials28 --m 4 --n 4 --p 3", 0),
+    ("verify monomials29 --m 3 --n 3 --p 3,5", 0),
+]
+
 NOTHING, NUMPY = [False, False], [True, False]
 # thm35 at (5, 7) has multiplied 405,684 term pairs when it reaches f_5^4,
 # past fppoly.ARRAY_PAIRS, so it runs the numpy product kernel
@@ -487,7 +557,37 @@ ARRAY_KERNELS = [
 
 class TestColdStart:
     """numpy is imported by the array kernels only, never by `import
-    permcheck`, and concurrent.futures never: no check starts a thread."""
+    permcheck`, and concurrent.futures never: no check starts a thread.
+    `import permcheck.cli` loads no other module of the package; a job loads
+    the modules of its own check once its arguments parse, and never
+    dataclasses."""
+
+    @pytest.mark.parametrize("argv, code", [
+        ((), 1),
+        (("--help",), 0),
+        (("--version",), 0),
+        (("verify", "lemma34", "--n", "3"), 1),  # --p is missing
+    ], ids=["no-command", "help", "version", "usage-error"])
+    def test_front_end_loads_no_check_module(self, argv, code):
+        assert loaded_modules(*argv) == (["permcheck.cli"], code, ["permcheck.cli"])
+
+    @pytest.mark.parametrize("job, code", BENCHMARK_JOBS, ids=[job for job, _ in BENCHMARK_JOBS])
+    def test_benchmark_job_loads_only_its_modules(self, job, code):
+        argv = shlex.split(job) + ["--threads", "1", "--format", "json"]
+        _, exit_code, modules = loaded_modules(*argv)
+        assert exit_code == code
+        # only the point count and the fiber count load numpy: every chain of
+        # truncated products in the benchmark stays below fppoly.ARRAY_PAIRS
+        uses_numpy = "--method" in argv
+        assert ("numpy" in modules) == uses_numpy
+        assert "concurrent.futures" not in modules
+        assert "dataclasses" not in modules
+        if not uses_numpy:  # numpy imports inspect itself
+            assert "inspect" not in modules
+        if argv[0] == "verify" and CHECKS[argv[1]].module == "hankel":
+            assert "permcheck.hankel" in modules
+            assert not {"permcheck.frobcheck", "permcheck.witnesses",
+                        "permcheck.linmember"} & set(modules)
 
     def test_import_loads_no_numpy(self):
         assert cold_start()[:3] == (NOTHING, 0, NOTHING)
@@ -523,23 +623,6 @@ class TestColdStart:
         "monomials29", "generators", "lemma34", "thm35", "fpure-hankel", "fpure-generic-3x4",
     ])
     def test_check_runs_without_numpy(self, argv, code):
-        assert cold_start(*argv)[:3] == (NOTHING, code, NOTHING)
-
-    # the truncated jobs of the hankel and fedder-sparse benchmark workloads
-    @pytest.mark.parametrize("job, code", [
-        ("verify lemma34 --n 3 --p 3,5,7", 0),
-        ("verify lemma34 --n 4 --p 3,5,7", 0),
-        ("verify lemma34 --n 5 --p 3,5", 0),
-        ("verify thm35 --n 3 --p 3,5,7", 0),
-        ("verify thm35 --n 4 --p 3,5,7", 0),
-        ("verify thm35 --n 5 --p 3,5", 0),
-        ("verify fpure --shape generic:3x4 --t 3 --p 3", 2),
-        ("verify fpure --shape symmetric:4 --p 7", 0),
-        ("verify fpure --shape generic:2x3 --t 2 --p 11,13", 0),
-        ("verify fpure --shape symmetric:3 --p 37", 0),
-    ], ids=lambda arg: arg if isinstance(arg, str) else None)
-    def test_benchmark_truncated_job_runs_without_numpy(self, job, code):
-        argv = shlex.split(job) + ["--threads", "1"]
         assert cold_start(*argv)[:3] == (NOTHING, code, NOTHING)
 
     @pytest.mark.parametrize("argv", ARRAY_KERNELS, ids=["thm35", "conjecture45-fiber"])

@@ -7,26 +7,27 @@ import random
 
 import pytest
 
-from permcheck import witnesses
+from permcheck import hankel, witnesses
 from permcheck.fppoly import (
     Polynomial,
     parse_poly,
     truncate,
 )
+from permcheck.hankel import (
+    verify_hankel_eisenstein,
+    verify_hankel_hypersurface,
+    verify_hankel_monomial_absence,
+    verify_hankel_product_identity,
+    verify_hankel_specialization_check,
+)
 from permcheck.shapes import MatrixShape, permanental_generators
 from permcheck.witnesses import (
-    LemmaReport,
     _entry_products_in_p2,
     minimal_primes_generic,
     minimal_primes_symmetric,
     scan_three_by_four_fpurity,
     verify_entry_triples,
     verify_fpure,
-    verify_hankel_eisenstein,
-    verify_hankel_hypersurface,
-    verify_hankel_monomial_absence,
-    verify_hankel_product_identity,
-    verify_hankel_specialization_check,
     verify_squared_entry_triples,
     verify_witness_membership,
     witness,
@@ -297,13 +298,13 @@ class TestLemmaReports:
 
     def test_monomial_absence_fails_on_an_upper_term(self, monkeypatch):
         # z3*z4 is supported on z_n, z_{n+1} for n = 3 and contains z_{n+1}
-        real = witnesses.permanent
+        real = hankel.permanent
 
         def with_upper_term(shape, **kwargs):
             f = real(shape, **kwargs)
             return f + parse_poly("z3*z4", f.space, f.char)
 
-        monkeypatch.setattr(witnesses, "permanent", with_upper_term)
+        monkeypatch.setattr(hankel, "permanent", with_upper_term)
         report = verify_hankel_monomial_absence(3)
         assert report.verdict == "fail"
         assert not report.evidence["upper_ok"]
@@ -348,13 +349,13 @@ class TestLemmaReports:
     def test_hypersurface_without_fregularity_witness_is_inconclusive(self, monkeypatch):
         # (a) and (b) decide F-purity; a vanishing f_{n-1} f_n^{p-1} only
         # leaves F-regularity open, it does not refute it
-        real = witnesses._hankel_permanents
+        real = hankel._hankel_permanents
 
         def without_witness(n, p):
             space, f_n, _ = real(n, p)
             return space, f_n, Polynomial.zero(space, p)
 
-        monkeypatch.setattr(witnesses, "_hankel_permanents", without_witness)
+        monkeypatch.setattr(hankel, "_hankel_permanents", without_witness)
         report = verify_hankel_hypersurface(2, 3)
         assert report.verdict == "inconclusive"
         assert report.evidence["fregularity_witness_terms"] == 0
