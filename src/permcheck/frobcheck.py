@@ -14,14 +14,15 @@ truncated powering, brute-force point counting (a hi-table times lo-table
 product per block of hi points, refused when the tables would pass
 MAX_POINTCOUNT_ENTRIES or the points MAX_POINTCOUNT_POINTS), and a fibered
 enumeration special to the generic 3x4 / t=3 complete intersection, which
-visits only three first columns and projective classes of the other two, in
-passes of bounded size, and is refused when those classes would pass
-MAX_FIBER_PAIRS column pairs.  Every route runs on the calling thread.
+visits only three first columns, one point of each orbit of their stabilizer
+on the projective classes of column 2 and every class of column 3, on Python
+ints, and is refused when those classes would pass MAX_FIBER_PAIRS column
+pairs.  Every route runs on the calling thread.
 
-The point-count and fiber engines import numpy inside their functions, so it
-loads on their first call; the truncated routes load it only for a chain of
-products that reaches fppoly.ARRAY_PAIRS term pairs, and colon membership
-never.
+Only the point-count engine imports numpy, inside its functions, so it loads
+on its first call; the truncated routes load it only for a chain of products
+that reaches fppoly.ARRAY_PAIRS term pairs, and the fiber engine and colon
+membership never.
 """
 
 from __future__ import annotations
@@ -293,8 +294,9 @@ def fedder_coefficient_fullsupport(gens: IdealPresentation, method: str = "trunc
     columns per block of the first three columns by inclusion-exclusion on
     the ranks of three linear forms, enumerating only three representative
     first columns (row scaling and row permutations fix the count of every
-    other one) and projective classes of columns 2 and 3 (column scaling
-    fixes it too).
+    other one), projective classes of columns 2 and 3 (column scaling fixes
+    it too), and of column 2 one class per orbit of the row moves that fix
+    the first column.  It never loads numpy.
     """
     check_fullsupport(gens, method)
     p = gens.char
@@ -494,13 +496,95 @@ def count_nonvanishing(gens: IdealPresentation, p: int) -> int:
 # column gives perm(B) = 0.  So columns 2 and 3 each run over the p^2 + p + 1
 # normalized points of the projective plane (first nonzero coordinate 1), and
 # each pair of points stands for (p-1)^2 blocks.
+#
+# The row moves that fix the first column -- swapping two rows with equal
+# entries, scaling a row whose entry is 0 -- act on columns 2 and 3 together
+# and keep every count, so column 2 runs over one representative of each
+# orbit of that stabilizer on the projective plane, weighted by the orbit's
+# size, and column 3 over every point.
+#
+# With columns 1 and 2 fixed, perm(B) = l . d2 for the column-(0,1) form l,
+# so the p^2 points d2 off the line l . d2 = 0 are alive (none when l = 0).
+# An alive pair has all three forms nonzero, since perm(B) is also g . d1 and
+# h . column for the column-(0,2) form g and the column-(1,2) form h.  Where
+# det(l, g, h) != 0 the forms are independent and (p-1)^3 fourth columns are
+# admissible.  g and h are linear in d2, so that determinant is a quadratic
+# form Q(d2); only the points of the conic Q = 0 are counted by ranks.
 
-FIBER_PASS = 1 << 20  # column pairs per array pass; bounds the engine's memory
-# Most column pairs (p^2 + p + 1)^2 a fiber count visits per first column:
-# about 23 s at the 0.23 us per pair and first column measured on one thread
-# of a 2-core VM (p = 53 took 5.7 s, p = 73 20 s).  p = 73 is accepted and
+# Most column pairs (p^2 + p + 1)^2 a fiber count visits per first column,
+# before the orbits are taken.  The orbit engine counts p = 37 in 0.2 s and
+# p = 73 in 1.2 s on one thread of a 2-core VM.  p = 73 is accepted and
 # p = 79 refused.
 MAX_FIBER_PAIRS = 1 << 25
+
+
+def _pair_forms(u, w) -> tuple:
+    """The 2x2 permanents of the columns u, w (in F_p^3) with row k removed,
+    k = 0, 1, 2, as exact integers."""
+    return (u[1] * w[2] + u[2] * w[1], u[0] * w[2] + u[2] * w[0], u[0] * w[1] + u[1] * w[0])
+
+
+def _normalized_points(p: int) -> list:
+    """The p^2 + p + 1 points of P^2(F_p) with first nonzero coordinate 1."""
+    return (
+        [(1, x, y) for x in range(p) for y in range(p)]
+        + [(0, 1, y) for y in range(p)]
+        + [(0, 0, 1)]
+    )
+
+
+def _stabilizer_orbits(p: int, column) -> list:
+    """The orbits of the normalized points of P^2(F_p) under the row moves
+    that fix `column`: the transpositions (i j) with column[i] == column[j]
+    and the scalings of each row i with column[i] == 0 by a generator of
+    F_p^*.  Each orbit is a list of points, its representative first."""
+    inverse = [0] + [pow(x, p - 2, p) for x in range(1, p)]
+    generator = next(g for g in range(1, p) if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
+    moves = []  # (source row of each coordinate, factor of each coordinate)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        if column[i] == column[j]:
+            rows = [0, 1, 2]
+            rows[i], rows[j] = j, i
+            moves.append((rows, (1, 1, 1)))
+    for i in range(3):
+        if column[i] == 0:
+            factors = [1, 1, 1]
+            factors[i] = generator
+            moves.append(([0, 1, 2], factors))
+    seen = set()
+    orbits = []
+    for point in _normalized_points(p):
+        if point in seen:
+            continue
+        seen.add(point)
+        orbit = [point]
+        for q in orbit:  # grows while it is walked
+            for rows, factors in moves:
+                image = [f * q[r] % p for r, f in zip(rows, factors)]
+                unit = inverse[next(x for x in image if x)]
+                image = tuple(x * unit % p for x in image)
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+        orbits.append(orbit)
+    return orbits
+
+
+def _independent(u, w, p: int) -> bool:
+    """Whether the rows u, w are linearly independent over F_p."""
+    return bool(
+        (u[0] * w[1] - u[1] * w[0]) % p
+        or (u[0] * w[2] - u[2] * w[0]) % p
+        or (u[1] * w[2] - u[2] * w[1]) % p
+    )
+
+
+def _rank_deficient_count(p: int, l, g, h) -> int:
+    """Admissible fourth columns for three nonzero forms with det = 0: by
+    inclusion-exclusion, p^3 - 3p^2 + (p or p^2 per pair, as it is
+    independent or not) - (p at rank 2, p^2 at rank 1)."""
+    pairs = _independent(l, g, p) + _independent(l, h, p) + _independent(g, h, p)
+    return p**3 - 3 * p * p + pairs * p + (3 - pairs) * p * p - (p if pairs else p * p)
 
 
 def _projective_class_count(p: int, column) -> int:
@@ -508,71 +592,43 @@ def _projective_class_count(p: int, column) -> int:
 
     `column` is the first column (B00, B10, B20) of B; columns 2 and 3 run
     over normalized points of P^2(F_p), so the count over all of F_p^3 x F_p^3
-    is (p-1)^2 times the returned sum.
+    is (p-1)^2 times the returned sum.  Column 2 runs over the orbits of the
+    stabilizer of `column`, column 3 over every point, a row (u, v, *) of the
+    plane at a time.
     """
-    import numpy as np
-
-    a, b, c = column
-    # MAX_FIBER_PAIRS keeps p below 79, so 3 (p-1)^2 fits int32
-    points = np.array(
-        [(1, x, y) for x in range(p) for y in range(p)]
-        + [(0, 1, y) for y in range(p)]
-        + [(0, 0, 1)],
-        dtype=np.int32,
-    ).T
-    n = points.shape[1]
-    p3, p2 = p**3, p * p
-
-    def pair_minors(fa, fb):
-        return [
-            (fa[0] * fb[1] - fa[1] * fb[0]) % p,
-            (fa[0] * fb[2] - fa[2] * fb[0]) % p,
-            (fa[1] * fb[2] - fa[2] * fb[1]) % p,
-        ]
-
+    full = (p - 1) ** 3
+    heads = [(1, x) for x in range(p)] + [(0, 1)]
+    squares = [(y, y * y) for y in range(p)]
     total = 0
-    for start in range(0, n * n, FIBER_PASS):
-        idx = np.arange(start, min(start + FIBER_PASS, n * n))
-        d01, d11, d21 = points[:, idx // n]
-        d02, d12, d22 = points[:, idx % n]
-        # forms for column pair (1, 2): row k removed
-        f12 = [
-            (d11 * d22 + d12 * d21) % p,
-            (d01 * d22 + d02 * d21) % p,
-            (d01 * d12 + d02 * d11) % p,
-        ]
-        alive = (a * f12[0] + b * f12[1] + c * f12[2]) % p != 0
-        d01, d11, d21, d02, d12, d22 = (d[alive] for d in (d01, d11, d21, d02, d12, d22))
-        f12 = [f[alive] for f in f12]
-        f01 = [
-            (b * d21 + d11 * c) % p,
-            (a * d21 + d01 * c) % p,
-            (a * d11 + d01 * b) % p,
-        ]
-        f02 = [
-            (b * d22 + d12 * c) % p,
-            (a * d22 + d02 * c) % p,
-            (a * d12 + d02 * b) % p,
-        ]
-        forms = [f01, f02, f12]
-        nz = [(f[0] + f[1] + f[2]) > 0 for f in forms]
-        pairs = [(0, 1), (0, 2), (1, 2)]
-        minors = {pr: pair_minors(forms[pr[0]], forms[pr[1]]) for pr in pairs}
-        m12 = minors[(1, 2)]
-        det3 = (f01[0] * m12[2] - f01[1] * m12[1] + f01[2] * m12[0]) % p
+    for orbit in _stabilizer_orbits(p, column):
+        d1 = orbit[0]
+        l = tuple(x % p for x in _pair_forms(column, d1))
+        if not any(l):
+            continue  # perm(B) = l . d2 = 0 for every d2
 
-        count = np.full(d01.shape, p3, dtype=np.int64)
-        for t in range(3):
-            count -= np.where(nz[t], p2, p3)
-        any_minor = None
-        for pr in pairs:
-            mnz = (minors[pr][0] != 0) | (minors[pr][1] != 0) | (minors[pr][2] != 0)
-            either = nz[pr[0]] | nz[pr[1]]
-            count += np.where(mnz, p, np.where(either, p2, p3))
-            any_minor = mnz if any_minor is None else (any_minor | mnz)
-        any_entry = nz[0] | nz[1] | nz[2]
-        count -= np.where(det3 != 0, 1, np.where(any_minor, p, np.where(any_entry, p2, p3)))
-        total += int(count.sum())
+        def q(d2):  # det(l, g, h), exactly
+            g, h = _pair_forms(column, d2), _pair_forms(d1, d2)
+            return (
+                l[0] * (g[1] * h[2] - g[2] * h[1])
+                - l[1] * (g[0] * h[2] - g[2] * h[0])
+                + l[2] * (g[0] * h[1] - g[1] * h[0])
+            )
+
+        # Q(d2) = sum_{i <= j} c_ij d2_i d2_j, read off by polarization
+        c00, c11, c22 = q((1, 0, 0)), q((0, 1, 0)), q((0, 0, 1))
+        c01, c02, c12 = q((1, 1, 0)) - c00 - c11, q((1, 0, 1)) - c00 - c22, q((0, 1, 1)) - c11 - c22
+        c22 %= p
+        conic = [] if c22 else [(0, 0, 1)]
+        for u, v in heads:  # Q(u, v, y) = head + slope * y + c22 * y^2
+            head = (c00 * u * u + c01 * u * v + c11 * v * v) % p
+            slope = (c02 * u + c12 * v) % p
+            conic += [(u, v, y) for y, yy in squares if not (head + slope * y + c22 * yy) % p]
+        count = p * p * full  # every alive d2 off the conic
+        for d2 in conic:
+            if (l[0] * d2[0] + l[1] * d2[1] + l[2] * d2[2]) % p:
+                g, h = _pair_forms(column, d2), _pair_forms(d1, d2)
+                count += _rank_deficient_count(p, l, g, h) - full
+        total += len(orbit) * count
     return total
 
 
@@ -590,9 +646,9 @@ def fiber_count_3x4(p: int) -> int:
     """#{A in F_p^{3x4} : all four 3x3 permanents nonzero}, exactly.
 
     Sums the three representative first columns (with 0, 1 or 2 zeros) over
-    projective classes of columns 2 and 3, in passes of FIBER_PASS pairs, and
-    weights each by the number of blocks it stands for.  More than
-    MAX_FIBER_PAIRS pairs raises ValueError before the first pass.
+    projective classes of columns 2 and 3, and weights each by the number of
+    blocks it stands for.  More than MAX_FIBER_PAIRS pairs raises ValueError
+    before the first count.
     """
     _check_fiber_size(p)
     classes = (

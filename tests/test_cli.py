@@ -551,7 +551,6 @@ NOTHING, NUMPY = [False, False], [True, False]
 # past fppoly.ARRAY_PAIRS, so it runs the numpy product kernel
 ARRAY_KERNELS = [
     ("verify", "thm35", "--n", "5", "--p", "7"),
-    ("scan", "conjecture45", "--method", "fiber", "--p", "3"),
 ]
 
 
@@ -576,9 +575,10 @@ class TestColdStart:
         argv = shlex.split(job) + ["--threads", "1", "--format", "json"]
         _, exit_code, modules = loaded_modules(*argv)
         assert exit_code == code
-        # only the point count and the fiber count load numpy: every chain of
-        # truncated products in the benchmark stays below fppoly.ARRAY_PAIRS
-        uses_numpy = "--method" in argv
+        # only the point count loads numpy: the fiber count runs on Python
+        # ints, and every chain of truncated products in the benchmark stays
+        # below fppoly.ARRAY_PAIRS
+        uses_numpy = "pointcount" in argv
         assert ("numpy" in modules) == uses_numpy
         assert "concurrent.futures" not in modules
         assert "dataclasses" not in modules
@@ -618,14 +618,17 @@ class TestColdStart:
         (("verify", "fpure", "--shape", "hankel:3", "--p", "3"), 0),
         # omega^2 is computed and vanishes: not F-pure
         (("verify", "fpure", "--shape", "generic:3x4", "--t", "3", "--p", "3"), 2),
+        # the fiber count runs on Python ints
+        (("scan", "conjecture45", "--method", "fiber", "--p", "3"), 0),
     ], ids=[
         "lemma31", "lemma32", "thm36", "witness-generic", "witness-symmetric", "monomials28",
         "monomials29", "generators", "lemma34", "thm35", "fpure-hankel", "fpure-generic-3x4",
+        "conjecture45-fiber",
     ])
     def test_check_runs_without_numpy(self, argv, code):
         assert cold_start(*argv)[:3] == (NOTHING, code, NOTHING)
 
-    @pytest.mark.parametrize("argv", ARRAY_KERNELS, ids=["thm35", "conjecture45-fiber"])
+    @pytest.mark.parametrize("argv", ARRAY_KERNELS, ids=["thm35"])
     def test_array_kernel_loads_numpy(self, argv):
         # the kernels never call BLAS, so the CLI loads numpy with one
         # OpenBLAS thread rather than a pool of one per core
@@ -674,11 +677,12 @@ def capped_cli(mib, *argv):
 
 
 class TestMemoryCap:
-    def test_fiber_p13_fits_in_512_mib(self):
-        # enumerating all p^6 choices of columns 2 and 3 at p = 13 takes more
-        # than 768 MiB of address space; the projective-class passes fit in 512
+    def test_fiber_p37_fits_in_64_mib(self):
+        # the fiber count keeps one orbit list and one conic per first column
+        # on Python ints and never loads numpy, so p = 37 fits where numpy's
+        # import alone would not
         proc = capped_cli(
-            512, "scan", "conjecture45", "--method", "fiber", "--p", "13", "--threads", "1"
+            64, "scan", "conjecture45", "--method", "fiber", "--p", "37", "--threads", "1"
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert json.loads(proc.stdout)["aggregate"] == "pass"

@@ -19,6 +19,7 @@ from permcheck.frobcheck import (
     _count_hi_block,
     _pointcount_dtype,
     _projective_class_count,
+    _stabilizer_orbits,
     colon_membership,
     count_nonvanishing,
     fedder_ci_check,
@@ -460,16 +461,12 @@ class TestFiberEngine:
             zeros = sum(d == 0 for d in (hi // (p * p), hi // p % p, hi % p))
             assert blocks[hi] == value[zeros], (p, hi)
 
-    @pytest.mark.parametrize("passes", [1, 2])
     @pytest.mark.parametrize("p", [3, 5, 7])
-    def test_unreduced_sum_matches(self, unreduced_blocks, p, passes, monkeypatch):
+    def test_unreduced_sum_matches(self, unreduced_blocks, p):
         blocks = unreduced_blocks[p]
         c0, c1, c2 = blocks[p * p + p + 1], blocks[p * p + p], blocks[p * p]
         total = sum(blocks)
         assert total == (p - 1) ** 3 * c0 + 3 * (p - 1) ** 2 * c1 + 3 * (p - 1) * c2
-        # the (p^2+p+1)^2 column pairs in one pass, or split over two
-        pairs = (p * p + p + 1) ** 2
-        monkeypatch.setattr(frobcheck, "FIBER_PASS", -(-pairs // passes))
         assert fiber_count_3x4(p) == total
 
     @pytest.mark.parametrize("p", [3, 5, 7])
@@ -495,11 +492,52 @@ class TestFiberEngine:
         with pytest.raises(ValueError, match="more than"):
             fiber_count_3x4(1009)
 
-    def test_passes_do_not_change_the_count(self, monkeypatch):
-        # 7 pairs per pass splits p = 5's 31^2 pairs into 138 passes
-        expected = fiber_count_3x4(5)
-        monkeypatch.setattr(frobcheck, "FIBER_PASS", 7)
-        assert fiber_count_3x4(5) == expected
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    @pytest.mark.parametrize("column", [(1, 1, 1), (1, 1, 0), (1, 0, 0)], ids=["111", "110", "100"])
+    def test_orbits_partition_the_plane(self, column, p):
+        plane = {(1, x, y) for x in range(p) for y in range(p)}
+        plane |= {(0, 1, y) for y in range(p)} | {(0, 0, 1)}
+        orbits = _stabilizer_orbits(p, column)
+        members = [set(orbit) for orbit in orbits]
+        assert all(len(m) == len(orbit) for m, orbit in zip(members, orbits))
+        assert len(set().union(*members)) == sum(map(len, members))  # disjoint
+        assert set().union(*members) == plane
+        assert sum(map(len, orbits)) == p * p + p + 1
+        # the moves that fix the column: swapping two rows with equal entries,
+        # scaling a row with entry 0 by any unit
+        swaps = [(i, j) for i, j in ((0, 1), (0, 2), (1, 2)) if column[i] == column[j]]
+        zeros = [i for i in range(3) if column[i] == 0]
+
+        def images(q):
+            for i, j in swaps:
+                image = list(q)
+                image[i], image[j] = q[j], q[i]
+                yield image
+            for i in zeros:
+                for unit in range(2, p):
+                    image = list(q)
+                    image[i] = q[i] * unit % p
+                    yield image
+
+        def normalized(q):
+            lead = next(x for x in q if x % p)
+            return tuple(x * pow(lead, -1, p) % p for x in q)
+
+        for orbit in members:
+            for q in orbit:
+                assert all(normalized(image) in orbit for image in images(q)), (q, orbit)
+
+    def test_regression_pin_closed_form_5_to_37(self):
+        # a regression pin of the engine, not a proof: ROADMAP item 8's fitted
+        # N(p) = (p-1)^6 (p^6 + 2p^5 + 3p^4 + 10p^3 - 4p^2 + 14p + eps_p), with
+        # eps_p = a_p^2 - 2p for p = 1 mod 3 (else 0) and a_p = p + 1 - #E(F_p)
+        # for E: y^2 = x^3 + 1, counted here point by point
+        for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+            affine = sum(1 for x in range(p) for y in range(p) if (y * y - x**3 - 1) % p == 0)
+            a_p = p + 1 - (affine + 1)
+            eps = a_p * a_p - 2 * p if p % 3 == 1 else 0
+            poly = p**6 + 2 * p**5 + 3 * p**4 + 10 * p**3 - 4 * p**2 + 14 * p + eps
+            assert fiber_count_3x4(p) == (p - 1) ** 6 * poly, p
 
 
 class TestPointCount:
