@@ -10,23 +10,25 @@ for the minimal primes P of P_2 (variables, plus a binomial x^u + x^w on an
 inner 2x2 block unless P is generated by variables only), and computes the
 "Fedder coefficient" of a full-support ideal -- the coefficient of
 prod x_i^{p-1} in omega^{p-1} -- by three independent routes: symbolic
-truncated powering, brute-force point counting (a hi-table times lo-table
-product per block of hi points, refused when the tables would pass
-MAX_POINTCOUNT_ENTRIES or the points MAX_POINTCOUNT_POINTS), and a fibered
-enumeration special to the generic 3x4 / t=3 complete intersection, which
-visits only three first columns, one point of each orbit of their stabilizer
-on the projective classes of column 2 and every class of column 3, on Python
-ints, and is refused when those classes would pass MAX_FIBER_PAIRS column
-pairs.  Every route runs on the calling thread.
+truncated powering, brute-force point counting (every point of F_p^v, a
+block of lo points packed into the lanes of a Python int per hi row, refused
+when its tables and masks would pass MAX_POINTCOUNT_ENTRIES lanes or its
+points MAX_POINTCOUNT_POINTS), and a fibered enumeration special to the
+generic 3x4 / t=3 complete intersection, which visits only three first
+columns, one point of each orbit of their stabilizer on the projective
+classes of column 2 and every class of column 3, and is refused when those
+classes would pass MAX_FIBER_PAIRS column pairs.  Every route runs on the
+calling thread.
 
-Only the point-count engine imports numpy, inside its functions, so it loads
-on its first call; the truncated routes load it only for a chain of products
-that reaches fppoly.ARRAY_PAIRS term pairs, and the fiber engine and colon
-membership never.
+Only the truncated routes import numpy, inside fppoly's kernel, and only for
+a chain of products that reaches fppoly.ARRAY_PAIRS term pairs.  The point
+count, the fiber engine and colon membership run on Python ints and never
+load it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from operator import add
 from typing import NamedTuple, Optional
 
@@ -296,7 +298,7 @@ def fedder_coefficient_fullsupport(gens: IdealPresentation, method: str = "trunc
     first columns (row scaling and row permutations fix the count of every
     other one), projective classes of columns 2 and 3 (column scaling fixes
     it too), and of column 2 one class per orbit of the row moves that fix
-    the first column.  It never loads numpy.
+    the first column.  Neither counting method loads numpy.
     """
     check_fullsupport(gens, method)
     p = gens.char
@@ -344,136 +346,172 @@ def check_fullsupport(gens: IdealPresentation, method: str) -> None:
 #
 # The v variables split into a hi half (the first v - v // 2) and a lo half
 # (the last v // 2, empty when v = 1), so F_p^v is a grid of hi points (rows)
-# by lo points (columns) and every term is coeff * hi-monomial * lo-monomial.
-# With H[t] = coeff_t * hi-monomial_t mod p on the rows and L[t] =
-# lo-monomial_t mod p on the columns, a generator's values on a block of rows
-# are sum_t H[t] (x) L[t] mod p: T outer products of entries below p, summed
-# exactly in an unsigned dtype that holds T * (p-1)^2.  Every one of the p^v
-# points is still visited and no symmetry is used, which is what makes the
-# count an independent oracle.  Element-wise numpy only: a BLAS product would
-# run on OpenBLAS's pool, which the CLI sizes to one thread.
+# by lo points, and every term is coeff * hi-monomial * lo-monomial.  Point i
+# of F_p^k has base-p digit j of i as its j-th coordinate.
 #
-# A sum x below 2^b is divisible by the odd prime p iff x * p^{-1} mod 2^b is
-# at most (2^b - 1) // p, since multiplying by p^{-1} permutes Z/2^b and sends
-# the multiples k*p to the k (Granlund & Montgomery, PLDI 1994, section 9).
-# One wrapping multiply and one compare replace `% p`, numpy's slowest step.
+# The lo points run in blocks of p^b, the most that POINTCOUNT_CHUNK holds:
+# the first b lo coordinates vary inside a block, the others are fixed per
+# block.  A block packs one lane of w = p.bit_length() + 1 bits per point
+# into a Python int.  For each lo monomial restricted to the first b lo
+# coordinates and each unit c, the lanes c * m(x) mod p are packed once.  On
+# a hi row of a block every term is one of these tables times a unit: its
+# coefficient times its hi monomial on the row times the rest of its lo
+# monomial on the block.  A generator's values are the sum of its terms'
+# tables, reduced after each add by a SWAR conditional subtraction: two
+# reduced lanes sum below 2p < 2^w, and adding 2^(w-1) - p to every lane sets
+# a lane's top bit iff it is at least p.  Adding 2^(w-1) - 1 sets the top bit
+# of each nonzero lane; the generators' masks are ANDed and their bits
+# counted.  Python ints do not overflow, so the count is exact at every p.
+#
+# A generator's values on a row depend only on its hi monomials' values
+# there, so within a block its mask is computed once per distinct tuple of
+# them, and rows whose tuples coincide for every generator share one count.
+# Every one of the p^v points is still evaluated from the terms and no
+# symmetry of the ideal is used, which is what makes the count an independent
+# oracle.
 
-POINTCOUNT_CHUNK = 1 << 17  # points per block of hi rows (at least one row), the unit of work
-# Largest hi plus lo table, in entries summed over the generators; the tables
-# take 4 or 8 bytes an entry, so this keeps them under 64 or 128 MB.
-MAX_POINTCOUNT_ENTRIES = 1 << 24
-# Most points a count visits: about 25 s at the 8.5 * 10^7 points/s that
-# generic 3x4 at p = 5 (5^12 points) counts on one thread of a 2-core VM.
-# At p = 7 (7^12 points) that count is refused.
-MAX_POINTCOUNT_POINTS = 1 << 31
-
-
-def _pointcount_dtype(terms: int, p: int):
-    """uint32 or uint64, whichever holds terms * (p-1)^2; ValueError if neither does."""
-    import numpy as np
-
-    bound = terms * (p - 1) ** 2
-    if bound < 2**32:
-        return np.uint32
-    if bound < 2**64:
-        return np.uint64
-    raise ValueError(
-        f"point count at p = {p} would overflow: {terms} terms times (p-1)^2 "
-        "do not fit in 64 bits"
-    )
-
-
-def _monomial_values(monos, p, count):
-    """Values mod p of each monomial in `monos` at points 0..count-1 of F_p^k.
-
-    Point i has base-p digit j of i as its j-th coordinate.  Returns an int64
-    array of shape (len(monos), count).
-    """
-    import numpy as np
-
-    rest = np.arange(count, dtype=np.int64)
-    values = np.ones((len(monos), count), dtype=np.int64)
-    for j in range(len(monos[0])):
-        digit = rest % p
-        rest = rest // p
-        for t, mono in enumerate(monos):
-            for _ in range(mono[j]):
-                values[t] = values[t] * digit % p
-    return values
+POINTCOUNT_CHUNK = 1 << 12  # most lanes in a block of lo points (a block has at least one)
+# Most packed lanes a count holds: the tables (p - 1 unit multiples of every
+# block monomial and of its prefixes, built once) plus one block's masks (at
+# most p^h per generator with h hi variables).  A lane takes w bits, so this
+# is 16 MB of lanes at p = 5 or 7 and at most 128 MB, at p near 2^31.
+MAX_POINTCOUNT_ENTRIES = 1 << 25
+# Most points a count visits: about 9 s at the 5 * 10^8 points/s that
+# generic 3x4 at p = 5 (5^12 points, 0.5 s) counts on one thread of a 2-core
+# VM, and 6 s at the 7 * 10^8 of generic 2x3 at p = 37 (3.5 s).  Generic 2x3
+# at p = 41 is refused.
+MAX_POINTCOUNT_POINTS = 1 << 32
 
 
-def _count_hi_block(tables, p, start, stop):
-    """Points with no generator vanishing among hi rows start..stop-1."""
-    import numpy as np
-
-    dtype = tables[0][0].dtype.type
-    bits = 8 * np.dtype(dtype).itemsize
-    inverse, limit = dtype(pow(p, -1, 2**bits)), dtype((2**bits - 1) // p)
-    acc = np.empty((stop - start, tables[0][1].shape[1]), dtype=dtype)
-    product = np.empty_like(acc)
-    nonzero = np.empty(acc.shape, dtype=bool)
-    alive = None
-    for hi, lo in tables:
-        np.multiply(hi[0, start:stop, None], lo[0], out=acc)
-        for t in range(1, len(lo)):
-            np.multiply(hi[t, start:stop, None], lo[t], out=product)
-            acc += product
-        acc *= inverse
-        if alive is None:
-            alive = acc > limit
-        else:
-            np.greater(acc, limit, out=nonzero)
-            alive &= nonzero
-    return int(np.count_nonzero(alive))
+def _block_exponent(p: int, k_lo: int) -> int:
+    """b: a block holds the p^b points of the first b of the k_lo lo
+    coordinates, the most that POINTCOUNT_CHUNK admits."""
+    b = 0
+    while b < k_lo and p ** (b + 1) <= POINTCOUNT_CHUNK:
+        b += 1
+    return b
 
 
-def _check_pointcount_size(gens: IdealPresentation, p: int):
-    """The table dtype of a point count at p (see `_pointcount_dtype`).
-    Refuses a count past MAX_POINTCOUNT_ENTRIES table entries or
-    MAX_POINTCOUNT_POINTS points."""
-    dtype = _pointcount_dtype(max(len(g) for g in gens.generators), p)
+def _check_pointcount_size(gens: IdealPresentation, p: int) -> int:
+    """The block exponent b of a point count at p (see `_block_exponent`).
+    Refuses a count past MAX_POINTCOUNT_ENTRIES packed lanes or
+    MAX_POINTCOUNT_POINTS points, before any table is built."""
     v = gens.space.count
-    entries = sum(len(g) for g in gens.generators) * (p ** (v - v // 2) + p ** (v // 2))
+    k_hi = v - v // 2
+    b = _block_exponent(p, v // 2)
+    lows = {m[k_hi:k_hi + b] for g in gens.generators for m, _ in g.items()}
+    prefixes = {m[:j] for m in lows for j in range(b + 1)}
+    masks = sum(
+        p ** sum(any(m[j] for m, _ in g.items()) for j in range(k_hi)) for g in gens.generators
+    )
+    entries = (p - 1) * sum(p ** len(q) for q in prefixes) + masks * p**b
     if entries > MAX_POINTCOUNT_ENTRIES:
         raise ValueError(
-            f"point count at p = {p} needs {entries} table entries, "
+            f"point count at p = {p} needs {entries} packed lanes of tables and masks, "
             f"more than {MAX_POINTCOUNT_ENTRIES}"
         )
     if p**v > MAX_POINTCOUNT_POINTS:
         raise ValueError(
             f"point count at p = {p} visits {p**v} points, more than {MAX_POINTCOUNT_POINTS}"
         )
-    return dtype
+    return b
+
+
+def _value_list(mono, p: int) -> list:
+    """Values mod p of the monomial at the points 0 .. p^k - 1 of F_p^k,
+    k = len(mono), one Kronecker step per coordinate."""
+    values = [1]
+    for e in mono:
+        if e:
+            powers = [pow(x, e, p) for x in range(p)]
+            values = [y * z % p for y in powers for z in values]
+        else:
+            values = values * p
+    return values
+
+
+def _packed_tables(monos, p: int, w: int) -> dict:
+    """For each monomial m of `monos` and each of its prefixes, the list over
+    c = 0 .. p-1 of the int packing c * m(x) mod p into lane x, w bits a
+    lane, one Kronecker step per coordinate."""
+    tables = {(): list(range(p))}
+
+    def build(m):
+        if m not in tables:
+            inner = build(m[:-1])
+            shift = w * p ** (len(m) - 1)
+            powers = [pow(x, m[-1], p) for x in range(p)]
+            tables[m] = [
+                sum(inner[c * y % p] << (x * shift) for x, y in enumerate(powers))
+                for c in range(p)
+            ]
+        return tables[m]
+
+    for m in monos:
+        build(m)
+    return tables
 
 
 def count_nonvanishing(gens: IdealPresentation, p: int) -> int:
-    """#{a in F_p^v : no generator vanishes at a}, by enumerating all p^v points.
+    """#{a in F_p^v : no generator vanishes at a}, by evaluating all p^v points.
 
-    F_p^v is split into hi rows times lo columns (see above).  Each generator's
-    values on a block of about POINTCOUNT_CHUNK points are a sum of outer
-    products of its hi and lo monomial tables, exact in uint32 or uint64 as
-    T * (p-1)^2 allows for the largest term count T; a count that would
-    overflow 64 bits raises ValueError before anything is allocated.  The
-    tables take p^{v - v//2} + p^{v//2} entries per term; more than
-    MAX_POINTCOUNT_ENTRIES in all, or more than MAX_POINTCOUNT_POINTS points,
-    raises ValueError before they are built.  The blocks run one after
-    another, so memory does not grow with the block count.
+    F_p^v is split into hi rows times blocks of lo points, each block packed
+    one point a lane into Python ints (see above), so the count is exact at
+    every p.  More than MAX_POINTCOUNT_ENTRIES packed lanes of tables and one
+    block's masks, or more than MAX_POINTCOUNT_POINTS points, raises
+    ValueError before any table is built.  The blocks run one after another
+    and keep only their own masks, so memory does not grow with the block
+    count.  Runs on Python ints only.
     """
-    import numpy as np
-
-    dtype = _check_pointcount_size(gens, p)
+    b = _check_pointcount_size(gens, p)
     v = gens.space.count
     k_hi = v - v // 2
-    n_hi, n_lo = p**k_hi, p ** (v // 2)
-    tables = []
+    k_out = k_hi + b  # the lo coordinates from here on are fixed per block
+    w = p.bit_length() + 1
+    ones = ((1 << w * p**b) - 1) // ((1 << w) - 1)  # 1 in every lane
+    lift, nonzero, top = ones * ((1 << w - 1) - p), ones * ((1 << w - 1) - 1), ones << w - 1
+
+    hi_values: dict = {}
+    generators, row_ids = [], []
     for g in gens.generators:
-        monos, coeffs = zip(*g.items())
-        coeffs = np.array(coeffs, dtype=np.int64)[:, None]
-        hi = _monomial_values([mono[:k_hi] for mono in monos], p, n_hi) * coeffs % p
-        lo = _monomial_values([mono[k_hi:] for mono in monos], p, n_lo)
-        tables.append((hi.astype(dtype), lo.astype(dtype)))
-    rows = max(1, POINTCOUNT_CHUNK // n_lo)
-    return sum(_count_hi_block(tables, p, s, min(s + rows, n_hi)) for s in range(0, n_hi, rows))
+        terms = [(m[:k_hi], m[k_hi:k_out], m[k_out:], c) for m, c in g.items()]
+        for hi, _, _, _ in terms:
+            if hi not in hi_values:
+                hi_values[hi] = _value_list(hi, p)
+        ids: dict = {}
+        row_ids.append([ids.setdefault(k, len(ids)) for k in zip(*(hi_values[t[0]] for t in terms))])
+        generators.append((list(ids), terms))
+    del hi_values
+    rows = Counter(zip(*row_ids))
+    del row_ids
+    tables = _packed_tables({t[1] for _, terms in generators for t in terms}, p, w)
+    out_values = {t[2]: _value_list(t[2], p) for _, terms in generators for t in terms}
+
+    total = 0
+    for block in range(p ** (v - k_out)):
+        masks = []
+        for keys, terms in generators:
+            scaled = [(tables[lo], c * out_values[out][block] % p) for _, lo, out, c in terms]
+            gen_masks = []
+            for key in keys:
+                acc = 0
+                for h, (table, s) in zip(key, scaled):
+                    c = h * s % p
+                    if not c:
+                        continue
+                    if acc:
+                        acc += table[c]
+                        acc -= (((acc + lift) & top) >> w - 1) * p
+                    else:
+                        acc = table[c]
+                gen_masks.append((acc + nonzero) & top)
+            masks.append(gen_masks)
+        for ids, count in rows.items():
+            mask = -1
+            for gen_masks, i in zip(masks, ids):
+                mask &= gen_masks[i]
+            total += count * mask.bit_count()
+    return total
 
 
 # -- fibered enumeration for the generic 3x4, t = 3 ideal --------------------
@@ -512,10 +550,10 @@ def count_nonvanishing(gens: IdealPresentation, p: int) -> int:
 # form Q(d2); only the points of the conic Q = 0 are counted by ranks.
 
 # Most column pairs (p^2 + p + 1)^2 a fiber count visits per first column,
-# before the orbits are taken.  The orbit engine counts p = 37 in 0.2 s and
-# p = 73 in 1.2 s on one thread of a 2-core VM.  p = 73 is accepted and
-# p = 79 refused.
-MAX_FIBER_PAIRS = 1 << 25
+# before the orbits are taken.  The orbit engine counts p = 73 in 1.0 s,
+# p = 79 in 1.6 s, p = 101 in 3.1 s and p = 107 in 3.7 s on one thread of a
+# 2-core VM.  p = 107 is accepted and p = 109 refused.
+MAX_FIBER_PAIRS = 1 << 27
 
 
 def _pair_forms(u, w) -> tuple:

@@ -218,10 +218,10 @@ def verify_fpure(shape: MatrixShape, t: int, p: int, method: str = "truncated") 
     monomial of omega certifies F-purity at every p without a power (the
     generic, symmetric and Hankel hypersurfaces), and otherwise omega^{p-1}
     is computed by truncated powering.  "pointcount" and "fiber" go through
-    the full-support coefficient.  They need the product
-    omega of the generators to have degree equal to the variable count: then
-    omega^{p-1} mod m^[p] is a multiple of prod x_i^{p-1}, so F-purity is
-    that coefficient being nonzero.
+    the full-support coefficient, counted on Python ints without numpy.  They
+    need the product omega of the generators to have degree equal to the
+    variable count: then omega^{p-1} mod m^[p] is a multiple of
+    prod x_i^{p-1}, so F-purity is that coefficient being nonzero.
     """
     t0 = time.perf_counter()
     params = {"shape": shape.spec_string(), "m": shape.nrows, "n": shape.ncols,

@@ -223,6 +223,100 @@ class _FiberKernel:
         return int(count.sum())
 
 
+# The numpy reference for frobcheck.count_nonvanishing: the same hi x lo
+# split of the variables, but each generator's values on a block of hi rows
+# are sum_t H[t] (x) L[t] for H[t] = coeff_t * hi-monomial_t mod p on the rows
+# and L[t] = lo-monomial_t mod p on all lo points: T outer products of entries
+# below p, summed exactly in an unsigned dtype that holds T * (p-1)^2.
+#
+# A sum x below 2^b is divisible by the odd prime p iff x * p^{-1} mod 2^b is
+# at most (2^b - 1) // p, since multiplying by p^{-1} permutes Z/2^b and sends
+# the multiples k*p to the k (Granlund & Montgomery, PLDI 1994, section 9).
+# One wrapping multiply and one compare replace `% p`, numpy's slowest step.
+
+NUMPY_POINTCOUNT_CHUNK = 1 << 17  # points per block of hi rows (at least one row)
+
+
+def pointcount_dtype(terms: int, p: int):
+    """uint32 or uint64, whichever holds terms * (p-1)^2; ValueError if neither does."""
+    import numpy as np
+
+    bound = terms * (p - 1) ** 2
+    if bound < 2**32:
+        return np.uint32
+    if bound < 2**64:
+        return np.uint64
+    raise ValueError(
+        f"point count at p = {p} would overflow: {terms} terms times (p-1)^2 "
+        "do not fit in 64 bits"
+    )
+
+
+def monomial_value_array(monos, p, count):
+    """Values mod p of each monomial in `monos` at points 0..count-1 of F_p^k.
+
+    Point i has base-p digit j of i as its j-th coordinate.  Returns an int64
+    array of shape (len(monos), count).
+    """
+    import numpy as np
+
+    rest = np.arange(count, dtype=np.int64)
+    values = np.ones((len(monos), count), dtype=np.int64)
+    for j in range(len(monos[0])):
+        digit = rest % p
+        rest = rest // p
+        for t, mono in enumerate(monos):
+            for _ in range(mono[j]):
+                values[t] = values[t] * digit % p
+    return values
+
+
+def count_hi_block(tables, p, start, stop):
+    """Points with no generator vanishing among hi rows start..stop-1."""
+    import numpy as np
+
+    dtype = tables[0][0].dtype.type
+    bits = 8 * np.dtype(dtype).itemsize
+    inverse, limit = dtype(pow(p, -1, 2**bits)), dtype((2**bits - 1) // p)
+    acc = np.empty((stop - start, tables[0][1].shape[1]), dtype=dtype)
+    product = np.empty_like(acc)
+    nonzero = np.empty(acc.shape, dtype=bool)
+    alive = None
+    for hi, lo in tables:
+        np.multiply(hi[0, start:stop, None], lo[0], out=acc)
+        for t in range(1, len(lo)):
+            np.multiply(hi[t, start:stop, None], lo[t], out=product)
+            acc += product
+        acc *= inverse
+        if alive is None:
+            alive = acc > limit
+        else:
+            np.greater(acc, limit, out=nonzero)
+            alive &= nonzero
+    return int(np.count_nonzero(alive))
+
+
+def numpy_count_nonvanishing(gens, p: int) -> int:
+    """#{a in F_p^v : no generator vanishes at a} on numpy, by blocks of
+    about NUMPY_POINTCOUNT_CHUNK points (at least one hi row); the oracle for
+    frobcheck.count_nonvanishing."""
+    import numpy as np
+
+    dtype = pointcount_dtype(max(len(g) for g in gens.generators), p)
+    v = gens.space.count
+    k_hi = v - v // 2
+    n_hi, n_lo = p**k_hi, p ** (v // 2)
+    tables = []
+    for g in gens.generators:
+        monos, coeffs = zip(*g.items())
+        coeffs = np.array(coeffs, dtype=np.int64)[:, None]
+        hi = monomial_value_array([mono[:k_hi] for mono in monos], p, n_hi) * coeffs % p
+        lo = monomial_value_array([mono[k_hi:] for mono in monos], p, n_lo)
+        tables.append((hi.astype(dtype), lo.astype(dtype)))
+    rows = max(1, NUMPY_POINTCOUNT_CHUNK // n_lo)
+    return sum(count_hi_block(tables, p, s, min(s + rows, n_hi)) for s in range(0, n_hi, rows))
+
+
 def permanent_eval(values: Sequence[Sequence[int]], p: int) -> int:
     """Numeric permanent over F_p by Ryser inclusion-exclusion; the oracle for
     symbolic permanents evaluated at points.

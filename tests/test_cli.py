@@ -60,34 +60,39 @@ class TestExitCodes:
         assert "exponent entries" in err
 
     def test_overflowing_point_count_is_usage_error(self, capsys):
-        # the 6-term permanents at p = 2^31 - 1: 6 * (p-1)^2 does not fit 64 bits
+        # at p = 2^31 - 1 a block is one lane, and the p^4 or p^5 masks of each
+        # generator pass the bound
         code, out, err = invoke(
             capsys, "verify", "fpure", "--shape", "generic:3x4", "--t", "3",
             "--method", "pointcount", "--p", "2147483647",
         )
         assert code == 1
         assert out == ""
-        assert "overflow" in err
+        assert "point count at p = 2147483647 needs " in err
+        assert "packed lanes of tables and masks, more than 33554432" in err
 
-    def test_oversized_point_count_tables_are_usage_error(self, capsys):
-        # 24 terms times 2 * 11^6 hi and lo points: 85,034,928 table entries
+    @pytest.mark.parametrize("p, lanes", [(11, 467775824), (7, 92379790)])
+    def test_oversized_point_count_tables_are_usage_error(self, capsys, p, lanes):
+        # one block's masks alone, (2 * p^4 + 2 * p^5) * p^3 lanes at p = 11 and
+        # (2 * p^4 + 2 * p^5) * p^4 at p = 7, pass the bound
         code, out, err = invoke(
             capsys, "verify", "fpure", "--shape", "generic:3x4", "--t", "3",
-            "--method", "pointcount", "--p", "11", "--threads", "1",
+            "--method", "pointcount", "--p", str(p), "--threads", "1",
         )
         assert code == 1
         assert out == ""
-        assert "85034928 table entries" in err
+        assert f"point count at p = {p} needs {lanes} packed lanes" in err
 
     def test_overlong_point_count_is_usage_error(self, capsys):
-        # the tables fit (5,647,152 entries), but 7^12 points would take minutes
+        # the tables and masks fit (8,682,323 lanes), but 41^6 points pass
+        # the bound of 2^32
         code, out, err = invoke(
-            capsys, "verify", "fpure", "--shape", "generic:3x4", "--t", "3",
-            "--method", "pointcount", "--p", "7", "--threads", "1",
+            capsys, "verify", "fpure", "--shape", "generic:2x3", "--t", "2",
+            "--method", "pointcount", "--p", "41", "--threads", "1",
         )
         assert code == 1
         assert out == ""
-        assert "13841287201 points" in err
+        assert "4750104241 points, more than 4294967296" in err
 
     def test_overlong_truncated_chain_is_usage_error(self, capsys):
         # omega of generic:4x5, t = 4 has 208,051 terms at p = 5, so omega^2
@@ -114,7 +119,7 @@ class TestExitCodes:
          "fiber count at p = 1009 visits 1038546466281 column pairs"),
         (("verify", "fpure", "--shape", "generic:3x4", "--t", "3", "--method", "pointcount",
           "--p", "3,11"), "count_nonvanishing",
-         "point count at p = 11 needs 85034928 table entries"),
+         "point count at p = 11 needs 467775824 packed lanes"),
     ], ids=["fiber", "pointcount"])
     def test_oversized_prime_is_refused_before_any_count(self, capsys, monkeypatch, argv,
                                                          counter, message):
@@ -575,15 +580,13 @@ class TestColdStart:
         argv = shlex.split(job) + ["--threads", "1", "--format", "json"]
         _, exit_code, modules = loaded_modules(*argv)
         assert exit_code == code
-        # only the point count loads numpy: the fiber count runs on Python
-        # ints, and every chain of truncated products in the benchmark stays
-        # below fppoly.ARRAY_PAIRS
-        uses_numpy = "pointcount" in argv
-        assert ("numpy" in modules) == uses_numpy
+        # no job loads numpy: the point and fiber counts run on Python ints,
+        # and every chain of truncated products in the benchmark stays below
+        # fppoly.ARRAY_PAIRS
+        assert "numpy" not in modules
         assert "concurrent.futures" not in modules
         assert "dataclasses" not in modules
-        if not uses_numpy:  # numpy imports inspect itself
-            assert "inspect" not in modules
+        assert "inspect" not in modules
         if argv[0] == "verify" and CHECKS[argv[1]].module == "hankel":
             assert "permcheck.hankel" in modules
             assert not {"permcheck.frobcheck", "permcheck.witnesses",
@@ -618,12 +621,14 @@ class TestColdStart:
         (("verify", "fpure", "--shape", "hankel:3", "--p", "3"), 0),
         # omega^2 is computed and vanishes: not F-pure
         (("verify", "fpure", "--shape", "generic:3x4", "--t", "3", "--p", "3"), 2),
-        # the fiber count runs on Python ints
+        # the fiber and point counts run on Python ints
         (("scan", "conjecture45", "--method", "fiber", "--p", "3"), 0),
+        (("verify", "fpure", "--shape", "generic:3x4", "--t", "3", "--method", "pointcount",
+          "--p", "3"), 2),
     ], ids=[
         "lemma31", "lemma32", "thm36", "witness-generic", "witness-symmetric", "monomials28",
         "monomials29", "generators", "lemma34", "thm35", "fpure-hankel", "fpure-generic-3x4",
-        "conjecture45-fiber",
+        "conjecture45-fiber", "fpure-pointcount",
     ])
     def test_check_runs_without_numpy(self, argv, code):
         assert cold_start(*argv)[:3] == (NOTHING, code, NOTHING)
@@ -646,11 +651,11 @@ class TestColdStart:
         assert probe[4] == "2"
 
     def test_point_count_ignores_threads(self, capsys):
-        # generic:3x4 at p = 3 splits into five blocks of hi rows and is not F-pure
+        # generic:3x4 at p = 3 is not F-pure
         argv = ("verify", "fpure", "--shape", "generic:3x4", "--t", "3", "--method",
                 "pointcount", "--p", "3")
         probe = cold_start(*argv, "--threads", "2")
-        assert probe[:3] == (NOTHING, 2, NUMPY)
+        assert probe[:3] == (NOTHING, 2, NOTHING)
         assert probe[3] in (1, None)  # None: no /proc/self/status to count threads
         reports = {}
         for threads in (1, 2):
@@ -686,6 +691,17 @@ class TestMemoryCap:
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert json.loads(proc.stdout)["aggregate"] == "pass"
+
+    def test_point_count_p5_fits_in_64_mib(self):
+        # the point count keeps its tables and one block's masks, about 10 MB
+        # of lanes at p = 5, and never loads numpy, whose import alone would
+        # not fit; generic 3x4 at p = 5 is not F-pure
+        proc = capped_cli(
+            64, "verify", "fpure", "--shape", "generic:3x4", "--t", "3", "--method",
+            "pointcount", "--p", "5", "--threads", "1",
+        )
+        assert proc.returncode == 2, proc.stderr[-2000:]
+        assert json.loads(proc.stdout)["aggregate"] == "fail"
 
     def test_numpy_job_fits_in_128_mib(self):
         # loading numpy with OpenBLAS's default pool of one thread per core

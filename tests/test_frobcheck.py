@@ -16,8 +16,6 @@ from permcheck.fppoly import (
     truncate,
 )
 from permcheck.frobcheck import (
-    _count_hi_block,
-    _pointcount_dtype,
     _projective_class_count,
     _stabilizer_orbits,
     colon_membership,
@@ -40,9 +38,12 @@ from permcheck.witnesses import (
 from helpers import (
     _FiberKernel,
     _fiber_range_scalar,
+    count_hi_block,
     evaluate,
     glassbrenner_witness_check,
     in_frobenius_power,
+    numpy_count_nonvanishing,
+    pointcount_dtype,
     prime_binomial,
     prime_contains,
     prime_generators,
@@ -390,6 +391,7 @@ class TestFedderCoefficient:
                     c1 = fedder_coefficient_fullsupport(pres, "truncated")
                     c2 = fedder_coefficient_fullsupport(pres, "pointcount")
                     assert c1 == c2
+                    assert count_nonvanishing(pres, p) == numpy_count_nonvanishing(pres, p)
                     assert (fedder_ci_check(pres) is None) == (c2 == 0)
                     verdicts.add(c2 == 0)
         assert verdicts == {False, True}
@@ -486,9 +488,13 @@ class TestFiberEngine:
             fiber_count_3x4(5)
 
     def test_pair_bound_admits_the_pinned_primes(self):
-        # tier-1 runs p <= 37 and the closed-form scan needs p <= 53;
-        # p = 1009 would run for days
-        assert (53**2 + 53 + 1) ** 2 <= frobcheck.MAX_FIBER_PAIRS
+        # tier-1 runs p <= 37, the closed-form scan needs p <= 53, and p = 79
+        # (1.6 s) up to p = 107 (3.7 s) run; p = 109 is the first prime refused,
+        # and p = 1009 would run for days
+        for p in (53, 79, 107):
+            frobcheck._check_fiber_size(p)
+        with pytest.raises(ValueError, match="visits 143784081 column pairs"):
+            frobcheck._check_fiber_size(109)
         with pytest.raises(ValueError, match="more than"):
             fiber_count_3x4(1009)
 
@@ -540,6 +546,23 @@ class TestFiberEngine:
             assert fiber_count_3x4(p) == (p - 1) ** 6 * poly, p
 
 
+def pointcount_entries(gens, p, b):
+    """The packed lanes a point count holds with blocks of p^b lo points:
+    p - 1 unit multiples of every block monomial and every prefix of one,
+    plus a mask per value tuple of each generator's hi monomials, at most
+    p^h of them for its h hi variables."""
+    v = gens.space.count
+    k_hi = v - v // 2
+    monos = [m for g in gens.generators for m, _ in g.items()]
+    prefixes = {m[k_hi:k_hi + j] for m in monos for j in range(b + 1)}
+    hi_vars = [{j for m, _ in g.items() for j in range(k_hi) if m[j]} for g in gens.generators]
+    return (p - 1) * sum(p ** len(q) for q in prefixes) + sum(p ** len(h) for h in hi_vars) * p**b
+
+
+def no_tables(*args):
+    raise AssertionError("a table was built")
+
+
 class TestPointCount:
     def test_trivial_never_vanishing(self):
         space = VariableSpace(("x1", "y1"))
@@ -571,21 +594,97 @@ class TestPointCount:
                     if all(evaluate(g, point) != 0 for g in polys)
                 )
                 assert count_nonvanishing(ci(polys), p) == direct
+                assert numpy_count_nonvanishing(ci(polys), p) == direct
                 cases.append((ci(polys), p, direct))
         assert any(max(len(g) for g in gens.generators) == 5 for gens, _, _ in cases)
-        # one point per block, less than one hi row whenever v > 1
+        # one lane per block of lo points
         monkeypatch.setattr(frobcheck, "POINTCOUNT_CHUNK", 1)
         for gens, p, direct in cases:
             assert count_nonvanishing(gens, p) == direct
-        # blocks of several rows with a shorter last one
+        # blocks of p lanes, so several blocks per row from v = 4 on
         monkeypatch.setattr(frobcheck, "POINTCOUNT_CHUNK", 7)
         for gens, p, direct in cases:
             assert count_nonvanishing(gens, p) == direct
 
+    @pytest.mark.parametrize("m, n, t, p", [
+        (2, 3, 2, 3), (2, 3, 2, 5), (2, 3, 2, 7), (2, 3, 2, 11), (2, 3, 2, 13),
+        (3, 4, 3, 3), (3, 4, 3, 5),
+    ])
+    def test_matches_numpy_reference(self, m, n, t, p):
+        # 3x4 at p = 5 runs five blocks of 5^5 lo points; the others one block
+        gens = permanental_generators(MatrixShape.generic(m, n), t, char=p)
+        count = count_nonvanishing(gens, p)
+        assert count == numpy_count_nonvanishing(gens, p)
+        if p**gens.space.count <= 7**6:
+            direct = sum(
+                1
+                for point in itertools.product(range(p), repeat=gens.space.count)
+                if all(evaluate(g, point) for g in gens.generators)
+            )
+            assert count == direct
+
+    def test_wide_accumulator_matches_direct_enumeration(self):
+        # 18-bit lanes; the numpy reference sums 2 * (p-1)^2 past 2^32 in uint64
+        p = 65537
+        space = VariableSpace(("z1",))
+        polys = [parse_poly("z1^2 + 1", space, p), parse_poly("z1^3 + 5*z1 + 7", space, p)]
+        direct = sum(1 for x in range(p) if all(evaluate(g, (x,)) != 0 for g in polys))
+        assert count_nonvanishing(ci(polys), p) == direct
+        assert pointcount_dtype(2, p) is np.uint64
+        assert numpy_count_nonvanishing(ci(polys), p) == direct
+
+    def test_oversized_prime_is_refused_before_any_table(self, monkeypatch):
+        # one variable at p = 2^31 - 1: p - 1 unit tables of one lane each
+        p = 2**31 - 1
+        space = VariableSpace(("z1",))
+        monkeypatch.setattr(frobcheck, "_packed_tables", no_tables)
+        monkeypatch.setattr(frobcheck, "_value_list", no_tables)
+        g = parse_poly("z1^4 + z1^3 + z1^2 + z1 + 1", space, p)
+        with pytest.raises(ValueError, match=f"needs {(p - 1) + p} packed lanes"):
+            count_nonvanishing(ci([g]), p)
+
+    @pytest.mark.parametrize("m, n, t, p, chunk, b", [
+        (2, 3, 2, 5, 1 << 12, 3), (3, 3, 3, 3, 1 << 12, 4), (2, 3, 2, 5, 25, 2),
+    ])
+    def test_table_guard_counts_the_built_entries(self, monkeypatch, m, n, t, p, chunk, b):
+        # v = 6 splits evenly, v = 9 has the larger hi half; the lo half is
+        # one block, or 5 blocks of 25 lanes that hold masks for one block only
+        gens = permanental_generators(MatrixShape.generic(m, n), t, char=p)
+        monkeypatch.setattr(frobcheck, "POINTCOUNT_CHUNK", chunk)
+        assert frobcheck._block_exponent(p, gens.space.count // 2) == b
+        entries = pointcount_entries(gens, p, b)
+        expected = count_nonvanishing(gens, p)
+        monkeypatch.setattr(frobcheck, "MAX_POINTCOUNT_ENTRIES", entries)
+        assert count_nonvanishing(gens, p) == expected
+
+        monkeypatch.setattr(frobcheck, "MAX_POINTCOUNT_ENTRIES", entries - 1)
+        monkeypatch.setattr(frobcheck, "_packed_tables", no_tables)
+        monkeypatch.setattr(frobcheck, "_value_list", no_tables)
+        with pytest.raises(ValueError, match=f"needs {entries} packed lanes"):
+            count_nonvanishing(gens, p)
+
+    @pytest.mark.parametrize("m, n, t, p", [(2, 3, 2, 5), (3, 3, 3, 3)])
+    def test_point_guard_counts_the_visited_points(self, monkeypatch, m, n, t, p):
+        gens = permanental_generators(MatrixShape.generic(m, n), t, char=p)
+        points = p**gens.space.count
+        expected = count_nonvanishing(gens, p)
+        monkeypatch.setattr(frobcheck, "MAX_POINTCOUNT_POINTS", points)
+        assert count_nonvanishing(gens, p) == expected
+
+        monkeypatch.setattr(frobcheck, "MAX_POINTCOUNT_POINTS", points - 1)
+        monkeypatch.setattr(frobcheck, "_packed_tables", no_tables)
+        monkeypatch.setattr(frobcheck, "_value_list", no_tables)
+        with pytest.raises(ValueError, match=f"visits {points} points"):
+            count_nonvanishing(gens, p)
+
+
+class TestNumpyPointCountReference:
+    """The dtype arithmetic of the numpy reference in tests/helpers.py."""
+
     @pytest.mark.parametrize("p, terms", [(32749, 4), (2**31 - 1, 4)])
     def test_block_sums_near_the_dtype_bound(self, p, terms):
         # terms * (p-1)^2 is just below 2^32, then just below 2^64
-        dtype = _pointcount_dtype(terms, p)
+        dtype = pointcount_dtype(terms, p)
         assert dtype is (np.uint32 if p < 2**16 else np.uint64)
         rng = random.Random(p)
         # constant rows, each a unit multiple of the all-(p-1) row 0, then random rows
@@ -603,68 +702,11 @@ class TestPointCount:
         expected = sum(1 for total in sums if total % p)
         assert expected <= len(sums) - 4 * (cols // 2)
         tables = [(np.array(hi, dtype=dtype).T, np.array(lo, dtype=dtype))]
-        assert _count_hi_block(tables, p, 0, len(hi)) == expected
-
-    def test_wide_accumulator_matches_direct_enumeration(self):
-        # 2 * (p-1)^2 passes 2^32, so the count runs in uint64
-        p = 65537
-        space = VariableSpace(("z1",))
-        polys = [parse_poly("z1^2 + 1", space, p), parse_poly("z1^3 + 5*z1 + 7", space, p)]
-        assert _pointcount_dtype(2, p) is np.uint64
-        direct = sum(1 for x in range(p) if all(evaluate(g, (x,)) != 0 for g in polys))
-        assert count_nonvanishing(ci(polys), p) == direct
+        assert count_hi_block(tables, p, 0, len(hi)) == expected
 
     def test_dtype_bound_is_exact(self):
-        assert _pointcount_dtype(2**32 - 1, 2) is np.uint32
-        assert _pointcount_dtype(2**32, 2) is np.uint64
-        assert _pointcount_dtype(2**64 - 1, 2) is np.uint64
+        assert pointcount_dtype(2**32 - 1, 2) is np.uint32
+        assert pointcount_dtype(2**32, 2) is np.uint64
+        assert pointcount_dtype(2**64 - 1, 2) is np.uint64
         with pytest.raises(ValueError, match="overflow"):
-            _pointcount_dtype(2**64, 2)
-
-    def test_overflowing_count_is_refused_before_enumeration(self, monkeypatch):
-        # 4 terms of at most (p-1)^2 each still fit 64 bits at p = 2^31 - 1; 5 do not
-        p = 2**31 - 1
-        space = VariableSpace(("z1",))
-        assert _pointcount_dtype(4, p) is np.uint64
-
-        def no_tables(*args):
-            raise AssertionError("a table was built")
-
-        monkeypatch.setattr(frobcheck, "_monomial_values", no_tables)
-        g = parse_poly("z1^4 + z1^3 + z1^2 + z1 + 1", space, p)
-        with pytest.raises(ValueError, match="overflow"):
-            count_nonvanishing(ci([g]), p)
-
-    @pytest.mark.parametrize("m, n, t, p", [(2, 3, 2, 5), (3, 3, 3, 3)])
-    def test_table_guard_counts_the_built_entries(self, monkeypatch, m, n, t, p):
-        # v = 6 splits evenly, v = 9 has the larger hi half
-        gens = permanental_generators(MatrixShape.generic(m, n), t, char=p)
-        v = gens.space.count
-        entries = sum(len(g) for g in gens.generators) * (p ** (v - v // 2) + p ** (v // 2))
-        expected = count_nonvanishing(gens, p)
-        monkeypatch.setattr(frobcheck, "MAX_POINTCOUNT_ENTRIES", entries)
-        assert count_nonvanishing(gens, p) == expected
-
-        def no_tables(*args):
-            raise AssertionError("a table was built")
-
-        monkeypatch.setattr(frobcheck, "MAX_POINTCOUNT_ENTRIES", entries - 1)
-        monkeypatch.setattr(frobcheck, "_monomial_values", no_tables)
-        with pytest.raises(ValueError, match="table entries"):
-            count_nonvanishing(gens, p)
-
-    @pytest.mark.parametrize("m, n, t, p", [(2, 3, 2, 5), (3, 3, 3, 3)])
-    def test_point_guard_counts_the_visited_points(self, monkeypatch, m, n, t, p):
-        gens = permanental_generators(MatrixShape.generic(m, n), t, char=p)
-        points = p**gens.space.count
-        expected = count_nonvanishing(gens, p)
-        monkeypatch.setattr(frobcheck, "MAX_POINTCOUNT_POINTS", points)
-        assert count_nonvanishing(gens, p) == expected
-
-        def no_tables(*args):
-            raise AssertionError("a table was built")
-
-        monkeypatch.setattr(frobcheck, "MAX_POINTCOUNT_POINTS", points - 1)
-        monkeypatch.setattr(frobcheck, "_monomial_values", no_tables)
-        with pytest.raises(ValueError, match=f"visits {points} points"):
-            count_nonvanishing(gens, p)
+            pointcount_dtype(2**64, 2)
