@@ -74,10 +74,10 @@ CHECKS = {
         lambda m, a, p: m.verify_witness_membership(m.MatrixShape.symmetric(a.n), p),
     ),
     "monomials28": Check(
-        "witnesses", ("m", "n", "p"), lambda m, a, p: m.verify_entry_triples(a.m, a.n, p)
+        "monomials", ("m", "n", "p"), lambda m, a, p: m.verify_entry_triples(a.m, a.n, p)
     ),
     "monomials29": Check(
-        "witnesses", ("m", "n", "p"),
+        "monomials", ("m", "n", "p"),
         lambda m, a, p: m.verify_squared_entry_triples(a.m, a.n, p),
     ),
     "fpure": Check(

@@ -5,47 +5,52 @@ ideal (I^[p] : I) equals (omega^{p-1}) + I^[p], so F-purity (Fedder) is
 omega^{p-1} not in m^[p], which reduces it to truncated polynomial
 arithmetic at the Frobenius power q = p, with p the characteristic of the
 generators; a squarefree leading monomial of omega decides it without any
-power.  The module also decides membership in (omega_P^{p-1}) + P^[p]
-for the minimal primes P of P_2 (variables, plus a binomial x^u + x^w on an
-inner 2x2 block unless P is generated by variables only), and computes the
-"Fedder coefficient" of a full-support ideal -- the coefficient of
-prod x_i^{p-1} in omega^{p-1} -- by three independent routes: symbolic
-truncated powering, brute-force point counting (every point of F_p^v, a
-block of lo points packed into the lanes of a Python int per hi row, refused
-when its tables and masks would pass MAX_POINTCOUNT_ENTRIES lanes or its
-points MAX_POINTCOUNT_POINTS), and a fibered enumeration special to the
-generic 3x4 / t=3 complete intersection, which visits only three first
-columns, one point of each orbit of their stabilizer on the projective
-classes of column 2 and every class of column 3, and is refused when those
-classes would pass MAX_FIBER_PAIRS column pairs.  Every route runs on the
-calling thread.
+power.  The module also computes the "Fedder coefficient" of a full-support
+ideal -- the coefficient of prod x_i^{p-1} in omega^{p-1} -- by three
+independent routes: symbolic truncated powering, brute-force point counting
+(every point of F_p^v, a block of lo points packed into the lanes of a
+Python int per hi row, refused when its tables and masks would pass
+MAX_POINTCOUNT_ENTRIES lanes or its points MAX_POINTCOUNT_POINTS), and a
+fibered enumeration special to the generic 3x4 / t=3 complete intersection,
+which visits only three first columns, one point of each orbit of their
+stabilizer on the projective classes of column 2 and every class of column
+3, and is refused when those classes would pass MAX_FIBER_PAIRS column
+pairs.  Every route runs on the calling thread.
 
-Only the truncated routes import numpy, inside fppoly's kernel, and only for
-a chain of products that reaches fppoly.ARRAY_PAIRS term pairs.  The point
-count, the fiber engine and colon membership run on Python ints and never
+Membership in the colon ideals (omega_P^{p-1}) + P^[p] of the minimal primes
+of P_2 lives in `colon`; `colon_membership` stays reachable here.  It and
+the truncated arithmetic of `truncated` load on first use, so the count
+routes compile neither.
+
+Only the truncated routes import numpy, inside the kernel of `truncated`,
+and only for a chain of products that reaches truncated.ARRAY_PAIRS term
+pairs.  The point count and the fiber engine run on Python ints and never
 load it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from operator import add
-from typing import NamedTuple, Optional
+from typing import Optional
 
-from .fppoly import (
-    Polynomial,
-    StructureError,
-    TruncatedAccumulator,
-    VariableSpace,
-    leading_term,
-    mono_mul,
-    truncated_mul,
-)
+from . import _lazy_attributes
+from .fppoly import Polynomial, StructureError, leading_term, mono_mul
 from .shapes import GENERIC, IdealPresentation
 
+# Names of other modules, each loaded with its module on first use:
+# perfbench/tracer.py binds colon_membership here, and its tests read
+# frobcheck.truncated_mul.
+__getattr__ = _lazy_attributes(__name__, {
+    "truncated_mul": "truncated",
+    "colon_membership": "colon",
+})
 
-def _omega_power(gens: IdealPresentation) -> TruncatedAccumulator:
-    """omega^{p-1} mod m^[p], where omega is the product of the generators."""
+
+def _omega_power(gens: IdealPresentation):
+    """omega^{p-1} mod m^[p], as a TruncatedAccumulator, where omega is the
+    product of the generators."""
+    from .truncated import TruncatedAccumulator, truncated_mul
+
     omega = Polynomial.one(gens.space, gens.char)
     for g in gens.generators:
         omega = truncated_mul(omega, g)
@@ -86,194 +91,6 @@ def fedder_ci_check(gens: IdealPresentation, p: Optional[int] = None) -> Optiona
         return tuple((p - 1) * e for e in lead), 1
     power = _omega_power(gens)
     return None if power.is_zero else power.leading_term()
-
-
-# ---------------------------------------------------------------------------
-# colon-ideal membership for the minimal primes of P_2
-# ---------------------------------------------------------------------------
-
-
-class MinimalPrime(NamedTuple):
-    """A minimal prime of P_2, stored as its generators.
-
-    `variable_gens` are the indices of the variable generators: every
-    variable outside the block, or the variables of the rows or columns that
-    the label names.  `binomial` is the exponent pair (u, w) of the
-    permanent x^u + x^w of an inner 2x2 block, u its diagonal product and w
-    its antidiagonal one (a square for a symmetric pair), or None for a prime
-    generated by variables only.  u and w have disjoint supports, outside
-    `variable_gens`.
-    """
-
-    label: str
-    space: VariableSpace
-    variable_gens: tuple
-    binomial: Optional[tuple] = None
-
-
-class ColonMembershipCertificate(NamedTuple):
-    """A decomposition of f as a combination of colon-ideal generators.
-
-    Each entry is a (multiplier, ideal_element) pair of polynomials whose
-    ideal_element is a generator of the colon ideal: x_i^p for a variable
-    generator x_i, b^p, or omega_P^{p-1}.  `colon_membership` writes one
-    entry per generator it uses, so at most |V| + 2.  Replaying them (summing
-    multiplier * ideal_element) reconstructs f exactly, which checks the
-    certificate independently of how it was built.
-    """
-
-    entries: tuple
-
-    def replay(self, space, char) -> Polynomial:
-        """The sum of multiplier * ideal_element, accumulated in one dict."""
-        total: dict = {}
-        for multiplier, ideal_element in self.entries:
-            for poly in (multiplier, ideal_element):
-                if poly.space != space or poly.char != char:
-                    raise StructureError("a certificate entry lives in another space")
-            for m2, c2 in ideal_element.items():
-                for m1, c1 in multiplier.items():
-                    m = tuple(map(add, m1, m2))
-                    total[m] = total.get(m, 0) + c1 * c2
-        return Polynomial._make(
-            space, char, {m: c % char for m, c in total.items() if c % char}
-        )
-
-
-def _split_term(mono, outer_set):
-    """(rest, outer): mono with the exponents in outer_set zeroed, and mono
-    with every other exponent zeroed."""
-    rest = tuple(0 if i in outer_set else e for i, e in enumerate(mono))
-    outer = tuple(e if i in outer_set else 0 for i, e in enumerate(mono))
-    return rest, outer
-
-
-def _closed_form_pm1(u, w, p: int) -> dict:
-    """The term dict of b^{p-1} for b = x^u + x^w over F_p, without products.
-
-    C(p-1, j) = (-1)^j mod p gives b^{p-1} = sum_{j=0}^{p-1} (-1)^j
-    x^{ju + (p-1-j)w}, whose p monomials are distinct because u != w.
-    """
-    return {
-        tuple(j * x + (p - 1 - j) * y for x, y in zip(u, w)): 1 if j % 2 == 0 else p - 1
-        for j in range(p)
-    }
-
-
-def _times_binomial(terms: dict, u, w, p: int) -> dict:
-    """The term dict of sum(terms) * (x^u + x^w)."""
-    out: dict = {}
-    for mono, coeff in terms.items():
-        for shift in (u, w):
-            m = tuple(map(add, mono, shift))
-            out[m] = (out.get(m, 0) + coeff) % p
-    return {m: c for m, c in out.items() if c}
-
-
-def _divide_by_binomial(terms: dict, u, w, p: int) -> Optional[dict]:
-    """The quotient of sum(terms) by x^u + x^w as a term dict, or None.
-
-    u and w must have disjoint supports, as on every block.  With d = w - u
-    the monomials fall into chains m0 + t*d.  On a chain the quotient's
-    coefficient q_t of x^{m0 + t*d - u} obeys c_t = q_t + q_{t-1}, so one
-    pass up from the chain's lowest t finds q, and the binomial divides iff
-    every chain ends with q = 0.  With disjoint supports the lowest power of
-    each variable in q survives in q * (x^u + x^w), so q has no negative
-    exponent when the product is a polynomial.  The cost is linear in the
-    terms plus the quotient.
-    """
-    d = tuple(y - x for x, y in zip(u, w))
-    k = next(i for i, e in enumerate(d) if e > 0)  # a variable of w
-    chains: dict = {}
-    for mono, coeff in terms.items():
-        t = mono[k] // d[k]
-        base = tuple(e - t * s for e, s in zip(mono, d))
-        chains.setdefault(base, {})[t] = coeff
-    quotient = {}
-    for base, chain in chains.items():
-        q, top = 0, max(chain)
-        for t in range(min(chain), top):
-            q = (chain.get(t, 0) - q) % p
-            if q:
-                quotient[tuple(e + t * s - x for e, s, x in zip(base, d, u))] = q
-        if (chain[top] - q) % p:
-            return None
-    return quotient
-
-
-def colon_membership(f: Polynomial, prime: MinimalPrime) -> Optional[ColonMembershipCertificate]:
-    """Decide whether f lies in (omega_P^{p-1}) + P^[p] for a minimal prime P.
-
-    p is the characteristic of f.  P is generated by variables V and, unless
-    it is a prime of variables only, a binomial b = x^u + x^w in the other
-    variables.  Modulo the p-th powers of V the ring splits as a tensor
-    product of the variables in V and the rest, so membership is decided
-    exactly:
-
-      1. terms with an exponent >= p on a variable of V lie in P^[p]; they
-         are grouped into one multiplier of x_i^p per variable x_i of V;
-      2. the other terms are split by their outer monomial mu in V: the
-         cofactor of the admissible mu = prod_V x^{p-1} must be divisible by
-         b^{p-1}, and every other cofactor by b^p.  As b^p lies in the other
-         variables, that is one division of the sum of all other terms.
-
-    The certificate has one entry per generator used, at most |V| + 2.  In
-    characteristic p, b^p = x^{pu} + x^{pw} and b^{p-1} = sum_j (-1)^j
-    x^{ju + (p-1-j)w} are written down in closed form, dividing by b^{p-1}
-    is multiplying by b and dividing by b^p, and a binomial divides in one
-    pass along chains of monomials, so the cost is linear in the terms of f
-    and of the quotients.
-
-    A prime of variables is the case without b: the admissible cofactor is
-    its own quotient, and any other term means f is not a member.
-    """
-    p = f.char
-    if f.space != prime.space:
-        raise StructureError("f does not live in the prime's variable space")
-    space = f.space
-    var_set = set(prime.variable_gens)
-    admissible = tuple(p - 1 if i in var_set else 0 for i in range(space.count))
-    frobenius: dict = {}  # i -> multiplier of x_i^p
-    cofactor: dict = {}  # the cofactor of prod_V x^{p-1}
-    other: dict = {}  # every other term, a multiple of b^p for a member
-    for mono, coeff in f.items():
-        i = next((i for i in prime.variable_gens if mono[i] >= p), None)
-        if i is not None:
-            frobenius.setdefault(i, {})[mono[:i] + (mono[i] - p,) + mono[i + 1:]] = coeff
-            continue
-        rest, outer = _split_term(mono, var_set)
-        if outer == admissible:
-            cofactor[rest] = coeff
-        else:
-            other[mono] = coeff
-
-    poly = lambda terms: Polynomial._make(space, p, terms)  # terms are reduced already
-    entries = [
-        (poly(multiplier), poly({tuple(p if j == i else 0 for j in range(space.count)): 1}))
-        for i, multiplier in frobenius.items()
-    ]
-    if prime.binomial is None:
-        if other:
-            return None
-        if cofactor:
-            entries.append((poly(cofactor), poly({admissible: 1})))
-        return ColonMembershipCertificate(tuple(entries))
-
-    u, w = prime.binomial
-    u_p, w_p = tuple(p * x for x in u), tuple(p * y for y in w)  # b^p = x^{pu} + x^{pw}
-    if other:
-        quotient = _divide_by_binomial(other, u_p, w_p, p)
-        if quotient is None:
-            return None
-        entries.append((poly(quotient), poly({u_p: 1, w_p: 1})))
-    if cofactor:
-        # q * b^{p-1} = cofactor  iff  q * b^p = cofactor * b
-        quotient = _divide_by_binomial(_times_binomial(cofactor, u, w, p), u_p, w_p, p)
-        if quotient is None:
-            return None
-        omega_power = {mono_mul(m, admissible): c for m, c in _closed_form_pm1(u, w, p).items()}
-        entries.append((poly(quotient), poly(omega_power)))
-    return ColonMembershipCertificate(tuple(entries))
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,18 @@
 `lemma34`, `thm35` and `thm36`.
 
 They need only the permanents of the Hankel matrix and truncated products,
-so this module imports `fppoly` and `shapes` (and the report type) and never
-`frobcheck` or `witnesses`.
+so this module imports `fppoly`, `truncated` and `shapes` (and the report
+type) and never `frobcheck` or `witnesses`.
 """
 
 from __future__ import annotations
 
 import time
 
-from .fppoly import LEX, Polynomial, TruncatedAccumulator, leading_term, render_poly
+from .fppoly import LEX, Polynomial, leading_term, render_poly
 from .report import LemmaReport, make_report
 from .shapes import MatrixShape, hankel_image, permanent
+from .truncated import TruncatedAccumulator
 
 
 def _hankel_permanents(n: int, p: int) -> tuple:

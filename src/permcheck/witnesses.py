@@ -1,11 +1,17 @@
 """Minimal primes of 2x2 permanental ideals, witness elements, and the
-verification jobs behind the CLI other than the Hankel lemmas (`hankel`).
+verification jobs behind `witness-*`, `fpure` and `conjecture45`.
 
 Every verification returns a LemmaReport whose verdict is backed by
 machine-checked evidence (surviving monomials, membership certificates,
 counts); nothing is taken on trust.  Verdicts are tri-state: a failed
 positive certificate for F-regularity is reported as "inconclusive", never
 as a refutation.
+
+The witness jobs need only colon membership (`colon`), so `frobcheck` is
+imported by the checks that use it, when they run.  The Hankel checks
+(`hankel`) and `monomials28/29` (`monomials`) live in their own modules;
+`__getattr__` keeps them reachable as witnesses.<name>, loading the module
+on first use.
 """
 
 from __future__ import annotations
@@ -14,21 +20,24 @@ import itertools
 import math
 import time
 
+from . import _lazy_attributes
+from .colon import MinimalPrime, colon_membership, pack
 from .fppoly import Polynomial, render_poly, truncate
-from .shapes import GENERIC, SYMMETRIC, MatrixShape, permanental_generators
-from . import frobcheck
-from .frobcheck import MinimalPrime, colon_membership, fedder_coefficient_fullsupport
 from .report import LemmaReport, make_report
+from .shapes import GENERIC, SYMMETRIC, MatrixShape, permanental_generators
 
-# perfbench/tracer.py binds the Hankel checks as permcheck.witnesses.*; delete
-# this re-export with the next change to the benchmark, like fppoly.PrimeModulus.
-from .hankel import (  # noqa: F401
-    verify_hankel_eisenstein,
-    verify_hankel_hypersurface,
-    verify_hankel_monomial_absence,
-    verify_hankel_product_identity,
-    verify_hankel_specialization_check,
-)
+# Checks of other modules, each loaded with its module on first use:
+# perfbench/tracer.py binds them as permcheck.witnesses.*.
+__getattr__ = _lazy_attributes(__name__, {
+    **dict.fromkeys((
+        "verify_hankel_eisenstein",
+        "verify_hankel_hypersurface",
+        "verify_hankel_monomial_absence",
+        "verify_hankel_product_identity",
+        "verify_hankel_specialization_check",
+    ), "hankel"),
+    **dict.fromkeys(("verify_entry_triples", "verify_squared_entry_triples"), "monomials"),
+})
 
 
 def _one_based(ix) -> str:
@@ -185,9 +194,10 @@ def verify_witness_membership(shape: MatrixShape, p: int) -> LemmaReport:
     residue_ok = residue == Polynomial.monomial(f.space, p, full_product, sign)
     memberships = []
     all_member = True
+    packed = pack(f)
     for prime in primes:
-        cert = colon_membership(f, prime)
-        ok = cert is not None and cert.replay(f.space, p) == f
+        cert = colon_membership(packed, prime)
+        ok = cert is not None and cert.replay() == packed
         all_member = all_member and ok
         memberships.append({"prime": prime.label, "member": ok})
     evidence = {
@@ -223,6 +233,8 @@ def verify_fpure(shape: MatrixShape, t: int, p: int, method: str = "truncated") 
     variable count: then omega^{p-1} mod m^[p] is a multiple of
     prod x_i^{p-1}, so F-purity is that coefficient being nonzero.
     """
+    from . import frobcheck
+
     t0 = time.perf_counter()
     params = {"shape": shape.spec_string(), "m": shape.nrows, "n": shape.ncols,
               "t": t, "p": p, "e": 1, "method": method}
@@ -230,7 +242,7 @@ def verify_fpure(shape: MatrixShape, t: int, p: int, method: str = "truncated") 
     if method == "truncated":
         survivor = frobcheck.fedder_ci_check(gens)
     else:
-        coeff = fedder_coefficient_fullsupport(gens, method=method)
+        coeff = frobcheck.fedder_coefficient_fullsupport(gens, method=method)
         survivor = ((p - 1,) * shape.space.count, coeff) if coeff else None
     passed = survivor is not None
     evidence = {
@@ -248,77 +260,19 @@ def check_fpure(shape: MatrixShape, t: int, p: int, method: str) -> None:
     """Raise ValueError where verify_fpure would refuse a point count or a
     fiber count, without counting; the CLI runs it for every prime of a list
     before the first check.  The truncated route is not checked here: its
-    size (fppoly.MAX_CHAIN_PAIRS) is only known once omega is built, so in a
-    prime list the primes before a refused one still run."""
+    size (truncated.MAX_CHAIN_PAIRS) is only known once omega is built, so
+    in a prime list the primes before a refused one still run."""
+    from . import frobcheck
+
     if method != "truncated":
         frobcheck.check_fullsupport(permanental_generators(shape, t, char=p), method)
-
-
-def _entry_products_in_p2(
-    check: str, shape: MatrixShape, p: int, exponents, degree: int
-) -> LemmaReport:
-    """Shared body of `monomials28` / `monomials29`: every target monomial lies
-    in P_2 of the generic matrix, decided by linear algebra at the degree, each
-    target by its own small system."""
-    from .linmember import members_bounded
-
-    t0 = time.perf_counter()
-    params = {"shape": shape.spec_string(), "m": shape.nrows, "n": shape.ncols, "p": p}
-    gens = permanental_generators(shape, 2, char=p)
-    targets = [Polynomial.monomial(shape.space, p, e) for e in sorted(exponents)]
-    combinations = members_bounded(targets, gens.generators, degree)
-    failures = [render_poly(t) for t, comb in zip(targets, combinations) if comb is None]
-    evidence = {"targets": len(targets), "members": len(targets) - len(failures),
-                "failures": failures}
-    return make_report(check, params, not failures and bool(targets), evidence, t0)
-
-
-def verify_entry_triples(m: int, n: int, p: int) -> LemmaReport:
-    """CLI check `monomials28`: every product of three entries from three
-    distinct columns and two distinct rows (n >= 3), or the transpose
-    configuration (m >= 3), lies in P_2, decided at d = 3."""
-    shape = MatrixShape.generic(m, n)
-    exponents = set()
-
-    def add(rows, cols):
-        exps = [0] * shape.space.count
-        for r, c in zip(rows, cols):
-            exps[shape.entry_index(r, c)] += 1
-        exponents.add(tuple(exps))
-
-    if n >= 3:
-        for cols in itertools.combinations(range(n), 3):
-            for rows in itertools.product(range(m), repeat=3):
-                if len(set(rows)) == 2:
-                    add(rows, cols)
-    if m >= 3:
-        for rows in itertools.combinations(range(m), 3):
-            for cols in itertools.product(range(n), repeat=3):
-                if len(set(cols)) == 2:
-                    add(rows, cols)
-    return _entry_products_in_p2("monomials28", shape, p, exponents, 3)
-
-
-def verify_squared_entry_triples(m: int, n: int, p: int) -> LemmaReport:
-    """CLI check `monomials29`: every product x_{i1 j1}^2 x_{i2 j2} x_{i3 j3}
-    with distinct rows and distinct columns lies in P_2, at d = 4."""
-    if m < 3 or n < 3:
-        raise ValueError("the squared-entry products need m, n >= 3")
-    shape = MatrixShape.generic(m, n)
-    exponents = set()
-    for rows in itertools.permutations(range(m), 3):
-        for cols in itertools.permutations(range(n), 3):
-            exps = [0] * shape.space.count
-            exps[shape.entry_index(rows[0], cols[0])] += 2
-            exps[shape.entry_index(rows[1], cols[1])] += 1
-            exps[shape.entry_index(rows[2], cols[2])] += 1
-            exponents.add(tuple(exps))
-    return _entry_products_in_p2("monomials29", shape, p, exponents, 4)
 
 
 def scan_three_by_four_fpurity(p_list, method: str = "truncated") -> LemmaReport:
     """CLI check `conjecture45`: Fedder coefficient of the generic 3x4 / t=3
     complete intersection across primes, compared with the p = 1 mod 6 rule."""
+    from . import frobcheck
+
     t0 = time.perf_counter()
     p_list = list(p_list)
     params = {"shape": "generic:3x4", "m": 3, "n": 4, "t": 3, "method": method,
@@ -329,7 +283,7 @@ def scan_three_by_four_fpurity(p_list, method: str = "truncated") -> LemmaReport
     per_p = []
     all_ok = True
     for p, gens in zip(p_list, presentations):
-        coeff = fedder_coefficient_fullsupport(gens, method=method)
+        coeff = frobcheck.fedder_coefficient_fullsupport(gens, method=method)
         fpure = coeff != 0
         predicted = p % 6 == 1
         ok = fpure == predicted

@@ -4,8 +4,11 @@ import itertools
 from collections import namedtuple
 from typing import Optional, Sequence
 
-from permcheck.fppoly import Polynomial, StructureError, VariableSpace, exact_divide
-from permcheck.frobcheck import MinimalPrime, _omega_power, _require_ci, _split_term
+from operator import add
+
+from permcheck.colon import MinimalPrime, PackedPolynomial
+from permcheck.fppoly import Polynomial, StructureError, VariableSpace, exact_divide, mono_mul
+from permcheck.frobcheck import _omega_power, _require_ci
 from permcheck import linmember
 from permcheck.linmember import SizeGuardError
 
@@ -442,6 +445,131 @@ def prime_contains(prime: MinimalPrime, g: Polynomial) -> bool:
         return False
     rest = Polynomial(g.space, g.char, remaining)
     return exact_divide(rest, prime_binomial(prime, g.char)) is not None
+
+
+# -- colon membership on exponent tuples: the oracle for the packed colon ------
+
+
+def _split_term(mono, outer_set):
+    """(rest, outer): mono with the exponents in outer_set zeroed, and mono
+    with every other exponent zeroed."""
+    rest = tuple(0 if i in outer_set else e for i, e in enumerate(mono))
+    outer = tuple(e if i in outer_set else 0 for i, e in enumerate(mono))
+    return rest, outer
+
+
+def _closed_form_pm1(u, w, p: int) -> dict:
+    """The term dict of b^{p-1} for b = x^u + x^w over F_p, without products.
+
+    C(p-1, j) = (-1)^j mod p gives b^{p-1} = sum_{j=0}^{p-1} (-1)^j
+    x^{ju + (p-1-j)w}, whose p monomials are distinct because u != w.
+    """
+    return {
+        tuple(j * x + (p - 1 - j) * y for x, y in zip(u, w)): 1 if j % 2 == 0 else p - 1
+        for j in range(p)
+    }
+
+
+def _times_binomial(terms: dict, u, w, p: int) -> dict:
+    """The term dict of sum(terms) * (x^u + x^w)."""
+    out: dict = {}
+    for mono, coeff in terms.items():
+        for shift in (u, w):
+            m = tuple(map(add, mono, shift))
+            out[m] = (out.get(m, 0) + coeff) % p
+    return {m: c for m, c in out.items() if c}
+
+
+def _divide_by_binomial(terms: dict, u, w, p: int) -> Optional[dict]:
+    """The quotient of sum(terms) by x^u + x^w as a term dict, or None.
+
+    u and w must have disjoint supports, as on every block.  With d = w - u
+    the monomials fall into chains m0 + t*d.  On a chain the quotient's
+    coefficient q_t of x^{m0 + t*d - u} obeys c_t = q_t + q_{t-1}, so one
+    pass up from the chain's lowest t finds q, and the binomial divides iff
+    every chain ends with q = 0.  With disjoint supports the lowest power of
+    each variable in q survives in q * (x^u + x^w), so q has no negative
+    exponent when the product is a polynomial.  The cost is linear in the
+    terms plus the quotient.
+    """
+    d = tuple(y - x for x, y in zip(u, w))
+    k = next(i for i, e in enumerate(d) if e > 0)  # a variable of w
+    chains: dict = {}
+    for mono, coeff in terms.items():
+        t = mono[k] // d[k]
+        base = tuple(e - t * s for e, s in zip(mono, d))
+        chains.setdefault(base, {})[t] = coeff
+    quotient = {}
+    for base, chain in chains.items():
+        q, top = 0, max(chain)
+        for t in range(min(chain), top):
+            q = (chain.get(t, 0) - q) % p
+            if q:
+                quotient[tuple(e + t * s - x for e, s, x in zip(base, d, u))] = q
+        if (chain[top] - q) % p:
+            return None
+    return quotient
+
+
+def colon_membership_tuples(f: Polynomial, prime: MinimalPrime) -> Optional[tuple]:
+    """The entries (multiplier, ideal_element) of the certificate of f in
+    (omega_P^{p-1}) + P^[p], or None: `colon.colon_membership` on exponent
+    tuples and Polynomials, as it was before it moved to packed keys."""
+    p = f.char
+    if f.space != prime.space:
+        raise StructureError("f does not live in the prime's variable space")
+    space = f.space
+    var_set = set(prime.variable_gens)
+    admissible = tuple(p - 1 if i in var_set else 0 for i in range(space.count))
+    frobenius: dict = {}  # i -> multiplier of x_i^p
+    cofactor: dict = {}  # the cofactor of prod_V x^{p-1}
+    other: dict = {}  # every other term, a multiple of b^p for a member
+    for mono, coeff in f.items():
+        i = next((i for i in prime.variable_gens if mono[i] >= p), None)
+        if i is not None:
+            frobenius.setdefault(i, {})[mono[:i] + (mono[i] - p,) + mono[i + 1:]] = coeff
+            continue
+        rest, outer = _split_term(mono, var_set)
+        if outer == admissible:
+            cofactor[rest] = coeff
+        else:
+            other[mono] = coeff
+
+    poly = lambda terms: Polynomial._make(space, p, terms)  # terms are reduced already
+    entries = [
+        (poly(multiplier), poly({tuple(p if j == i else 0 for j in range(space.count)): 1}))
+        for i, multiplier in frobenius.items()
+    ]
+    if prime.binomial is None:
+        if other:
+            return None
+        if cofactor:
+            entries.append((poly(cofactor), poly({admissible: 1})))
+        return tuple(entries)
+
+    u, w = prime.binomial
+    u_p, w_p = tuple(p * x for x in u), tuple(p * y for y in w)  # b^p = x^{pu} + x^{pw}
+    if other:
+        quotient = _divide_by_binomial(other, u_p, w_p, p)
+        if quotient is None:
+            return None
+        entries.append((poly(quotient), poly({u_p: 1, w_p: 1})))
+    if cofactor:
+        # q * b^{p-1} = cofactor  iff  q * b^p = cofactor * b
+        quotient = _divide_by_binomial(_times_binomial(cofactor, u, w, p), u_p, w_p, p)
+        if quotient is None:
+            return None
+        omega_power = {mono_mul(m, admissible): c for m, c in _closed_form_pm1(u, w, p).items()}
+        entries.append((poly(quotient), poly(omega_power)))
+    return tuple(entries)
+
+
+def certificate_polynomials(cert) -> tuple:
+    """The entries of a packed ColonMembershipCertificate as Polynomial pairs."""
+    def unpack(terms):
+        return PackedPolynomial(cert.space, cert.char, cert.width, terms).to_polynomial()
+
+    return tuple((unpack(m), unpack(e)) for m, e in cert.entries)
 
 
 def glassbrenner_witness_check(c: Polynomial, gens) -> Optional[tuple]:

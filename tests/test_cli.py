@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from permcheck import frobcheck, hankel, witnesses
+from permcheck import frobcheck, hankel, monomials, witnesses
 from permcheck.cli import CHECKS, run
 from permcheck.report import LemmaReport
 
@@ -359,9 +359,9 @@ class TestCheckTable:
          "verify_witness_membership"),
         (("verify", "witness-symmetric", "--n", "3", "--p", "3,5"), witnesses,
          "verify_witness_membership"),
-        (("verify", "monomials28", "--m", "2", "--n", "3", "--p", "3,5"), witnesses,
+        (("verify", "monomials28", "--m", "2", "--n", "3", "--p", "3,5"), monomials,
          "verify_entry_triples"),
-        (("verify", "monomials29", "--m", "3", "--n", "3", "--p", "3,5"), witnesses,
+        (("verify", "monomials29", "--m", "3", "--n", "3", "--p", "3,5"), monomials,
          "verify_squared_entry_triples"),
         (("verify", "fpure", "--shape", "hankel:3", "--p", "3,5"), witnesses, "verify_fpure"),
         (("scan", "conjecture45", "--p", "3,5"), witnesses, "scan_three_by_four_fpurity"),
@@ -553,7 +553,7 @@ BENCHMARK_JOBS = [
 
 NOTHING, NUMPY = [False, False], [True, False]
 # thm35 at (5, 7) has multiplied 405,684 term pairs when it reaches f_5^4,
-# past fppoly.ARRAY_PAIRS, so it runs the numpy product kernel
+# past truncated.ARRAY_PAIRS, so it runs the numpy product kernel
 ARRAY_KERNELS = [
     ("verify", "thm35", "--n", "5", "--p", "7"),
 ]
@@ -582,21 +582,34 @@ class TestColdStart:
         assert exit_code == code
         # no job loads numpy: the point and fiber counts run on Python ints,
         # and every chain of truncated products in the benchmark stays below
-        # fppoly.ARRAY_PAIRS
+        # truncated.ARRAY_PAIRS
         assert "numpy" not in modules
         assert "concurrent.futures" not in modules
         assert "dataclasses" not in modules
         assert "inspect" not in modules
-        if argv[0] == "verify" and CHECKS[argv[1]].module == "hankel":
-            assert "permcheck.hankel" in modules
+        # exact division and the text grammar are for the tests only
+        assert "permcheck.fpextra" not in modules
+        module = CHECKS[argv[1]].module if argv[0] == "verify" else "witnesses"
+        assert f"permcheck.{module}" in modules
+        if module == "hankel":
             assert not {"permcheck.frobcheck", "permcheck.witnesses",
                         "permcheck.linmember"} & set(modules)
+        else:
+            assert "permcheck.hankel" not in modules
+        if module == "monomials":
+            assert not {"permcheck.frobcheck", "permcheck.witnesses"} & set(modules)
+        if argv[1].startswith("witness-"):
+            # colon membership runs on packed keys of its own
+            assert not {"permcheck.linmember", "permcheck.truncated",
+                        "permcheck.frobcheck"} & set(modules)
+        if "--method" in argv:  # the point and fiber counts truncate no product
+            assert "permcheck.truncated" not in modules
 
     def test_import_loads_no_numpy(self):
         assert cold_start()[:3] == (NOTHING, 0, NOTHING)
 
     def test_import_loads_no_linmember(self):
-        # only monomials28/29 use it, and witnesses imports it when they run
+        # only monomials28/29 use it, and their module imports it when they run
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, permcheck.cli; print('permcheck.linmember' in sys.modules)"],
@@ -614,7 +627,7 @@ class TestColdStart:
         (("verify", "monomials28", "--m", "2", "--n", "3", "--p", "3"), 0),
         (("verify", "monomials29", "--m", "3", "--n", "3", "--p", "3"), 0),
         (("generators", "--shape", "generic:2x3"), 0),
-        # chains of truncated products below fppoly.ARRAY_PAIRS pairs run on Python ints
+        # chains of truncated products below truncated.ARRAY_PAIRS pairs run on Python ints
         (("verify", "lemma34", "--n", "2", "--p", "3"), 0),
         (("verify", "thm35", "--n", "5", "--p", "5"), 0),
         # a squarefree leading term answers the hypersurface without a power

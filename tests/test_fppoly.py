@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from permcheck import fppoly
+from permcheck import truncated
 from permcheck.fppoly import (
     GRLEX,
     LEX,
@@ -321,10 +321,10 @@ KERNELS = {"arrays": 0, "dict": 1 << 62}
 @pytest.fixture(scope="class", params=list(KERNELS))
 def kernel(request):
     """Run a whole test class on one truncated-product kernel."""
-    saved = fppoly.ARRAY_PAIRS
-    fppoly.ARRAY_PAIRS = KERNELS[request.param]
+    saved = truncated.ARRAY_PAIRS
+    truncated.ARRAY_PAIRS = KERNELS[request.param]
     yield request.param
-    fppoly.ARRAY_PAIRS = saved
+    truncated.ARRAY_PAIRS = saved
 
 
 def on_arrays(acc) -> bool:
@@ -450,7 +450,7 @@ class TestKernelChoice:
 
     @pytest.mark.parametrize("p, v, packed", [(3, 21, True), (7, 16, False)])
     def test_key_width_boundary(self, monkeypatch, p, v, packed):
-        monkeypatch.setattr(fppoly, "ARRAY_PAIRS", 0)
+        monkeypatch.setattr(truncated, "ARRAY_PAIRS", 0)
         # w = bitlen(p) + 1: 21 * 3 = 63 bits fits int64, 16 * 4 = 64 bits does not
         dtype = np.int64 if packed else object
         rng = random.Random(108)
@@ -476,7 +476,7 @@ class TestKernelChoice:
         calls = []
 
         def counted(name):
-            real = getattr(fppoly, name)
+            real = getattr(truncated, name)
 
             def kernel(*args):
                 calls.append(name)
@@ -485,8 +485,8 @@ class TestKernelChoice:
             return kernel
 
         for name in ("_mul_dict", "_mul_packed"):
-            monkeypatch.setattr(fppoly, name, counted(name))
-        monkeypatch.setattr(fppoly, "ARRAY_PAIRS", 50)
+            monkeypatch.setattr(truncated, name, counted(name))
+        monkeypatch.setattr(truncated, "ARRAY_PAIRS", 50)
         acc = TruncatedAccumulator.power(base, 9)
         assert calls == ["_mul_dict"] + ["_mul_packed"] * 7
         assert on_arrays(acc)
@@ -501,10 +501,10 @@ class TestKernelChoice:
     def test_truncated_mul_follows_the_bound(self, monkeypatch):
         a, b = zpoly("z1 + z2 + z3", 5), zpoly("1 + z1 + z2", 5)
         for bound, kernel in ((9, "_mul_packed"), (10, "_mul_dict")):
-            monkeypatch.setattr(fppoly, "ARRAY_PAIRS", bound)
+            monkeypatch.setattr(truncated, "ARRAY_PAIRS", bound)
             for name in ("_mul_dict", "_mul_packed"):
                 if name != kernel:
-                    monkeypatch.setattr(fppoly, name, None)  # calling it raises
+                    monkeypatch.setattr(truncated, name, None)  # calling it raises
             assert truncated_mul(a, b) == truncate(a * b)
             monkeypatch.undo()
 
@@ -513,19 +513,19 @@ class TestChainBound:
     """A chain of products whose term pairs would pass MAX_CHAIN_PAIRS is
     refused before the product that passes it runs, on either kernel."""
 
-    @pytest.mark.parametrize("array_pairs", [0, fppoly.ARRAY_PAIRS], ids=["arrays", "dict"])
+    @pytest.mark.parametrize("array_pairs", [0, truncated.ARRAY_PAIRS], ids=["arrays", "dict"])
     def test_product_past_the_bound_is_refused_before_it_runs(self, monkeypatch, array_pairs):
         # (1 + z1 + z2 + z3)^k over F_7: 16, 56, 136, ... pairs in all
         base = parse_poly("1 + z1 + z2 + z3", small_space(3), 7)
-        monkeypatch.setattr(fppoly, "ARRAY_PAIRS", array_pairs)
-        monkeypatch.setattr(fppoly, "MAX_CHAIN_PAIRS", 56)
+        monkeypatch.setattr(truncated, "ARRAY_PAIRS", array_pairs)
+        monkeypatch.setattr(truncated, "MAX_CHAIN_PAIRS", 56)
         assert TruncatedAccumulator.power(base, 3).to_polynomial() == truncate(base**3)
-        monkeypatch.setattr(fppoly, "MAX_CHAIN_PAIRS", 55)
+        monkeypatch.setattr(truncated, "MAX_CHAIN_PAIRS", 55)
         with pytest.raises(ValueError, match="56 term pairs, more than 55"):
             TruncatedAccumulator.power(base, 3)
         square = TruncatedAccumulator.power(base, 2)
         for name in ("_mul_dict", "_mul_packed"):
-            monkeypatch.setattr(fppoly, name, None)  # calling it raises
+            monkeypatch.setattr(truncated, name, None)  # calling it raises
         with pytest.raises(ValueError, match="56 term pairs, more than 55"):
             square.mul_poly(base)
 

@@ -1,4 +1,4 @@
-"""Fedder/Glassbrenner checks, colon membership, and the coefficient engines."""
+"""Fedder/Glassbrenner checks, prime containment, and the coefficient engines."""
 
 import itertools
 import random
@@ -18,7 +18,6 @@ from permcheck.fppoly import (
 from permcheck.frobcheck import (
     _projective_class_count,
     _stabilizer_orbits,
-    colon_membership,
     count_nonvanishing,
     fedder_ci_check,
     fedder_coefficient_fullsupport,
@@ -33,7 +32,6 @@ from permcheck.shapes import (
 from permcheck.witnesses import (
     minimal_primes_generic,
     minimal_primes_symmetric,
-    witness,
 )
 from helpers import (
     _FiberKernel,
@@ -41,13 +39,9 @@ from helpers import (
     count_hi_block,
     evaluate,
     glassbrenner_witness_check,
-    in_frobenius_power,
     numpy_count_nonvanishing,
     pointcount_dtype,
-    prime_binomial,
     prime_contains,
-    prime_generators,
-    prime_omega,
     random_poly,
     rank_mod_p,
 )
@@ -177,150 +171,6 @@ class TestGlassbrennerWitness:
                     ]
                 )
                 assert glassbrenner_witness_check(one, gens) == fedder_ci_check(gens)
-
-
-class TestColonMembership:
-    def test_generic_23_all_primes(self):
-        f = witness(MatrixShape.generic(2, 3), 3)
-        for prime in minimal_primes_generic(2, 3):
-            cert = colon_membership(f, prime)
-            assert cert is not None, prime.label
-            assert cert.replay(f.space, 3) == f
-
-    def test_symmetric_3_all_primes(self):
-        f = witness(MatrixShape.symmetric(3), 3)
-        for prime in minimal_primes_symmetric(3):
-            cert = colon_membership(f, prime)
-            assert cert is not None
-            assert cert.replay(f.space, 3) == f
-
-    def test_f_from_another_space_refused(self):
-        f = witness(MatrixShape.generic(2, 2), 3)
-        with pytest.raises(StructureError, match="prime's variable space"):
-            colon_membership(f, minimal_primes_generic(2, 3)[0])
-
-    @pytest.mark.parametrize("p", [3, 5, 7, 11, 101, 1009])
-    def test_closed_form_powers_match_repeated_products(self, p):
-        # a generic block a*d + b*c and a symmetric one y11*y22 + y12^2
-        for prime in (minimal_primes_generic(2, 3)[0], minimal_primes_symmetric(3)[0]):
-            b = prime_binomial(prime, p)
-            b_pm1 = frobcheck._closed_form_pm1(*prime.binomial, p)
-            assert Polynomial(prime.space, p, b_pm1) == b ** (p - 1)
-            # b^p alone is one multiple of the closed-form b^p generator
-            one = Polynomial.one(prime.space, p)
-            assert colon_membership(b ** p, prime).entries == ((one, b ** p),)
-
-    @pytest.mark.parametrize("p", [3, 5])
-    @pytest.mark.parametrize("shape, minimal_primes, size", [
-        (MatrixShape.generic, minimal_primes_generic, (2, 3)),
-        (MatrixShape.generic, minimal_primes_generic, (3, 3)),
-        (MatrixShape.generic, minimal_primes_generic, (4, 4)),
-        (MatrixShape.symmetric, minimal_primes_symmetric, (3,)),
-        (MatrixShape.symmetric, minimal_primes_symmetric, (5,)),
-    ], ids=["generic:2x3", "generic:3x3", "generic:4x4", "symmetric:3", "symmetric:5"])
-    def test_witness_certificates_have_one_entry_per_generator(
-        self, shape, minimal_primes, size, p
-    ):
-        # one multiplier per variable generator, one of b^p and one of omega^{p-1}
-        f = witness(shape(*size), p)
-        for prime in minimal_primes(*size):
-            cert = colon_membership(f, prime)
-            assert cert is not None, prime.label
-            assert len(cert.entries) <= len(prime.variable_gens) + 2, prime.label
-            assert cert.replay(f.space, p) == f
-
-    def test_replay_refuses_an_entry_from_another_characteristic(self):
-        prime = minimal_primes_generic(2, 2)[0]
-        one = Polynomial.one(prime.space, 5)
-        cert = frobcheck.ColonMembershipCertificate(((one, one),))
-        with pytest.raises(StructureError):
-            cert.replay(prime.space, 3)
-
-    def test_constant_one_is_not_member(self):
-        for prime in minimal_primes_generic(2, 3):
-            one = Polynomial.one(prime.space, 3)
-            assert colon_membership(one, prime) is None
-
-    def test_omega_power_is_member(self):
-        for prime in minimal_primes_generic(3, 3)[:5]:
-            omega = prime_omega(prime, 3)
-            assert colon_membership(omega**2, prime) is not None
-
-    def test_random_multiples_are_members(self):
-        rng = random.Random(77)
-        primes = minimal_primes_generic(2, 3) + minimal_primes_symmetric(3)
-        for prime in primes:
-            p = 3
-            gens = prime_generators(prime, p)
-            omega_pm1 = prime_omega(prime, p) ** (p - 1)
-            for _ in range(5):
-                f = omega_pm1 * random_poly(rng, prime.space, p, max_terms=2, max_exp=1)
-                g = rng.choice(gens)
-                f = f + g**p * random_poly(rng, prime.space, p, max_terms=2, max_exp=1)
-                cert = colon_membership(f, prime)
-                assert cert is not None
-                assert cert.replay(prime.space, p) == f
-
-    def test_near_miss_rejected(self):
-        # omega^{p-2} multiples are not in the colon ideal
-        prime = minimal_primes_generic(2, 2)[0]
-        omega = prime_omega(prime, 3)
-        assert colon_membership(omega, prime) is None
-
-    def test_pure_variable_prime_agrees_with_monomial_ideal(self):
-        rng = random.Random(78)
-        primes = [pr for pr in minimal_primes_generic(3, 3) if pr.binomial is None]
-        for prime in primes:
-            p = 3
-            V = set(prime.variable_gens)
-            for _ in range(40):
-                f = random_poly(rng, prime.space, p, max_terms=4, max_exp=4)
-                member = colon_membership(f, prime) is not None
-                # direct monomial-ideal membership, term by term
-                direct = all(
-                    any(mono[i] >= p for i in V) or all(mono[i] >= p - 1 for i in V)
-                    for mono, _ in f.items()
-                )
-                assert member == direct
-
-    def test_random_agreement_with_linear_membership(self):
-        # (omega^{p-1}) + P^[p] has homogeneous generators, so degree-bounded
-        # linear membership at deg(f) is a complete independent oracle
-        from permcheck.linmember import member_bounded
-
-        rng = random.Random(314)
-        p = 3
-        primes = minimal_primes_generic(2, 2) + [
-            pr for pr in minimal_primes_generic(2, 3) if pr.label.startswith("rows(")
-        ]
-        for prime in primes:
-            omega_power = prime_omega(prime, p) ** (p - 1)
-            gens = tuple([omega_power] + [g**p for g in prime_generators(prime, p)])
-            for _ in range(30):
-                f = random_poly(rng, prime.space, p, max_terms=3, max_exp=1)
-                if rng.random() < 0.4:
-                    mono = [0] * prime.space.count
-                    mono[rng.randrange(prime.space.count)] = 1
-                    f = f + omega_power * Polynomial(
-                        prime.space, p, {tuple(mono): rng.randrange(1, p)}
-                    )
-                if f.is_zero:
-                    continue
-                structural = colon_membership(f, prime) is not None
-                linear = member_bounded(f, gens, f.total_degree()) is not None
-                assert structural == linear
-
-    def test_membership_implies_frobenius_compatibility(self):
-        for m, n in [(2, 2), (2, 3), (3, 3)]:
-            f = witness(MatrixShape.generic(m, n), 3)
-            for prime in minimal_primes_generic(m, n):
-                for g in prime_generators(prime, 3):
-                    assert in_frobenius_power(f * g, prime, 3)
-        for n in (2, 3):
-            f = witness(MatrixShape.symmetric(n), 3)
-            for prime in minimal_primes_symmetric(n):
-                for g in prime_generators(prime, 3):
-                    assert in_frobenius_power(f * g, prime, 3)
 
 
 class TestPrimeContainment:

@@ -22,13 +22,10 @@ from permcheck.hankel import (
 )
 from permcheck.shapes import MatrixShape, permanental_generators
 from permcheck.witnesses import (
-    _entry_products_in_p2,
     minimal_primes_generic,
     minimal_primes_symmetric,
     scan_three_by_four_fpurity,
-    verify_entry_triples,
     verify_fpure,
-    verify_squared_entry_triples,
     verify_witness_membership,
     witness,
 )
@@ -289,6 +286,30 @@ class TestWitnessSymmetric:
         assert not truncate(f).is_zero
 
 
+class TestLazyNames:
+    """Names that other modules define, reachable here and in frobcheck and
+    fppoly, each module loaded on first use."""
+
+    def test_names_resolve_to_their_modules(self):
+        from permcheck import colon, fppoly, frobcheck, monomials, truncated
+
+        for name in ("verify_hankel_eisenstein", "verify_hankel_hypersurface",
+                     "verify_hankel_monomial_absence", "verify_hankel_product_identity",
+                     "verify_hankel_specialization_check"):
+            assert getattr(witnesses, name) is getattr(hankel, name)
+        assert witnesses.verify_entry_triples is monomials.verify_entry_triples
+        assert witnesses.verify_squared_entry_triples is monomials.verify_squared_entry_triples
+        assert frobcheck.colon_membership is colon.colon_membership
+        assert frobcheck.truncated_mul is fppoly.truncated_mul is truncated.truncated_mul
+
+    def test_unknown_name_is_an_attribute_error(self):
+        from permcheck import fppoly, frobcheck
+
+        for module in (witnesses, frobcheck, fppoly):
+            with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+                module.no_such_name
+
+
 class TestLemmaReports:
     def test_monomial_absence_grid(self):
         for n in range(1, 7):
@@ -393,40 +414,6 @@ class TestLemmaReports:
 def _exponents(monomial):
     (mono, _), = monomial.items()
     return mono
-
-
-class TestEntryProducts:
-    def test_triples_2x3(self):
-        report = verify_entry_triples(2, 3, 3)
-        assert report.verdict == "pass"
-        assert report.evidence["targets"] == 6
-
-    def test_triples_3x3(self):
-        report = verify_entry_triples(3, 3, 5)
-        assert report.verdict == "pass"
-        assert report.evidence["targets"] == 36
-
-    def test_squared_triples_3x3(self):
-        report = verify_squared_entry_triples(3, 3, 5)
-        assert report.verdict == "pass"
-        assert report.evidence["targets"] == 18
-
-    def test_squared_triples_need_3x3(self):
-        with pytest.raises(ValueError):
-            verify_squared_entry_triples(2, 3, 3)
-
-    def test_non_member_reported_under_failures(self):
-        # the six monomials28 targets of 2x3 plus x1_1*x1_2*x2_2, which shares
-        # its row with a column (x1_2 * perm) but is not in P_2 at degree 3
-        shape = MatrixShape.generic(2, 3)
-        members = ["x1_1*x1_2*x2_3", "x1_1*x1_3*x2_2", "x1_1*x2_2*x2_3",
-                   "x1_2*x1_3*x2_1", "x1_2*x2_1*x2_3", "x1_3*x2_1*x2_2"]
-        exponents = {_exponents(parse_poly(t, shape.space, 3)) for t in members}
-        exponents.add(_exponents(parse_poly("x1_1*x1_2*x2_2", shape.space, 3)))
-        report = _entry_products_in_p2("monomials28", shape, 3, exponents, 3)
-        assert report.verdict == "fail"
-        assert report.evidence == {"targets": 7, "members": 6, "failures": ["x1_1*x1_2*x2_2"]}
-        assert verify_entry_triples(2, 3, 3).evidence["failures"] == []
 
 
 class TestConjectureScan:
