@@ -7,13 +7,13 @@ variables only, a binomial x^u + x^w on an inner 2x2 block.  f lies in
 certificate: one multiplier per generator of that ideal that sums back to
 f.  `colon_membership` builds the certificate, or finds that there is none,
 in time linear in the terms of f, and `ColonMembershipCertificate.replay`
-multiplies it back out.
+multiplies it back out through `fppoly.mul_sum`.
 
-Both run on f packed once (`pack`): each monomial is one Python int in the
-layout of `fppoly._shifts`, with a field width that bounds every exponent
-the certificate can reach, so products are key sums and "some variable of V
-has exponent >= p" is one guard-bit test (`fppoly._guard_and_bias`).  This
-module loads only the polynomial core.
+Both run on f packed once (`pack`, through `fppoly.pack_terms`), with a
+field width that bounds every exponent the certificate can reach, so
+products are key sums and "some variable of V has exponent >= p" is one
+guard-bit test (`fppoly._guard_and_bias`).  This module loads only the
+polynomial core.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from __future__ import annotations
 from operator import lshift
 from typing import NamedTuple, Optional
 
-from .fppoly import Polynomial, StructureError, VariableSpace, _guard_and_bias, _shifts, _unpack_key
+from .fppoly import (Polynomial, StructureError, VariableSpace, _guard_and_bias, _shifts, mul_sum,
+                     pack_terms)
 
 
 class MinimalPrime(NamedTuple):
@@ -51,11 +52,6 @@ class PackedPolynomial(NamedTuple):
     width: int
     terms: dict
 
-    def to_polynomial(self) -> Polynomial:
-        shifts, mask = _shifts(self.space.count, self.width), (1 << self.width) - 1
-        terms = {_unpack_key(k, shifts, mask): c for k, c in self.terms.items()}
-        return Polynomial._make(self.space, self.char, terms)
-
 
 def pack(f: Polynomial) -> PackedPolynomial:
     """f on keys wide enough for every vector that `colon_membership` and
@@ -71,10 +67,7 @@ def pack(f: Polynomial) -> PackedPolynomial:
     p = f.char
     top = max((max(mono, default=0) for mono, _ in f.items()), default=0)
     w = (8 * max(top + 2, 2 * p)).bit_length()
-    shifts = _shifts(f.space.count, w)
-    return PackedPolynomial(
-        f.space, p, w, {sum(map(lshift, mono, shifts)): c for mono, c in f.items()}
-    )
+    return PackedPolynomial(f.space, p, w, pack_terms(f, w))
 
 
 class ColonMembershipCertificate(NamedTuple):
@@ -95,18 +88,8 @@ class ColonMembershipCertificate(NamedTuple):
     entries: tuple
 
     def replay(self) -> PackedPolynomial:
-        """The sum of multiplier * ideal_element, accumulated in one dict."""
-        total: dict = {}
-        get = total.get
-        for multiplier, ideal_element in self.entries:
-            for k2, c2 in ideal_element.items():
-                for k1, c1 in multiplier.items():
-                    k = k1 + k2
-                    total[k] = get(k, 0) + c1 * c2
-        p = self.char
-        return PackedPolynomial(
-            self.space, p, self.width, {k: c % p for k, c in total.items() if c % p}
-        )
+        """The sum of multiplier * ideal_element, by `fppoly.mul_sum`."""
+        return PackedPolynomial(self.space, self.char, self.width, mul_sum(self.entries, self.char))
 
 
 def _closed_form_pm1(u: int, w: int, p: int) -> dict:
@@ -117,17 +100,6 @@ def _closed_form_pm1(u: int, w: int, p: int) -> dict:
     x^{ju + (p-1-j)w}, whose p monomials are distinct because u != w.
     """
     return {j * u + (p - 1 - j) * w: 1 if j % 2 == 0 else p - 1 for j in range(p)}
-
-
-def _times_binomial(terms: dict, u: int, w: int, p: int) -> dict:
-    """The packed term dict of sum(terms) * (x^u + x^w)."""
-    out: dict = {}
-    get = out.get
-    for key, coeff in terms.items():
-        for shift in (u, w):
-            k = key + shift
-            out[k] = (get(k, 0) + coeff) % p
-    return {k: c for k, c in out.items() if c}
 
 
 def _divide_by_binomial(terms: dict, u: int, w: int, field: int, step: int, mask: int,
@@ -236,7 +208,7 @@ def colon_membership(f, prime: MinimalPrime) -> Optional[ColonMembershipCertific
         entries.append((quotient, {p * ku: 1, p * kw: 1}))  # b^p = x^{pu} + x^{pw}
     if cofactor:
         # q * b^{p-1} = cofactor  iff  q * b^p = cofactor * b
-        quotient = divide(_times_binomial(cofactor, ku, kw, p))
+        quotient = divide(mul_sum(((cofactor, {ku: 1, kw: 1}),), p))
         if quotient is None:
             return None
         omega_power = {admissible + k: c for k, c in _closed_form_pm1(ku, kw, p).items()}

@@ -7,11 +7,13 @@ immutable after construction, so they can be shared freely between threads.
 Every characteristic is an odd prime below 2^31 (`check_prime`), which the
 int64 kernels of `truncated` rely on.
 
-This module is the polynomial core that every check loads.  It also fixes
-the packed-key layout (`_shifts`, `_guard_and_bias`) that the truncated
-kernels and colon membership share: each exponent gets a w-bit field, the
-first variable the most significant one.  The rest loads on first use, so a
-job compiles only the code it runs: truncated arithmetic in F_p[x] / m^[p]
+This module is the polynomial core that every check loads.  It also owns
+the packed-term layer of `truncated`, `colon` and `monomials`: one w-bit
+field per exponent, the first variable the most significant one
+(`_shifts`), converted by `pack_terms` / `unpack_terms`, multiplied and
+summed by `mul_sum`, and guarded against exponents >= p by
+`_guard_and_bias`.  The rest loads on first use, so a job compiles only the
+code it runs: truncated arithmetic in F_p[x] / m^[p]
 (`TruncatedAccumulator`, `truncated_mul`, `truncated_pow`) from `truncated`,
 and `exact_divide` and the text grammar `parse_poly` from `fpextra`.  Both
 stay reachable as `fppoly.<name>` through the module `__getattr__`.
@@ -20,6 +22,7 @@ stay reachable as `fppoly.<name>` through the module `__getattr__`.
 from __future__ import annotations
 
 import functools
+from operator import lshift
 from typing import Iterable, Iterator, Mapping
 
 from . import _lazy_attributes
@@ -319,6 +322,32 @@ def _guard_and_bias(p: int, v: int, w: int) -> tuple:
 
 def _unpack_key(key: int, shifts: list, mask: int) -> Monomial:
     return tuple([(key >> s) & mask for s in shifts])
+
+
+def pack_terms(a: Polynomial, w: int) -> dict:
+    """{packed key: coefficient} of the terms of a, w bits per exponent field."""
+    shifts = _shifts(a.space.count, w)
+    return {sum(map(lshift, mono, shifts)): c for mono, c in a._terms.items()}
+
+
+def unpack_terms(terms: dict, space: VariableSpace, p: int, w: int) -> Polynomial:
+    """The Polynomial of a packed term dict whose coefficients are reduced and nonzero."""
+    shifts, mask = _shifts(space.count, w), (1 << w) - 1
+    return Polynomial._make(space, p, {_unpack_key(k, shifts, mask): c for k, c in terms.items()})
+
+
+def mul_sum(pairs: Iterable, p: int) -> dict:
+    """Sum of a * b over the pairs (a, b) of packed term dicts of one width,
+    not truncated.  Sums stay unreduced Python ints and are reduced mod p
+    once at the end, zero sums dropped."""
+    total: dict = {}
+    get = total.get
+    for a, b in pairs:
+        for kb, cb in b.items():
+            for ka, ca in a.items():
+                k = ka + kb
+                total[k] = get(k, 0) + ca * cb
+    return {k: c % p for k, c in total.items() if c % p}
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,9 @@ from . import _lazy_attributes
 from .fppoly import Polynomial, StructureError, leading_term, mono_mul
 from .shapes import GENERIC, IdealPresentation
 
-# Names of other modules, each loaded with its module on first use:
-# perfbench/tracer.py binds colon_membership here, and its tests read
-# frobcheck.truncated_mul.
+# Names of other modules, each loaded with its module on first use.
+# perfbench/tracer.py binds colon_membership here; only
+# perfbench/tests/test_tracer.py reads truncated_mul.
 __getattr__ = _lazy_attributes(__name__, {
     "truncated_mul": "truncated",
     "colon_membership": "colon",

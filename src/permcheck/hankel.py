@@ -34,7 +34,7 @@ def verify_hankel_monomial_absence(n: int) -> LemmaReport:
     """
     t0 = time.perf_counter()
     params = {"shape": f"hankel:{n}", "n": n}
-    # char 3 until report schema 2 (ROADMAP item 6): perfbench/references/hankel.json pins it
+    # char 3 until report schema 2 (ROADMAP item 3): perfbench/references/hankel.json pins it
     f_n = permanent(MatrixShape.hankel(n), char=3)
 
     def absent(lo_idx: int, hi_idx: int, must_appear: int) -> bool:
@@ -71,7 +71,7 @@ def verify_hankel_eisenstein(n: int) -> LemmaReport:
     params = {"shape": f"hankel:{n}", "n": n}
     if n <= 2:
         return make_report("lemma32", params, True, {"small_case": True}, t0)
-    # char 3 until report schema 2 (ROADMAP item 6): perfbench/references/hankel.json pins it
+    # char 3 until report schema 2 (ROADMAP item 3): perfbench/references/hankel.json pins it
     f_n = permanent(MatrixShape.hankel(n), char=3)
     v = f_n.space.count
     idx_zn = n - 1
@@ -184,7 +184,7 @@ def verify_hankel_specialization_check(n: int) -> LemmaReport:
     """
     t0 = time.perf_counter()
     params = {"shape": f"hankel:{n}", "n": n}
-    # char 3 until report schema 2 (ROADMAP item 6): perfbench/references/hankel.json pins it
+    # char 3 until report schema 2 (ROADMAP item 3): perfbench/references/hankel.json pins it
     hankel = MatrixShape.hankel(n)
     hankel_perm = permanent(hankel, char=3)
     evidence = {}

@@ -11,17 +11,16 @@ that divides a monomial uses rows and columns of that monomial, and so does
 the generator's other term, so a representative's system, and with it its
 certificate, stays in the rows and columns the representative uses; the
 maps of those rows and columns move it.  Every moved certificate is
-re-multiplied against its own target.  This module loads neither
-`frobcheck` nor `hankel`.
+re-multiplied against its own target by one `fppoly.mul_sum` on packed
+terms.  This module loads neither `frobcheck` nor `hankel`.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from operator import lshift
 
-from .fppoly import Polynomial, _shifts, render_poly
+from .fppoly import Polynomial, _shifts, mul_sum, pack_terms, render_poly
 from .linmember import members_bounded
 from .report import LemmaReport, make_report
 from .shapes import MatrixShape, permanental_generators
@@ -61,14 +60,14 @@ def _block(shape: MatrixShape, g: Polynomial) -> tuple:
 def _move(certificate, row_map, col_map, blocks: dict, shifts: list, ncols: int) -> list:
     """A certificate [(block, [(cells, coefficient)])] of a representative
     moved by rows r -> row_map[r] and columns c -> col_map[c], as
-    [(generator index, [(packed multiplier monomial, coefficient)])]."""
+    [(generator index, packed term dict of the multiplier)]."""
     moved = []
     for (rows, cols), terms in certificate:
         block = (tuple(sorted(row_map[r] for r in rows)), tuple(sorted(col_map[c] for c in cols)))
-        moved.append((blocks[block], [
-            (sum(e << shifts[row_map[r] * ncols + col_map[c]] for r, c, e in cells), coeff)
+        moved.append((blocks[block], {
+            sum(e << shifts[row_map[r] * ncols + col_map[c]] for r, c, e in cells): coeff
             for cells, coeff in terms
-        ]))
+        }))
     return moved
 
 
@@ -84,9 +83,9 @@ def _entry_products_in_p2(
     n = shape.ncols
     blocks = {_block(shape, g): gi for gi, g in enumerate(gens)}
     # exponents stay at most `degree` in every product of a certificate
-    shifts = _shifts(shape.space.count, degree.bit_length())
-    pack = lambda mono: sum(map(lshift, mono, shifts))
-    gen_terms = [[(pack(mono), c) for mono, c in g.items()] for g in gens]
+    width = degree.bit_length()
+    shifts = _shifts(shape.space.count, width)
+    gen_terms = [pack_terms(g, width) for g in gens]
 
     canonical: dict = {}  # pattern -> (representative, row order, column order)
     targets = []  # (exponents, rows, cols, representative, row order, column order)
@@ -112,26 +111,20 @@ def _entry_products_in_p2(
 
     failures = []
     for exps, rows, cols, rep, row_order, col_order in targets:
+        target = Polynomial.monomial(shape.space, p, exps)
         certificate = certificates[rep]
         if certificate is None:
-            failures.append(render_poly(Polynomial.monomial(shape.space, p, exps)))
+            failures.append(render_poly(target))
             continue
         row_map, col_map = [0] * len(rows), [0] * len(cols)
         for a, r in enumerate(row_order):
             row_map[r] = rows[a]
         for b, c in enumerate(col_order):
             col_map[c] = cols[b]
-        total: dict = {}
-        get = total.get
-        for gi, terms in _move(certificate, row_map, col_map, blocks, shifts, n):
-            for gk, gc in gen_terms[gi]:
-                for hk, hc in terms:
-                    k = hk + gk
-                    total[k] = get(k, 0) + hc * gc
-        if {k: c % p for k, c in total.items() if c % p} != {pack(exps): 1}:
+        moved = _move(certificate, row_map, col_map, blocks, shifts, n)
+        if mul_sum(((h, gen_terms[gi]) for gi, h in moved), p) != pack_terms(target, width):
             raise RuntimeError(
-                "a moved certificate does not re-multiply to its target "
-                + render_poly(Polynomial.monomial(shape.space, p, exps))
+                "a moved certificate does not re-multiply to its target " + render_poly(target)
             )
     evidence = {"targets": len(targets), "members": len(targets) - len(failures),
                 "failures": failures}

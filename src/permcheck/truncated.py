@@ -3,13 +3,15 @@
 In F_p[x] / m^[p] any monomial with some exponent >= p is annihilated.  p
 and the variables are read from the operands, and operands from different
 spaces or characteristics are refused with StructureError.  Truncated
-products run on packed exponent vectors: each exponent gets a w-bit field
-with p < 2^(w-1), so the top bit of a field is a guard that flags a product
-reaching p (Monagan & Pearce, CASC 2007).  A chain of products runs on a
-dict of Python-int keys until ARRAY_PAIRS term pairs in all, and on one
-numpy kernel after that, with int64 keys while v fields fit 63 bits and
-Python ints (numpy object arrays) beyond.  Powers are repeated products with
-the base.  A chain of more than MAX_CHAIN_PAIRS term pairs is refused with
+products run on the packed terms of `fppoly.pack_terms`, with a w-bit field
+per exponent and p < 2^(w-1), so the top bit of a field is a guard that
+flags a product reaching p (Monagan & Pearce, CASC 2007).  `_mul_dict` is
+the guarded counterpart of `fppoly.mul_sum`, kept apart so that the
+untruncated sums pay no guard test.  A chain of products runs on a dict of
+Python-int keys until ARRAY_PAIRS term pairs in all, and on one numpy
+kernel after that, with int64 keys while v fields fit 63 bits and Python
+ints (numpy object arrays) beyond.  Powers are repeated products with the
+base.  A chain of more than MAX_CHAIN_PAIRS term pairs is refused with
 ValueError before its last product runs.
 
 numpy is imported inside the kernel functions, so it loads on the first
@@ -24,10 +26,10 @@ never truncate a product do not compile it.
 
 from __future__ import annotations
 
-from operator import lshift
 from typing import TYPE_CHECKING
 
-from .fppoly import Polynomial, VariableSpace, _guard_and_bias, _shifts, _unpack_key
+from .fppoly import (Polynomial, VariableSpace, _guard_and_bias, _shifts, _unpack_key, pack_terms,
+                     truncate, unpack_terms)
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
@@ -40,16 +42,6 @@ def _key_width(p: int) -> int:
     exponents below p without carrying, and its top bit serves as the guard.
     """
     return p.bit_length() + 1
-
-
-def _pack(a: Polynomial, w: int) -> dict:
-    """{packed key: coefficient} of the terms of a that survive truncation."""
-    p, shifts = a.char, _shifts(a.space.count, w)
-    return {
-        sum(map(lshift, mono, shifts)): c
-        for mono, c in a._terms.items()
-        if max(mono, default=0) < p
-    }
 
 
 def _mul_dict(a: dict, b: dict, p: int, v: int, w: int) -> dict:
@@ -180,7 +172,7 @@ class TruncatedAccumulator:
         self.space, self.char = poly.space, poly.char
         self._width = _key_width(poly.char)
         self._pairs = 0  # term pairs multiplied so far on its way to this value
-        self._terms = _pack(poly, self._width)
+        self._terms = pack_terms(truncate(poly), self._width)
         self._keys = self._coeffs = None
 
     @classmethod
@@ -204,7 +196,7 @@ class TruncatedAccumulator:
         ValueError, before multiplying, if the chain passes MAX_CHAIN_PAIRS."""
         poly._check_compatible(self)  # reads only .space and .char
         p, v, w = self.char, self.space.count, self._width
-        factor = _pack(poly, w)
+        factor = pack_terms(truncate(poly), w)
         out = object.__new__(TruncatedAccumulator)
         out.space, out.char, out._width = self.space, p, w
         out._pairs = self._pairs + self.nnz() * len(factor)
@@ -270,9 +262,7 @@ class TruncatedAccumulator:
     def to_polynomial(self) -> Polynomial:
         if self._terms is None:
             return _unpack(self._keys, self._coeffs, self.space, self.char, self._width)
-        shifts, mask = _shifts(self.space.count, self._width), (1 << self._width) - 1
-        terms = {_unpack_key(k, shifts, mask): c for k, c in self._terms.items()}
-        return Polynomial._make(self.space, self.char, terms)
+        return unpack_terms(self._terms, self.space, self.char, self._width)
 
 
 def truncated_mul(a: Polynomial, b: Polynomial) -> Polynomial:

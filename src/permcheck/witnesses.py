@@ -7,11 +7,11 @@ counts); nothing is taken on trust.  Verdicts are tri-state: a failed
 positive certificate for F-regularity is reported as "inconclusive", never
 as a refutation.
 
-The witness jobs need only colon membership (`colon`), so `frobcheck` is
-imported by the checks that use it, when they run.  The Hankel checks
-(`hankel`) and `monomials28/29` (`monomials`) live in their own modules;
-`__getattr__` keeps them reachable as witnesses.<name>, loading the module
-on first use.
+The witness jobs need only colon membership (`colon`), and the `fpure` and
+`conjecture45` jobs only `frobcheck`; each is imported by the code that
+uses it, when it runs.  The Hankel checks (`hankel`) and
+`monomials28/29` (`monomials`) live in their own modules; `__getattr__`
+keeps them reachable as witnesses.<name>, loading the module on first use.
 """
 
 from __future__ import annotations
@@ -21,14 +21,14 @@ import math
 import time
 
 from . import _lazy_attributes
-from .colon import MinimalPrime, colon_membership, pack
 from .fppoly import Polynomial, render_poly, truncate
 from .report import LemmaReport, make_report
 from .shapes import GENERIC, SYMMETRIC, MatrixShape, permanental_generators
 
-# Checks of other modules, each loaded with its module on first use:
-# perfbench/tracer.py binds them as permcheck.witnesses.*.
+# Names of other modules, each loaded with its module on first use:
+# perfbench/tracer.py and its tests read them as permcheck.witnesses.*.
 __getattr__ = _lazy_attributes(__name__, {
+    "colon_membership": "colon",
     **dict.fromkeys((
         "verify_hankel_eisenstein",
         "verify_hankel_hypersurface",
@@ -44,10 +44,12 @@ def _one_based(ix) -> str:
     return ",".join(str(i + 1) for i in ix)
 
 
-def _block_prime(label: str, shape: MatrixShape, diagonal, antidiagonal) -> MinimalPrime:
-    """The prime of the block permanent x^u + x^w, u the product of the
-    `diagonal` variables and w of the `antidiagonal` ones, plus every
+def _block_prime(label: str, shape: MatrixShape, diagonal, antidiagonal):
+    """The MinimalPrime of the block permanent x^u + x^w, u the product of
+    the `diagonal` variables and w of the `antidiagonal` ones, plus every
     variable outside the block."""
+    from .colon import MinimalPrime
+
     u = tuple(diagonal.count(i) for i in range(shape.space.count))
     w = tuple(antidiagonal.count(i) for i in range(shape.space.count))
     outside = tuple(i for i in range(shape.space.count) if not u[i] + w[i])
@@ -60,6 +62,8 @@ def minimal_primes_generic(m: int, n: int) -> list:
     One prime per 2x2 submatrix; plus the variables of any m-1 rows when
     n >= 3, and of any n-1 columns when m >= 3.
     """
+    from .colon import MinimalPrime
+
     if m < 2 or n < 2:
         raise ValueError("minimal prime classification needs m, n >= 2")
     shape = MatrixShape.generic(m, n)
@@ -180,6 +184,8 @@ def witness(shape: MatrixShape, p: int) -> Polynomial:
 def verify_witness_membership(shape: MatrixShape, p: int) -> LemmaReport:
     """CLI checks `witness-generic` / `witness-symmetric`: the witness f lies
     in every minimal-prime colon ideal and survives modulo m^[p]."""
+    from .colon import colon_membership, pack
+
     t0 = time.perf_counter()
     sign, primes, f = _witness(shape, p)
     params = {

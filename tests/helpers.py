@@ -6,8 +6,9 @@ from typing import Optional, Sequence
 
 from operator import add
 
-from permcheck.colon import MinimalPrime, PackedPolynomial
-from permcheck.fppoly import Polynomial, StructureError, VariableSpace, exact_divide, mono_mul
+from permcheck.colon import MinimalPrime
+from permcheck.fppoly import (Polynomial, StructureError, VariableSpace, exact_divide, mono_mul,
+                              unpack_terms)
 from permcheck.frobcheck import _omega_power, _require_ci
 from permcheck import linmember
 from permcheck.linmember import SizeGuardError
@@ -567,7 +568,7 @@ def colon_membership_tuples(f: Polynomial, prime: MinimalPrime) -> Optional[tupl
 def certificate_polynomials(cert) -> tuple:
     """The entries of a packed ColonMembershipCertificate as Polynomial pairs."""
     def unpack(terms):
-        return PackedPolynomial(cert.space, cert.char, cert.width, terms).to_polynomial()
+        return unpack_terms(terms, cert.space, cert.char, cert.width)
 
     return tuple((unpack(m), unpack(e)) for m, e in cert.entries)
 

@@ -21,11 +21,14 @@ from permcheck.fppoly import (
     check_prime,
     exact_divide,
     leading_term,
+    mul_sum,
+    pack_terms,
     parse_poly,
     render_poly,
     truncate,
     truncated_mul,
     truncated_pow,
+    unpack_terms,
 )
 from helpers import _truncated_mul_dict, evaluate, random_point, random_poly, small_space
 
@@ -442,6 +445,38 @@ class TestPackedKernel:
                     acc.leading_term()
             else:
                 assert acc.leading_term() == leading_term(acc.to_polynomial(), GRLEX)
+
+
+class TestPackedTerms:
+    """pack_terms / unpack_terms / mul_sum against Polynomial arithmetic, on
+    keys that fit 63 bits (3 * 5) and on keys that do not (8 * 9)."""
+
+    @pytest.mark.parametrize("p, v, w", [(5, 3, 5), (2**31 - 1, 8, 9)])
+    def test_mul_sum_matches_polynomial_products(self, p, v, w):
+        rng = random.Random(27)
+        space = small_space(v)
+        full = Polynomial.monomial(space, p, [(1 << w) - 1] * v)  # every bit of every field
+        assert unpack_terms(pack_terms(full, w), space, p, w) == full
+        for _ in range(30):
+            pairs = [(random_poly(rng, space, p), random_poly(rng, space, p))
+                     for _ in range(rng.randrange(4))]
+            expected = Polynomial.zero(space, p)
+            for a, b in pairs:
+                expected = expected + a * b
+                assert unpack_terms(pack_terms(a, w), space, p, w) == a
+            packed = [(pack_terms(a, w), pack_terms(b, w)) for a, b in pairs]
+            assert mul_sum(packed, p) == pack_terms(expected, w)
+
+    @pytest.mark.parametrize("p, v, w", [(5, 3, 5), (7, 8, 9)])
+    def test_cancelled_sums_are_dropped(self, p, v, w):
+        space = small_space(v)
+        z1, z2 = (Polynomial.variable(space, p, i) for i in range(2))
+        a, b = pack_terms(z1 + z2, w), pack_terms(z1 - z2, w)
+        # (z1 + z2)(z1 - z2): the two z1*z2 products cancel within one pair
+        assert mul_sum([(a, b)], p) == pack_terms(z1 * z1 - z2 * z2, w)
+        # a*b - a*b: every sum cancels across the pairs
+        minus_b = pack_terms(z2 - z1, w)
+        assert mul_sum([(a, b), (a, minus_b)], p) == {}
 
 
 class TestKernelChoice:

@@ -299,7 +299,7 @@ class TestLazyNames:
             assert getattr(witnesses, name) is getattr(hankel, name)
         assert witnesses.verify_entry_triples is monomials.verify_entry_triples
         assert witnesses.verify_squared_entry_triples is monomials.verify_squared_entry_triples
-        assert frobcheck.colon_membership is colon.colon_membership
+        assert frobcheck.colon_membership is witnesses.colon_membership is colon.colon_membership
         assert frobcheck.truncated_mul is fppoly.truncated_mul is truncated.truncated_mul
 
     def test_unknown_name_is_an_attribute_error(self):
