@@ -81,7 +81,7 @@ CHECKS = {
         lambda m, a, p: m.verify_squared_entry_triples(a.m, a.n, p),
     ),
     "fpure": Check(
-        "witnesses", ("shape", "p"),
+        "frobcheck", ("shape", "p"),
         lambda m, a, p: m.verify_fpure(*_shape_and_t(a), p, method=a.method),
         optional=("t",),
         guard=lambda m, a, p: m.check_fpure(*_shape_and_t(a), p, a.method),
@@ -186,11 +186,11 @@ def _run_verify(args) -> list:
 
 
 def _run_scan(args) -> list:
-    from . import witnesses
+    from . import frobcheck
 
     _take_flags(args, ("p",))
     primes = _parse_primes(args.p)
-    return [witnesses.scan_three_by_four_fpurity(primes, method=args.method)]
+    return [frobcheck.scan_three_by_four_fpurity(primes, method=args.method)]
 
 
 def _aggregate(reports) -> str:

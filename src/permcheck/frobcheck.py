@@ -17,6 +17,10 @@ stabilizer on the projective classes of column 2 and every class of column
 3, and is refused when those classes would pass MAX_FIBER_PAIRS column
 pairs.  Every route runs on the calling thread.
 
+The CLI checks `fpure` and `conjecture45` run these routes; `check_fpure`
+refuses an `fpure` job off the complete-intersection whitelist before any
+generator is built.
+
 Membership in the colon ideals (omega_P^{p-1}) + P^[p] of the minimal primes
 of P_2 lives in `colon`; `colon_membership` stays reachable here.  It and
 the truncated arithmetic of `truncated` load on first use, so the count
@@ -30,12 +34,15 @@ load it.
 
 from __future__ import annotations
 
+import time
 from collections import Counter
 from typing import Optional
 
 from . import _lazy_attributes
-from .fppoly import Polynomial, StructureError, leading_term, mono_mul
-from .shapes import GENERIC, IdealPresentation
+from .fppoly import Polynomial, StructureError, leading_term, mono_mul, render_poly
+from .report import LemmaReport, make_report
+from .shapes import (GENERIC, IdealPresentation, MatrixShape, _is_known_complete_intersection,
+                     permanental_generators)
 
 # Names of other modules, each loaded with its module on first use.
 # perfbench/tracer.py binds colon_membership here; only
@@ -157,6 +164,81 @@ def check_fullsupport(gens: IdealPresentation, method: str) -> None:
         _check_fiber_size(gens.char)
     elif method != "truncated":
         raise ValueError(f"unknown method {method!r}")
+
+
+# -- the verification jobs ----------------------------------------------------
+
+
+def verify_fpure(shape: MatrixShape, t: int, p: int, method: str = "truncated") -> LemmaReport:
+    """CLI check `fpure`: the Fedder criterion for a whitelisted complete
+    intersection P_t of the given shape.
+
+    The default route is `fedder_ci_check`: a squarefree leading monomial of
+    omega certifies F-purity at every p without a power (the generic,
+    symmetric and Hankel hypersurfaces), and otherwise omega^{p-1} is
+    computed by truncated powering.  "pointcount" and "fiber" go through the
+    full-support coefficient, counted on Python ints without numpy.  They
+    need the product omega of the generators to have degree equal to the
+    variable count: then omega^{p-1} mod m^[p] is a multiple of
+    prod x_i^{p-1}, so F-purity is that coefficient being nonzero.
+    """
+    t0 = time.perf_counter()
+    params = {"shape": shape.spec_string(), "m": shape.nrows, "n": shape.ncols,
+              "t": t, "p": p, "e": 1, "method": method}
+    gens = permanental_generators(shape, t, char=p)
+    if method == "truncated":
+        survivor = fedder_ci_check(gens)
+    else:
+        coeff = fedder_coefficient_fullsupport(gens, method=method)
+        survivor = ((p - 1,) * shape.space.count, coeff) if coeff else None
+    passed = survivor is not None
+    evidence = {
+        "generators": len(gens.generators),
+        "duplicates": len(gens.duplicates),
+        "passed": passed,
+        "survivor": None
+        if survivor is None
+        else render_poly(Polynomial.monomial(shape.space, p, *survivor)),
+    }
+    return make_report("fpure", params, passed, evidence, t0)
+
+
+def check_fpure(shape: MatrixShape, t: int, p: int, method: str) -> None:
+    """Raise ValueError where verify_fpure would refuse, without counting;
+    the CLI runs it for every prime of a list before the first check.  A
+    shape and t off the complete-intersection whitelist, or a t out of
+    range, are refused before any generator is built.  A truncated power's
+    size is only known once omega is built, so the primes before one
+    refused for it still run."""
+    if not _is_known_complete_intersection(shape, t):
+        what = "the Fedder check" if method == "truncated" else "the Fedder coefficient"
+        raise ValueError(f"{what} requires a complete-intersection presentation")
+    if method != "truncated":
+        check_fullsupport(permanental_generators(shape, t, char=p), method)
+
+
+def scan_three_by_four_fpurity(p_list, method: str = "truncated") -> LemmaReport:
+    """CLI check `conjecture45`: Fedder coefficient of the generic 3x4 / t=3
+    complete intersection across primes, compared with the p = 1 mod 6 rule."""
+    t0 = time.perf_counter()
+    p_list = list(p_list)
+    params = {"shape": "generic:3x4", "m": 3, "n": 4, "t": 3, "method": method,
+              "p": ",".join(str(p) for p in p_list), "e": 1}
+    presentations = [permanental_generators(MatrixShape.generic(3, 4), 3, char=p) for p in p_list]
+    for gens in presentations:  # refuse an oversized prime before the first count
+        check_fullsupport(gens, method)
+    per_p = []
+    all_ok = True
+    for p, gens in zip(p_list, presentations):
+        coeff = fedder_coefficient_fullsupport(gens, method=method)
+        fpure = coeff != 0
+        predicted = p % 6 == 1
+        ok = fpure == predicted
+        all_ok = all_ok and ok
+        per_p.append(
+            {"p": p, "coefficient": coeff, "fpure": fpure, "predicted_fpure": predicted, "ok": ok}
+        )
+    return make_report("conjecture45", params, all_ok, {"per_p": per_p}, t0)
 
 
 # -- brute-force point counting ---------------------------------------------

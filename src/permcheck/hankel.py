@@ -69,10 +69,11 @@ def verify_hankel_eisenstein(n: int) -> LemmaReport:
     """
     t0 = time.perf_counter()
     params = {"shape": f"hankel:{n}", "n": n}
+    shape = MatrixShape.hankel(n)  # refuses n < 1 before the small cases
     if n <= 2:
         return make_report("lemma32", params, True, {"small_case": True}, t0)
     # char 3 until report schema 2 (ROADMAP item 3): perfbench/references/hankel.json pins it
-    f_n = permanent(MatrixShape.hankel(n), char=3)
+    f_n = permanent(shape, char=3)
     v = f_n.space.count
     idx_zn = n - 1
     idx_up = n  # z_{n+1}

@@ -128,7 +128,7 @@ def _entry_products_in_p2(
             )
     evidence = {"targets": len(targets), "members": len(targets) - len(failures),
                 "failures": failures}
-    return make_report(check, params, not failures and bool(targets), evidence, t0)
+    return make_report(check, params, not failures, evidence, t0)
 
 
 def _entry_triples(shape: MatrixShape) -> set:
@@ -175,6 +175,8 @@ def verify_entry_triples(m: int, n: int, p: int) -> LemmaReport:
     """CLI check `monomials28`: every product of three entries from three
     distinct columns and two distinct rows (n >= 3), or the transpose
     configuration (m >= 3), lies in P_2, decided at d = 3."""
+    if m < 3 and n < 3:
+        raise ValueError("the entry triples need m >= 3 or n >= 3")
     shape = MatrixShape.generic(m, n)
     return _entry_products_in_p2("monomials28", shape, p, _entry_triples(shape), 3)
 

@@ -190,16 +190,15 @@ class IdealPresentation(_Presentation):
 
 
 def _is_known_complete_intersection(shape: MatrixShape, t: int) -> bool:
-    # Whitelist: a square permanental hypersurface (one generator), and the
-    # generic t x (t+1) cases with 2 <= t <= 4, which are complete
-    # intersections by the published classification.
-    if t == shape.nrows == shape.ncols:
-        return True
-    if shape.kind == GENERIC and 2 <= t <= 4:
-        dims = {shape.nrows, shape.ncols}
-        if dims == {t, t + 1}:
-            return True
-    return False
+    """Whether P_t of `shape` is on the whitelist: a square permanental
+    hypersurface (one generator), or generic t x (t+1) with 2 <= t <= 4, a
+    complete intersection by the published classification.  Decided from
+    the sizes alone; ValueError when t is out of range for the shape."""
+    if not (1 <= t <= min(shape.nrows, shape.ncols)):
+        raise ValueError(f"t = {t} out of range for {shape.spec_string()}")
+    return t == shape.nrows == shape.ncols or (
+        shape.kind == GENERIC and 2 <= t <= 4 and {shape.nrows, shape.ncols} == {t, t + 1}
+    )
 
 
 def permanental_generators(shape: MatrixShape, t: int, char: int) -> IdealPresentation:
@@ -209,8 +208,7 @@ def permanental_generators(shape: MatrixShape, t: int, char: int) -> IdealPresen
     equal polynomials; only the first occurrence is kept as a generator and
     later ones are recorded in `duplicates`.
     """
-    if not (1 <= t <= min(shape.nrows, shape.ncols)):
-        raise ValueError(f"t = {t} out of range for {shape.spec_string()}")
+    complete_intersection = _is_known_complete_intersection(shape, t)  # refuses t out of range
     gens = []
     seen = {}
     duplicates = []
@@ -225,7 +223,7 @@ def permanental_generators(shape: MatrixShape, t: int, char: int) -> IdealPresen
                 gens.append(poly)
     return IdealPresentation(
         generators=tuple(gens),
-        complete_intersection=_is_known_complete_intersection(shape, t),
+        complete_intersection=complete_intersection,
         shape=shape,
         t=t,
         duplicates=tuple(duplicates),

@@ -1,17 +1,9 @@
 """Minimal primes of 2x2 permanental ideals, witness elements, and the
-verification jobs behind `witness-*`, `fpure` and `conjecture45`.
+verification jobs behind `witness-generic` and `witness-symmetric`.
 
 Every verification returns a LemmaReport whose verdict is backed by
-machine-checked evidence (surviving monomials, membership certificates,
-counts); nothing is taken on trust.  Verdicts are tri-state: a failed
-positive certificate for F-regularity is reported as "inconclusive", never
-as a refutation.
-
-The witness jobs need only colon membership (`colon`), and the `fpure` and
-`conjecture45` jobs only `frobcheck`; each is imported by the code that
-uses it, when it runs.  The Hankel checks (`hankel`) and
-`monomials28/29` (`monomials`) live in their own modules; `__getattr__`
-keeps them reachable as witnesses.<name>, loading the module on first use.
+machine-checked evidence (the residue modulo m^[p] and a replayed colon
+certificate per minimal prime); nothing is taken on trust.
 """
 
 from __future__ import annotations
@@ -21,14 +13,14 @@ import math
 import time
 
 from . import _lazy_attributes
+from .colon import MinimalPrime, colon_membership, pack
 from .fppoly import Polynomial, render_poly, truncate
 from .report import LemmaReport, make_report
-from .shapes import GENERIC, SYMMETRIC, MatrixShape, permanental_generators
+from .shapes import GENERIC, SYMMETRIC, MatrixShape
 
-# Names of other modules, each loaded with its module on first use:
-# perfbench/tracer.py and its tests read them as permcheck.witnesses.*.
+# Names of other modules, each loaded with its module on first use.  Only
+# perfbench/tracer.py and its tests read them here; ROADMAP item 1 deletes them.
 __getattr__ = _lazy_attributes(__name__, {
-    "colon_membership": "colon",
     **dict.fromkeys((
         "verify_hankel_eisenstein",
         "verify_hankel_hypersurface",
@@ -37,6 +29,7 @@ __getattr__ = _lazy_attributes(__name__, {
         "verify_hankel_specialization_check",
     ), "hankel"),
     **dict.fromkeys(("verify_entry_triples", "verify_squared_entry_triples"), "monomials"),
+    **dict.fromkeys(("verify_fpure", "scan_three_by_four_fpurity"), "frobcheck"),
 })
 
 
@@ -48,8 +41,6 @@ def _block_prime(label: str, shape: MatrixShape, diagonal, antidiagonal):
     """The MinimalPrime of the block permanent x^u + x^w, u the product of
     the `diagonal` variables and w of the `antidiagonal` ones, plus every
     variable outside the block."""
-    from .colon import MinimalPrime
-
     u = tuple(diagonal.count(i) for i in range(shape.space.count))
     w = tuple(antidiagonal.count(i) for i in range(shape.space.count))
     outside = tuple(i for i in range(shape.space.count) if not u[i] + w[i])
@@ -62,8 +53,6 @@ def minimal_primes_generic(m: int, n: int) -> list:
     One prime per 2x2 submatrix; plus the variables of any m-1 rows when
     n >= 3, and of any n-1 columns when m >= 3.
     """
-    from .colon import MinimalPrime
-
     if m < 2 or n < 2:
         raise ValueError("minimal prime classification needs m, n >= 2")
     shape = MatrixShape.generic(m, n)
@@ -184,8 +173,6 @@ def witness(shape: MatrixShape, p: int) -> Polynomial:
 def verify_witness_membership(shape: MatrixShape, p: int) -> LemmaReport:
     """CLI checks `witness-generic` / `witness-symmetric`: the witness f lies
     in every minimal-prime colon ideal and survives modulo m^[p]."""
-    from .colon import colon_membership, pack
-
     t0 = time.perf_counter()
     sign, primes, f = _witness(shape, p)
     params = {
@@ -224,77 +211,3 @@ def verify_witness_membership(shape: MatrixShape, p: int) -> LemmaReport:
         evidence["residue_equals_unsigned_offdiagonal_product"] = residue == alt
     ok = residue_ok and all_member
     return make_report(f"witness-{shape.kind}", params, ok, evidence, t0)
-
-
-def verify_fpure(shape: MatrixShape, t: int, p: int, method: str = "truncated") -> LemmaReport:
-    """CLI check `fpure`: the Fedder criterion for a whitelisted complete
-    intersection P_t of the given shape.
-
-    The default route is `frobcheck.fedder_ci_check`: a squarefree leading
-    monomial of omega certifies F-purity at every p without a power (the
-    generic, symmetric and Hankel hypersurfaces), and otherwise omega^{p-1}
-    is computed by truncated powering.  "pointcount" and "fiber" go through
-    the full-support coefficient, counted on Python ints without numpy.  They
-    need the product omega of the generators to have degree equal to the
-    variable count: then omega^{p-1} mod m^[p] is a multiple of
-    prod x_i^{p-1}, so F-purity is that coefficient being nonzero.
-    """
-    from . import frobcheck
-
-    t0 = time.perf_counter()
-    params = {"shape": shape.spec_string(), "m": shape.nrows, "n": shape.ncols,
-              "t": t, "p": p, "e": 1, "method": method}
-    gens = permanental_generators(shape, t, char=p)
-    if method == "truncated":
-        survivor = frobcheck.fedder_ci_check(gens)
-    else:
-        coeff = frobcheck.fedder_coefficient_fullsupport(gens, method=method)
-        survivor = ((p - 1,) * shape.space.count, coeff) if coeff else None
-    passed = survivor is not None
-    evidence = {
-        "generators": len(gens.generators),
-        "duplicates": len(gens.duplicates),
-        "passed": passed,
-        "survivor": None
-        if survivor is None
-        else render_poly(Polynomial.monomial(shape.space, p, *survivor)),
-    }
-    return make_report("fpure", params, passed, evidence, t0)
-
-
-def check_fpure(shape: MatrixShape, t: int, p: int, method: str) -> None:
-    """Raise ValueError where verify_fpure would refuse a point count or a
-    fiber count, without counting; the CLI runs it for every prime of a list
-    before the first check.  The truncated route is not checked here: its
-    size (truncated.MAX_CHAIN_PAIRS) is only known once omega is built, so
-    in a prime list the primes before a refused one still run."""
-    from . import frobcheck
-
-    if method != "truncated":
-        frobcheck.check_fullsupport(permanental_generators(shape, t, char=p), method)
-
-
-def scan_three_by_four_fpurity(p_list, method: str = "truncated") -> LemmaReport:
-    """CLI check `conjecture45`: Fedder coefficient of the generic 3x4 / t=3
-    complete intersection across primes, compared with the p = 1 mod 6 rule."""
-    from . import frobcheck
-
-    t0 = time.perf_counter()
-    p_list = list(p_list)
-    params = {"shape": "generic:3x4", "m": 3, "n": 4, "t": 3, "method": method,
-              "p": ",".join(str(p) for p in p_list), "e": 1}
-    presentations = [permanental_generators(MatrixShape.generic(3, 4), 3, char=p) for p in p_list]
-    for gens in presentations:  # refuse an oversized prime before the first count
-        frobcheck.check_fullsupport(gens, method)
-    per_p = []
-    all_ok = True
-    for p, gens in zip(p_list, presentations):
-        coeff = frobcheck.fedder_coefficient_fullsupport(gens, method=method)
-        fpure = coeff != 0
-        predicted = p % 6 == 1
-        ok = fpure == predicted
-        all_ok = all_ok and ok
-        per_p.append(
-            {"p": p, "coefficient": coeff, "fpure": fpure, "predicted_fpure": predicted, "ok": ok}
-        )
-    return make_report("conjecture45", params, all_ok, {"per_p": per_p}, t0)

@@ -26,6 +26,7 @@ from permcheck.frobcheck import (
     count_nonvanishing,
     fedder_coefficient_fullsupport,
     fiber_count_3x4,
+    scan_three_by_four_fpurity,
 )
 from permcheck.hankel import (
     verify_hankel_eisenstein,
@@ -35,17 +36,13 @@ from permcheck.hankel import (
     verify_hankel_specialization_check,
 )
 from permcheck.linmember import member_bounded
+from permcheck.monomials import verify_entry_triples, verify_squared_entry_triples
 from permcheck.shapes import (
     MatrixShape,
     permanent,
     permanental_generators,
 )
-from permcheck.witnesses import (
-    scan_three_by_four_fpurity,
-    verify_entry_triples,
-    verify_squared_entry_triples,
-    verify_witness_membership,
-)
+from permcheck.witnesses import verify_witness_membership
 from helpers import brute_permanent, evaluate, permanent_eval, random_poly, small_space
 
 HANKEL_GRID = [(n, p) for n in (1, 2, 3, 4, 5) for p in (3, 5, 7)]

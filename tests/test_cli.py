@@ -137,6 +137,12 @@ class TestExitCodes:
         code, _, err = invoke(capsys, "verify", "fpure", "--shape", "cube:3", "--p", "3")
         assert code == 1
         assert "shape" in err
+        # the shape is built before lemma32's small cases n <= 2 return
+        for n in ("0", "-2"):
+            code, out, err = invoke(capsys, "verify", "lemma32", "--n", n)
+            assert code == 1
+            assert out == ""
+            assert "matrix dimensions must be positive" in err
 
     def test_missing_flag_is_usage_error(self, capsys):
         code, _, err = invoke(capsys, "verify", "lemma34", "--p", "3")
@@ -183,6 +189,21 @@ class TestExitCodes:
         )
         assert code == 1
         assert "complete-intersection" in err
+
+    @pytest.mark.parametrize("method", ["truncated", "pointcount", "fiber"])
+    @pytest.mark.parametrize("shape", ["generic:20x20", "symmetric:5"])
+    def test_non_ci_shape_refused_before_any_generator(self, capsys, monkeypatch, shape,
+                                                        method):
+        # generic:20x20 has 36,100 2x2 permanents, 14-18 s of building on a 2-core VM
+        def never(*args, **kwargs):
+            raise AssertionError("a generator was built before the shape was refused")
+
+        monkeypatch.setattr(frobcheck, "permanental_generators", never)
+        code, out, err = invoke(capsys, "verify", "fpure", "--shape", shape, "--t", "2",
+                                "--p", "3", "--method", method)
+        assert code == 1
+        assert out == ""
+        assert "requires a complete-intersection presentation" in err
 
 
 class TestReports:
@@ -363,8 +384,8 @@ class TestCheckTable:
          "verify_entry_triples"),
         (("verify", "monomials29", "--m", "3", "--n", "3", "--p", "3,5"), monomials,
          "verify_squared_entry_triples"),
-        (("verify", "fpure", "--shape", "hankel:3", "--p", "3,5"), witnesses, "verify_fpure"),
-        (("scan", "conjecture45", "--p", "3,5"), witnesses, "scan_three_by_four_fpurity"),
+        (("verify", "fpure", "--shape", "hankel:3", "--p", "3,5"), frobcheck, "verify_fpure"),
+        (("scan", "conjecture45", "--p", "3,5"), frobcheck, "scan_three_by_four_fpurity"),
     ]
 
     def test_cases_cover_every_check(self):
@@ -589,15 +610,16 @@ class TestColdStart:
         assert "inspect" not in modules
         # exact division and the text grammar are for the tests only
         assert "permcheck.fpextra" not in modules
-        module = CHECKS[argv[1]].module if argv[0] == "verify" else "witnesses"
+        module = CHECKS[argv[1]].module if argv[0] == "verify" else "frobcheck"
         assert f"permcheck.{module}" in modules
+        # only the witness checks build witnesses
+        assert ("permcheck.witnesses" in modules) == argv[1].startswith("witness-")
         if module == "hankel":
-            assert not {"permcheck.frobcheck", "permcheck.witnesses",
-                        "permcheck.linmember"} & set(modules)
+            assert not {"permcheck.frobcheck", "permcheck.linmember"} & set(modules)
         else:
             assert "permcheck.hankel" not in modules
         if module == "monomials":
-            assert not {"permcheck.frobcheck", "permcheck.witnesses"} & set(modules)
+            assert "permcheck.frobcheck" not in modules
         if argv[1] in ("fpure", "conjecture45"):
             # only the witness checks run colon membership
             assert "permcheck.colon" not in modules

@@ -6,7 +6,7 @@ from operator import lshift
 
 import pytest
 
-from permcheck import colon
+from permcheck import witnesses
 from permcheck.colon import _closed_form_pm1, colon_membership, pack
 from permcheck.fppoly import Polynomial, StructureError, VariableSpace, _shifts
 from permcheck.shapes import MatrixShape
@@ -272,8 +272,8 @@ class TestDroppedEntries:
             cert = colon_membership(f, prime)
             return cert._replace(entries=cert.entries[:-1])
 
-        # the witness job imports colon_membership from its module when it runs
-        monkeypatch.setattr(colon, "colon_membership", drop_last)
+        # the witness job calls witnesses' own binding of colon_membership
+        monkeypatch.setattr(witnesses, "colon_membership", drop_last)
         report = verify_witness_membership(MatrixShape.generic(2, 3), 3)
         assert report.verdict == "fail"
         assert not any(row["member"] for row in report.evidence["memberships"])

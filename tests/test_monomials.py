@@ -52,6 +52,11 @@ class TestEntryProducts:
         with pytest.raises(ValueError):
             verify_squared_entry_triples(2, 3, 3)
 
+    def test_triples_need_a_side_of_3(self):
+        # 2x2 has no target, so it would pass or fail vacuously
+        with pytest.raises(ValueError, match="need m >= 3 or n >= 3"):
+            verify_entry_triples(2, 2, 3)
+
     def test_non_member_reported_under_failures(self):
         # the six monomials28 targets of 2x3 plus x1_1*x1_2*x2_2, which shares
         # its row with a column (x1_2 * perm) but is not in P_2 at degree 3

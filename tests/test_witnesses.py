@@ -7,12 +7,13 @@ import random
 
 import pytest
 
-from permcheck import hankel, witnesses
+from permcheck import frobcheck, hankel, witnesses
 from permcheck.fppoly import (
     Polynomial,
     parse_poly,
     truncate,
 )
+from permcheck.frobcheck import scan_three_by_four_fpurity, verify_fpure
 from permcheck.hankel import (
     verify_hankel_eisenstein,
     verify_hankel_hypersurface,
@@ -24,8 +25,6 @@ from permcheck.shapes import MatrixShape, permanental_generators
 from permcheck.witnesses import (
     minimal_primes_generic,
     minimal_primes_symmetric,
-    scan_three_by_four_fpurity,
-    verify_fpure,
     verify_witness_membership,
     witness,
 )
@@ -288,10 +287,11 @@ class TestWitnessSymmetric:
 
 class TestLazyNames:
     """Names that other modules define, reachable here and in frobcheck and
-    fppoly, each module loaded on first use."""
+    fppoly, each module loaded on first use; witnesses imports
+    colon_membership itself."""
 
     def test_names_resolve_to_their_modules(self):
-        from permcheck import colon, fppoly, frobcheck, monomials, truncated
+        from permcheck import colon, fppoly, monomials, truncated
 
         for name in ("verify_hankel_eisenstein", "verify_hankel_hypersurface",
                      "verify_hankel_monomial_absence", "verify_hankel_product_identity",
@@ -299,11 +299,14 @@ class TestLazyNames:
             assert getattr(witnesses, name) is getattr(hankel, name)
         assert witnesses.verify_entry_triples is monomials.verify_entry_triples
         assert witnesses.verify_squared_entry_triples is monomials.verify_squared_entry_triples
-        assert frobcheck.colon_membership is witnesses.colon_membership is colon.colon_membership
+        assert witnesses.verify_fpure is frobcheck.verify_fpure
+        assert witnesses.scan_three_by_four_fpurity is frobcheck.scan_three_by_four_fpurity
+        assert witnesses.colon_membership is colon.colon_membership
+        assert frobcheck.colon_membership is colon.colon_membership
         assert frobcheck.truncated_mul is fppoly.truncated_mul is truncated.truncated_mul
 
     def test_unknown_name_is_an_attribute_error(self):
-        from permcheck import fppoly, frobcheck
+        from permcheck import fppoly
 
         for module in (witnesses, frobcheck, fppoly):
             with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
