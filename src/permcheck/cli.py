@@ -5,9 +5,10 @@
   permcheck generators --shape S [--t T] [--p P]   dump ideal generators
 
 Each verify check takes exactly the flags its CHECKS entry names; any other
-of --shape/--m/--n/--t/--p is refused.  --method, --threads, --format and
---out are accepted everywhere.  --threads has no effect: every check runs on
-one thread.  It is still validated and echoed in the JSON config.
+of --shape/--m/--n/--t/--p, or a --method other than the default, is
+refused.  --threads (validated and echoed, with no effect: every check runs
+on one thread), --format and --out are accepted by every verify and scan
+job; `generators` takes only --shape, --t, --p and --out.
 
 Exit codes: 0 all checks passed, 2 some check failed, 3 inconclusive only,
 1 usage or configuration error.
@@ -46,8 +47,9 @@ class Check(NamedTuple):
     runner(module, args, p) once per prime when the check requires --p and
     as runner(module, args) otherwise.  A guard, if any, is called as
     guard(module, args, p) for every prime before the first runner, so a
-    prime the check would refuse stops the job before any work.  Both look
-    the check's function up on the module at call time, so a patched module
+    prime the check would refuse stops the job before any work, and the
+    runner then takes the guard's value in place of p.  Both look the
+    check's function up on the module at call time, so a patched module
     attribute is the one that runs."""
 
     module: str
@@ -82,8 +84,8 @@ CHECKS = {
     ),
     "fpure": Check(
         "frobcheck", ("shape", "p"),
-        lambda m, a, p: m.verify_fpure(*_shape_and_t(a), p, method=a.method),
-        optional=("t",),
+        lambda m, a, gens: m.verify_fpure(gens, method=a.method),
+        optional=("t", "method"),
         guard=lambda m, a, p: m.check_fpure(*_shape_and_t(a), p, a.method),
     ),
 }
@@ -170,6 +172,8 @@ def _take_flags(args, required, optional=()):
             raise UsageError(f"--{flag} is required for this check")
         if given and flag not in required and flag not in optional:
             raise UsageError(f"{args.check} does not take --{flag}")
+    if args.method != "truncated" and "method" not in optional:
+        raise UsageError(f"{args.check} does not take --method")
 
 
 def _run_verify(args) -> list:
@@ -180,15 +184,14 @@ def _run_verify(args) -> list:
     if primes is None:
         return [check.runner(module, args)]
     if check.guard is not None:
-        for p in primes:
-            check.guard(module, args, p)
+        primes = [check.guard(module, args, p) for p in primes]
     return [check.runner(module, args, p) for p in primes]
 
 
 def _run_scan(args) -> list:
     from . import frobcheck
 
-    _take_flags(args, ("p",))
+    _take_flags(args, ("p",), ("method",))
     primes = _parse_primes(args.p)
     return [frobcheck.scan_three_by_four_fpurity(primes, method=args.method)]
 

@@ -8,20 +8,21 @@ Every characteristic is an odd prime below 2^31 (`check_prime`), which the
 int64 kernels of `truncated` rely on.
 
 This module is the polynomial core that every check loads.  It also owns
-the packed-term layer of `truncated`, `colon` and `monomials`: one w-bit
-field per exponent, the first variable the most significant one
-(`_shifts`), converted by `pack_terms` / `unpack_terms`, multiplied and
-summed by `mul_sum`, and guarded against exponents >= p by
-`_guard_and_bias`.  The rest loads on first use, so a job compiles only the
-code it runs: truncated arithmetic in F_p[x] / m^[p]
-(`TruncatedAccumulator`, `truncated_mul`, `truncated_pow`) from `truncated`,
-and `exact_divide` and the text grammar `parse_poly` from `fpextra`.  Both
-stay reachable as `fppoly.<name>` through the module `__getattr__`.
+the packed-term layer: one w-bit field per exponent, the first variable the
+most significant one (`_shifts`), converted by `pack_terms` /
+`unpack_terms` and guarded against exponents >= p by `_guard_and_bias`.
+Its `mul_sum` is every untruncated product, `Polynomial.__mul__` included.
+The rest loads on first use, so a job compiles only the code it runs:
+truncated arithmetic in F_p[x] / m^[p] (`TruncatedAccumulator`,
+`truncated_mul`, `truncated_pow`) from `truncated`, and `exact_divide` and
+the text grammar `parse_poly` from `fpextra`.  Both stay reachable as
+`fppoly.<name>` through the module `__getattr__`.
 """
 
 from __future__ import annotations
 
 import functools
+from itertools import chain
 from operator import lshift
 from typing import Iterable, Iterator, Mapping
 
@@ -242,22 +243,10 @@ class Polynomial:
                 self.space, self.char, {m: (v * c) % self.char for m, v in self._terms.items()}
             )
         self._check_compatible(other)
-        if self.is_zero or other.is_zero:
-            return Polynomial.zero(self.space, self.char)
-        p = self.char
-        out: dict = {}
-        a, b = self._terms, other._terms
-        if len(a) < len(b):
-            a, b = b, a
-        for m2, c2 in b.items():
-            for m1, c1 in a.items():
-                m = tuple(x + y for x, y in zip(m1, m2))
-                s = (out.get(m, 0) + c1 * c2) % p
-                if s:
-                    out[m] = s
-                elif m in out:
-                    del out[m]
-        return Polynomial._make(self.space, p, out)
+        top = [max(chain.from_iterable(f._terms), default=0) for f in (self, other)]
+        w = sum(top).bit_length()  # exponent sums stay below 2^w: no field carries
+        product = mul_sum([(pack_terms(self, w), pack_terms(other, w))], self.char)
+        return unpack_terms(product, self.space, self.char, w)
 
     __rmul__ = __mul__
 

@@ -169,9 +169,9 @@ def check_fullsupport(gens: IdealPresentation, method: str) -> None:
 # -- the verification jobs ----------------------------------------------------
 
 
-def verify_fpure(shape: MatrixShape, t: int, p: int, method: str = "truncated") -> LemmaReport:
+def verify_fpure(gens: IdealPresentation, method: str = "truncated") -> LemmaReport:
     """CLI check `fpure`: the Fedder criterion for a whitelisted complete
-    intersection P_t of the given shape.
+    intersection P_t, given as the presentation `check_fpure` admits.
 
     The default route is `fedder_ci_check`: a squarefree leading monomial of
     omega certifies F-purity at every p without a power (the generic,
@@ -183,9 +183,9 @@ def verify_fpure(shape: MatrixShape, t: int, p: int, method: str = "truncated") 
     prod x_i^{p-1}, so F-purity is that coefficient being nonzero.
     """
     t0 = time.perf_counter()
+    shape, p = gens.shape, gens.char
     params = {"shape": shape.spec_string(), "m": shape.nrows, "n": shape.ncols,
-              "t": t, "p": p, "e": 1, "method": method}
-    gens = permanental_generators(shape, t, char=p)
+              "t": gens.t, "p": p, "e": 1, "method": method}
     if method == "truncated":
         survivor = fedder_ci_check(gens)
     else:
@@ -203,18 +203,20 @@ def verify_fpure(shape: MatrixShape, t: int, p: int, method: str = "truncated") 
     return make_report("fpure", params, passed, evidence, t0)
 
 
-def check_fpure(shape: MatrixShape, t: int, p: int, method: str) -> None:
-    """Raise ValueError where verify_fpure would refuse, without counting;
-    the CLI runs it for every prime of a list before the first check.  A
-    shape and t off the complete-intersection whitelist, or a t out of
-    range, are refused before any generator is built.  A truncated power's
-    size is only known once omega is built, so the primes before one
-    refused for it still run."""
+def check_fpure(shape: MatrixShape, t: int, p: int, method: str) -> IdealPresentation:
+    """The presentation of P_t over F_p that verify_fpure checks, or
+    ValueError where it would refuse, without counting; the CLI runs it for
+    every prime of a list before the first check.  A shape and t off the
+    complete-intersection whitelist, or a t out of range, are refused before
+    any generator is built.  A truncated power's size is only known once
+    omega is built, so the primes before one refused for it still run."""
     if not _is_known_complete_intersection(shape, t):
         what = "the Fedder check" if method == "truncated" else "the Fedder coefficient"
         raise ValueError(f"{what} requires a complete-intersection presentation")
+    gens = permanental_generators(shape, t, char=p)
     if method != "truncated":
-        check_fullsupport(permanental_generators(shape, t, char=p), method)
+        check_fullsupport(gens, method)
+    return gens
 
 
 def scan_three_by_four_fpurity(p_list, method: str = "truncated") -> LemmaReport:
@@ -224,9 +226,8 @@ def scan_three_by_four_fpurity(p_list, method: str = "truncated") -> LemmaReport
     p_list = list(p_list)
     params = {"shape": "generic:3x4", "m": 3, "n": 4, "t": 3, "method": method,
               "p": ",".join(str(p) for p in p_list), "e": 1}
-    presentations = [permanental_generators(MatrixShape.generic(3, 4), 3, char=p) for p in p_list]
-    for gens in presentations:  # refuse an oversized prime before the first count
-        check_fullsupport(gens, method)
+    # refuse an oversized prime before the first count
+    presentations = [check_fpure(MatrixShape.generic(3, 4), 3, p, method) for p in p_list]
     per_p = []
     all_ok = True
     for p, gens in zip(p_list, presentations):

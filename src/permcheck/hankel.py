@@ -1,9 +1,10 @@
 """The Hankel lemmas 3.1-3.6: the checks behind `lemma31`, `lemma32`,
 `lemma34`, `thm35` and `thm36`.
 
-They need only the permanents of the Hankel matrix and truncated products,
-so this module imports `fppoly`, `truncated` and `shapes` (and the report
-type) and never `frobcheck` or `witnesses`.
+They need only the permanents of the Hankel matrix and truncated products.
+This module imports `fppoly`, `shapes` and the report type, never
+`frobcheck` or `witnesses`; `lemma34` and `thm35` import `truncated` when
+they run, so `lemma31`, `lemma32` and `thm36` jobs never compile it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import time
 from .fppoly import LEX, Polynomial, leading_term, render_poly
 from .report import LemmaReport, make_report
 from .shapes import MatrixShape, hankel_image, permanent
-from .truncated import TruncatedAccumulator
 
 
 def _hankel_permanents(n: int, p: int) -> tuple:
@@ -119,6 +119,7 @@ def verify_hankel_product_identity(n: int, p: int) -> LemmaReport:
     times, so every intermediate stays small: at most 147 terms at
     (n, p) = (5, 5) and 6,336 at (6, 7), where f_n^{p-1} alone has about 10^6.
     """
+    from .truncated import TruncatedAccumulator
     t0 = time.perf_counter()
     params = {"shape": f"hankel:{n}", "n": n, "p": p, "e": 1, "method": "truncated"}
     space, f_n, f_prev = _hankel_permanents(n, p)
@@ -151,6 +152,7 @@ def verify_hankel_hypersurface(n: int, p: int) -> LemmaReport:
         (F-purity by the Fedder criterion);
     (c) f_{n-1} f_n^{p-1} != 0 mod m^[p] (the F-regularity witness).
     """
+    from .truncated import TruncatedAccumulator
     t0 = time.perf_counter()
     params = {"shape": f"hankel:{n}", "n": n, "p": p, "e": 1, "method": "truncated"}
     space, f_n, f_prev = _hankel_permanents(n, p)

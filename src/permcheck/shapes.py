@@ -4,7 +4,7 @@ A matrix is its MatrixShape: the kind and size fix every entry.  Three
 shapes are supported: generic m x n (all entries distinct), symmetric n x n
 (entry(i,j) = entry(j,i)), and Hankel n x n (constant antidiagonals, entries
 z_1 ... z_{2n-1}).  Symbolic permanents are computed by a column-subset
-dynamic program.
+dynamic program on packed terms (`fppoly.mul_sum`).
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ import functools
 import itertools
 from typing import NamedTuple, Optional, Sequence
 
-from .fppoly import Polynomial, StructureError, VariableSpace
+from .fppoly import (Polynomial, StructureError, VariableSpace, _shifts, check_prime, mul_sum,
+                     unpack_terms)
 
 # Symbolic permanents cost O(2^s * s) ring operations; cap the size.
 MAX_SYMBOLIC_PERMANENT = 8
@@ -129,7 +130,8 @@ def permanent(
 
     Column-subset dynamic programming: after processing k rows, dp[S] for
     |S| = k holds the permanent of the first k selected rows against the
-    column subset S.
+    column subset S, as packed terms of w = s.bit_length() bits per exponent
+    (none exceeds s), summed over the columns of S by one `mul_sum`.
     """
     rows = tuple(rows) if rows is not None else tuple(range(shape.nrows))
     cols = tuple(cols) if cols is not None else tuple(range(shape.ncols))
@@ -138,21 +140,15 @@ def permanent(
         raise ValueError(f"selection is not square: {s} rows, {len(cols)} columns")
     if s > MAX_SYMBOLIC_PERMANENT:
         raise ValueError(f"symbolic permanent size {s} exceeds limit {MAX_SYMBOLIC_PERMANENT}")
-    space = shape.space
-    one = Polynomial.one(space, char)
-    if s == 0:
-        return one
-    dp = [None] * (1 << s)
-    dp[0] = one
+    check_prime(char)
+    w = s.bit_length()
+    shifts = _shifts(shape.space.count, w)
+    entries = [[{1 << shifts[shape.entry_index(r, c)]: 1} for c in cols] for r in rows]
+    dp = [{0: 1}] * (1 << s)  # dp[0] = 1; every other entry is overwritten
     for mask in range(1, 1 << s):
-        k = bin(mask).count("1") - 1  # row index for this layer
-        acc = Polynomial.zero(space, char)
-        for j in range(s):
-            if mask & (1 << j):
-                var = Polynomial.variable(space, char, shape.entry_index(rows[k], cols[j]))
-                acc = acc + var * dp[mask ^ (1 << j)]
-        dp[mask] = acc
-    return dp[(1 << s) - 1]
+        row = entries[bin(mask).count("1") - 1]  # the row of this layer
+        dp[mask] = mul_sum(((dp[mask ^ (1 << j)], row[j]) for j in range(s) if mask >> j & 1), char)
+    return unpack_terms(dp[-1], shape.space, char, w)
 
 
 class _Presentation(NamedTuple):

@@ -8,43 +8,40 @@ from operator import add
 
 from permcheck.colon import MinimalPrime
 from permcheck.fppoly import (Polynomial, StructureError, VariableSpace, exact_divide, mono_mul,
-                              unpack_terms)
+                              truncate, unpack_terms)
 from permcheck.frobcheck import _omega_power, _require_ci
 from permcheck import linmember
 from permcheck.linmember import SizeGuardError
 
 
 def brute_permanent(shape, rows, cols, char):
-    """Permutation-sum symbolic permanent; the oracle for the DP version."""
+    """Permutation-sum symbolic permanent, one monomial per permutation built
+    from its exponents; the oracle for the DP version."""
     rows, cols = tuple(rows), tuple(cols)
-    space = shape.space
-    total = Polynomial.zero(space, char)
+    terms = []
     for perm in itertools.permutations(range(len(cols))):
-        term = Polynomial.one(space, char)
+        exps = [0] * shape.space.count
         for i, j in enumerate(perm):
-            term = term * Polynomial.variable(space, char, shape.entry_index(rows[i], cols[j]))
-        total = total + term
-    return total
+            exps[shape.entry_index(rows[i], cols[j])] += 1
+        terms.append((exps, 1))
+    return Polynomial(shape.space, char, terms)
+
+
+def reference_mul(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Pairwise product on exponent tuples, summed in a dict; the oracle for
+    Polynomial.__mul__ and fppoly.mul_sum, which run on packed keys."""
+    p = a.char
+    out: dict = {}
+    for m2, c2 in b.items():
+        for m1, c1 in a.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            out[m] = (out.get(m, 0) + c1 * c2) % p
+    return Polynomial(a.space, p, out)
 
 
 def _truncated_mul_dict(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Pairwise dict-loop truncated product; the oracle for the packed kernel."""
-    p = bound = a.char
-    out: dict = {}
-    ta, tb = a._terms, b._terms
-    if len(ta) < len(tb):
-        ta, tb = tb, ta
-    for m2, c2 in tb.items():
-        for m1, c1 in ta.items():
-            m = tuple(x + y for x, y in zip(m1, m2))
-            if any(e >= bound for e in m):
-                continue
-            s = (out.get(m, 0) + c1 * c2) % p
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
-    return Polynomial._make(a.space, p, out)
+    """The reference product truncated mod m^[p]; the oracle for the packed kernel."""
+    return truncate(reference_mul(a, b))
 
 
 def random_poly(rng, space, p, max_terms=5, max_exp=3, allow_zero=True):

@@ -205,6 +205,26 @@ class TestExitCodes:
         assert out == ""
         assert "requires a complete-intersection presentation" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "fpure", "--shape", "generic:2x3", "--t", "2", "--p", "3,5"),
+        ("verify", "fpure", "--shape", "generic:2x3", "--t", "2", "--method", "pointcount",
+         "--p", "3,5"),
+        ("scan", "conjecture45", "--method", "fiber", "--p", "3,5"),
+    ], ids=["truncated", "pointcount", "scan"])
+    def test_each_primes_generators_are_built_once(self, capsys, monkeypatch, argv):
+        # the pre-flight's presentation is the one that is checked
+        built = []
+        real = frobcheck.permanental_generators
+
+        def counted(shape, t, char):
+            built.append(char)
+            return real(shape, t, char=char)
+
+        monkeypatch.setattr(frobcheck, "permanental_generators", counted)
+        code, _, _ = invoke(capsys, *argv, "--threads", "1")
+        assert code in (0, 2)
+        assert built == [3, 5]
+
 
 class TestReports:
     def test_prime_list_runs_each(self, capsys):
@@ -417,6 +437,13 @@ class TestCheckTable:
         (("scan", "conjecture45", "--p", "3", "--m", "3"), "--m"),
         (("scan", "conjecture45", "--p", "3", "--shape", "generic:3x4"), "--shape"),
         (("scan", "conjecture45", "--p", "3", "--t", "3"), "--t"),
+        # only fpure and conjecture45 choose a method; the others run one
+        (("verify", "lemma34", "--n", "3", "--p", "3", "--method", "fiber"), "--method"),
+        (("verify", "lemma31", "--n", "3", "--method", "pointcount"), "--method"),
+        (("verify", "witness-generic", "--m", "2", "--n", "3", "--p", "3", "--method",
+          "fiber"), "--method"),
+        (("verify", "monomials28", "--m", "2", "--n", "3", "--p", "3", "--method",
+          "pointcount"), "--method"),
     ]
 
     @pytest.mark.parametrize("argv, flag", REFUSED, ids=[f"{a[1]}{f}" for a, f in REFUSED])
@@ -429,7 +456,7 @@ class TestCheckTable:
     def test_common_flags_accepted_everywhere(self, capsys, tmp_path):
         out_path = tmp_path / "r.json"
         code, _, _ = invoke(
-            capsys, "verify", "lemma31", "--n", "2", "--method", "fiber",
+            capsys, "verify", "lemma31", "--n", "2", "--method", "truncated",
             "--threads", "1", "--format", "json", "--out", str(out_path),
         )
         assert code == 0
@@ -616,6 +643,8 @@ class TestColdStart:
         assert ("permcheck.witnesses" in modules) == argv[1].startswith("witness-")
         if module == "hankel":
             assert not {"permcheck.frobcheck", "permcheck.linmember"} & set(modules)
+            # only lemma34 and thm35 take truncated products
+            assert ("permcheck.truncated" in modules) == (argv[1] in ("lemma34", "thm35"))
         else:
             assert "permcheck.hankel" not in modules
         if module == "monomials":

@@ -30,7 +30,8 @@ from permcheck.fppoly import (
     truncated_pow,
     unpack_terms,
 )
-from helpers import _truncated_mul_dict, evaluate, random_point, random_poly, small_space
+from helpers import (_truncated_mul_dict, evaluate, random_point, random_poly, reference_mul,
+                     small_space)
 
 Z3 = small_space(3)
 
@@ -73,6 +74,44 @@ class TestMul:
     def test_annihilation(self):
         f = zpoly("z2^2 + 2*z1*z3")
         assert (f * Polynomial.zero(Z3, 3)).is_zero
+        assert (Polynomial.zero(Z3, 3) * f).is_zero
+
+    @pytest.mark.parametrize("p", [3, 7, 2**31 - 1])
+    def test_matches_reference_product(self, p):
+        rng = random.Random(29)
+        for v in (1, 2, 4):
+            space = small_space(v)
+            for _ in range(200):
+                a = random_poly(rng, space, p, max_exp=rng.choice((1, 3, 9)))
+                b = random_poly(rng, space, p, max_exp=rng.choice((1, 3, 9)))
+                assert a * b == reference_mul(a, b)
+
+    def test_width_boundary(self):
+        # top exponents 4 + 4 = 2^3: the product's z2^8 needs w = 4 bits, and
+        # at w = 3 it carries into the z1 field
+        space = small_space(2)
+        a = parse_poly("z1*z2^4 + z2", space, 5)
+        b = parse_poly("z1^2*z2^4 + 1", space, 5)
+        expected = reference_mul(a, b)
+        assert expected.coeff((3, 8)) == 1
+        assert a * b == expected
+        w = (4 + 4).bit_length()
+        for width, ok in ((w, True), (w - 1, False)):
+            product = mul_sum([(pack_terms(a, width), pack_terms(b, width))], 5)
+            assert (unpack_terms(product, space, 5, width) == expected) is ok
+
+    def test_constants(self):
+        f = zpoly("z2^2 + 2*z1*z3", 5)
+        two, three = (Polynomial.constant(Z3, 5, c) for c in (2, 3))
+        assert two * three == Polynomial.one(Z3, 5)
+        assert two * f == f * two == f * 2 == reference_mul(two, f)
+
+    def test_empty_space(self):
+        empty = VariableSpace(())
+        two, three = (Polynomial.constant(empty, 5, c) for c in (2, 3))
+        assert two * three == Polynomial.one(empty, 5)
+        assert (two * Polynomial.zero(empty, 5)).is_zero
+        assert two**3 == Polynomial.constant(empty, 5, 3)
 
 
 class TestTruncated:
@@ -448,7 +487,7 @@ class TestPackedKernel:
 
 
 class TestPackedTerms:
-    """pack_terms / unpack_terms / mul_sum against Polynomial arithmetic, on
+    """pack_terms / unpack_terms / mul_sum against the reference product, on
     keys that fit 63 bits (3 * 5) and on keys that do not (8 * 9)."""
 
     @pytest.mark.parametrize("p, v, w", [(5, 3, 5), (2**31 - 1, 8, 9)])
@@ -462,7 +501,7 @@ class TestPackedTerms:
                      for _ in range(rng.randrange(4))]
             expected = Polynomial.zero(space, p)
             for a, b in pairs:
-                expected = expected + a * b
+                expected = expected + reference_mul(a, b)
                 assert unpack_terms(pack_terms(a, w), space, p, w) == a
             packed = [(pack_terms(a, w), pack_terms(b, w)) for a, b in pairs]
             assert mul_sum(packed, p) == pack_terms(expected, w)

@@ -123,10 +123,18 @@ class TestSymbolicPermanent:
 
     def test_oversized_selection_refused_before_the_dp(self, monkeypatch):
         shape = MatrixShape.generic(9, 9)
-        # the DP's first step is Polynomial.one: reaching it fails with AttributeError
-        monkeypatch.setattr(shapes, "Polynomial", None)
+        # every step of the DP is a mul_sum: reaching one fails with TypeError
+        monkeypatch.setattr(shapes, "mul_sum", None)
         with pytest.raises(ValueError, match="size 9 exceeds limit 8"):
             permanent(shape, char=3)
+
+    @pytest.mark.parametrize("char", [2, 9])
+    def test_characteristic_must_be_an_odd_prime(self, char):
+        # the DP builds no Polynomial before its result, so it checks p itself
+        shape = MatrixShape.hankel(2)
+        for s in (0, 2):
+            with pytest.raises(ValueError, match="odd prime"):
+                permanent(shape, rows=range(s), cols=range(s), char=char)
 
     def test_all_ones_point_gives_factorial(self):
         # each of the n! permutations adds 1 at the all-ones point, also where

@@ -13,7 +13,7 @@ from permcheck.fppoly import (
     parse_poly,
     truncate,
 )
-from permcheck.frobcheck import scan_three_by_four_fpurity, verify_fpure
+from permcheck.frobcheck import check_fpure, scan_three_by_four_fpurity, verify_fpure
 from permcheck.hankel import (
     verify_hankel_eisenstein,
     verify_hankel_hypersurface,
@@ -402,7 +402,7 @@ class TestLemmaReports:
     def test_witness_membership_2x2_also_fedder(self):
         report = verify_witness_membership(MatrixShape.generic(2, 2), 3)
         assert report.verdict == "pass"
-        fpure = verify_fpure(MatrixShape.generic(2, 2), 2, 3)
+        fpure = verify_fpure(check_fpure(MatrixShape.generic(2, 2), 2, 3, "truncated"))
         assert fpure.verdict == "pass"
 
     def test_report_json_shape(self):
@@ -434,5 +434,5 @@ class TestConjectureScan:
         assert by_p[7]["fpure"] is True
 
     def test_fpure_full_support_fail(self):
-        report = verify_fpure(MatrixShape.generic(3, 4), 3, 5, method="fiber")
+        report = verify_fpure(check_fpure(MatrixShape.generic(3, 4), 3, 5, "fiber"), method="fiber")
         assert report.verdict == "fail"
