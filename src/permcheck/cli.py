@@ -240,11 +240,14 @@ def _render_json(reports, aggregate, total_ms, args) -> str:
 
 
 def _emit(text, out_path):
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {out_path}: {exc.strerror}") from exc
 
 
 def _run_generators(args) -> int:
@@ -268,6 +271,8 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+            raise UsageError(f"--out {args.out}: its directory does not exist")
         t0 = time.perf_counter()
         try:
             if args.command == "generators":

@@ -18,12 +18,31 @@ terms.  This module loads neither `frobcheck` nor `hankel`.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 
 from .fppoly import Polynomial, _shifts, mul_sum, pack_terms, render_poly
 from .linmember import members_bounded
 from .report import LemmaReport, make_report
 from .shapes import MatrixShape, permanental_generators
+
+
+# Most exponent entries, targets x variables, of a monomials28/29 target
+# set, refused from m and n before it is built.  On a 2-core Xeon VM at
+# p = 3: monomials29 at 9x9 (127,008 targets, 10,287,648 entries, admitted)
+# took 6.6 s at 144 MB peak RSS and monomials28 at 10x10 (6,480,000) 3.0 s
+# at 93 MB; monomials28 at 12x12 (25,090,560) took 10.5 s at 287 MB and is
+# refused, as is monomials29 at 10x10 (25,920,000).
+MAX_TARGET_ENTRIES = 1 << 24
+
+
+def _refuse_oversized(check: str, shape: MatrixShape, targets: int) -> None:
+    """ValueError when `targets` targets of `shape` pass MAX_TARGET_ENTRIES,
+    before the target set or `shape.space` is built."""
+    variables = shape.nrows * shape.ncols
+    if targets * variables > MAX_TARGET_ENTRIES:
+        raise ValueError(f"{check} of {shape.spec_string()} has {targets} targets in {variables} "
+                         f"variables, more than {MAX_TARGET_ENTRIES} exponent entries")
 
 
 def _cells(shape: MatrixShape, exps) -> tuple:
@@ -157,6 +176,13 @@ def _entry_triples(shape: MatrixShape) -> set:
     return exponents
 
 
+def _entry_triple_count(m: int, n: int) -> int:
+    """len(_entry_triples) of the generic m x n matrix: C(n, 3) column
+    triples times the 3m(m - 1) row words that use exactly two rows, and the
+    transpose."""
+    return math.comb(n, 3) * 3 * m * (m - 1) + math.comb(m, 3) * 3 * n * (n - 1)
+
+
 def _squared_entry_triples(shape: MatrixShape) -> set:
     """The exponents of every product x_{i1 j1}^2 x_{i2 j2} x_{i3 j3} with
     distinct rows and distinct columns."""
@@ -171,6 +197,13 @@ def _squared_entry_triples(shape: MatrixShape) -> set:
     return exponents
 
 
+def _squared_entry_triple_count(m: int, n: int) -> int:
+    """len(_squared_entry_triples) of the generic m x n matrix: ordered row
+    and column triples, halved because swapping the two unsquared entries
+    gives the same monomial."""
+    return math.perm(m, 3) * math.perm(n, 3) // 2
+
+
 def verify_entry_triples(m: int, n: int, p: int) -> LemmaReport:
     """CLI check `monomials28`: every product of three entries from three
     distinct columns and two distinct rows (n >= 3), or the transpose
@@ -178,6 +211,7 @@ def verify_entry_triples(m: int, n: int, p: int) -> LemmaReport:
     if m < 3 and n < 3:
         raise ValueError("the entry triples need m >= 3 or n >= 3")
     shape = MatrixShape.generic(m, n)
+    _refuse_oversized("monomials28", shape, _entry_triple_count(m, n))
     return _entry_products_in_p2("monomials28", shape, p, _entry_triples(shape), 3)
 
 
@@ -187,4 +221,5 @@ def verify_squared_entry_triples(m: int, n: int, p: int) -> LemmaReport:
     if m < 3 or n < 3:
         raise ValueError("the squared-entry products need m, n >= 3")
     shape = MatrixShape.generic(m, n)
+    _refuse_oversized("monomials29", shape, _squared_entry_triple_count(m, n))
     return _entry_products_in_p2("monomials29", shape, p, _squared_entry_triples(shape), 4)

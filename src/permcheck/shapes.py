@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import NamedTuple, Optional, Sequence
 
 from .fppoly import (Polynomial, StructureError, VariableSpace, _shifts, check_prime, mul_sum,
@@ -18,6 +19,14 @@ from .fppoly import (Polynomial, StructureError, VariableSpace, _shifts, check_p
 
 # Symbolic permanents cost O(2^s * s) ring operations; cap the size.
 MAX_SYMBOLIC_PERMANENT = 8
+# Most exponent entries, selections x t! terms x variables, that
+# `permanental_generators` may build: the exact count for a generic shape,
+# a bound for the others, whose permanents can have fewer terms.  On a
+# 2-core Xeon VM, `permcheck generators` took 5.6 s at 263 MB peak RSS for
+# generic:20x20 at t = 2 (28,880,000 entries, admitted) and 0.9 s at 49 MB
+# for generic:8x8 at t = 8 (2,580,480); generic:21x21 at t = 2 (38,896,200)
+# and generic:12x12 at t = 4 (846,806,400) are refused.
+MAX_GENERATOR_ENTRIES = 1 << 25
 
 GENERIC = "generic"
 SYMMETRIC = "symmetric"
@@ -202,9 +211,20 @@ def permanental_generators(shape: MatrixShape, t: int, char: int) -> IdealPresen
 
     For symmetric and Hankel matrices distinct row/column selections can give
     equal polynomials; only the first occurrence is kept as a generator and
-    later ones are recorded in `duplicates`.
+    later ones are recorded in `duplicates`.  ValueError, before any
+    permanent or `shape.space` is built, when they could pass
+    MAX_GENERATOR_ENTRIES.
     """
     complete_intersection = _is_known_complete_intersection(shape, t)  # refuses t out of range
+    m, n = shape.nrows, shape.ncols
+    selections = math.comb(m, t) * math.comb(n, t)
+    terms = math.factorial(t)
+    variables = {GENERIC: m * n, SYMMETRIC: n * (n + 1) // 2, HANKEL: 2 * n - 1}[shape.kind]
+    if selections * terms * variables > MAX_GENERATOR_ENTRIES:
+        raise ValueError(
+            f"P_{t} of {shape.spec_string()} has {selections} permanents of up to {terms} terms "
+            f"in {variables} variables, more than {MAX_GENERATOR_ENTRIES} exponent entries"
+        )
     gens = []
     seen = {}
     duplicates = []

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .fppoly import (Polynomial, VariableSpace, _guard_and_bias, _shifts, _unpack_key, pack_terms,
-                     truncate, unpack_terms)
+from .fppoly import (GRLEX, Polynomial, VariableSpace, _guard_and_bias, _shifts, leading_term,
+                     pack_terms, truncate, unpack_terms)
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
@@ -146,10 +146,10 @@ def _mul_packed(a_keys, a_coeffs, b_keys, b_coeffs, p: int, v: int, w: int):
 # A value that goes on to numpy anyway pays for that head start: f^12 at
 # (n, p) = (4, 13) took 102 ms against 61 ms on arrays alone.
 ARRAY_PAIRS = 1 << 18
-# Most term pairs a chain may multiply, about 75 s at the 2.8 * 10^7 pairs/s
-# of a 2-core VM: thm35 at (6, 7) chains 4.1 * 10^8 pairs (15 s) and fpure of
-# generic:3x4 at p = 13 1.18 * 10^9 (41 s); generic:4x5, t = 4 at p = 5 is
-# refused at omega^2, 208,051^2 = 4.3 * 10^10 pairs.
+# Most term pairs a chain may multiply: about 75 s on int64 keys at the
+# 2.8 * 10^7 pairs/s of a 2-core VM, more on object keys.  thm35 at (6, 7)
+# chains 4.1 * 10^8 pairs (15 s), fpure of generic:3x4 at p = 13 1.18 * 10^9
+# (41 s); generic:4x5, t = 4 at p = 5 is refused at omega^2 (4.3 * 10^10).
 MAX_CHAIN_PAIRS = 1 << 31
 
 
@@ -161,9 +161,10 @@ class TruncatedAccumulator:
     pairs of its products so far stay below ARRAY_PAIRS; then it becomes
     sorted key and coefficient arrays and stays on the numpy kernel.  Chains
     of products against small polynomials (Frobenius powers of a permanent,
-    say) can hold millions of terms; the accumulator never materializes the
-    sparse dict form of them.  Its space and characteristic are those of the
-    polynomial it starts from.
+    say) can hold millions of terms; `coeff` and `nnz` read them in packed
+    form, and only `to_polynomial` and `leading_term` build the sparse dict
+    form.  Its space and characteristic are those of the polynomial it
+    starts from.
     """
 
     __slots__ = ("space", "char", "_width", "_pairs", "_terms", "_keys", "_coeffs")
@@ -237,27 +238,11 @@ class TruncatedAccumulator:
         return self.nnz() == 1 and self.coeff(mono) == coefficient % self.char
 
     def leading_term(self) -> tuple:
-        """The GRLEX leading (monomial, coefficient) pair of a nonzero value.
-
-        Key order is lex order, so the leading term is the largest key of top
-        total degree.  On arrays, degrees are summed one field at a time and
-        only that key is unpacked, so a survivor of millions of terms is
-        never materialized.
-        """
+        """The GRLEX leading (monomial, coefficient) pair of a nonzero value, by
+        `fppoly.leading_term`; `frobcheck.fedder_ci_check` asks it of 1-term values."""
         if self.is_zero:
             raise ValueError("the zero value has no leading term")
-        shifts, mask = _shifts(self.space.count, self._width), (1 << self._width) - 1
-        if self._terms is not None:
-            key = max(self._terms, key=lambda k: (sum(_unpack_key(k, shifts, mask)), k))
-            return _unpack_key(key, shifts, mask), self._terms[key]
-        import numpy as np
-
-        degree = np.zeros(len(self._keys), dtype=np.int64)
-        for s in shifts:
-            degree += ((self._keys >> s) & mask).astype(np.int64)
-        # keys ascend, so the last one of top degree is the largest
-        i = int(np.flatnonzero(degree == degree.max())[-1])
-        return _unpack_key(int(self._keys[i]), shifts, mask), int(self._coeffs[i])
+        return leading_term(self.to_polynomial(), GRLEX)
 
     def to_polynomial(self) -> Polynomial:
         if self._terms is None:

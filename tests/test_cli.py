@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from permcheck import frobcheck, hankel, monomials, witnesses
+from permcheck import cli, frobcheck, hankel, monomials, shapes, witnesses
 from permcheck.cli import CHECKS, run
 from permcheck.report import LemmaReport
 
@@ -58,6 +58,24 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert "exponent entries" in err
+
+    @pytest.mark.parametrize("argv, module, builder", [
+        (("generators", "--shape", "generic:40x40", "--t", "2"), shapes, "permanent"),
+        (("verify", "monomials28", "--m", "40", "--n", "40", "--p", "3"), monomials,
+         "_entry_triples"),
+        (("verify", "monomials29", "--m", "12", "--n", "12", "--p", "3"), monomials,
+         "_squared_entry_triples"),
+    ])
+    def test_oversized_build_is_usage_error(self, capsys, monkeypatch, argv, module, builder):
+        # refused from m, n and t before the first permanent or target is built
+        def never(*args, **kwargs):
+            raise AssertionError(f"{builder} ran before the size was refused")
+
+        monkeypatch.setattr(module, builder, never)
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("permcheck: error:") and "exponent entries" in err
 
     def test_overflowing_point_count_is_usage_error(self, capsys):
         # at p = 2^31 - 1 a block is one lane, and the p^4 or p^5 masks of each
@@ -277,6 +295,36 @@ class TestReports:
         assert out == ""
         doc = json.loads(out_path.read_text())
         assert doc["reports"][0]["check"] == "lemma31"
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "lemma31", "--n", "3"),
+        ("scan", "conjecture45", "--p", "3"),
+        ("generators", "--shape", "generic:2x3", "--t", "2"),
+    ], ids=["verify", "scan", "generators"])
+    def test_out_into_a_missing_directory_is_refused_before_any_work(
+            self, capsys, monkeypatch, tmp_path, argv):
+        def never(*args, **kwargs):
+            raise AssertionError("a job ran before --out was refused")
+
+        for name in ("_run_verify", "_run_scan", "_run_generators"):
+            monkeypatch.setattr(cli, name, never)
+        out_path = tmp_path / "missing" / "report.json"
+        code, out, err = invoke(capsys, *argv, "--out", str(out_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("permcheck: error: --out") and "does not exist" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "lemma31", "--n", "3"),
+        ("generators", "--shape", "generic:2x3", "--t", "2"),
+    ], ids=["verify", "generators"])
+    def test_out_naming_a_directory_is_usage_error(self, capsys, tmp_path, argv):
+        code, out, err = invoke(capsys, *argv, "--out", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("permcheck: error: cannot write --out")
+        assert list(tmp_path.iterdir()) == []
 
     def test_scan_text_output(self, capsys):
         code, out, _ = invoke(

@@ -246,6 +246,19 @@ class TestTextFormat:
             zpoly(text)
         assert err.value.position == position
 
+    @pytest.mark.parametrize("text, message, position", [
+        ("", "empty input", 0),
+        ("  ", "empty input", 2),
+        ("z1^", "expected a number", 3),
+        ("z1^ + z2", "expected a number", 4),
+        ("z1 z2", "unexpected character 'z'", 3),
+        ("z1 - z2", "unexpected character '-'", 3),
+    ])
+    def test_malformed_input_refused(self, text, message, position):
+        with pytest.raises(ParseError, match=message) as err:
+            zpoly(text)
+        assert err.value.position == position
+
 
 class TestConstructionGuards:
     """Malformed spaces and terms are refused, and built values stay immutable."""
@@ -253,6 +266,11 @@ class TestConstructionGuards:
     def test_duplicate_variable_names(self):
         with pytest.raises(ValueError, match="unique"):
             VariableSpace(("z1", "z2", "z1"))
+
+    def test_index_of_an_unknown_name(self):
+        assert Z3.index("z2") == 1
+        with pytest.raises(KeyError, match="unknown variable 'w1'"):
+            Z3.index("w1")
 
     def test_space_is_immutable(self):
         with pytest.raises(AttributeError):
@@ -390,6 +408,15 @@ class TestTruncatedAccumulator:
             for mono, c in direct.items():
                 assert acc.coeff(mono) == c
 
+    def test_coeff_of_an_absent_monomial(self, kernel):
+        # z1 * (z1 + z2^2) over F_5: keys below, between and above the two
+        # stored ones, and an exponent past the truncation, on either kernel
+        acc = TruncatedAccumulator(zpoly("z1", 5)).mul_poly(zpoly("z1 + z2^2", 5))
+        assert on_arrays(acc) == (kernel == "arrays")
+        assert acc.coeff((2, 0, 0)) == acc.coeff((1, 2, 0)) == 1
+        for mono in ((0, 0, 0), (1, 3, 0), (2, 1, 0), (4, 4, 4), (5, 0, 0)):
+            assert acc.coeff(mono) == 0
+
     def test_equals_monomial(self):
         space = small_space(2)
         acc = TruncatedAccumulator(parse_poly("2*z1*z2", space, 3))
@@ -476,14 +503,16 @@ class TestPackedKernel:
     @given(packed_operands())
     @example(tuple(parse_poly(t, small_space(3), 3) for t in ("z1 + z2^2", "1 + z3")))
     @example(tuple(parse_poly(t, small_space(16), 7) for t in ("z1 + z16^2", "z2 + 1")))
-    def test_leading_term_matches_unpacked(self, operands):
+    def test_leading_term_matches_reference(self, operands):
         a, b = operands
-        for acc in (TruncatedAccumulator(a), TruncatedAccumulator(a).mul_poly(b)):
-            if acc.is_zero:
+        for acc, expected in ((TruncatedAccumulator(a), truncate(a)),
+                              (TruncatedAccumulator(a).mul_poly(b), _truncated_mul_dict(a, b))):
+            if expected.is_zero:
+                assert acc.is_zero
                 with pytest.raises(ValueError):
                     acc.leading_term()
             else:
-                assert acc.leading_term() == leading_term(acc.to_polynomial(), GRLEX)
+                assert acc.leading_term() == leading_term(expected, GRLEX)
 
 
 class TestPackedTerms:

@@ -9,7 +9,9 @@ from permcheck.fppoly import Polynomial, parse_poly, render_poly
 from permcheck.linmember import members_bounded
 from permcheck.monomials import (
     _entry_products_in_p2,
+    _entry_triple_count,
     _entry_triples,
+    _squared_entry_triple_count,
     _squared_entry_triples,
     verify_entry_triples,
     verify_squared_entry_triples,
@@ -69,6 +71,41 @@ class TestEntryProducts:
         assert report.verdict == "fail"
         assert report.evidence == {"targets": 7, "members": 6, "failures": ["x1_1*x1_2*x2_2"]}
         assert verify_entry_triples(2, 3, 3).evidence["failures"] == []
+
+
+class TestTargetSize:
+    SHAPES = [(m, n) for m in range(2, 6) for n in range(2, 6) if m * n > 4]
+
+    @pytest.mark.parametrize("m, n", SHAPES)
+    def test_counts_match_the_built_sets(self, m, n):
+        shape = MatrixShape.generic(m, n)
+        assert _entry_triple_count(m, n) == len(_entry_triples(shape))
+        assert _squared_entry_triple_count(m, n) == len(_squared_entry_triples(shape))
+
+    @pytest.mark.parametrize("verify, count", [
+        (verify_entry_triples, _entry_triple_count(3, 4)),
+        (verify_squared_entry_triples, _squared_entry_triple_count(3, 4)),
+    ])
+    def test_guard_counts_targets_and_variables(self, monkeypatch, verify, count):
+        entries = count * 12
+        monkeypatch.setattr(monomials, "MAX_TARGET_ENTRIES", entries)
+        assert verify(3, 4, 3).evidence["targets"] == count
+        monkeypatch.setattr(monomials, "MAX_TARGET_ENTRIES", entries - 1)
+        with pytest.raises(ValueError, match="exponent entries"):
+            verify(3, 4, 3)
+
+    @pytest.mark.parametrize("verify, builder", [
+        (verify_entry_triples, "_entry_triples"),
+        (verify_squared_entry_triples, "_squared_entry_triples"),
+    ])
+    def test_oversized_matrix_is_refused_before_its_targets(self, monkeypatch, verify, builder):
+        def never(*args, **kwargs):
+            raise AssertionError("the target set was built before the matrix was refused")
+
+        monkeypatch.setattr(monomials, builder, never)
+        monkeypatch.setattr(monomials, "permanental_generators", never)
+        with pytest.raises(ValueError, match="exponent entries"):
+            verify(100000, 100000, 3)
 
 
 @pytest.fixture

@@ -307,6 +307,36 @@ class TestPermanentalGenerators:
             IdealPresentation((one, one - one))
 
 
+class TestGeneratorSize:
+    @pytest.mark.parametrize("shape, t", [
+        (MatrixShape.generic(2, 3), 2), (MatrixShape.generic(3, 4), 3),
+        (MatrixShape.symmetric(3), 2), (MatrixShape.hankel(4), 3),
+    ])
+    def test_guard_counts_selections_terms_and_variables(self, monkeypatch, shape, t):
+        gens = permanental_generators(shape, t, char=5)
+        m, n = shape.nrows, shape.ncols
+        entries = math.comb(m, t) * math.comb(n, t) * math.factorial(t) * shape.space.count
+        built = sum(len(g) for g in gens.generators) * shape.space.count
+        # exact for a generic shape; symmetric and Hankel permanents collide
+        assert built == entries if shape.kind == "generic" else built < entries
+        monkeypatch.setattr(shapes, "MAX_GENERATOR_ENTRIES", entries)
+        assert permanental_generators(shape, t, char=5) == gens
+        monkeypatch.setattr(shapes, "MAX_GENERATOR_ENTRIES", entries - 1)
+        with pytest.raises(ValueError, match="exponent entries"):
+            permanental_generators(shape, t, char=5)
+
+    def test_oversized_shape_is_refused_before_its_space(self, monkeypatch):
+        # 10^10 variables: the guard reads m, n and t, never the names
+        def never(*args, **kwargs):
+            raise AssertionError("a permanent was built before the shape was refused")
+
+        monkeypatch.setattr(shapes, "permanent", never)
+        shape = MatrixShape.generic(100000, 100000)
+        with pytest.raises(ValueError, match="exponent entries"):
+            permanental_generators(shape, 2, char=3)
+        assert "space" not in vars(shape)
+
+
 class TestHankelSpecialization:
     HANKEL2 = MatrixShape.hankel(2).space
 
