@@ -6,20 +6,21 @@ omega^{p-1} not in m^[p], which reduces it to truncated polynomial
 arithmetic at the Frobenius power q = p, with p the characteristic of the
 generators; a squarefree leading monomial of omega decides it without any
 power.  The module also computes the "Fedder coefficient" of a full-support
-ideal -- the coefficient of prod x_i^{p-1} in omega^{p-1} -- by three
-independent routes: symbolic truncated powering, brute-force point counting
-(every point of F_p^v, a block of lo points packed into the lanes of a
-Python int per hi row, refused when its tables and masks would pass
-MAX_POINTCOUNT_ENTRIES lanes or its points MAX_POINTCOUNT_POINTS), and a
-fibered enumeration special to the generic 3x4 / t=3 complete intersection,
-which visits only three first columns, one point of each orbit of their
+ideal -- the coefficient of prod x_i^{p-1} in omega^{p-1} -- by two
+independent routes: symbolic truncated powering, and brute-force point
+counting (every point of F_p^v, a block of lo points packed into the lanes
+of a Python int per hi row, refused when its tables and masks would pass
+MAX_POINTCOUNT_ENTRIES lanes or its points MAX_POINTCOUNT_POINTS).  For the
+generic 3x4 / t=3 complete intersection a fibered enumeration counts the
+same points from three first columns, one point of each orbit of their
 stabilizer on the projective classes of column 2 and every class of column
 3, and is refused when those classes would pass MAX_FIBER_PAIRS column
 pairs.  Every route runs on the calling thread.
 
-The CLI checks `fpure` and `conjecture45` run these routes; `check_fpure`
-refuses an `fpure` job off the complete-intersection whitelist before any
-generator is built.
+The CLI check `fpure` runs the truncated route or the point count;
+`check_fpure` refuses an `fpure` job off the complete-intersection
+whitelist before any generator is built.  The scan `conjecture45` runs the
+fiber count only and builds no generator.
 
 Membership in the colon ideals (omega_P^{p-1}) + P^[p] of the minimal primes
 of P_2 lives in `colon`; `colon_membership` stays reachable here.  It and
@@ -41,7 +42,7 @@ from typing import Optional
 from . import _lazy_attributes
 from .fppoly import Polynomial, StructureError, leading_term, mono_mul, render_poly
 from .report import LemmaReport, make_report
-from .shapes import (GENERIC, IdealPresentation, MatrixShape, _is_known_complete_intersection,
+from .shapes import (IdealPresentation, MatrixShape, _is_known_complete_intersection,
                      permanental_generators)
 
 # Names of other modules, each loaded with its module on first use.
@@ -115,33 +116,22 @@ def fedder_coefficient_fullsupport(gens: IdealPresentation, method: str = "trunc
           = (-1)^v * #{a : omega(a) != 0}   (mod p),
 
     since nonzero values of omega contribute 1 by Fermat.  Methods:
-    "truncated" computes omega^{p-1} symbolically, "pointcount" enumerates
-    F_p^v, and "fiber" (generic 3x4, t = 3 only) counts admissible fourth
-    columns per block of the first three columns by inclusion-exclusion on
-    the ranks of three linear forms, enumerating only three representative
-    first columns (row scaling and row permutations fix the count of every
-    other one), projective classes of columns 2 and 3 (column scaling fixes
-    it too), and of column 2 one class per orbit of the row moves that fix
-    the first column.  Neither counting method loads numpy.
+    "truncated" computes omega^{p-1} symbolically, and "pointcount"
+    enumerates F_p^v without loading numpy.
     """
     check_fullsupport(gens, method)
     p = gens.char
     v = gens.space.count
     if method == "truncated":
         return _omega_power(gens).coeff((p - 1,) * v)
-    if method == "pointcount":
-        count = count_nonvanishing(gens, p)
-    else:
-        count = fiber_count_3x4(p)
-    return (-1) ** v * count % p
+    return (-1) ** v * count_nonvanishing(gens, p) % p
 
 
 def check_fullsupport(gens: IdealPresentation, method: str) -> None:
     """Raise ValueError wherever fedder_coefficient_fullsupport(gens, method)
     would refuse, without counting anything: not a complete intersection,
-    deg(omega) != v, an unknown method, a fiber count off the generic 3x4
-    ideal, and the size bounds of the point-count and fiber engines.  A scan
-    over several primes runs it for every prime before the first count."""
+    deg(omega) != v, an unknown method, and the size bounds of the point
+    count."""
     _require_ci(gens, "the Fedder coefficient")
     v = gens.space.count
     total_deg = sum(g.total_degree() for g in gens.generators)
@@ -152,16 +142,6 @@ def check_fullsupport(gens: IdealPresentation, method: str) -> None:
         )
     if method == "pointcount":
         _check_pointcount_size(gens, gens.char)
-    elif method == "fiber":
-        shape = gens.shape
-        if (
-            shape is None
-            or shape.kind != GENERIC
-            or (shape.nrows, shape.ncols) != (3, 4)
-            or gens.t != 3
-        ):
-            raise ValueError("the fiber method only applies to the generic 3x4 ideal with t = 3")
-        _check_fiber_size(gens.char)
     elif method != "truncated":
         raise ValueError(f"unknown method {method!r}")
 
@@ -176,9 +156,9 @@ def verify_fpure(gens: IdealPresentation, method: str = "truncated") -> LemmaRep
     The default route is `fedder_ci_check`: a squarefree leading monomial of
     omega certifies F-purity at every p without a power (the generic,
     symmetric and Hankel hypersurfaces), and otherwise omega^{p-1} is
-    computed by truncated powering.  "pointcount" and "fiber" go through the
-    full-support coefficient, counted on Python ints without numpy.  They
-    need the product omega of the generators to have degree equal to the
+    computed by truncated powering.  "pointcount" goes through the
+    full-support coefficient, counted on Python ints without numpy.  It
+    needs the product omega of the generators to have degree equal to the
     variable count: then omega^{p-1} mod m^[p] is a multiple of
     prod x_i^{p-1}, so F-purity is that coefficient being nonzero.
     """
@@ -219,19 +199,25 @@ def check_fpure(shape: MatrixShape, t: int, p: int, method: str) -> IdealPresent
     return gens
 
 
-def scan_three_by_four_fpurity(p_list, method: str = "truncated") -> LemmaReport:
+def scan_three_by_four_fpurity(p_list) -> LemmaReport:
     """CLI check `conjecture45`: Fedder coefficient of the generic 3x4 / t=3
-    complete intersection across primes, compared with the p = 1 mod 6 rule."""
+    complete intersection across primes, compared with the p = 1 mod 6 rule.
+
+    The four maximal permanents form a whitelisted complete intersection
+    with deg(omega) = 12 = v, so the coefficient is (-1)^v times the
+    fiber count mod p (see `fedder_coefficient_fullsupport`); no generator
+    is built."""
     t0 = time.perf_counter()
     p_list = list(p_list)
-    params = {"shape": "generic:3x4", "m": 3, "n": 4, "t": 3, "method": method,
+    params = {"shape": "generic:3x4", "m": 3, "n": 4, "t": 3, "method": "fiber",
               "p": ",".join(str(p) for p in p_list), "e": 1}
-    # refuse an oversized prime before the first count
-    presentations = [check_fpure(MatrixShape.generic(3, 4), 3, p, method) for p in p_list]
+    for p in p_list:  # refuse an oversized prime before the first count
+        _check_fiber_size(p)
+    v = MatrixShape.generic(3, 4).variable_count
     per_p = []
     all_ok = True
-    for p, gens in zip(p_list, presentations):
-        coeff = fedder_coefficient_fullsupport(gens, method=method)
+    for p in p_list:
+        coeff = (-1) ** v * fiber_count_3x4(p) % p
         fpure = coeff != 0
         predicted = p % 6 == 1
         ok = fpure == predicted

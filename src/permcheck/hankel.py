@@ -128,8 +128,7 @@ def verify_hankel_product_identity(n: int, p: int) -> LemmaReport:
         exps[2 * i] += 1  # z_{2i+1}
         exps[2 * i - 1] += p - 3  # z_{2i}
     product = TruncatedAccumulator(Polynomial.monomial(space, p, exps)).mul_poly(f_prev)
-    for _ in range(p - 1):
-        product = product.mul_poly(f_n)
+    product = product.mul_power(f_n, p - 1)
     full_support = (p - 1,) * space.count
     expected_coeff = (-1) ** (n + 1) % p
     ok = product.equals_monomial(full_support, expected_coeff)

@@ -12,11 +12,14 @@ the generator's other term, so a representative's system, and with it its
 certificate, stays in the rows and columns the representative uses; the
 maps of those rows and columns move it.  Every moved certificate is
 re-multiplied against its own target by one `fppoly.mul_sum` on packed
-terms.  This module loads neither `frobcheck` nor `hankel`.
+terms.  The targets and their canonical forms do not depend on p, so a job
+builds them once for all its primes.  This module loads neither
+`frobcheck` nor `hankel`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -39,7 +42,7 @@ MAX_TARGET_ENTRIES = 1 << 24
 def _refuse_oversized(check: str, shape: MatrixShape, targets: int) -> None:
     """ValueError when `targets` targets of `shape` pass MAX_TARGET_ENTRIES,
     before the target set or `shape.space` is built."""
-    variables = shape.nrows * shape.ncols
+    variables = shape.variable_count
     if targets * variables > MAX_TARGET_ENTRIES:
         raise ValueError(f"{check} of {shape.spec_string()} has {targets} targets in {variables} "
                          f"variables, more than {MAX_TARGET_ENTRIES} exponent entries")
@@ -90,12 +93,30 @@ def _move(certificate, row_map, col_map, blocks: dict, shifts: list, ncols: int)
     return moved
 
 
+@functools.lru_cache(maxsize=1)
+def _orbits(shape: MatrixShape, exponents) -> tuple:
+    """(targets, representatives): each target of exponents(shape) as
+    (exponents, rows, cols, representative, row order, column order), in
+    sorted order, and the distinct representatives.  None of it depends on
+    p, so a job over several primes builds it once; the cache holds the
+    last shape only."""
+    canonical: dict = {}  # pattern -> (representative, row order, column order)
+    targets = []
+    for exps in sorted(exponents(shape)):
+        rows, cols, pattern = _cells(shape, exps)
+        if pattern not in canonical:
+            canonical[pattern] = _canonical(pattern, len(rows), len(cols))
+        targets.append((exps, rows, cols, *canonical[pattern]))
+    return tuple(targets), tuple(dict.fromkeys(t[3] for t in targets))
+
+
 def _entry_products_in_p2(
     check: str, shape: MatrixShape, p: int, exponents, degree: int
 ) -> LemmaReport:
-    """Shared body of `monomials28` / `monomials29`: every target monomial lies
-    in P_2 of the generic matrix, decided by linear algebra at the degree,
-    one system per orbit of targets under row and column permutations."""
+    """Shared body of `monomials28` / `monomials29`: every target monomial,
+    from exponents(shape), lies in P_2 of the generic matrix, decided by
+    linear algebra at the degree, one system per orbit of targets under row
+    and column permutations."""
     t0 = time.perf_counter()
     params = {"shape": shape.spec_string(), "m": shape.nrows, "n": shape.ncols, "p": p}
     gens = permanental_generators(shape, 2, char=p).generators
@@ -106,14 +127,7 @@ def _entry_products_in_p2(
     shifts = _shifts(shape.space.count, width)
     gen_terms = [pack_terms(g, width) for g in gens]
 
-    canonical: dict = {}  # pattern -> (representative, row order, column order)
-    targets = []  # (exponents, rows, cols, representative, row order, column order)
-    for exps in sorted(exponents):
-        rows, cols, pattern = _cells(shape, exps)
-        if pattern not in canonical:
-            canonical[pattern] = _canonical(pattern, len(rows), len(cols))
-        targets.append((exps, rows, cols, *canonical[pattern]))
-    representatives = list(dict.fromkeys(t[3] for t in targets))
+    targets, representatives = _orbits(shape, exponents)
     rep_polys = []
     for rep in representatives:
         exps = [0] * shape.space.count
@@ -212,7 +226,7 @@ def verify_entry_triples(m: int, n: int, p: int) -> LemmaReport:
         raise ValueError("the entry triples need m >= 3 or n >= 3")
     shape = MatrixShape.generic(m, n)
     _refuse_oversized("monomials28", shape, _entry_triple_count(m, n))
-    return _entry_products_in_p2("monomials28", shape, p, _entry_triples(shape), 3)
+    return _entry_products_in_p2("monomials28", shape, p, _entry_triples, 3)
 
 
 def verify_squared_entry_triples(m: int, n: int, p: int) -> LemmaReport:
@@ -222,4 +236,4 @@ def verify_squared_entry_triples(m: int, n: int, p: int) -> LemmaReport:
         raise ValueError("the squared-entry products need m, n >= 3")
     shape = MatrixShape.generic(m, n)
     _refuse_oversized("monomials29", shape, _squared_entry_triple_count(m, n))
-    return _entry_products_in_p2("monomials29", shape, p, _squared_entry_triples(shape), 4)
+    return _entry_products_in_p2("monomials29", shape, p, _squared_entry_triples, 4)

@@ -81,6 +81,17 @@ class MatrixShape(_Dims):
             )
         return tuple(f"z{k + 1}" for k in range(2 * self.nrows - 1))
 
+    @property
+    def variable_count(self) -> int:
+        """len(var_names()), from the kind and size alone: size guards read it
+        before `space` is built."""
+        n = self.ncols
+        if self.kind == GENERIC:
+            return self.nrows * n
+        if self.kind == SYMMETRIC:
+            return n * (n + 1) // 2
+        return 2 * n - 1
+
     @functools.cached_property
     def space(self) -> VariableSpace:
         """The VariableSpace of `var_names()`, built on first use: a shape
@@ -219,7 +230,7 @@ def permanental_generators(shape: MatrixShape, t: int, char: int) -> IdealPresen
     m, n = shape.nrows, shape.ncols
     selections = math.comb(m, t) * math.comb(n, t)
     terms = math.factorial(t)
-    variables = {GENERIC: m * n, SYMMETRIC: n * (n + 1) // 2, HANKEL: 2 * n - 1}[shape.kind]
+    variables = shape.variable_count
     if selections * terms * variables > MAX_GENERATOR_ENTRIES:
         raise ValueError(
             f"P_{t} of {shape.spec_string()} has {selections} permanents of up to {terms} terms "

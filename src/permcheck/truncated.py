@@ -12,7 +12,8 @@ Python-int keys until ARRAY_PAIRS term pairs in all, and on one numpy
 kernel after that, with int64 keys while v fields fit 63 bits and Python
 ints (numpy object arrays) beyond.  Powers are repeated products with the
 base.  A chain of more than MAX_CHAIN_PAIRS term pairs is refused with
-ValueError before its last product runs.
+ValueError before its last product runs, and a power whose products must
+pass it, from its exponent and its base's terms, before its first.
 
 numpy is imported inside the kernel functions, so it loads on the first
 chain that reaches ARRAY_PAIRS pairs and never for smaller truncated
@@ -187,8 +188,25 @@ class TruncatedAccumulator:
             raise ValueError("negative power")
         if k == 0:
             return cls(Polynomial.one(poly.space, poly.char))
-        acc = cls(poly)
-        for _ in range(k - 1):
+        return cls(poly).mul_power(poly, k - 1)
+
+    def mul_power(self, poly: Polynomial, k: int) -> "TruncatedAccumulator":
+        """This value times poly^k, one product with poly at a time, returned
+        as soon as it is zero.
+
+        Each product of a nonzero value multiplies at least as many term
+        pairs as poly has terms mod m^[p], so, before the first product,
+        ValueError when k of them would pass MAX_CHAIN_PAIRS.
+        """
+        poly._check_compatible(self)
+        least = self._pairs + k * len(truncate(poly))
+        if least > MAX_CHAIN_PAIRS:
+            raise ValueError(f"a truncated product chain would multiply at least {least} "
+                             f"term pairs, more than {MAX_CHAIN_PAIRS}")
+        acc = self
+        for _ in range(k):
+            if acc.is_zero:
+                break
             acc = acc.mul_poly(poly)
         return acc
 

@@ -105,17 +105,17 @@ def _witness(shape: MatrixShape, p: int) -> tuple:
     any prime or variable is built.
     """
     m, n, half = shape.nrows, shape.ncols, (p - 1) // 2
-    # kind: (blocks, variables, sign, skip, top, minimal primes)
+    # kind: (blocks, sign, skip, top, minimal primes)
     forms = {
-        GENERIC: (math.comb(m, 2) * math.comb(n, 2), m * n, 1, p - 1, 2 * p - 2,
+        GENERIC: (math.comb(m, 2) * math.comb(n, 2), 1, p - 1, 2 * p - 2,
                   lambda: minimal_primes_generic(m, n)),
-        SYMMETRIC: (math.comb(n, 2), n * (n + 1) // 2, (-1) ** half, half, 3 * half,
+        SYMMETRIC: (math.comb(n, 2), (-1) ** half, half, 3 * half,
                     lambda: minimal_primes_symmetric(n)),
     }
     if shape.kind not in forms:
         raise ValueError("witness membership applies to generic and symmetric shapes")
-    blocks, variables, sign, skip, top, minimal_primes = forms[shape.kind]
-    size = blocks * (p - 1) + 1
+    blocks, sign, skip, top, minimal_primes = forms[shape.kind]
+    size, variables = blocks * (p - 1) + 1, shape.variable_count
     if size * variables > MAX_WITNESS_ENTRIES:
         raise ValueError(
             f"the witness has {size} terms in {variables} variables, more than "

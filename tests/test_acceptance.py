@@ -190,7 +190,7 @@ class TestCriterion6:
 
     def test_fiber_p17_to_p37(self):
         with criterion(6, "fiber scan p=17..37: F-pure exactly when p = 1 mod 6"):
-            report = scan_three_by_four_fpurity([17, 19, 23, 29, 31, 37], method="fiber")
+            report = scan_three_by_four_fpurity([17, 19, 23, 29, 31, 37])
             assert report.verdict == "pass"
             coefficients = [row["coefficient"] for row in report.evidence["per_p"]]
             assert coefficients == [0, 7, 0, 0, 16, 26]

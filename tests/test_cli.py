@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,16 @@ import pytest
 from permcheck import cli, frobcheck, hankel, monomials, shapes, witnesses
 from permcheck.cli import CHECKS, run
 from permcheck.report import LemmaReport
+
+
+# jobs whose truncated power at p = 2^31 - 1 must pass truncated.MAX_CHAIN_PAIRS
+TRUNCATED_AT_2_31 = [
+    ("verify", "lemma34", "--n", "3", "--p", "2147483647"),
+    ("verify", "thm35", "--n", "3", "--p", "2147483647"),
+    ("verify", "fpure", "--shape", "generic:2x3", "--t", "2", "--p", "2147483647"),
+    ("verify", "fpure", "--shape", "generic:3x4", "--t", "3", "--p", "2147483647"),
+]
+TRUNCATED_AT_2_31_IDS = ["lemma34", "thm35", "fpure-2x3", "fpure-3x4"]
 
 
 def invoke(capsys, *argv):
@@ -30,7 +41,7 @@ class TestExitCodes:
     def test_fail_is_two(self, capsys):
         code, out, _ = invoke(
             capsys, "verify", "fpure", "--shape", "generic:3x4", "--t", "3",
-            "--p", "5", "--method", "fiber", "--threads", "2",
+            "--p", "5", "--method", "pointcount", "--threads", "2",
         )
         assert code == 2
         assert "aggregate: fail" in out
@@ -151,6 +162,17 @@ class TestExitCodes:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize("argv", TRUNCATED_AT_2_31, ids=TRUNCATED_AT_2_31_IDS)
+    def test_truncated_power_at_2_31_is_refused_at_once(self, capsys, argv):
+        # f^{p-1} takes p - 2 products, each of at least |f| term pairs
+        t0 = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        assert time.perf_counter() - t0 < 0.5
+        assert code == 1
+        assert out == ""
+        assert err.startswith("permcheck: error: a truncated product chain would multiply at least ")
+        assert err.count("\n") == 1
+
     def test_bad_shape_is_usage_error(self, capsys):
         code, _, err = invoke(capsys, "verify", "fpure", "--shape", "cube:3", "--p", "3")
         assert code == 1
@@ -208,7 +230,7 @@ class TestExitCodes:
         assert code == 1
         assert "complete-intersection" in err
 
-    @pytest.mark.parametrize("method", ["truncated", "pointcount", "fiber"])
+    @pytest.mark.parametrize("method", ["truncated", "pointcount"])
     @pytest.mark.parametrize("shape", ["generic:20x20", "symmetric:5"])
     def test_non_ci_shape_refused_before_any_generator(self, capsys, monkeypatch, shape,
                                                         method):
@@ -227,8 +249,7 @@ class TestExitCodes:
         ("verify", "fpure", "--shape", "generic:2x3", "--t", "2", "--p", "3,5"),
         ("verify", "fpure", "--shape", "generic:2x3", "--t", "2", "--method", "pointcount",
          "--p", "3,5"),
-        ("scan", "conjecture45", "--method", "fiber", "--p", "3,5"),
-    ], ids=["truncated", "pointcount", "scan"])
+    ], ids=["truncated", "pointcount"])
     def test_each_primes_generators_are_built_once(self, capsys, monkeypatch, argv):
         # the pre-flight's presentation is the one that is checked
         built = []
@@ -327,15 +348,64 @@ class TestReports:
         assert list(tmp_path.iterdir()) == []
 
     def test_scan_text_output(self, capsys):
-        code, out, _ = invoke(
-            capsys, "scan", "conjecture45", "--p", "3", "--method", "truncated"
-        )
+        code, out, _ = invoke(capsys, "scan", "conjecture45", "--p", "3")
         assert code == 0
         assert "conjecture45" in out
+        assert "method=fiber" in out
 
     def test_scan_requires_p(self, capsys):
         code, _, err = invoke(capsys, "scan", "conjecture45")
         assert code == 1
+
+
+class TestOneEnginePerCommand:
+    """`scan conjecture45` runs the fiber count only; `fpure` runs the
+    truncated route or the point count."""
+
+    @pytest.mark.parametrize("argv, remaining, removed", [
+        (("scan", "conjecture45", "--p", "5", "--method", "truncated"), ["fiber"],
+         ["truncated", "pointcount"]),
+        (("scan", "conjecture45", "--p", "5", "--method", "pointcount"), ["fiber"],
+         ["truncated", "pointcount"]),
+        (("verify", "fpure", "--shape", "generic:3x4", "--t", "3", "--p", "5", "--method",
+          "fiber"), ["truncated", "pointcount"], ["fiber"]),
+    ], ids=["scan-truncated", "scan-pointcount", "fpure-fiber"])
+    def test_other_routes_are_usage_errors(self, capsys, argv, remaining, removed):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("permcheck: error: argument --method: invalid choice")
+        choices = err.split("choose from", 1)[1]
+        assert all(m in choices for m in remaining)
+        assert not any(m in choices for m in removed)
+
+    def test_scan_runs_only_the_fiber_count(self, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the scan built or checked a presentation")
+
+        for name in ("permanental_generators", "check_fpure", "fedder_coefficient_fullsupport"):
+            monkeypatch.setattr(frobcheck, name, never)
+        calls = []
+        for name in ("_check_fiber_size", "fiber_count_3x4"):
+            def recorded(p, real=getattr(frobcheck, name), name=name):
+                calls.append((name, p))
+                return real(p)
+
+            monkeypatch.setattr(frobcheck, name, recorded)
+        code, out, _ = invoke(capsys, "scan", "conjecture45", "--p", "3,5,7", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["config"]["method"] == doc["reports"][0]["params"]["method"] == "fiber"
+        assert [row["coefficient"] for row in doc["reports"][0]["evidence"]["per_p"]] == [0, 0, 2]
+        # every prime is sized before the first count
+        assert calls[:3] == [("_check_fiber_size", p) for p in (3, 5, 7)]
+        assert [p for name, p in calls if name == "fiber_count_3x4"] == [3, 5, 7]
+
+        monkeypatch.setattr(frobcheck, "fiber_count_3x4", never)
+        code, out, err = invoke(capsys, "scan", "conjecture45", "--p", "37,1009")
+        assert code == 1
+        assert out == ""
+        assert "fiber count at p = 1009 visits 1038546466281 column pairs" in err
 
 
 class TestGeneratorsDump:
@@ -485,11 +555,11 @@ class TestCheckTable:
         (("scan", "conjecture45", "--p", "3", "--m", "3"), "--m"),
         (("scan", "conjecture45", "--p", "3", "--shape", "generic:3x4"), "--shape"),
         (("scan", "conjecture45", "--p", "3", "--t", "3"), "--t"),
-        # only fpure and conjecture45 choose a method; the others run one
-        (("verify", "lemma34", "--n", "3", "--p", "3", "--method", "fiber"), "--method"),
+        # only fpure chooses a method; the others run one
+        (("verify", "lemma34", "--n", "3", "--p", "3", "--method", "pointcount"), "--method"),
         (("verify", "lemma31", "--n", "3", "--method", "pointcount"), "--method"),
         (("verify", "witness-generic", "--m", "2", "--n", "3", "--p", "3", "--method",
-          "fiber"), "--method"),
+          "pointcount"), "--method"),
         (("verify", "monomials28", "--m", "2", "--n", "3", "--p", "3", "--method",
           "pointcount"), "--method"),
     ]
@@ -817,6 +887,14 @@ class TestMemoryCap:
         )
         assert proc.returncode == 2, proc.stderr[-2000:]
         assert json.loads(proc.stdout)["aggregate"] == "fail"
+
+    @pytest.mark.parametrize("argv", TRUNCATED_AT_2_31, ids=TRUNCATED_AT_2_31_IDS)
+    def test_truncated_power_at_2_31_is_refused_in_1_gib(self, argv):
+        proc = capped_cli(1024, *argv)
+        assert proc.returncode == 1, proc.stderr[-2000:]
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("permcheck: error:")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
     def test_numpy_job_fits_in_128_mib(self):
         # loading numpy with OpenBLAS's default pool of one thread per core

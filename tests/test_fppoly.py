@@ -633,6 +633,48 @@ class TestChainBound:
             square.mul_poly(base)
 
 
+    def test_power_past_the_bound_is_refused_before_its_first_product(self, monkeypatch):
+        # 19 products of a nonzero value by a 4-term base multiply at least
+        # 76 term pairs
+        base = parse_poly("1 + z1 + z2 + z3", small_space(3), 7)
+        monkeypatch.setattr(truncated, "MAX_CHAIN_PAIRS", 75)
+        for name in ("_mul_dict", "_mul_packed"):
+            monkeypatch.setattr(truncated, name, None)  # calling it raises
+        with pytest.raises(ValueError, match="at least 76 term pairs, more than 75"):
+            TruncatedAccumulator.power(base, 20)
+        # the pairs a value has multiplied so far count too: 4 x 4, then 3 x 4
+        acc = TruncatedAccumulator(base)
+        monkeypatch.undo()
+        acc = acc.mul_poly(base)
+        monkeypatch.setattr(truncated, "MAX_CHAIN_PAIRS", 27)
+        with pytest.raises(ValueError, match="at least 28 term pairs, more than 27"):
+            acc.mul_power(base, 3)
+
+    def test_mul_power_stops_at_zero(self, monkeypatch):
+        # z1^2 * z1 vanishes mod z1^3, so one product of the 10**9 is taken
+        # and the bound, which holds only while the value is nonzero, is not
+        # met either: 10**9 products by a 1-term base
+        space = small_space(2)
+        acc = TruncatedAccumulator(parse_poly("z1^2", space, 3))
+        products = []
+        mul_poly = TruncatedAccumulator.mul_poly
+
+        def counted(self, poly):
+            products.append(poly)
+            return mul_poly(self, poly)
+
+        monkeypatch.setattr(TruncatedAccumulator, "mul_poly", counted)
+        monkeypatch.setattr(truncated, "MAX_CHAIN_PAIRS", 10**9)
+        assert acc.mul_power(parse_poly("z1", space, 3), 10**9).is_zero
+        assert len(products) == 1
+
+    def test_mul_power_matches_repeated_products(self):
+        a, b = zpoly("z1 + z2", 5), zpoly("1 + z1 + z3", 5)
+        acc = TruncatedAccumulator(a).mul_power(b, 3)
+        assert acc.to_polynomial() == truncate(a * b**3)
+        assert TruncatedAccumulator(a).mul_power(b, 0).to_polynomial() == a
+
+
 class TestPrimeModulus:
     """check_prime, its older name PrimeModulus, and Polynomial's use of it."""
 

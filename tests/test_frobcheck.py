@@ -18,6 +18,7 @@ from permcheck.fppoly import (
 from permcheck.frobcheck import (
     _projective_class_count,
     _stabilizer_orbits,
+    check_fpure,
     count_nonvanishing,
     fedder_ci_check,
     fedder_coefficient_fullsupport,
@@ -247,13 +248,20 @@ class TestFedderCoefficient:
         assert verdicts == {False, True}
 
     def test_generic_3x4_p3_all_methods_agree(self):
+        # v = 12 is even, so the coefficient is the fiber count mod p
         shape = MatrixShape.generic(3, 4)
         gens = permanental_generators(shape, 3, char=3)
-        values = {
-            method: fedder_coefficient_fullsupport(gens, method)
-            for method in ("truncated", "pointcount", "fiber")
-        }
-        assert len(set(values.values())) == 1
+        for method in ("truncated", "pointcount"):
+            assert fedder_coefficient_fullsupport(gens, method) == fiber_count_3x4(3) % 3
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_generic_3x4_is_a_ci_of_degree_v(self, p):
+        # the scan's coefficient (-1)^v * fiber_count_3x4(p) mod p rests on these facts
+        shape = MatrixShape.generic(3, 4)
+        gens = check_fpure(shape, 3, p, "truncated")
+        assert gens.complete_intersection
+        assert len(gens.generators) == 4
+        assert sum(g.total_degree() for g in gens.generators) == 12 == shape.variable_count
 
     def test_degree_precondition(self):
         xy = VariableSpace(("x1", "y1"))
@@ -261,10 +269,10 @@ class TestFedderCoefficient:
         with pytest.raises(ValueError):
             fedder_coefficient_fullsupport(gens)
 
-    def test_fiber_refused_off_shape(self):
-        shape = MatrixShape.generic(2, 3)
-        gens = permanental_generators(shape, 2, char=3)
-        with pytest.raises(ValueError):
+    def test_fiber_is_no_method(self):
+        # the fiber count answers the scan only, through fiber_count_3x4
+        gens = permanental_generators(MatrixShape.generic(3, 4), 3, char=3)
+        with pytest.raises(ValueError, match="unknown method 'fiber'"):
             fedder_coefficient_fullsupport(gens, "fiber")
 
 

@@ -1,5 +1,6 @@
 """monomials28 / monomials29: one system per orbit, every target re-multiplied."""
 
+import json
 import random
 
 import pytest
@@ -67,7 +68,7 @@ class TestEntryProducts:
                    "x1_2*x1_3*x2_1", "x1_2*x2_1*x2_3", "x1_3*x2_1*x2_2"]
         exponents = {_exponents(parse_poly(t, shape.space, 3)) for t in members}
         exponents.add(_exponents(parse_poly("x1_1*x1_2*x2_2", shape.space, 3)))
-        report = _entry_products_in_p2("monomials28", shape, 3, exponents, 3)
+        report = _entry_products_in_p2("monomials28", shape, 3, lambda _: exponents, 3)
         assert report.verdict == "fail"
         assert report.evidence == {"targets": 7, "members": 6, "failures": ["x1_1*x1_2*x2_2"]}
         assert verify_entry_triples(2, 3, 3).evidence["failures"] == []
@@ -152,7 +153,7 @@ class TestOrbits:
             for _ in range(degree):
                 exps[rng.randrange(shape.space.count)] += 1
             exponents.add(tuple(exps))
-        report = _entry_products_in_p2("monomials28", shape, 3, exponents, degree)
+        report = _entry_products_in_p2("monomials28", shape, 3, lambda _: exponents, degree)
         expected = per_target_evidence(shape, 3, exponents, degree)
         assert report.evidence == expected
         assert expected["failures"] and expected["members"]
@@ -166,6 +167,38 @@ class TestOrbits:
         report = verify_entry_triples(4, 4, 3)
         assert report.evidence["members"] == report.evidence["targets"] == 288
         assert len(systems) == 2
+
+
+class TestTargetsOncePerJob:
+    """The targets and their canonical forms do not depend on p: a job over
+    several primes builds them once, and the cache keeps one shape."""
+
+    def test_one_build_for_two_primes(self, capsys, monkeypatch):
+        from permcheck.cli import run
+
+        def reports(*primes):
+            monomials._orbits.cache_clear()
+            assert run(["verify", "monomials29", "--m", "3", "--n", "3", "--p",
+                        ",".join(primes), "--format", "json"]) == 0
+            out = json.loads(capsys.readouterr().out)["reports"]
+            return [{k: v for k, v in r.items() if k != "ms"} for r in out]
+
+        separately = reports("3") + reports("5")
+        built = []
+        real = monomials._squared_entry_triples
+
+        def counted(shape):
+            built.append(shape)
+            return real(shape)
+
+        monkeypatch.setattr(monomials, "_squared_entry_triples", counted)
+        assert reports("3", "5") == separately
+        assert len(built) == 1
+
+    def test_cache_holds_the_last_shape_only(self):
+        verify_squared_entry_triples(3, 3, 3)
+        verify_squared_entry_triples(3, 4, 3)
+        assert monomials._orbits.cache_info().currsize == 1
 
 
 class TestMovedCertificatesAreChecked:

@@ -87,6 +87,18 @@ class TestMatrixShape:
         assert shape.space is shape.space
         assert shape.space.names == shape.var_names() == ("z1", "z2", "z3", "z4", "z5")
 
+    @pytest.mark.parametrize("size", range(1, 7))
+    def test_variable_count_matches_the_names(self, size):
+        shapes_of_size = [MatrixShape.symmetric(size), MatrixShape.hankel(size)]
+        shapes_of_size += [MatrixShape.generic(size, n) for n in range(1, 7)]
+        for shape in shapes_of_size:
+            assert shape.variable_count == len(shape.var_names()), shape
+
+    def test_variable_count_builds_no_space(self):
+        huge = MatrixShape.generic(100000, 100000)
+        assert huge.variable_count == 10**10
+        assert "space" not in vars(huge)
+
 
 class TestParseShape:
     @pytest.mark.parametrize(

@@ -420,19 +420,20 @@ def _exponents(monomial):
 
 
 class TestConjectureScan:
-    def test_truncated_p3(self):
-        report = scan_three_by_four_fpurity([3], method="truncated")
+    def test_p3(self):
+        report = scan_three_by_four_fpurity([3])
         assert report.verdict == "pass"
         assert report.evidence["per_p"][0]["coefficient"] == 0
         assert report.evidence["per_p"][0]["fpure"] is False
 
     def test_fiber_small(self):
-        report = scan_three_by_four_fpurity([3, 7], method="fiber")
+        report = scan_three_by_four_fpurity([3, 7])
         assert report.verdict == "pass"
         by_p = {row["p"]: row for row in report.evidence["per_p"]}
         assert by_p[3]["fpure"] is False
         assert by_p[7]["fpure"] is True
 
     def test_fpure_full_support_fail(self):
-        report = verify_fpure(check_fpure(MatrixShape.generic(3, 4), 3, 5, "fiber"), method="fiber")
+        report = verify_fpure(check_fpure(MatrixShape.generic(3, 4), 3, 5, "pointcount"),
+                              method="pointcount")
         assert report.verdict == "fail"
