@@ -4,13 +4,15 @@
   permcheck scan conjecture45 --p P,...  Fedder-coefficient scan over primes
   permcheck generators --shape S [--t T] [--p P]   dump ideal generators
 
-Each verify check takes exactly the flags its CHECKS entry names; any other
-of --shape/--m/--n/--t/--p, or a --method other than the default, is
-refused.  Only `fpure` chooses a method, truncated (the default) or
-pointcount; the scan runs the fiber count, its one method.  --threads
-(validated and echoed, with no effect: every check runs on one thread),
---format and --out are accepted by every verify and scan job; `generators`
-takes only --shape, --t, --p and --out.
+Each verify check takes exactly the flags and methods its CHECKS entry
+names; any other of --shape/--m/--n/--t/--p is refused, and so is a
+--method the check does not run.  Only `fpure` chooses a method, truncated
+(the default) or pointcount, and an unknown one is an invalid choice; every
+other check runs one method and does not take --method.  The scan runs the
+fiber count, its one method.  --threads (validated and echoed, with no
+effect: every check runs on one thread), --format and --out are accepted by
+every verify and scan job; `generators` takes only --shape, --t, --p and
+--out.
 
 Exit codes: 0 all checks passed, 2 some check failed, 3 inconclusive only,
 1 usage or configuration error.
@@ -43,12 +45,12 @@ def _shape_and_t(args):
 
 class Check(NamedTuple):
     """A verify check: the module of `permcheck` that holds its runner, the
-    flags it requires, the ones it may also take, and its runner.  The
-    module is imported only once the arguments parse, so a job loads the
-    code of its own check and no other.  The runner is called as
-    runner(module, args, p) once per prime when the check requires --p and
-    as runner(module, args) otherwise.  A guard, if any, is called as
-    guard(module, args, p) for every prime before the first runner, so a
+    flags it requires, the ones it may also take, its runner and the
+    methods it runs.  The module is imported only once the arguments parse,
+    so a job loads the code of its own check and no other.  The runner is
+    called as runner(module, args, p) once per prime when the check requires
+    --p and as runner(module, args) otherwise.  A guard, if any, is called
+    as guard(module, args, p) for every prime before the first runner, so a
     prime the check would refuse stops the job before any work, and the
     runner then takes the guard's value in place of p.  Both look the
     check's function up on the module at call time, so a patched module
@@ -59,6 +61,7 @@ class Check(NamedTuple):
     runner: Callable
     optional: tuple = ()
     guard: Optional[Callable] = None
+    methods: tuple = ("truncated",)
 
 
 CHECKS = {
@@ -87,8 +90,9 @@ CHECKS = {
     "fpure": Check(
         "frobcheck", ("shape", "p"),
         lambda m, a, gens: m.verify_fpure(gens, method=a.method),
-        optional=("t", "method"),
+        optional=("t",),
         guard=lambda m, a, p: m.check_fpure(*_shape_and_t(a), p, a.method),
+        methods=("truncated", "pointcount"),
     ),
 }
 
@@ -114,13 +118,12 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"permcheck {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, methods):
+    def add_common(p):
         p.add_argument("--shape", help='shape spec: "generic:MxN" | "symmetric:N" | "hankel:N"')
         p.add_argument("--m", type=int, help="row count")
         p.add_argument("--n", type=int, help="column count / size")
         p.add_argument("--t", type=int, help="submatrix size")
         p.add_argument("--p", help="odd prime, or comma-separated list")
-        p.add_argument("--method", choices=methods, default=methods[0])
         p.add_argument("--threads", type=_thread_count, default=1,
                        help="no effect: every check runs on one thread")
         p.add_argument("--format", choices=("text", "json"), default="text")
@@ -128,12 +131,16 @@ def build_parser() -> _Parser:
 
     verify = sub.add_parser("verify", help="run one verification")
     verify.add_argument("check", choices=tuple(CHECKS))
-    add_common(verify, ("truncated", "pointcount"))
+    add_common(verify)
+    # checked per check, so that a check with one method can refuse any other
+    verify.add_argument("--method", default="truncated",
+                        help="fpure: truncated or pointcount; other checks run one method")
 
     scan = sub.add_parser("scan", help="scan a check across primes")
     scan.add_argument("check", choices=("conjecture45",))
+    add_common(scan)
     # one method, so --method only stays because the benchmark's job lines pass it
-    add_common(scan, ("fiber",))
+    scan.add_argument("--method", choices=("fiber",), default="fiber")
 
     dump = sub.add_parser("generators", help="dump permanental ideal generators, one per line")
     dump.add_argument("--shape", required=True)
@@ -163,21 +170,26 @@ def _parse_primes(text):
     return primes
 
 
-def _take_flags(args, required, optional=()):
-    """Refuse a missing required flag, or a given one the check does not take."""
+def _take_flags(args, required, optional=(), methods=("truncated",)):
+    """Refuse a missing required flag, a given one the check does not take,
+    or a --method it does not run."""
     for flag in ("shape", "m", "n", "t", "p"):
         given = getattr(args, flag) is not None
         if flag in required and not given:
             raise UsageError(f"--{flag} is required for this check")
         if given and flag not in required and flag not in optional:
             raise UsageError(f"{args.check} does not take --{flag}")
-    if args.method != "truncated" and "method" not in optional:
+    if args.method in methods:
+        return
+    if len(methods) == 1:
         raise UsageError(f"{args.check} does not take --method")
+    choices = ", ".join(map(repr, methods))
+    raise UsageError(f"argument --method: invalid choice: {args.method!r} (choose from {choices})")
 
 
 def _run_verify(args) -> list:
     check = CHECKS[args.check]
-    _take_flags(args, check.required, check.optional)
+    _take_flags(args, check.required, check.optional, check.methods)
     primes = _parse_primes(args.p) if "p" in check.required else None
     module = importlib.import_module(f".{check.module}", __package__)
     if primes is None:
@@ -190,7 +202,7 @@ def _run_verify(args) -> list:
 def _run_scan(args) -> list:
     from . import frobcheck
 
-    _take_flags(args, ("p",), ("method",))
+    _take_flags(args, ("p",), methods=("fiber",))
     primes = _parse_primes(args.p)
     return [frobcheck.scan_three_by_four_fpurity(primes)]
 

@@ -744,3 +744,45 @@ def member_bounded_single(target, generators, degree_bound) -> Optional[dict]:
     if total != target:
         raise RuntimeError("solver returned a combination that does not re-multiply to the target")
     return combination
+
+
+def entry_triples(shape) -> set:
+    """The exponents of every product of three entries from three distinct
+    columns and two distinct rows (n >= 3), and of the transpose
+    configuration (m >= 3), by brute force over row and column words; the
+    oracle for `monomials._entry_triples`."""
+    m, n = shape.nrows, shape.ncols
+    exponents = set()
+
+    def add(rows, cols):
+        exps = [0] * shape.space.count
+        for r, c in zip(rows, cols):
+            exps[shape.entry_index(r, c)] += 1
+        exponents.add(tuple(exps))
+
+    if n >= 3:
+        for cols in itertools.combinations(range(n), 3):
+            for rows in itertools.product(range(m), repeat=3):
+                if len(set(rows)) == 2:
+                    add(rows, cols)
+    if m >= 3:
+        for rows in itertools.combinations(range(m), 3):
+            for cols in itertools.product(range(n), repeat=3):
+                if len(set(cols)) == 2:
+                    add(rows, cols)
+    return exponents
+
+
+def squared_entry_triples(shape) -> set:
+    """The exponents of every product x_{i1 j1}^2 x_{i2 j2} x_{i3 j3} with
+    distinct rows and distinct columns, by brute force over ordered row and
+    column triples; the oracle for `monomials._squared_entry_triples`."""
+    exponents = set()
+    for rows in itertools.permutations(range(shape.nrows), 3):
+        for cols in itertools.permutations(range(shape.ncols), 3):
+            exps = [0] * shape.space.count
+            exps[shape.entry_index(rows[0], cols[0])] += 2
+            exps[shape.entry_index(rows[1], cols[1])] += 1
+            exps[shape.entry_index(rows[2], cols[2])] += 1
+            exponents.add(tuple(exps))
+    return exponents

@@ -562,9 +562,14 @@ class TestCheckTable:
           "pointcount"), "--method"),
         (("verify", "monomials28", "--m", "2", "--n", "3", "--p", "3", "--method",
           "pointcount"), "--method"),
+        # fiber is the scan's method; no verify check lists it as a choice
+        (("verify", "lemma34", "--n", "3", "--p", "3", "--method", "fiber"), "--method"),
+        (("verify", "witness-generic", "--m", "2", "--n", "3", "--p", "3", "--method",
+          "fiber"), "--method"),
     ]
 
-    @pytest.mark.parametrize("argv, flag", REFUSED, ids=[f"{a[1]}{f}" for a, f in REFUSED])
+    @pytest.mark.parametrize("argv, flag", REFUSED, ids=[
+        f"{a[1]}{f}" + ("=fiber" if a[-1] == "fiber" else "") for a, f in REFUSED])
     def test_flag_the_check_ignores_is_refused(self, capsys, argv, flag):
         code, out, err = invoke(capsys, *argv)
         assert code == 1

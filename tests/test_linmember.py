@@ -18,7 +18,6 @@ from permcheck.linmember import (
     members_bounded,
     term_table,
 )
-from permcheck.monomials import _squared_entry_triples
 from permcheck.shapes import MatrixShape, permanental_generators
 from permcheck.witnesses import minimal_primes_generic, witness
 from helpers import (
@@ -27,6 +26,7 @@ from helpers import (
     monomials_up_to,
     prime_generators,
     prime_omega,
+    squared_entry_triples,
 )
 
 
@@ -233,7 +233,7 @@ class TestMembersBounded:
 
         monkeypatch.setattr(linmember, "build_system", recording_build_system)
         shape = MatrixShape.generic(4, 4)
-        targets = [Polynomial.monomial(shape.space, 3, e) for e in _squared_entry_triples(shape)]
+        targets = [Polynomial.monomial(shape.space, 3, e) for e in squared_entry_triples(shape)]
         gens = permanental_generators(shape, 2, char=3).generators
         combinations = members_bounded(targets, gens, 4)
         assert all(combinations) and len(combinations) == len(sizes) == 288

@@ -1,15 +1,15 @@
-"""monomials28 / monomials29: one system per orbit, every target re-multiplied."""
+"""monomials28 / monomials29: each target generated with its maps, one
+system per orbit, every target re-multiplied."""
 
-import json
-import random
+import itertools
 
 import pytest
 
 from permcheck import linmember, monomials
-from permcheck.fppoly import Polynomial, parse_poly, render_poly
+from permcheck.fppoly import Polynomial, _shifts, render_poly, unpack_terms
 from permcheck.linmember import members_bounded
 from permcheck.monomials import (
-    _entry_products_in_p2,
+    _block_permanent,
     _entry_triple_count,
     _entry_triples,
     _squared_entry_triple_count,
@@ -17,12 +17,20 @@ from permcheck.monomials import (
     verify_entry_triples,
     verify_squared_entry_triples,
 )
-from permcheck.shapes import MatrixShape, permanental_generators
+from permcheck.shapes import MatrixShape, permanent, permanental_generators
+from helpers import entry_triples, squared_entry_triples
 
 
-def _exponents(monomial):
-    (mono, _), = monomial.items()
-    return mono
+def generated(targets, shape) -> list:
+    """The exponents of every target that targets(m, n) generates, its
+    representative's cells moved by its row and column maps."""
+    out = []
+    for rep, rows, cols in targets(shape.nrows, shape.ncols):
+        exps = [0] * shape.space.count
+        for r, c, e in rep:
+            exps[shape.entry_index(rows[r], cols[c])] += e
+        out.append(tuple(exps))
+    return out
 
 
 def per_target_evidence(shape, p, exponents, degree):
@@ -33,6 +41,10 @@ def per_target_evidence(shape, p, exponents, degree):
                 if comb is None]
     return {"targets": len(targets), "members": len(targets) - len(failures),
             "failures": failures}
+
+
+def never(*args, **kwargs):
+    raise AssertionError("a target was generated before the matrix was refused")
 
 
 class TestEntryProducts:
@@ -55,33 +67,30 @@ class TestEntryProducts:
         with pytest.raises(ValueError):
             verify_squared_entry_triples(2, 3, 3)
 
-    def test_triples_need_a_side_of_3(self):
-        # 2x2 has no target, so it would pass or fail vacuously
-        with pytest.raises(ValueError, match="need m >= 3 or n >= 3"):
-            verify_entry_triples(2, 2, 3)
-
-    def test_non_member_reported_under_failures(self):
-        # the six monomials28 targets of 2x3 plus x1_1*x1_2*x2_2, which shares
-        # its row with a column (x1_2 * perm) but is not in P_2 at degree 3
-        shape = MatrixShape.generic(2, 3)
-        members = ["x1_1*x1_2*x2_3", "x1_1*x1_3*x2_2", "x1_1*x2_2*x2_3",
-                   "x1_2*x1_3*x2_1", "x1_2*x2_1*x2_3", "x1_3*x2_1*x2_2"]
-        exponents = {_exponents(parse_poly(t, shape.space, 3)) for t in members}
-        exponents.add(_exponents(parse_poly("x1_1*x1_2*x2_2", shape.space, 3)))
-        report = _entry_products_in_p2("monomials28", shape, 3, lambda _: exponents, 3)
-        assert report.verdict == "fail"
-        assert report.evidence == {"targets": 7, "members": 6, "failures": ["x1_1*x1_2*x2_2"]}
-        assert verify_entry_triples(2, 3, 3).evidence["failures"] == []
+    @pytest.mark.parametrize("m, n", [(1, 3), (3, 1), (2, 2), (1, 6), (6, 1)])
+    def test_triples_without_a_target_are_refused(self, monkeypatch, m, n):
+        # no target, so the job would pass vacuously
+        monkeypatch.setattr(monomials, "_entry_triples", never)
+        with pytest.raises(ValueError, match="need n >= 3 and m >= 2, or m >= 3 and n >= 2"):
+            verify_entry_triples(m, n, 3)
 
 
 class TestTargetSize:
-    SHAPES = [(m, n) for m in range(2, 6) for n in range(2, 6) if m * n > 4]
+    SHAPES = [(m, n) for m in range(1, 7) for n in range(1, 7)]
 
     @pytest.mark.parametrize("m, n", SHAPES)
-    def test_counts_match_the_built_sets(self, m, n):
+    def test_targets_match_the_brute_force_sets(self, m, n):
         shape = MatrixShape.generic(m, n)
-        assert _entry_triple_count(m, n) == len(_entry_triples(shape))
-        assert _squared_entry_triple_count(m, n) == len(_squared_entry_triples(shape))
+        for targets, oracle in [(_entry_triples, entry_triples),
+                                (_squared_entry_triples, squared_entry_triples)]:
+            exponents = generated(targets, shape)
+            assert len(set(exponents)) == len(exponents)
+            assert set(exponents) == oracle(shape)
+
+    @pytest.mark.parametrize("m, n", SHAPES)
+    def test_counts_match_the_generated_targets(self, m, n):
+        assert _entry_triple_count(m, n) == sum(1 for _ in _entry_triples(m, n))
+        assert _squared_entry_triple_count(m, n) == sum(1 for _ in _squared_entry_triples(m, n))
 
     @pytest.mark.parametrize("verify, count", [
         (verify_entry_triples, _entry_triple_count(3, 4)),
@@ -100,13 +109,21 @@ class TestTargetSize:
         (verify_squared_entry_triples, "_squared_entry_triples"),
     ])
     def test_oversized_matrix_is_refused_before_its_targets(self, monkeypatch, verify, builder):
-        def never(*args, **kwargs):
-            raise AssertionError("the target set was built before the matrix was refused")
-
         monkeypatch.setattr(monomials, builder, never)
         monkeypatch.setattr(monomials, "permanental_generators", never)
         with pytest.raises(ValueError, match="exponent entries"):
             verify(100000, 100000, 3)
+
+
+@pytest.mark.parametrize("m, n", [(m, n) for m in range(2, 5) for n in range(2, 6)])
+def test_block_permanent_is_the_2x2_permanent(m, n):
+    shape = MatrixShape.generic(m, n)
+    shifts = _shifts(m * n, 2)
+    at = [[shifts[r * n + c] for c in range(n)] for r in range(m)]
+    for rows in itertools.combinations(range(m), 2):
+        for cols in itertools.combinations(range(n), 2):
+            block = unpack_terms(_block_permanent(at, rows, cols), shape.space, 3, 2)
+            assert block == permanent(shape, rows, cols, char=3)
 
 
 @pytest.fixture
@@ -132,31 +149,35 @@ class TestOrbits:
     def test_monomials28_matches_per_target(self, m, n, p):
         shape = MatrixShape.generic(m, n)
         report = verify_entry_triples(m, n, p)
-        assert report.evidence == per_target_evidence(shape, p, _entry_triples(shape), 3)
+        assert report.evidence == per_target_evidence(shape, p, entry_triples(shape), 3)
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     @pytest.mark.parametrize("m, n", [(3, 3), (3, 4), (4, 4), (4, 5), (5, 5)])
     def test_monomials29_matches_per_target(self, m, n, p):
         shape = MatrixShape.generic(m, n)
         report = verify_squared_entry_triples(m, n, p)
-        assert report.evidence == per_target_evidence(shape, p, _squared_entry_triples(shape), 4)
+        assert report.evidence == per_target_evidence(shape, p, squared_entry_triples(shape), 4)
 
-    @pytest.mark.parametrize("m, n, degree", [(3, 3, 3), (3, 4, 3), (3, 3, 4), (4, 4, 4)])
-    def test_arbitrary_targets_match_per_target(self, m, n, degree):
-        # random monomials: members and non-members, on up to `degree` rows
-        # and columns, so failures and their order are compared too
-        shape = MatrixShape.generic(m, n)
-        rng = random.Random(m * 100 + n * 10 + degree)
-        exponents = set()
-        while len(exponents) < 60:
-            exps = [0] * shape.space.count
-            for _ in range(degree):
-                exps[rng.randrange(shape.space.count)] += 1
-            exponents.add(tuple(exps))
-        report = _entry_products_in_p2("monomials28", shape, 3, lambda _: exponents, degree)
-        expected = per_target_evidence(shape, 3, exponents, degree)
-        assert report.evidence == expected
-        assert expected["failures"] and expected["members"]
+    @pytest.mark.parametrize("verify, oracle, degree, rep, columns", [
+        (verify_entry_triples, entry_triples, 3, ((0, 0, 1), (0, 1, 1), (1, 2, 1)), 3),
+        (verify_entry_triples, entry_triples, 3, ((0, 0, 1), (1, 0, 1), (2, 1, 1)), 2),
+        (verify_squared_entry_triples, squared_entry_triples, 4,
+         ((0, 0, 2), (1, 1, 1), (2, 2, 1)), 3),
+    ], ids=["x11*x12*x23", "x11*x21*x32", "x11^2*x22*x33"])
+    def test_orbit_without_a_certificate_fails_every_target(self, monkeypatch, verify, oracle,
+                                                             degree, rep, columns):
+        # the orbit of rep is the targets on as many columns as rep uses
+        certificate = monomials._certificate
+        monkeypatch.setattr(monomials, "_certificate",
+                            lambda r, p, d: None if r == rep else certificate(r, p, d))
+        shape = MatrixShape.generic(3, 4)
+        targets = per_target_evidence(shape, 5, oracle(shape), degree)["targets"]
+        orbit = [render_poly(Polynomial.monomial(shape.space, 5, e)) for e in sorted(oracle(shape))
+                 if len({i % 4 for i, x in enumerate(e) if x}) == columns]
+        report = verify(3, 4, 5)
+        assert report.verdict == "fail"
+        assert report.evidence == {"targets": targets, "members": targets - len(orbit),
+                                   "failures": orbit}
 
     def test_one_system_per_orbit(self, systems):
         # monomials29 has one orbit, monomials28 two (a target and its transpose)
@@ -169,38 +190,6 @@ class TestOrbits:
         assert len(systems) == 2
 
 
-class TestTargetsOncePerJob:
-    """The targets and their canonical forms do not depend on p: a job over
-    several primes builds them once, and the cache keeps one shape."""
-
-    def test_one_build_for_two_primes(self, capsys, monkeypatch):
-        from permcheck.cli import run
-
-        def reports(*primes):
-            monomials._orbits.cache_clear()
-            assert run(["verify", "monomials29", "--m", "3", "--n", "3", "--p",
-                        ",".join(primes), "--format", "json"]) == 0
-            out = json.loads(capsys.readouterr().out)["reports"]
-            return [{k: v for k, v in r.items() if k != "ms"} for r in out]
-
-        separately = reports("3") + reports("5")
-        built = []
-        real = monomials._squared_entry_triples
-
-        def counted(shape):
-            built.append(shape)
-            return real(shape)
-
-        monkeypatch.setattr(monomials, "_squared_entry_triples", counted)
-        assert reports("3", "5") == separately
-        assert len(built) == 1
-
-    def test_cache_holds_the_last_shape_only(self):
-        verify_squared_entry_triples(3, 3, 3)
-        verify_squared_entry_triples(3, 4, 3)
-        assert monomials._orbits.cache_info().currsize == 1
-
-
 class TestMovedCertificatesAreChecked:
     """A wrong map from the representative to a target is caught by the
     re-multiplication of the moved certificate."""
@@ -208,9 +197,9 @@ class TestMovedCertificatesAreChecked:
     def test_wrong_generator_map_raises(self, monkeypatch):
         move = monomials._move
 
-        def wrong_generators(*args):
-            moved = move(*args)
-            return [((gi + 1) % len(args[3]), terms) for gi, terms in moved]
+        def wrong_generators(certificate, at):
+            moved = move(certificate, at)
+            return [(h, moved[(i + 1) % len(moved)][1]) for i, (h, _) in enumerate(moved)]
 
         monkeypatch.setattr(monomials, "_move", wrong_generators)
         with pytest.raises(RuntimeError, match="does not re-multiply"):
@@ -219,10 +208,10 @@ class TestMovedCertificatesAreChecked:
     def test_wrong_variable_map_raises(self, monkeypatch):
         move = monomials._move
 
-        def wrong_variables(certificate, row_map, col_map, *rest):
-            right = move(certificate, row_map, col_map, *rest)
-            swapped = move(certificate, row_map, col_map[::-1], *rest)
-            return [(gi, terms) for (gi, _), (_, terms) in zip(right, swapped)]
+        def wrong_variables(certificate, at):
+            right = move(certificate, at)
+            swapped = move(certificate, [row[::-1] for row in at])
+            return [(h, g) for (_, g), (h, _) in zip(right, swapped)]
 
         monkeypatch.setattr(monomials, "_move", wrong_variables)
         with pytest.raises(RuntimeError, match="does not re-multiply"):
