@@ -1,22 +1,22 @@
 """The checks `monomials28` and `monomials29`: products of entries of a
 generic matrix that lie in P_2, the ideal of its 2x2 permanents.
 
-Permuting rows and columns maps P_2 to itself and keeps degrees, so it maps
-the degree-bounded span that `linmember` decides to itself as well.  Every
-monomials29 target is in the S_m x S_n orbit of x11^2*x22*x33, and every
-monomials28 target is in the orbit of x11*x12*x23 or of its transpose
-x11*x21*x32.  `_squared_entry_triples` and `_entry_triples` generate each
-target once, as its representative and the row and column maps that carry
-the representative onto it.  A generator term that divides a monomial uses
-rows and columns of that monomial, and so does the generator's other term,
-so a representative's system, and with it its certificate, stays in the
-rows and columns the representative uses.  So each representative's system
-is solved once per prime on its own 2x3, 3x2 or 3x3 generic shape, and the
-certificate is moved to every target of the orbit: each variable x_rc to
-x_{row_map[r] col_map[c]}, and each generator to the permanent of the moved
-block, x_ac*x_bd + x_ad*x_bc for rows a, b and columns c, d.  Every moved
-certificate is re-multiplied against its own target by one `fppoly.mul_sum`
-on packed terms.  This module loads neither `frobcheck` nor `hankel`.
+Permuting rows and columns maps P_2 to itself.  Every monomials29 target is
+in the S_m x S_n orbit of x11^2*x22*x33, and every monomials28 target is in
+the orbit of x11*x12*x23 or of its transpose x11*x21*x32.
+`_squared_entry_triples` and `_entry_triples` generate each target once, as
+its representative and the row and column maps that carry the
+representative onto it.  Each representative has a stored identity over
+Z[1/2], `_IDENTITIES`, that writes it as a sum of 2x2 block permanents
+times one-monomial multipliers; at a prime p, 1/2 is (p + 1)/2.  The
+identity is moved to every target of the orbit: each variable x_rc to
+x_{row_map[r] col_map[c]}, and each block permanent to the permanent of the
+moved block, x_ac*x_bd + x_ad*x_bc for rows a, b and columns c, d.  Every
+moved identity is re-multiplied against its own target by one
+`fppoly.mul_sum` on packed terms.  No linear system is solved: the tests
+prove the identities over Z and compare them with the certificates that
+`linmember` solves.  This module loads neither `frobcheck`, `hankel` nor
+`linmember`.
 """
 
 from __future__ import annotations
@@ -25,28 +25,54 @@ import itertools
 import math
 import time
 
-from .fppoly import Polynomial, _shifts, mul_sum, render_poly, unpack_terms
-from .linmember import members_bounded
+from .fppoly import _shifts, check_prime, mul_sum, render_poly, unpack_terms
 from .report import LemmaReport, make_report
-from .shapes import MatrixShape, permanental_generators
+from .shapes import MatrixShape
 
 
-# Most exponent entries, targets x variables, of a monomials28/29 job,
-# refused from m and n before its first target.  On a 2-core Xeon VM at
-# p = 3: monomials29 at 9x9 (127,008 targets, 10,287,648 entries, admitted)
-# took 3.3 s and monomials28 at 10x10 (6,480,000) 1.0 s, each at 15 MB
-# peak RSS, as no target set is held; monomials28 at 12x12 (25,090,560) is
-# refused, as is monomials29 at 10x10 (25,920,000).
-MAX_TARGET_ENTRIES = 1 << 24
+# Most targets of a monomials28/29 job, refused from m and n before its
+# first target.  On a 2-core Xeon VM at p = 3, monomials29 at 10x10
+# (259,200 targets, admitted) took 3.1-5.2 s over four runs and monomials28
+# at 12x12 (174,240) 1.8-2.3 s, each at 15 MB peak RSS, as no target set is
+# held; monomials28 at 13x13 (267,696) and monomials29 at 11x11 (490,050)
+# are refused.
+MAX_TARGETS = 1 << 18
+
+# Each representative, cells (row, column, exponent) from 0, with its
+# identity over Z[1/2] as (block rows, block columns, multiplier cells,
+# twice the coefficient): twice the representative is the sum of twice the
+# coefficient times the product of the cells times the block permanent.
+# Below, g[ab;cd] = x_ac*x_bd + x_ad*x_bc, with indices from 1.
+_IDENTITIES = {
+    # x11^2*x22*x33 = x11*x33*g[12;12] - 1/2*x12*x21*g[13;13]
+    #                 - 1/2*x11*x21*g[13;23] + 1/2*x13*x21*g[13;12]
+    ((0, 0, 2), (1, 1, 1), (2, 2, 1)): (
+        ((0, 1), (0, 1), ((0, 0), (2, 2)), 2),
+        ((0, 2), (0, 2), ((0, 1), (1, 0)), -1),
+        ((0, 2), (1, 2), ((0, 0), (1, 0)), -1),
+        ((0, 2), (0, 1), ((0, 2), (1, 0)), 1),
+    ),
+    # x11*x12*x23 = 1/2*x12*g[12;13] + 1/2*x11*g[12;23] - 1/2*x13*g[12;12]
+    ((0, 0, 1), (0, 1, 1), (1, 2, 1)): (
+        ((0, 1), (0, 2), ((0, 1),), 1),
+        ((0, 1), (1, 2), ((0, 0),), 1),
+        ((0, 1), (0, 1), ((0, 2),), -1),
+    ),
+    # x11*x21*x32 = 1/2*x21*g[13;12] + 1/2*x11*g[23;12] - 1/2*x31*g[12;12]
+    ((0, 0, 1), (1, 0, 1), (2, 1, 1)): (
+        ((0, 2), (0, 1), ((1, 0),), 1),
+        ((1, 2), (0, 1), ((0, 0),), 1),
+        ((0, 1), (0, 1), ((2, 0),), -1),
+    ),
+}
 
 
 def _refuse_oversized(check: str, shape: MatrixShape, targets: int) -> None:
-    """ValueError when `targets` targets of `shape` pass MAX_TARGET_ENTRIES,
+    """ValueError when `targets` targets of `shape` pass MAX_TARGETS,
     before the first target or `shape.space` is built."""
-    variables = shape.variable_count
-    if targets * variables > MAX_TARGET_ENTRIES:
-        raise ValueError(f"{check} of {shape.spec_string()} has {targets} targets in {variables} "
-                         f"variables, more than {MAX_TARGET_ENTRIES} exponent entries")
+    if targets > MAX_TARGETS:
+        raise ValueError(f"{check} of {shape.spec_string()} has {targets} targets, "
+                         f"more than {MAX_TARGETS}")
 
 
 def _block_permanent(at, rows, cols) -> dict:
@@ -56,35 +82,12 @@ def _block_permanent(at, rows, cols) -> dict:
     return {(1 << at[a][c]) + (1 << at[b][d]): 1, (1 << at[a][d]) + (1 << at[b][c]): 1}
 
 
-def _certificate(rep, p: int, degree: int):
-    """The certificate of a representative, cells (row, column, exponent),
-    solved on the generic shape of the rows and columns it uses:
-    [(block rows, block columns, [(cells, coefficient)])] over the 2x2
-    blocks whose permanents it multiplies, or None if the representative is
-    not in P_2 at the degree."""
-    nrows, ncols = (1 + max(cell[k] for cell in rep) for k in (0, 1))
-    shape = MatrixShape.generic(nrows, ncols)
-    exps = [0] * shape.variable_count
-    for r, c, e in rep:
-        exps[r * ncols + c] = e
-    gens = permanental_generators(shape, 2, char=p).generators  # blocks in this order
-    blocks = [(rows, cols) for rows in itertools.combinations(range(nrows), 2)
-              for cols in itertools.combinations(range(ncols), 2)]
-    [comb] = members_bounded([Polynomial.monomial(shape.space, p, exps)], gens, degree)
-    return None if comb is None else [
-        (*blocks[gi],
-         [([(i // ncols, i % ncols, e) for i, e in enumerate(mono) if e], c) for mono, c in h.items()])
-        for gi, h in comb.items()
-    ]
-
-
-def _move(certificate, at) -> list:
-    """A representative's certificate as (multiplier, block permanent) pairs
-    of packed terms, moved onto the target where x_rc of the representative
-    has bit offset at[r][c]."""
-    return [({sum(e << at[r][c] for r, c, e in cells): coeff for cells, coeff in terms},
-             _block_permanent(at, rows, cols))
-            for rows, cols, terms in certificate]
+def _move(identity, at, half: int) -> list:
+    """A representative's identity as (multiplier, block permanent) pairs of
+    packed terms, moved onto the target where x_rc of the representative
+    has bit offset at[r][c], each coefficient twice its value times `half`."""
+    return [({sum(1 << at[r][c] for r, c in cells): twice * half}, _block_permanent(at, rows, cols))
+            for rows, cols, cells, twice in identity]
 
 
 def _entry_products_in_p2(
@@ -92,36 +95,26 @@ def _entry_products_in_p2(
 ) -> LemmaReport:
     """Shared body of `monomials28` / `monomials29`: every target of
     targets(m, n), each a (representative, row map, column map), lies in P_2
-    of the generic m x n matrix, decided by linear algebra at the degree on
-    one system per representative."""
+    of the generic m x n matrix, by its representative's identity moved
+    onto it and re-multiplied.  ValueError unless p is an odd prime."""
+    check_prime(p)
     t0 = time.perf_counter()
     m, n = shape.nrows, shape.ncols
     params = {"shape": shape.spec_string(), "m": m, "n": n, "p": p}
-    # exponents stay at most `degree` in every product of a certificate
+    # exponents stay at most `degree` in every product of an identity
     width = degree.bit_length()
     shifts = _shifts(m * n, width)
-
-    def render(key):
-        return render_poly(unpack_terms({key: 1}, shape.space, p, width))
-
-    certificates: dict = {}  # representative -> its certificate, or None
-    count, failures = 0, []
+    half = (p + 1) // 2  # 1/2 mod p
+    count = 0
     for rep, row_map, col_map in targets(m, n):
         count += 1
-        if rep not in certificates:
-            certificates[rep] = _certificate(rep, p, degree)
         at = [[shifts[r * n + c] for c in col_map] for r in row_map]
         target = sum(e << at[r][c] for r, c, e in rep)
-        if certificates[rep] is None:
-            failures.append(target)
-        elif mul_sum(_move(certificates[rep], at), p) != {target: 1}:
-            raise RuntimeError(
-                "a moved certificate does not re-multiply to its target " + render(target)
-            )
-    # packed keys order as their exponent tuples do
-    failures = [render(key) for key in sorted(failures)]
-    evidence = {"targets": count, "members": count - len(failures), "failures": failures}
-    return make_report(check, params, not failures, evidence, t0)
+        if mul_sum(_move(_IDENTITIES[rep], at, half), p) != {target: 1}:
+            raise RuntimeError("a moved identity does not re-multiply to its target "
+                               + render_poly(unpack_terms({target: 1}, shape.space, p, width)))
+    evidence = {"targets": count, "members": count, "failures": []}
+    return make_report(check, params, True, evidence, t0)
 
 
 def _entry_triples(m: int, n: int):
@@ -172,7 +165,7 @@ def _squared_entry_triple_count(m: int, n: int) -> int:
 def verify_entry_triples(m: int, n: int, p: int) -> LemmaReport:
     """CLI check `monomials28`: every product of three entries from three
     distinct columns and two distinct rows (n >= 3), or the transpose
-    configuration (m >= 3), lies in P_2, decided at d = 3."""
+    configuration (m >= 3), lies in P_2."""
     if not (n >= 3 and m >= 2 or m >= 3 and n >= 2):
         raise ValueError("the entry triples need n >= 3 and m >= 2, or m >= 3 and n >= 2")
     shape = MatrixShape.generic(m, n)
@@ -182,7 +175,7 @@ def verify_entry_triples(m: int, n: int, p: int) -> LemmaReport:
 
 def verify_squared_entry_triples(m: int, n: int, p: int) -> LemmaReport:
     """CLI check `monomials29`: every product x_{i1 j1}^2 x_{i2 j2} x_{i3 j3}
-    with distinct rows and distinct columns lies in P_2, at d = 4."""
+    with distinct rows and distinct columns lies in P_2."""
     if m < 3 or n < 3:
         raise ValueError("the squared-entry products need m, n >= 3")
     shape = MatrixShape.generic(m, n)

@@ -139,6 +139,11 @@ def build_matrix(shape: MatrixShape) -> MatrixShape:
     return shape
 
 
+def _refuse_permanent_size(s: int) -> None:
+    if s > MAX_SYMBOLIC_PERMANENT:
+        raise ValueError(f"symbolic permanent size {s} exceeds limit {MAX_SYMBOLIC_PERMANENT}")
+
+
 def permanent(
     shape: MatrixShape,
     rows: Optional[Sequence[int]] = None,
@@ -158,8 +163,7 @@ def permanent(
     s = len(rows)
     if s != len(cols):
         raise ValueError(f"selection is not square: {s} rows, {len(cols)} columns")
-    if s > MAX_SYMBOLIC_PERMANENT:
-        raise ValueError(f"symbolic permanent size {s} exceeds limit {MAX_SYMBOLIC_PERMANENT}")
+    _refuse_permanent_size(s)
     check_prime(char)
     w = s.bit_length()
     shifts = _shifts(shape.space.count, w)
@@ -223,10 +227,11 @@ def permanental_generators(shape: MatrixShape, t: int, char: int) -> IdealPresen
     For symmetric and Hankel matrices distinct row/column selections can give
     equal polynomials; only the first occurrence is kept as a generator and
     later ones are recorded in `duplicates`.  ValueError, before any
-    permanent or `shape.space` is built, when they could pass
-    MAX_GENERATOR_ENTRIES.
+    permanent or `shape.space` is built, when t passes
+    MAX_SYMBOLIC_PERMANENT or they could pass MAX_GENERATOR_ENTRIES.
     """
     complete_intersection = _is_known_complete_intersection(shape, t)  # refuses t out of range
+    _refuse_permanent_size(t)  # before t! is computed
     m, n = shape.nrows, shape.ncols
     selections = math.comb(m, t) * math.comb(n, t)
     terms = math.factorial(t)

@@ -12,6 +12,7 @@ from permcheck.fppoly import (Polynomial, StructureError, VariableSpace, exact_d
 from permcheck.frobcheck import _omega_power, _require_ci
 from permcheck import linmember
 from permcheck.linmember import SizeGuardError
+from permcheck.shapes import MatrixShape, permanental_generators
 
 
 def brute_permanent(shape, rows, cols, char):
@@ -786,3 +787,26 @@ def squared_entry_triples(shape) -> set:
             exps[shape.entry_index(rows[2], cols[2])] += 1
             exponents.add(tuple(exps))
     return exponents
+
+
+def solved_identity(rep, p: int, degree: int) -> Optional[dict]:
+    """The certificate that `linmember` solves at the degree for a
+    monomials28/29 representative, cells (row, column, exponent), on the
+    generic shape of the rows and columns it uses: {(block rows, block
+    columns): {multiplier cells (row, column), repeated by exponent:
+    coefficient}}, or None if the representative is not in P_2 at the
+    degree.  The second engine for the identities that `monomials` stores."""
+    nrows, ncols = (1 + max(cell[k] for cell in rep) for k in (0, 1))
+    shape = MatrixShape.generic(nrows, ncols)
+    exps = [0] * shape.variable_count
+    for r, c, e in rep:
+        exps[r * ncols + c] = e
+    gens = permanental_generators(shape, 2, char=p).generators  # blocks in this order
+    blocks = [(rows, cols) for rows in itertools.combinations(range(nrows), 2)
+              for cols in itertools.combinations(range(ncols), 2)]
+    [comb] = linmember.members_bounded([Polynomial.monomial(shape.space, p, exps)], gens, degree)
+    return None if comb is None else {
+        blocks[gi]: {tuple((i // ncols, i % ncols) for i, e in enumerate(mono) for _ in range(e)): c
+                     for mono, c in h.items()}
+        for gi, h in comb.items()
+    }

@@ -70,14 +70,16 @@ class TestExitCodes:
         assert out == ""
         assert "exponent entries" in err
 
-    @pytest.mark.parametrize("argv, module, builder", [
-        (("generators", "--shape", "generic:40x40", "--t", "2"), shapes, "permanent"),
+    @pytest.mark.parametrize("argv, module, builder, message", [
+        (("generators", "--shape", "generic:40x40", "--t", "2"), shapes, "permanent",
+         "exponent entries"),
         (("verify", "monomials28", "--m", "40", "--n", "40", "--p", "3"), monomials,
-         "_entry_triples"),
+         "_entry_triples", "has 92476800 targets, more than 262144"),
         (("verify", "monomials29", "--m", "12", "--n", "12", "--p", "3"), monomials,
-         "_squared_entry_triples"),
+         "_squared_entry_triples", "has 871200 targets, more than 262144"),
     ])
-    def test_oversized_build_is_usage_error(self, capsys, monkeypatch, argv, module, builder):
+    def test_oversized_build_is_usage_error(self, capsys, monkeypatch, argv, module, builder,
+                                            message):
         # refused from m, n and t before the first permanent or target is built
         def never(*args, **kwargs):
             raise AssertionError(f"{builder} ran before the size was refused")
@@ -86,7 +88,25 @@ class TestExitCodes:
         code, out, err = invoke(capsys, *argv)
         assert code == 1
         assert out == ""
-        assert err.startswith("permcheck: error:") and "exponent entries" in err
+        assert err.startswith("permcheck: error:") and message in err
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "fpure", "--shape", "symmetric:3000", "--p", "3"),
+        ("generators", "--shape", "hankel:3000"),
+        ("verify", "fpure", "--shape", "generic:100000x100000", "--p", "3"),
+        ("verify", "fpure", "--shape", "generic:1000000x1000000", "--p", "3"),
+        ("verify", "fpure", "--shape", "generic:9x9", "--p", "3"),
+    ], ids=["fpure-symmetric:3000", "generators-hankel:3000", "fpure-generic:100000x100000",
+            "fpure-generic:1000000x1000000", "fpure-generic:9x9"])
+    def test_oversized_t_is_refused_at_once(self, capsys, argv):
+        # t = n is refused before t! is computed or printed
+        t = argv[argv.index("--shape") + 1].partition(":")[2].partition("x")[0]
+        t0 = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        assert time.perf_counter() - t0 < 0.5
+        assert code == 1
+        assert out == ""
+        assert err == f"permcheck: error: symbolic permanent size {t} exceeds limit 8\n"
 
     def test_overflowing_point_count_is_usage_error(self, capsys):
         # at p = 2^31 - 1 a block is one lane, and the p^4 or p^5 masks of each
@@ -771,7 +791,8 @@ class TestColdStart:
         else:
             assert "permcheck.hankel" not in modules
         if module == "monomials":
-            assert "permcheck.frobcheck" not in modules
+            # the stored identities are moved and re-multiplied; no system is solved
+            assert not {"permcheck.frobcheck", "permcheck.linmember"} & set(modules)
         if argv[1] in ("fpure", "conjecture45"):
             # only the witness checks run colon membership
             assert "permcheck.colon" not in modules
@@ -786,7 +807,8 @@ class TestColdStart:
         assert cold_start()[:3] == (NOTHING, 0, NOTHING)
 
     def test_import_loads_no_linmember(self):
-        # only monomials28/29 use it, and their module imports it when they run
+        # no CLI job uses it: it is a library routine and the tests' second
+        # engine for the monomials28/29 identities
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, permcheck.cli; print('permcheck.linmember' in sys.modules)"],

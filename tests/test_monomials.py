@@ -1,14 +1,16 @@
 """monomials28 / monomials29: each target generated with its maps, one
-system per orbit, every target re-multiplied."""
+stored identity per orbit, every target re-multiplied; the identities
+proven over Z and checked against the linmember solve."""
 
 import itertools
 
 import pytest
 
 from permcheck import linmember, monomials
-from permcheck.fppoly import Polynomial, _shifts, render_poly, unpack_terms
+from permcheck.fppoly import Polynomial, _shifts, mul_sum, render_poly, unpack_terms
 from permcheck.linmember import members_bounded
 from permcheck.monomials import (
+    _IDENTITIES,
     _block_permanent,
     _entry_triple_count,
     _entry_triples,
@@ -18,7 +20,9 @@ from permcheck.monomials import (
     verify_squared_entry_triples,
 )
 from permcheck.shapes import MatrixShape, permanent, permanental_generators
-from helpers import entry_triples, squared_entry_triples
+from helpers import entry_triples, solved_identity, squared_entry_triples
+
+REP_IDS = ["x11^2*x22*x33", "x11*x12*x23", "x11*x21*x32"]  # the keys of _IDENTITIES
 
 
 def generated(targets, shape) -> list:
@@ -67,6 +71,14 @@ class TestEntryProducts:
         with pytest.raises(ValueError):
             verify_squared_entry_triples(2, 3, 3)
 
+    @pytest.mark.parametrize("verify", [verify_entry_triples, verify_squared_entry_triples])
+    @pytest.mark.parametrize("p", [2, 9])
+    def test_p_must_be_an_odd_prime(self, monkeypatch, verify, p):
+        # 2 is a unit mod 9, so the identities would re-multiply there too
+        monkeypatch.setattr(monomials, "_move", never)
+        with pytest.raises(ValueError, match="odd prime"):
+            verify(3, 3, p)
+
     @pytest.mark.parametrize("m, n", [(1, 3), (3, 1), (2, 2), (1, 6), (6, 1)])
     def test_triples_without_a_target_are_refused(self, monkeypatch, m, n):
         # no target, so the job would pass vacuously
@@ -96,12 +108,11 @@ class TestTargetSize:
         (verify_entry_triples, _entry_triple_count(3, 4)),
         (verify_squared_entry_triples, _squared_entry_triple_count(3, 4)),
     ])
-    def test_guard_counts_targets_and_variables(self, monkeypatch, verify, count):
-        entries = count * 12
-        monkeypatch.setattr(monomials, "MAX_TARGET_ENTRIES", entries)
+    def test_guard_counts_targets(self, monkeypatch, verify, count):
+        monkeypatch.setattr(monomials, "MAX_TARGETS", count)
         assert verify(3, 4, 3).evidence["targets"] == count
-        monkeypatch.setattr(monomials, "MAX_TARGET_ENTRIES", entries - 1)
-        with pytest.raises(ValueError, match="exponent entries"):
+        monkeypatch.setattr(monomials, "MAX_TARGETS", count - 1)
+        with pytest.raises(ValueError, match=f"has {count} targets, more than {count - 1}$"):
             verify(3, 4, 3)
 
     @pytest.mark.parametrize("verify, builder", [
@@ -110,8 +121,8 @@ class TestTargetSize:
     ])
     def test_oversized_matrix_is_refused_before_its_targets(self, monkeypatch, verify, builder):
         monkeypatch.setattr(monomials, builder, never)
-        monkeypatch.setattr(monomials, "permanental_generators", never)
-        with pytest.raises(ValueError, match="exponent entries"):
+        monkeypatch.setattr(monomials, "_move", never)
+        with pytest.raises(ValueError, match="targets, more than 262144"):
             verify(100000, 100000, 3)
 
 
@@ -126,19 +137,29 @@ def test_block_permanent_is_the_2x2_permanent(m, n):
             assert block == permanent(shape, rows, cols, char=3)
 
 
-@pytest.fixture
-def systems(monkeypatch):
-    """The (rows, columns) of every membership system built while it is in use."""
-    sizes = []
-    build_system = linmember.build_system
+class TestStoredIdentities:
+    @pytest.mark.parametrize("rep", _IDENTITIES, ids=REP_IDS)
+    def test_identity_holds_over_z(self, rep):
+        # twice the coefficients: the sum is twice the representative.  Each
+        # integer coefficient of the sum is at most `bound` in absolute value,
+        # far below p = 2^31 - 1, so equality mod p is equality over Z, and
+        # with 1/2 read as (p + 1)/2 the identity holds at every odd p
+        identity, p = _IDENTITIES[rep], 2**31 - 1
+        bound = sum(2 * abs(twice) for *_, twice in identity)
+        assert bound < p // 2
+        shifts = _shifts(9, 2)  # no exponent passes 2
+        at = [[shifts[r * 3 + c] for c in range(3)] for r in range(3)]
+        target = sum(e << at[r][c] for r, c, e in rep)
+        assert mul_sum(monomials._move(identity, at, 1), p) == {target: 2}
 
-    def recording(*args):
-        system = build_system(*args)
-        sizes.append((len(system.row_labels), len(system.col_labels)))
-        return system
-
-    monkeypatch.setattr(linmember, "build_system", recording)
-    return sizes
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    @pytest.mark.parametrize("rep", _IDENTITIES, ids=REP_IDS)
+    def test_solver_returns_the_stored_identity(self, rep, p):
+        half = (p + 1) // 2
+        stored = {(rows, cols): {tuple(sorted(cells)): twice * half % p}
+                  for rows, cols, cells, twice in _IDENTITIES[rep]}
+        degree = sum(e for *_, e in rep)
+        assert solved_identity(rep, p, degree) == stored
 
 
 class TestOrbits:
@@ -158,47 +179,36 @@ class TestOrbits:
         report = verify_squared_entry_triples(m, n, p)
         assert report.evidence == per_target_evidence(shape, p, squared_entry_triples(shape), 4)
 
-    @pytest.mark.parametrize("verify, oracle, degree, rep, columns", [
-        (verify_entry_triples, entry_triples, 3, ((0, 0, 1), (0, 1, 1), (1, 2, 1)), 3),
-        (verify_entry_triples, entry_triples, 3, ((0, 0, 1), (1, 0, 1), (2, 1, 1)), 2),
-        (verify_squared_entry_triples, squared_entry_triples, 4,
-         ((0, 0, 2), (1, 1, 1), (2, 2, 1)), 3),
-    ], ids=["x11*x12*x23", "x11*x21*x32", "x11^2*x22*x33"])
-    def test_orbit_without_a_certificate_fails_every_target(self, monkeypatch, verify, oracle,
-                                                             degree, rep, columns):
-        # the orbit of rep is the targets on as many columns as rep uses
-        certificate = monomials._certificate
-        monkeypatch.setattr(monomials, "_certificate",
-                            lambda r, p, d: None if r == rep else certificate(r, p, d))
-        shape = MatrixShape.generic(3, 4)
-        targets = per_target_evidence(shape, 5, oracle(shape), degree)["targets"]
-        orbit = [render_poly(Polynomial.monomial(shape.space, 5, e)) for e in sorted(oracle(shape))
-                 if len({i % 4 for i, x in enumerate(e) if x}) == columns]
-        report = verify(3, 4, 5)
-        assert report.verdict == "fail"
-        assert report.evidence == {"targets": targets, "members": targets - len(orbit),
-                                   "failures": orbit}
+    def test_no_system_is_built(self, monkeypatch):
+        # every orbit's identity is stored, so no linear system is solved
+        def no_system(*args):
+            raise AssertionError("a membership system was built")
 
-    def test_one_system_per_orbit(self, systems):
-        # monomials29 has one orbit, monomials28 two (a target and its transpose)
-        report = verify_squared_entry_triples(4, 4, 3)
-        assert report.evidence["members"] == report.evidence["targets"] == 288
-        assert len(systems) == 1
-        systems.clear()
-        report = verify_entry_triples(4, 4, 3)
-        assert report.evidence["members"] == report.evidence["targets"] == 288
-        assert len(systems) == 2
+        monkeypatch.setattr(linmember, "build_system", no_system)
+        for verify in (verify_squared_entry_triples, verify_entry_triples):
+            report = verify(4, 4, 3)
+            assert report.evidence["members"] == report.evidence["targets"] == 288
 
 
 class TestMovedCertificatesAreChecked:
-    """A wrong map from the representative to a target is caught by the
-    re-multiplication of the moved certificate."""
+    """A wrong stored coefficient, or a wrong map from the representative to
+    a target, is caught by the re-multiplication of the moved identity."""
+
+    @pytest.mark.parametrize("rep, verify", [
+        (rep, verify_squared_entry_triples if rep[0][2] == 2 else verify_entry_triples)
+        for rep in _IDENTITIES
+    ], ids=REP_IDS)
+    def test_wrong_stored_coefficient_raises(self, monkeypatch, rep, verify):
+        (rows, cols, cells, twice), *rest = _IDENTITIES[rep]
+        monkeypatch.setitem(_IDENTITIES, rep, ((rows, cols, cells, twice + 1), *rest))
+        with pytest.raises(RuntimeError, match="does not re-multiply"):
+            verify(3, 3, 5)
 
     def test_wrong_generator_map_raises(self, monkeypatch):
         move = monomials._move
 
-        def wrong_generators(certificate, at):
-            moved = move(certificate, at)
+        def wrong_generators(identity, at, half):
+            moved = move(identity, at, half)
             return [(h, moved[(i + 1) % len(moved)][1]) for i, (h, _) in enumerate(moved)]
 
         monkeypatch.setattr(monomials, "_move", wrong_generators)
@@ -208,9 +218,9 @@ class TestMovedCertificatesAreChecked:
     def test_wrong_variable_map_raises(self, monkeypatch):
         move = monomials._move
 
-        def wrong_variables(certificate, at):
-            right = move(certificate, at)
-            swapped = move(certificate, [row[::-1] for row in at])
+        def wrong_variables(identity, at, half):
+            right = move(identity, at, half)
+            swapped = move(identity, [row[::-1] for row in at], half)
             return [(h, g) for (_, g), (h, _) in zip(right, swapped)]
 
         monkeypatch.setattr(monomials, "_move", wrong_variables)

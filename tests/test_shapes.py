@@ -348,6 +348,21 @@ class TestGeneratorSize:
             permanental_generators(shape, 2, char=3)
         assert "space" not in vars(shape)
 
+    @pytest.mark.parametrize("shape", [
+        MatrixShape.generic(9, 9), MatrixShape.symmetric(3000), MatrixShape.hankel(3000),
+        MatrixShape.generic(100000, 100000),
+    ], ids=["generic:9x9", "symmetric:3000", "hankel:3000", "generic:100000x100000"])
+    def test_oversized_t_is_refused_before_t_factorial(self, monkeypatch, shape):
+        # 3000! has more digits than an int may print, and 100000! takes a
+        # while to compute
+        def never(*args, **kwargs):
+            raise AssertionError("t! was computed before t was refused")
+
+        monkeypatch.setattr(shapes.math, "factorial", never)
+        t = shape.nrows
+        with pytest.raises(ValueError, match=f"^symbolic permanent size {t} exceeds limit 8$"):
+            permanental_generators(shape, t, char=3)
+
 
 class TestHankelSpecialization:
     HANKEL2 = MatrixShape.hankel(2).space
