@@ -75,10 +75,12 @@ CHECKS = {
     "witness-generic": Check(
         "witnesses", ("m", "n", "p"),
         lambda m, a, p: m.verify_witness_membership(m.MatrixShape.generic(a.m, a.n), p),
+        guard=lambda m, a, p: m.check_witness(m.MatrixShape.generic(a.m, a.n), p),
     ),
     "witness-symmetric": Check(
         "witnesses", ("n", "p"),
         lambda m, a, p: m.verify_witness_membership(m.MatrixShape.symmetric(a.n), p),
+        guard=lambda m, a, p: m.check_witness(m.MatrixShape.symmetric(a.n), p),
     ),
     "monomials28": Check(
         "monomials", ("m", "n", "p"), lambda m, a, p: m.verify_entry_triples(a.m, a.n, p)

@@ -1,7 +1,7 @@
 """Polynomial operations that no check runs: exact division by one
-polynomial, and the text grammar of `render_poly`.  The tests use both;
-`fppoly` loads this module on first use of `exact_divide`, `parse_poly` or
-`ParseError`, so no check compiles it.
+polynomial, and the text grammar of `render_poly`.  The tests use both and
+import the grammar from here; `fppoly` loads this module on first use of
+`exact_divide`, so no check compiles it.
 """
 
 from __future__ import annotations

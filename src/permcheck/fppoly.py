@@ -14,9 +14,9 @@ most significant one (`_shifts`), converted by `pack_terms` /
 Its `mul_sum` is every untruncated product, `Polynomial.__mul__` included.
 The rest loads on first use, so a job compiles only the code it runs:
 truncated arithmetic in F_p[x] / m^[p] (`TruncatedAccumulator`,
-`truncated_mul`, `truncated_pow`) from `truncated`, and `exact_divide` and
-the text grammar `parse_poly` from `fpextra`.  Both stay reachable as
-`fppoly.<name>` through the module `__getattr__`.
+`truncated_mul`, `truncated_pow`) from `truncated`, and `exact_divide` from
+`fpextra`.  Both stay reachable as `fppoly.<name>` through the module
+`__getattr__`; the text grammar `parse_poly` is imported from `fpextra`.
 """
 
 from __future__ import annotations
@@ -371,5 +371,5 @@ def render_poly(a: Polynomial) -> str:
 # permcheck.fppoly.*, and the tests import all of them from here.
 __getattr__ = _lazy_attributes(__name__, {
     **dict.fromkeys(("TruncatedAccumulator", "truncated_mul", "truncated_pow"), "truncated"),
-    **dict.fromkeys(("exact_divide", "parse_poly", "ParseError"), "fpextra"),
+    "exact_divide": "fpextra",
 })

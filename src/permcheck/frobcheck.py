@@ -6,16 +6,18 @@ omega^{p-1} not in m^[p], which reduces it to truncated polynomial
 arithmetic at the Frobenius power q = p, with p the characteristic of the
 generators; a squarefree leading monomial of omega decides it without any
 power.  The module also computes the "Fedder coefficient" of a full-support
-ideal -- the coefficient of prod x_i^{p-1} in omega^{p-1} -- by two
-independent routes: symbolic truncated powering, and brute-force point
-counting (every point of F_p^v, a block of lo points packed into the lanes
-of a Python int per hi row, refused when its tables and masks would pass
-MAX_POINTCOUNT_ENTRIES lanes or its points MAX_POINTCOUNT_POINTS).  For the
-generic 3x4 / t=3 complete intersection a fibered enumeration counts the
-same points from three first columns, one point of each orbit of their
-stabilizer on the projective classes of column 2 and every class of column
-3, and is refused when those classes would pass MAX_FIBER_PAIRS column
-pairs.  Every route runs on the calling thread.
+ideal -- the coefficient of prod x_i^{p-1} in omega^{p-1} -- by brute-force
+point counting (every point of F_p^v, a block of lo points packed into the
+lanes of a Python int per hi row, refused when its tables and masks would
+pass MAX_POINTCOUNT_ENTRIES lanes or its points MAX_POINTCOUNT_POINTS).
+When deg(omega) = v, omega^{p-1} mod m^[p] is that coefficient times
+prod x_i^{p-1}, so the survivor of the Fedder check carries the same
+coefficient, found without counting a point.  For the generic 3x4 / t=3
+complete intersection a fibered enumeration counts the same points from
+three first columns, one point of each orbit of their stabilizer on the
+projective classes of column 2 and every class of column 3, and is refused
+when those classes would pass MAX_FIBER_PAIRS column pairs.  Every route
+runs on the calling thread.
 
 The CLI check `fpure` runs the truncated route or the point count;
 `check_fpure` refuses an `fpure` job off the complete-intersection
@@ -98,7 +100,7 @@ def fedder_ci_check(gens: IdealPresentation, p: Optional[int] = None) -> Optiona
     if max(lead, default=0) <= 1:
         return tuple((p - 1) * e for e in lead), 1
     power = _omega_power(gens)
-    return None if power.is_zero else power.leading_term()
+    return None if power.is_zero else leading_term(power.to_polynomial())
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +108,7 @@ def fedder_ci_check(gens: IdealPresentation, p: Optional[int] = None) -> Optiona
 # ---------------------------------------------------------------------------
 
 
-def fedder_coefficient_fullsupport(gens: IdealPresentation, method: str = "truncated") -> int:
+def fedder_coefficient_fullsupport(gens: IdealPresentation) -> int:
     """Coefficient of prod x_i^{p-1} in omega^{p-1} mod p, for deg(omega) = v.
 
     With deg(omega) equal to the variable count v, the full-support monomial
@@ -115,23 +117,18 @@ def fedder_coefficient_fullsupport(gens: IdealPresentation, method: str = "trunc
         c = (-1)^v * sum_{a in F_p^v} omega(a)^{p-1}
           = (-1)^v * #{a : omega(a) != 0}   (mod p),
 
-    since nonzero values of omega contribute 1 by Fermat.  Methods:
-    "truncated" computes omega^{p-1} symbolically, and "pointcount"
-    enumerates F_p^v without loading numpy.
+    since nonzero values of omega contribute 1 by Fermat.  The points are
+    counted by `count_nonvanishing`, without loading numpy.
     """
-    check_fullsupport(gens, method)
+    check_fullsupport(gens)
     p = gens.char
-    v = gens.space.count
-    if method == "truncated":
-        return _omega_power(gens).coeff((p - 1,) * v)
-    return (-1) ** v * count_nonvanishing(gens, p) % p
+    return (-1) ** gens.space.count * count_nonvanishing(gens, p) % p
 
 
-def check_fullsupport(gens: IdealPresentation, method: str) -> None:
-    """Raise ValueError wherever fedder_coefficient_fullsupport(gens, method)
-    would refuse, without counting anything: not a complete intersection,
-    deg(omega) != v, an unknown method, and the size bounds of the point
-    count."""
+def check_fullsupport(gens: IdealPresentation) -> None:
+    """Raise ValueError wherever fedder_coefficient_fullsupport(gens) would
+    refuse, without counting anything: not a complete intersection,
+    deg(omega) != v, and the size bounds of the point count."""
     _require_ci(gens, "the Fedder coefficient")
     v = gens.space.count
     total_deg = sum(g.total_degree() for g in gens.generators)
@@ -140,10 +137,7 @@ def check_fullsupport(gens: IdealPresentation, method: str) -> None:
             f"deg(omega) = {total_deg} must equal the variable count {v} "
             "for the full-support coefficient"
         )
-    if method == "pointcount":
-        _check_pointcount_size(gens, gens.char)
-    elif method != "truncated":
-        raise ValueError(f"unknown method {method!r}")
+    _check_pointcount_size(gens, gens.char)
 
 
 # -- the verification jobs ----------------------------------------------------
@@ -156,11 +150,12 @@ def verify_fpure(gens: IdealPresentation, method: str = "truncated") -> LemmaRep
     The default route is `fedder_ci_check`: a squarefree leading monomial of
     omega certifies F-purity at every p without a power (the generic,
     symmetric and Hankel hypersurfaces), and otherwise omega^{p-1} is
-    computed by truncated powering.  "pointcount" goes through the
-    full-support coefficient, counted on Python ints without numpy.  It
-    needs the product omega of the generators to have degree equal to the
-    variable count: then omega^{p-1} mod m^[p] is a multiple of
-    prod x_i^{p-1}, so F-purity is that coefficient being nonzero.
+    computed by truncated powering.  "pointcount" goes through
+    `fedder_coefficient_fullsupport`, counted on Python ints without numpy.
+    It needs the product omega of the generators to have degree equal to
+    the variable count: then omega^{p-1} mod m^[p] is a multiple of
+    prod x_i^{p-1}, so F-purity is that coefficient being nonzero, and the
+    survivor of the default route is that coefficient times prod x_i^{p-1}.
     """
     t0 = time.perf_counter()
     shape, p = gens.shape, gens.char
@@ -169,7 +164,7 @@ def verify_fpure(gens: IdealPresentation, method: str = "truncated") -> LemmaRep
     if method == "truncated":
         survivor = fedder_ci_check(gens)
     else:
-        coeff = fedder_coefficient_fullsupport(gens, method=method)
+        coeff = fedder_coefficient_fullsupport(gens)
         survivor = ((p - 1,) * shape.space.count, coeff) if coeff else None
     passed = survivor is not None
     evidence = {
@@ -191,11 +186,10 @@ def check_fpure(shape: MatrixShape, t: int, p: int, method: str) -> IdealPresent
     any generator is built.  A truncated power's size is only known once
     omega is built, so the primes before one refused for it still run."""
     if not _is_known_complete_intersection(shape, t):
-        what = "the Fedder check" if method == "truncated" else "the Fedder coefficient"
-        raise ValueError(f"{what} requires a complete-intersection presentation")
+        raise ValueError("the Fedder check requires a complete-intersection presentation")
     gens = permanental_generators(shape, t, char=p)
     if method != "truncated":
-        check_fullsupport(gens, method)
+        check_fullsupport(gens)
     return gens
 
 

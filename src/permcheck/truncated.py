@@ -29,8 +29,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .fppoly import (GRLEX, Polynomial, VariableSpace, _guard_and_bias, _shifts, leading_term,
-                     pack_terms, truncate, unpack_terms)
+from .fppoly import (Polynomial, VariableSpace, _guard_and_bias, _shifts, pack_terms, truncate,
+                     unpack_terms)
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
@@ -163,9 +163,9 @@ class TruncatedAccumulator:
     sorted key and coefficient arrays and stays on the numpy kernel.  Chains
     of products against small polynomials (Frobenius powers of a permanent,
     say) can hold millions of terms; `coeff` and `nnz` read them in packed
-    form, and only `to_polynomial` and `leading_term` build the sparse dict
-    form.  Its space and characteristic are those of the polynomial it
-    starts from.
+    form, and only `to_polynomial` builds the sparse dict form, from which
+    `fppoly.leading_term` reads a leading term.  Its space and
+    characteristic are those of the polynomial it starts from.
     """
 
     __slots__ = ("space", "char", "_width", "_pairs", "_terms", "_keys", "_coeffs")
@@ -250,17 +250,6 @@ class TruncatedAccumulator:
         if i < len(self._keys) and self._keys[i] == key:
             return int(self._coeffs[i])
         return 0
-
-    def equals_monomial(self, mono, coefficient: int) -> bool:
-        """True iff the value is exactly coefficient * mono, with coefficient nonzero mod p."""
-        return self.nnz() == 1 and self.coeff(mono) == coefficient % self.char
-
-    def leading_term(self) -> tuple:
-        """The GRLEX leading (monomial, coefficient) pair of a nonzero value, by
-        `fppoly.leading_term`; `frobcheck.fedder_ci_check` asks it of 1-term values."""
-        if self.is_zero:
-            raise ValueError("the zero value has no leading term")
-        return leading_term(self.to_polynomial(), GRLEX)
 
     def to_polynomial(self) -> Polynomial:
         if self._terms is None:

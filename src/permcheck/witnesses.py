@@ -98,30 +98,39 @@ def minimal_primes_symmetric(n: int) -> list:
 MAX_WITNESS_ENTRIES = 500_000
 
 
-def _witness(shape: MatrixShape, p: int) -> tuple:
-    """(sign, minimal primes, witness) of `shape` at odd p; see `witness`.
-
-    Refuses a witness past MAX_WITNESS_ENTRIES from m, n and p alone, before
-    any prime or variable is built.
-    """
-    m, n, half = shape.nrows, shape.ncols, (p - 1) // 2
-    # kind: (blocks, sign, skip, top, minimal primes)
-    forms = {
-        GENERIC: (math.comb(m, 2) * math.comb(n, 2), 1, p - 1, 2 * p - 2,
-                  lambda: minimal_primes_generic(m, n)),
-        SYMMETRIC: (math.comb(n, 2), (-1) ** half, half, 3 * half,
-                    lambda: minimal_primes_symmetric(n)),
-    }
-    if shape.kind not in forms:
+def check_witness(shape: MatrixShape, p: int) -> int:
+    """p, or ValueError where `witness` would refuse: a shape neither
+    generic nor symmetric, or a witness past MAX_WITNESS_ENTRIES, from m, n
+    and p alone.  The CLI runs it for every prime of a list before the
+    first check."""
+    if shape.kind == GENERIC:
+        blocks = math.comb(shape.nrows, 2) * math.comb(shape.ncols, 2)
+    elif shape.kind == SYMMETRIC:
+        blocks = math.comb(shape.ncols, 2)
+    else:
         raise ValueError("witness membership applies to generic and symmetric shapes")
-    blocks, sign, skip, top, minimal_primes = forms[shape.kind]
     size, variables = blocks * (p - 1) + 1, shape.variable_count
     if size * variables > MAX_WITNESS_ENTRIES:
         raise ValueError(
             f"the witness has {size} terms in {variables} variables, more than "
             f"{MAX_WITNESS_ENTRIES} exponent entries"
         )
-    primes = minimal_primes()
+    return p
+
+
+def _witness(shape: MatrixShape, p: int) -> tuple:
+    """(sign, minimal primes, witness) of `shape` at odd p; see `witness`.
+
+    `check_witness` refuses it before any prime or variable is built.
+    """
+    check_witness(shape, p)
+    half = (p - 1) // 2
+    if shape.kind == GENERIC:
+        sign, skip, top = 1, p - 1, 2 * p - 2
+        primes = minimal_primes_generic(shape.nrows, shape.ncols)
+    else:
+        sign, skip, top = (-1) ** half, half, 3 * half
+        primes = minimal_primes_symmetric(shape.ncols)
     space = primes[0].space
     terms = [((p - 1,) * space.count, sign)]
     for prime in primes:

@@ -7,8 +7,8 @@ from typing import Optional, Sequence
 from operator import add
 
 from permcheck.colon import MinimalPrime
-from permcheck.fppoly import (Polynomial, StructureError, VariableSpace, exact_divide, mono_mul,
-                              truncate, unpack_terms)
+from permcheck.fppoly import (Polynomial, StructureError, VariableSpace, exact_divide,
+                              leading_term, mono_mul, truncate, unpack_terms)
 from permcheck.frobcheck import _omega_power, _require_ci
 from permcheck import linmember
 from permcheck.linmember import SizeGuardError
@@ -581,7 +581,7 @@ def glassbrenner_witness_check(c: Polynomial, gens) -> Optional[tuple]:
     """
     _require_ci(gens, "the Glassbrenner witness check")
     power = _omega_power(gens).mul_poly(c)
-    return None if power.is_zero else power.leading_term()
+    return None if power.is_zero else leading_term(power.to_polynomial())
 
 
 # -- one-target degree-bounded membership: the oracle for members_bounded -----

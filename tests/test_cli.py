@@ -163,20 +163,26 @@ class TestExitCodes:
         assert out == ""
         assert "fiber count at p = 1009 visits 1038546466281 column pairs" in err
 
-    @pytest.mark.parametrize("argv, counter, message", [
-        (("scan", "conjecture45", "--method", "fiber", "--p", "37,1009"), "fiber_count_3x4",
-         "fiber count at p = 1009 visits 1038546466281 column pairs"),
+    @pytest.mark.parametrize("argv, module, counter, message", [
+        (("scan", "conjecture45", "--method", "fiber", "--p", "37,1009"), frobcheck,
+         "fiber_count_3x4", "fiber count at p = 1009 visits 1038546466281 column pairs"),
         (("verify", "fpure", "--shape", "generic:3x4", "--t", "3", "--method", "pointcount",
-          "--p", "3,11"), "count_nonvanishing",
+          "--p", "3,11"), frobcheck, "count_nonvanishing",
          "point count at p = 11 needs 467775824 packed lanes"),
-    ], ids=["fiber", "pointcount"])
+        (("verify", "witness-generic", "--m", "2", "--n", "3", "--p", "10007,2147483647"),
+         witnesses, "colon_membership",
+         "the witness has 6442450939 terms in 6 variables, more than 500000"),
+        (("verify", "witness-symmetric", "--n", "3", "--p", "10007,2147483647"),
+         witnesses, "colon_membership",
+         "the witness has 6442450939 terms in 6 variables, more than 500000"),
+    ], ids=["fiber", "pointcount", "witness-generic", "witness-symmetric"])
     def test_oversized_prime_is_refused_before_any_count(self, capsys, monkeypatch, argv,
-                                                         counter, message):
+                                                         module, counter, message):
         # the admissible first prime would be counted if its turn came first
         def never(*args, **kwargs):
             raise AssertionError(f"{counter} ran before the oversized prime was refused")
 
-        monkeypatch.setattr(frobcheck, counter, never)
+        monkeypatch.setattr(module, counter, never)
         code, out, err = invoke(capsys, *argv, "--threads", "1")
         assert code == 1
         assert out == ""
@@ -432,7 +438,7 @@ class TestGeneratorsDump:
     def test_round_trips_through_the_grammar(self, capsys):
         code, out, _ = invoke(capsys, "generators", "--shape", "generic:2x3", "--t", "2")
         assert code == 0
-        from permcheck.fppoly import parse_poly
+        from permcheck.fpextra import parse_poly
         from permcheck.shapes import MatrixShape, permanental_generators
 
         shape = MatrixShape.generic(2, 3)

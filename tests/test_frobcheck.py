@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from permcheck import frobcheck
+from permcheck.fpextra import parse_poly
 from permcheck.fppoly import (
     Polynomial,
     PrimeModulus,
     StructureError,
     VariableSpace,
-    parse_poly,
+    leading_term,
     truncate,
 )
 from permcheck.frobcheck import (
@@ -104,7 +105,7 @@ class TestFedderCICheck:
     def test_leading_term_certificate_matches_the_power(self, monkeypatch, spec, t, p, squarefree):
         gens = permanental_generators(parse_shape(spec), t, char=p)
         power = frobcheck._omega_power(gens)
-        expected = None if power.is_zero else power.leading_term()
+        expected = None if power.is_zero else leading_term(power.to_polynomial())
         powers = []
         monkeypatch.setattr(frobcheck, "_omega_power", lambda g: powers.append(g) or power)
         assert fedder_ci_check(gens) == expected
@@ -195,22 +196,47 @@ class TestPrimeContainment:
         assert not prime_contains(prime, g)
 
 
+def survivor_coefficient(gens):
+    """The Fedder coefficient as fedder_ci_check finds it: 0 when nothing
+    survives, else the coefficient of its survivor, which must be the
+    full-support monomial prod x_i^{p-1}."""
+    survivor = fedder_ci_check(gens)
+    if survivor is None:
+        return 0
+    assert survivor[0] == (gens.char - 1,) * gens.space.count
+    return survivor[1]
+
+
 class TestFedderCoefficient:
     def test_hankel_1(self):
         shape = MatrixShape.hankel(1)
         gens = permanental_generators(shape, 1, char=3)
-        assert fedder_coefficient_fullsupport(gens, "truncated") == 1
-        assert fedder_coefficient_fullsupport(gens, "pointcount") == 1
+        assert fedder_ci_check(gens) == ((2,), 1)
+        assert fedder_coefficient_fullsupport(gens) == 1
 
-    def test_unknown_method_refused(self):
-        gens = permanental_generators(MatrixShape.hankel(1), 1, char=3)
-        with pytest.raises(ValueError, match="unknown method 'bogus'"):
-            fedder_coefficient_fullsupport(gens, "bogus")
+    # every whitelisted complete intersection with deg(omega) = v on which
+    # both engines run in under a second: generic t x (t+1) for t = 2, 3 and
+    # 1 x 1 (the point count refuses generic:3x4 at p = 7 and 4x3 at p = 5)
+    FULL_SUPPORT = [
+        *((spec, 2, p) for spec in ("generic:2x3", "generic:3x2") for p in (3, 5, 7, 11, 13)),
+        ("generic:3x4", 3, 3),
+        ("generic:3x4", 3, 5),
+        ("generic:4x3", 3, 3),
+        *((spec, 1, p) for spec in ("generic:1x1", "symmetric:1", "hankel:1") for p in (3, 5, 7)),
+    ]
+
+    @pytest.mark.parametrize("spec, t, p", FULL_SUPPORT)
+    def test_survivor_carries_the_coefficient(self, spec, t, p):
+        # deg(omega) = v leaves only prod x_i^{p-1} in omega^{p-1} mod m^[p],
+        # so the Fedder check's survivor is the point count's coefficient
+        gens = check_fpure(parse_shape(spec), t, p, "pointcount")
+        assert sum(g.total_degree() for g in gens.generators) == gens.space.count
+        assert survivor_coefficient(gens) == fedder_coefficient_fullsupport(gens)
 
     def test_methods_agree_on_random_ci(self):
-        # the point count is the oracle for both truncated routes: the
-        # coefficient, and fedder_ci_check's verdict (a squarefree leading
-        # term when it has one, else the computed power)
+        # the point count is the oracle for fedder_ci_check: its verdict and
+        # the coefficient of its survivor (a squarefree leading term when it
+        # has one, else read off the computed power)
         rng = random.Random(55)
         verdicts = set()
         for p in (3, 5):
@@ -239,20 +265,18 @@ class TestFedderCoefficient:
                     if sum(g.total_degree() for g in gens) != v:
                         continue
                     pres = ci(gens)
-                    c1 = fedder_coefficient_fullsupport(pres, "truncated")
-                    c2 = fedder_coefficient_fullsupport(pres, "pointcount")
-                    assert c1 == c2
+                    coeff = fedder_coefficient_fullsupport(pres)
+                    assert survivor_coefficient(pres) == coeff
                     assert count_nonvanishing(pres, p) == numpy_count_nonvanishing(pres, p)
-                    assert (fedder_ci_check(pres) is None) == (c2 == 0)
-                    verdicts.add(c2 == 0)
+                    verdicts.add(coeff == 0)
         assert verdicts == {False, True}
 
     def test_generic_3x4_p3_all_methods_agree(self):
         # v = 12 is even, so the coefficient is the fiber count mod p
         shape = MatrixShape.generic(3, 4)
         gens = permanental_generators(shape, 3, char=3)
-        for method in ("truncated", "pointcount"):
-            assert fedder_coefficient_fullsupport(gens, method) == fiber_count_3x4(3) % 3
+        assert survivor_coefficient(gens) == fiber_count_3x4(3) % 3
+        assert fedder_coefficient_fullsupport(gens) == fiber_count_3x4(3) % 3
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11])
     def test_generic_3x4_is_a_ci_of_degree_v(self, p):
@@ -268,12 +292,6 @@ class TestFedderCoefficient:
         gens = ci([parse_poly("x1", xy, 3)])
         with pytest.raises(ValueError):
             fedder_coefficient_fullsupport(gens)
-
-    def test_fiber_is_no_method(self):
-        # the fiber count answers the scan only, through fiber_count_3x4
-        gens = permanental_generators(MatrixShape.generic(3, 4), 3, char=3)
-        with pytest.raises(ValueError, match="unknown method 'fiber'"):
-            fedder_coefficient_fullsupport(gens, "fiber")
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from permcheck import linmember
 from permcheck.colon import colon_membership, pack
-from permcheck.fppoly import Polynomial, parse_poly
+from permcheck.fpextra import parse_poly
+from permcheck.fppoly import Polynomial
 from permcheck.linmember import (
     LinearSystem,
     SizeGuardError,

@@ -7,7 +7,8 @@ import random
 import pytest
 
 from permcheck import shapes
-from permcheck.fppoly import Polynomial, StructureError, parse_poly
+from permcheck.fpextra import parse_poly
+from permcheck.fppoly import Polynomial, StructureError
 from permcheck.shapes import (
     IdealPresentation,
     MatrixShape,

@@ -8,11 +8,8 @@ import random
 import pytest
 
 from permcheck import frobcheck, hankel, witnesses
-from permcheck.fppoly import (
-    Polynomial,
-    parse_poly,
-    truncate,
-)
+from permcheck.fpextra import parse_poly
+from permcheck.fppoly import Polynomial, truncate
 from permcheck.frobcheck import check_fpure, scan_three_by_four_fpurity, verify_fpure
 from permcheck.hankel import (
     verify_hankel_eisenstein,
