@@ -68,9 +68,13 @@ CHECKS = {
     "lemma31": Check("hankel", ("n",), lambda m, a: m.verify_hankel_monomial_absence(a.n)),
     "lemma32": Check("hankel", ("n",), lambda m, a: m.verify_hankel_eisenstein(a.n)),
     "lemma34": Check(
-        "hankel", ("n", "p"), lambda m, a, p: m.verify_hankel_product_identity(a.n, p)
+        "hankel", ("n", "p"), lambda m, a, pf: m.verify_hankel_product_identity(a.n, *pf),
+        guard=lambda m, a, p: (p, m.check_product_identity(a.n, p)),
     ),
-    "thm35": Check("hankel", ("n", "p"), lambda m, a, p: m.verify_hankel_hypersurface(a.n, p)),
+    "thm35": Check(
+        "hankel", ("n", "p"), lambda m, a, pf: m.verify_hankel_hypersurface(a.n, *pf),
+        guard=lambda m, a, p: (p, m.check_hypersurface(a.n, p)),
+    ),
     "thm36": Check("hankel", ("n",), lambda m, a: m.verify_hankel_specialization_check(a.n)),
     "witness-generic": Check(
         "witnesses", ("m", "n", "p"),

@@ -5,13 +5,17 @@ They need only the permanents of the Hankel matrix and truncated products.
 This module imports `fppoly`, `shapes` and the report type, never
 `frobcheck` or `witnesses`; `lemma34` and `thm35` import `truncated` when
 they run, so `lemma31`, `lemma32` and `thm36` jobs never compile it.
+Their pre-flights, `check_product_identity` and `check_hypersurface`,
+build f_n and f_{n-1} and size the chain of truncated products from them
+by `truncated.check_chain`, the bound that `mul_power` applies, so the CLI
+refuses an oversized prime of a list before the first one runs.
 """
 
 from __future__ import annotations
 
 import time
 
-from .fppoly import LEX, Polynomial, leading_term, render_poly
+from .fppoly import LEX, Polynomial, leading_term, render_poly, truncate
 from .report import LemmaReport, make_report
 from .shapes import MatrixShape, hankel_image, permanent
 
@@ -23,6 +27,28 @@ def _hankel_permanents(n: int, p: int) -> tuple:
     f_n = permanent(shape, char=p)
     f_prev = permanent(shape, rows=range(n - 1), cols=range(n - 1), char=p)
     return shape.space, f_n, f_prev
+
+
+def check_product_identity(n: int, p: int) -> tuple:
+    """lemma34's `_hankel_permanents(n, p)`, or ValueError where its chain,
+    f_{n-1} and then p - 1 products with f_n, must pass
+    truncated.MAX_CHAIN_PAIRS.  The CLI runs it for every prime of a list
+    before the first check and hands its value to the check."""
+    from .truncated import check_chain
+    permanents = _hankel_permanents(n, p)
+    _, f_n, f_prev = permanents
+    check_chain(len(truncate(f_prev)), f_n, p - 1)  # the first product is one term by f_{n-1}
+    return permanents
+
+
+def check_hypersurface(n: int, p: int) -> tuple:
+    """thm35's `_hankel_permanents(n, p)`, or ValueError where f_n^{p-1},
+    p - 2 products with f_n, must pass truncated.MAX_CHAIN_PAIRS; run by the
+    CLI as `check_product_identity` is."""
+    from .truncated import check_chain
+    permanents = _hankel_permanents(n, p)
+    check_chain(0, permanents[1], p - 2)
+    return permanents
 
 
 def verify_hankel_monomial_absence(n: int) -> LemmaReport:
@@ -108,8 +134,9 @@ def verify_hankel_eisenstein(n: int) -> LemmaReport:
     return make_report("lemma32", params, ok, evidence, t0)
 
 
-def verify_hankel_product_identity(n: int, p: int) -> LemmaReport:
-    """CLI check `lemma34`: the exact truncated identity
+def verify_hankel_product_identity(n: int, p: int, permanents=None) -> LemmaReport:
+    """CLI check `lemma34`, on `permanents` from `check_product_identity`
+    or, by default, `_hankel_permanents(n, p)`: the exact truncated identity
 
     f_{n-1} f_n^{p-1} (prod z_{2i+1}) (prod z_{2i})^{p-3}
         = (-1)^{n+1} (prod_{i=1}^{2n-1} z_i)^{p-1}   mod (z_1^p, ..., z_{2n-1}^p).
@@ -122,7 +149,7 @@ def verify_hankel_product_identity(n: int, p: int) -> LemmaReport:
     from .truncated import TruncatedAccumulator
     t0 = time.perf_counter()
     params = {"shape": f"hankel:{n}", "n": n, "p": p, "e": 1, "method": "truncated"}
-    space, f_n, f_prev = _hankel_permanents(n, p)
+    space, f_n, f_prev = permanents or _hankel_permanents(n, p)
     exps = [0] * space.count
     for i in range(1, n):
         exps[2 * i] += 1  # z_{2i+1}
@@ -143,8 +170,9 @@ def verify_hankel_product_identity(n: int, p: int) -> LemmaReport:
     return make_report("lemma34", params, ok, evidence, t0)
 
 
-def verify_hankel_hypersurface(n: int, p: int) -> LemmaReport:
-    """CLI check `thm35`: for the Hankel hypersurface (f_n),
+def verify_hankel_hypersurface(n: int, p: int, permanents=None) -> LemmaReport:
+    """CLI check `thm35`, on `permanents` from `check_hypersurface` or, by
+    default, `_hankel_permanents(n, p)`: for the Hankel hypersurface (f_n),
 
     (a) the diagonal lex order z_1 > ... > z_{2n-1} gives leading term
         prod z_{2i-1};
@@ -155,7 +183,7 @@ def verify_hankel_hypersurface(n: int, p: int) -> LemmaReport:
     from .truncated import TruncatedAccumulator
     t0 = time.perf_counter()
     params = {"shape": f"hankel:{n}", "n": n, "p": p, "e": 1, "method": "truncated"}
-    space, f_n, f_prev = _hankel_permanents(n, p)
+    space, f_n, f_prev = permanents or _hankel_permanents(n, p)
     # f_n^{p-1} reaches ~10^6 terms at (n, p) = (6, 7); it is held packed and
     # only ever needs nonzero tests, one coefficient and one more product
     power = TruncatedAccumulator.power(f_n, p - 1)

@@ -13,7 +13,10 @@ kernel after that, with int64 keys while v fields fit 63 bits and Python
 ints (numpy object arrays) beyond.  Powers are repeated products with the
 base.  A chain of more than MAX_CHAIN_PAIRS term pairs is refused with
 ValueError before its last product runs, and a power whose products must
-pass it, from its exponent and its base's terms, before its first.
+pass it, from its exponent and its base's terms, before its first
+(`check_chain`, which a caller can also run before it builds its first
+value).  A product on the array kernel that runs out of memory raises
+ValueError too, in place of numpy's MemoryError.
 
 numpy is imported inside the kernel functions, so it loads on the first
 chain that reaches ARRAY_PAIRS pairs and never for smaller truncated
@@ -154,6 +157,18 @@ ARRAY_PAIRS = 1 << 18
 MAX_CHAIN_PAIRS = 1 << 31
 
 
+def check_chain(pairs: int, poly: Polynomial, k: int) -> None:
+    """ValueError when a chain that has multiplied `pairs` term pairs must
+    pass MAX_CHAIN_PAIRS in k more products with poly: each product of a
+    nonzero value multiplies at least as many term pairs as poly has terms
+    mod m^[p].  `mul_power` runs it, and so can a caller that sizes a chain
+    before it builds its first value."""
+    least = pairs + k * len(truncate(poly))
+    if least > MAX_CHAIN_PAIRS:
+        raise ValueError(f"a truncated product chain would multiply at least {least} "
+                         f"term pairs, more than {MAX_CHAIN_PAIRS}")
+
+
 class TruncatedAccumulator:
     """A truncated-quotient value held in packed form.
 
@@ -192,17 +207,10 @@ class TruncatedAccumulator:
 
     def mul_power(self, poly: Polynomial, k: int) -> "TruncatedAccumulator":
         """This value times poly^k, one product with poly at a time, returned
-        as soon as it is zero.
-
-        Each product of a nonzero value multiplies at least as many term
-        pairs as poly has terms mod m^[p], so, before the first product,
-        ValueError when k of them would pass MAX_CHAIN_PAIRS.
-        """
+        as soon as it is zero; ValueError, before the first product, where
+        `check_chain` refuses the chain."""
         poly._check_compatible(self)
-        least = self._pairs + k * len(truncate(poly))
-        if least > MAX_CHAIN_PAIRS:
-            raise ValueError(f"a truncated product chain would multiply at least {least} "
-                             f"term pairs, more than {MAX_CHAIN_PAIRS}")
+        check_chain(self._pairs, poly, k)
         acc = self
         for _ in range(k):
             if acc.is_zero:
@@ -212,7 +220,9 @@ class TruncatedAccumulator:
 
     def mul_poly(self, poly: Polynomial) -> "TruncatedAccumulator":
         """Truncated product with a (typically small) sparse polynomial;
-        ValueError, before multiplying, if the chain passes MAX_CHAIN_PAIRS."""
+        ValueError, before multiplying, if the chain passes MAX_CHAIN_PAIRS,
+        and in place of the MemoryError of an array product too large for
+        the memory there is."""
         poly._check_compatible(self)  # reads only .space and .char
         p, v, w = self.char, self.space.count, self._width
         factor = pack_terms(truncate(poly), w)
@@ -227,7 +237,11 @@ class TruncatedAccumulator:
             out._terms = _mul_dict(self._terms, factor, p, v, w)
         else:
             value = (self._keys, self._coeffs) if self._terms is None else _arrays(self._terms, v, w)
-            out._keys, out._coeffs = _mul_packed(*value, *_arrays(factor, v, w), p, v, w)
+            try:
+                out._keys, out._coeffs = _mul_packed(*value, *_arrays(factor, v, w), p, v, w)
+            except MemoryError as exc:  # numpy's _ArrayMemoryError included
+                raise ValueError(f"a truncated product of {self.nnz()} by {len(factor)} terms "
+                                 "ran out of memory") from exc
         return out
 
     @property

@@ -7,10 +7,11 @@ from typing import Optional, Sequence
 from operator import add
 
 from permcheck.colon import MinimalPrime
-from permcheck.fppoly import (Polynomial, StructureError, VariableSpace, exact_divide,
-                              leading_term, mono_mul, truncate, unpack_terms)
+from permcheck.fppoly import (Polynomial, StructureError, VariableSpace, _shifts, exact_divide,
+                              leading_term, mono_mul, mul_sum, render_poly, truncate,
+                              unpack_terms)
 from permcheck.frobcheck import _omega_power, _require_ci
-from permcheck import linmember
+from permcheck import linmember, monomials
 from permcheck.linmember import SizeGuardError
 from permcheck.shapes import MatrixShape, permanental_generators
 
@@ -751,7 +752,7 @@ def entry_triples(shape) -> set:
     """The exponents of every product of three entries from three distinct
     columns and two distinct rows (n >= 3), and of the transpose
     configuration (m >= 3), by brute force over row and column words; the
-    oracle for `monomials._entry_triples`."""
+    oracle for `generate_entry_triples`."""
     m, n = shape.nrows, shape.ncols
     exponents = set()
 
@@ -777,7 +778,7 @@ def entry_triples(shape) -> set:
 def squared_entry_triples(shape) -> set:
     """The exponents of every product x_{i1 j1}^2 x_{i2 j2} x_{i3 j3} with
     distinct rows and distinct columns, by brute force over ordered row and
-    column triples; the oracle for `monomials._squared_entry_triples`."""
+    column triples; the oracle for `generate_squared_entry_triples`."""
     exponents = set()
     for rows in itertools.permutations(range(shape.nrows), 3):
         for cols in itertools.permutations(range(shape.ncols), 3):
@@ -810,3 +811,63 @@ def solved_identity(rep, p: int, degree: int) -> Optional[dict]:
                      for mono, c in h.items()}
         for gi, h in comb.items()
     }
+
+
+# -- monomials28/29 per target: the oracle for the orbit proof ----------------
+# Every target generated once with the row and column maps from its orbit
+# representative, and the representative's stored identity moved onto it.
+
+
+def generate_entry_triples(m: int, n: int):
+    """Every monomials28 target of the generic m x n matrix, once, as
+    (representative, row map, column map).  x11*x12*x23 goes onto a column
+    triple with its shared row, its single row and the single row's
+    position in the triple; x11*x21*x32 onto a row triple likewise."""
+    for triple in itertools.combinations(range(n), 3):
+        for k in range(3):
+            cols = triple[:k] + triple[k + 1:] + triple[k:k + 1]
+            for rows in itertools.permutations(range(m), 2):
+                yield monomials.ROW_TRIPLE, rows, cols
+    for triple in itertools.combinations(range(m), 3):
+        for k in range(3):
+            rows = triple[:k] + triple[k + 1:] + triple[k:k + 1]
+            for cols in itertools.permutations(range(n), 2):
+                yield monomials.COLUMN_TRIPLE, rows, cols
+
+
+def generate_squared_entry_triples(m: int, n: int):
+    """Every monomials29 target of the generic m x n matrix, once, as
+    x11^2*x22*x33 with its row and column maps: ordered row and column
+    triples, the unsquared entries in row order."""
+    for rows in itertools.permutations(range(m), 3):
+        if rows[1] < rows[2]:
+            for cols in itertools.permutations(range(n), 3):
+                yield monomials.SQUARED, rows, cols
+
+
+def move_identity(identity, at, half: int) -> list:
+    """A representative's identity as (multiplier, block permanent) pairs of
+    packed terms, moved onto the target where x_rc of the representative
+    has bit offset at[r][c], each coefficient twice its value times `half`."""
+    return [({sum(1 << at[r][c] for r, c in cells): twice * half},
+             monomials._block_permanent(at, rows, cols))
+            for rows, cols, cells, twice in identity]
+
+
+def replay_moved_identities(targets, m: int, n: int, p: int) -> int:
+    """The number of targets(m, n); RuntimeError unless the stored identity
+    of each target's representative, moved onto it by `move_identity` (read
+    from this module at call time) and re-multiplied at p, gives it."""
+    width = 3  # exponents stay at most 4 in every product of an identity
+    shifts = _shifts(m * n, width)
+    space = MatrixShape.generic(m, n).space
+    half = (p + 1) // 2  # 1/2 mod p
+    count = 0
+    for rep, row_map, col_map in targets(m, n):
+        count += 1
+        at = [[shifts[r * n + c] for c in col_map] for r in row_map]
+        target = sum(e << at[r][c] for r, c, e in rep)
+        if mul_sum(move_identity(monomials._IDENTITIES[rep], at, half), p) != {target: 1}:
+            raise RuntimeError("a moved identity does not re-multiply to its target "
+                               + render_poly(unpack_terms({target: 1}, space, p, width)))
+    return count

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from permcheck import cli, frobcheck, hankel, monomials, shapes, witnesses
+from permcheck import cli, frobcheck, hankel, monomials, shapes, truncated, witnesses
 from permcheck.cli import CHECKS, run
 from permcheck.report import LemmaReport
 
@@ -73,14 +73,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, module, builder, message", [
         (("generators", "--shape", "generic:40x40", "--t", "2"), shapes, "permanent",
          "exponent entries"),
-        (("verify", "monomials28", "--m", "40", "--n", "40", "--p", "3"), monomials,
-         "_entry_triples", "has 92476800 targets, more than 262144"),
-        (("verify", "monomials29", "--m", "12", "--n", "12", "--p", "3"), monomials,
-         "_squared_entry_triples", "has 871200 targets, more than 262144"),
     ])
     def test_oversized_build_is_usage_error(self, capsys, monkeypatch, argv, module, builder,
                                             message):
-        # refused from m, n and t before the first permanent or target is built
+        # refused from m, n and t before the first permanent is built
         def never(*args, **kwargs):
             raise AssertionError(f"{builder} ran before the size was refused")
 
@@ -89,6 +85,21 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err.startswith("permcheck: error:") and message in err
+
+    @pytest.mark.parametrize("check, m, count", [
+        ("monomials28", 40, monomials._entry_triple_count(40, 40)),
+        ("monomials29", 100000, monomials._squared_entry_triple_count(100000, 100000)),
+    ])
+    def test_monomials_of_any_size_run_at_once(self, capsys, check, m, count):
+        # one identity per orbit is re-multiplied, and the targets are counted
+        # by their closed forms, so no matrix is too large
+        t0 = time.perf_counter()
+        code, out, err = invoke(capsys, "verify", check, "--m", str(m), "--n", str(m),
+                                "--p", "3", "--format", "json")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 0, err
+        [report] = json.loads(out)["reports"]
+        assert report["evidence"] == {"targets": count, "members": count, "failures": []}
 
     @pytest.mark.parametrize("argv", [
         ("verify", "fpure", "--shape", "symmetric:3000", "--p", "3"),
@@ -154,6 +165,32 @@ class TestExitCodes:
         assert out == ""
         assert f"{208_051**2} term pairs, more than {2**31}" in err
 
+    @pytest.mark.parametrize("check", ["lemma34", "thm35"])
+    def test_hankel_permanents_are_built_once_per_prime(self, capsys, monkeypatch, check):
+        # the pre-flight builds f_n and f_{n-1} and hands them to the check
+        built, real = [], hankel._hankel_permanents
+
+        def recording(n, p):
+            built.append(p)
+            return real(n, p)
+
+        monkeypatch.setattr(hankel, "_hankel_permanents", recording)
+        code, _, err = invoke(capsys, "verify", check, "--n", "3", "--p", "3,5,7")
+        assert code == 0, err
+        assert built == [3, 5, 7]
+
+    def test_out_of_memory_is_usage_error(self, capsys, monkeypatch):
+        # an array product too large for memory exits 1 with one error line
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 8.00 GiB")
+
+        monkeypatch.setattr(truncated, "ARRAY_PAIRS", 0)  # every product on the array kernel
+        monkeypatch.setattr(truncated, "_mul_packed", no_memory)
+        code, out, err = invoke(capsys, "verify", "thm35", "--n", "3", "--p", "5")
+        assert code == 1
+        assert out == ""
+        assert err == "permcheck: error: a truncated product of 5 by 5 terms ran out of memory\n"
+
     def test_overlong_fiber_count_is_usage_error(self, capsys):
         # 1,019,091^2 column pairs per first column would take days
         code, out, err = invoke(
@@ -175,7 +212,14 @@ class TestExitCodes:
         (("verify", "witness-symmetric", "--n", "3", "--p", "10007,2147483647"),
          witnesses, "colon_membership",
          "the witness has 6442450939 terms in 6 variables, more than 500000"),
-    ], ids=["fiber", "pointcount", "witness-generic", "witness-symmetric"])
+        # f_5 at p = 11 is admitted; f_5^{p-1} at p = 2^31 - 1 is refused from f_5's terms
+        (("verify", "lemma34", "--n", "5", "--p", "11,2147483647"), hankel,
+         "verify_hankel_product_identity",
+         "a truncated product chain would multiply at least 126701535130 term pairs"),
+        (("verify", "thm35", "--n", "5", "--p", "11,2147483647"), hankel,
+         "verify_hankel_hypersurface",
+         "a truncated product chain would multiply at least 126701535055 term pairs"),
+    ], ids=["fiber", "pointcount", "witness-generic", "witness-symmetric", "lemma34", "thm35"])
     def test_oversized_prime_is_refused_before_any_count(self, capsys, monkeypatch, argv,
                                                          module, counter, message):
         # the admissible first prime would be counted if its turn came first

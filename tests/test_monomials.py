@@ -1,26 +1,34 @@
-"""monomials28 / monomials29: each target generated with its maps, one
-stored identity per orbit, every target re-multiplied; the identities
-proven over Z and checked against the linmember solve."""
+"""monomials28 / monomials29: one stored identity per orbit, re-multiplied
+once per prime, and the closed-form target counts; against the helpers'
+per-target oracle, which moves each identity onto every target of small
+matrices, and the identities proven over Z and checked against the
+linmember solve."""
 
 import itertools
 
 import pytest
 
-from permcheck import linmember, monomials
+import helpers
+from permcheck import cli, linmember, monomials
 from permcheck.fppoly import Polynomial, _shifts, mul_sum, render_poly, unpack_terms
 from permcheck.linmember import members_bounded
 from permcheck.monomials import (
     _IDENTITIES,
     _block_permanent,
     _entry_triple_count,
-    _entry_triples,
     _squared_entry_triple_count,
-    _squared_entry_triples,
     verify_entry_triples,
     verify_squared_entry_triples,
 )
 from permcheck.shapes import MatrixShape, permanent, permanental_generators
-from helpers import entry_triples, solved_identity, squared_entry_triples
+from helpers import (
+    entry_triples,
+    generate_entry_triples,
+    generate_squared_entry_triples,
+    replay_moved_identities,
+    solved_identity,
+    squared_entry_triples,
+)
 
 REP_IDS = ["x11^2*x22*x33", "x11*x12*x23", "x11*x21*x32"]  # the keys of _IDENTITIES
 
@@ -48,7 +56,7 @@ def per_target_evidence(shape, p, exponents, degree):
 
 
 def never(*args, **kwargs):
-    raise AssertionError("a target was generated before the matrix was refused")
+    raise AssertionError("an identity was re-multiplied before the job was refused")
 
 
 class TestEntryProducts:
@@ -75,14 +83,14 @@ class TestEntryProducts:
     @pytest.mark.parametrize("p", [2, 9])
     def test_p_must_be_an_odd_prime(self, monkeypatch, verify, p):
         # 2 is a unit mod 9, so the identities would re-multiply there too
-        monkeypatch.setattr(monomials, "_move", never)
+        monkeypatch.setattr(monomials, "mul_sum", never)
         with pytest.raises(ValueError, match="odd prime"):
             verify(3, 3, p)
 
     @pytest.mark.parametrize("m, n", [(1, 3), (3, 1), (2, 2), (1, 6), (6, 1)])
     def test_triples_without_a_target_are_refused(self, monkeypatch, m, n):
         # no target, so the job would pass vacuously
-        monkeypatch.setattr(monomials, "_entry_triples", never)
+        monkeypatch.setattr(monomials, "mul_sum", never)
         with pytest.raises(ValueError, match="need n >= 3 and m >= 2, or m >= 3 and n >= 2"):
             verify_entry_triples(m, n, 3)
 
@@ -93,37 +101,26 @@ class TestTargetSize:
     @pytest.mark.parametrize("m, n", SHAPES)
     def test_targets_match_the_brute_force_sets(self, m, n):
         shape = MatrixShape.generic(m, n)
-        for targets, oracle in [(_entry_triples, entry_triples),
-                                (_squared_entry_triples, squared_entry_triples)]:
+        for targets, oracle in [(generate_entry_triples, entry_triples),
+                                (generate_squared_entry_triples, squared_entry_triples)]:
             exponents = generated(targets, shape)
             assert len(set(exponents)) == len(exponents)
             assert set(exponents) == oracle(shape)
 
     @pytest.mark.parametrize("m, n", SHAPES)
     def test_counts_match_the_generated_targets(self, m, n):
-        assert _entry_triple_count(m, n) == sum(1 for _ in _entry_triples(m, n))
-        assert _squared_entry_triple_count(m, n) == sum(1 for _ in _squared_entry_triples(m, n))
+        assert _entry_triple_count(m, n) == sum(1 for _ in generate_entry_triples(m, n))
+        assert _squared_entry_triple_count(m, n) == sum(
+            1 for _ in generate_squared_entry_triples(m, n))
 
-    @pytest.mark.parametrize("verify, count", [
-        (verify_entry_triples, _entry_triple_count(3, 4)),
-        (verify_squared_entry_triples, _squared_entry_triple_count(3, 4)),
-    ])
-    def test_guard_counts_targets(self, monkeypatch, verify, count):
-        monkeypatch.setattr(monomials, "MAX_TARGETS", count)
-        assert verify(3, 4, 3).evidence["targets"] == count
-        monkeypatch.setattr(monomials, "MAX_TARGETS", count - 1)
-        with pytest.raises(ValueError, match=f"has {count} targets, more than {count - 1}$"):
-            verify(3, 4, 3)
-
-    @pytest.mark.parametrize("verify, builder", [
-        (verify_entry_triples, "_entry_triples"),
-        (verify_squared_entry_triples, "_squared_entry_triples"),
-    ])
-    def test_oversized_matrix_is_refused_before_its_targets(self, monkeypatch, verify, builder):
-        monkeypatch.setattr(monomials, builder, never)
-        monkeypatch.setattr(monomials, "_move", never)
-        with pytest.raises(ValueError, match="targets, more than 262144"):
-            verify(100000, 100000, 3)
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("m, n", SHAPES)
+    def test_every_moved_identity_gives_its_target(self, m, n, p):
+        # the orbit proof, target by target: each identity moved by its
+        # row and column maps re-multiplies to the target it is moved onto
+        for targets, count in [(generate_entry_triples, _entry_triple_count),
+                               (generate_squared_entry_triples, _squared_entry_triple_count)]:
+            assert replay_moved_identities(targets, m, n, p) == count(m, n)
 
 
 @pytest.mark.parametrize("m, n", [(m, n) for m in range(2, 5) for n in range(2, 6)])
@@ -150,7 +147,7 @@ class TestStoredIdentities:
         shifts = _shifts(9, 2)  # no exponent passes 2
         at = [[shifts[r * 3 + c] for c in range(3)] for r in range(3)]
         target = sum(e << at[r][c] for r, c, e in rep)
-        assert mul_sum(monomials._move(identity, at, 1), p) == {target: 2}
+        assert mul_sum(helpers.move_identity(identity, at, 1), p) == {target: 2}
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     @pytest.mark.parametrize("rep", _IDENTITIES, ids=REP_IDS)
@@ -191,38 +188,42 @@ class TestOrbits:
 
 
 class TestMovedCertificatesAreChecked:
-    """A wrong stored coefficient, or a wrong map from the representative to
-    a target, is caught by the re-multiplication of the moved identity."""
+    """A wrong stored coefficient is caught by the check's re-multiplication,
+    and a wrong map from the representative to a target by the oracle's."""
 
-    @pytest.mark.parametrize("rep, verify", [
-        (rep, verify_squared_entry_triples if rep[0][2] == 2 else verify_entry_triples)
-        for rep in _IDENTITIES
-    ], ids=REP_IDS)
-    def test_wrong_stored_coefficient_raises(self, monkeypatch, rep, verify):
+    CHECKS = [("monomials29" if rep[0][2] == 2 else "monomials28", rep) for rep in _IDENTITIES]
+
+    @pytest.mark.parametrize("check, rep", CHECKS, ids=REP_IDS)
+    def test_wrong_stored_coefficient_raises(self, monkeypatch, check, rep):
         (rows, cols, cells, twice), *rest = _IDENTITIES[rep]
         monkeypatch.setitem(_IDENTITIES, rep, ((rows, cols, cells, twice + 1), *rest))
+        verify = {"monomials28": verify_entry_triples,
+                  "monomials29": verify_squared_entry_triples}[check]
         with pytest.raises(RuntimeError, match="does not re-multiply"):
             verify(3, 3, 5)
+        # and so does the CLI job, on any matrix with a target in the orbit
+        with pytest.raises(RuntimeError, match="does not re-multiply"):
+            cli.run(["verify", check, "--m", "40", "--n", "40", "--p", "3,5"])
 
     def test_wrong_generator_map_raises(self, monkeypatch):
-        move = monomials._move
+        move = helpers.move_identity
 
         def wrong_generators(identity, at, half):
             moved = move(identity, at, half)
             return [(h, moved[(i + 1) % len(moved)][1]) for i, (h, _) in enumerate(moved)]
 
-        monkeypatch.setattr(monomials, "_move", wrong_generators)
+        monkeypatch.setattr(helpers, "move_identity", wrong_generators)
         with pytest.raises(RuntimeError, match="does not re-multiply"):
-            verify_entry_triples(3, 3, 3)
+            replay_moved_identities(generate_entry_triples, 3, 3, 3)
 
     def test_wrong_variable_map_raises(self, monkeypatch):
-        move = monomials._move
+        move = helpers.move_identity
 
         def wrong_variables(identity, at, half):
             right = move(identity, at, half)
             swapped = move(identity, [row[::-1] for row in at], half)
             return [(h, g) for (_, g), (h, _) in zip(right, swapped)]
 
-        monkeypatch.setattr(monomials, "_move", wrong_variables)
+        monkeypatch.setattr(helpers, "move_identity", wrong_variables)
         with pytest.raises(RuntimeError, match="does not re-multiply"):
-            verify_squared_entry_triples(3, 3, 3)
+            replay_moved_identities(generate_squared_entry_triples, 3, 3, 3)
